@@ -34,8 +34,8 @@ func toSnapshotResult(r testing.BenchmarkResult, records int) benchSnapshotResul
 }
 
 // TestBenchSnapshot runs the dataset save/load benchmarks with the
-// metrics registry attached and writes a JSON snapshot — throughput per
-// format generation plus the obs registry's counters and histograms —
+// metrics registry attached and writes a JSON snapshot — throughput
+// plus the obs registry's counters and histograms —
 // to the path in WEBFAIL_BENCH_OUT. Unset, the test skips, so plain
 // `go test` stays fast; scripts/bench.sh sets it and names the file
 // BENCH_<date>.json.
@@ -65,9 +65,7 @@ func TestBenchSnapshot(t *testing.T) {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Benchmarks: map[string]benchSnapshotResult{
 			"dataset_save_v3":          bench(benchDatasetSave, dataset.Options{Metrics: reg}),
-			"dataset_save_v2":          bench(benchDatasetSave, dataset.Options{Version: 2, Metrics: reg}),
 			"dataset_load_parallel_v3": bench(benchDatasetLoadParallel, dataset.Options{Metrics: reg}),
-			"dataset_load_parallel_v2": bench(benchDatasetLoadParallel, dataset.Options{Version: 2, Metrics: reg}),
 		},
 	}
 	doc.Metrics = reg.Snapshot()

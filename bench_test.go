@@ -658,7 +658,7 @@ func getDatasetFixture(b *testing.B) ([]measure.Record, measure.DatasetMeta, *wo
 }
 
 // benchDatasetSave streams the fixture's failure records through a
-// writer sink at the given format generation. The sink holds at most
+// writer sink built with opts. The sink holds at most
 // one chunk (DefaultChunkRecords records) at a time — peak memory is
 // bounded by chunk size, not the stored record count, which is the
 // property that lets `webfail -save` stream month-scale datasets.
@@ -689,14 +689,12 @@ func benchDatasetSave(b *testing.B, opts dataset.Options) {
 	}
 }
 
-// BenchmarkDatasetSave measures the current default save path (v3
-// columnar chunks through the compression pipeline); the V2 variant is
-// the gob-chunk baseline it replaced, on the same fixture geometry.
-func BenchmarkDatasetSave(b *testing.B)   { benchDatasetSave(b, dataset.Options{}) }
-func BenchmarkDatasetSaveV2(b *testing.B) { benchDatasetSave(b, dataset.Options{Version: 2}) }
+// BenchmarkDatasetSave measures the save path: columnar chunks through
+// the compression pipeline.
+func BenchmarkDatasetSave(b *testing.B) { benchDatasetSave(b, dataset.Options{}) }
 
 // benchDatasetLoadParallel measures the sharded ingest path end to end:
-// open a dataset at the given format generation and ConsumeParallel it
+// open a dataset written with opts and ConsumeParallel it
 // across GOMAXPROCS client-range shards (each worker reads only its
 // overlapping chunks, decoding through reused buffers). Ingest runs the
 // passes webfail-analyze's default summary resolves to (totals +
@@ -743,13 +741,9 @@ func benchDatasetLoadParallel(b *testing.B, opts dataset.Options) {
 	}
 }
 
-// BenchmarkDatasetLoadParallel measures the current default load path
-// (v3 columnar decode with read-ahead); the V2 variant is the gob-chunk
-// baseline on the same fixture geometry.
+// BenchmarkDatasetLoadParallel measures the load path: columnar decode
+// with read-ahead.
 func BenchmarkDatasetLoadParallel(b *testing.B) { benchDatasetLoadParallel(b, dataset.Options{}) }
-func BenchmarkDatasetLoadParallelV2(b *testing.B) {
-	benchDatasetLoadParallel(b, dataset.Options{Version: 2})
-}
 
 // BenchmarkAnalyzeSelective measures the ingest cost of the analyzer
 // pass architecture: the same record stream is fed through an

@@ -9,7 +9,6 @@
 //
 //	webfail-analyze -in dataset.bin [-top N] [-parallel N] [-artifacts LIST]
 //	                [-state auto|dense|sparse]
-//	                [-rewrite PATH] [-dataset-version N]
 //	                [-forensics CLASS] [-trace-out PATH] [-trace-exemplars N]
 //	                [-cpuprofile PATH] [-memprofile PATH]
 //	                [-metrics-out PATH] [-metrics-listen ADDR] [-progress]
@@ -21,18 +20,11 @@
 // blamed fault entity on each failing span. -trace-out additionally
 // exports the replayed exemplars as Chrome trace-event JSON.
 //
-// -rewrite PATH converts the input dataset to the current format (or
-// the generation picked by -dataset-version) and exits without
-// analyzing: the upgrade path for v1/v2 archives. The record stream and
-// meta are preserved exactly, so analysis over the rewritten file is
-// byte-identical to analysis over the original.
-//
 // The ingest into the core analysis accumulator is sharded across
 // -parallel workers: each worker opens only the dataset chunks
-// overlapping its client range (v2 datasets index chunks by client
-// range; v1 datasets are range-partitioned in memory), and the shard
-// accumulators merge deterministically — the output is identical for
-// any shard count.
+// overlapping its client range (the dataset index records each chunk's
+// client range), and the shard accumulators merge deterministically —
+// the output is identical for any shard count.
 //
 // The default summary needs only the totals and traffic analyzer
 // passes, so only those accumulate during ingest. -artifacts selects
@@ -86,8 +78,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "ingest worker shards (1 = serial)")
 	artifacts := fs.String("artifacts", "", `comma-separated report artifacts to render ("all" = everything)`)
 	state := fs.String("state", "auto", "analyzer state representation: auto, dense, or sparse")
-	rewrite := fs.String("rewrite", "", "convert the dataset to this path and exit (no analysis)")
-	dsVersion := fs.Int("dataset-version", dataset.DefaultVersion, "dataset format for -rewrite (2 or 3)")
 	forensics := fs.String("forensics", "", "replay the run and render waterfall forensics for this failure class (e.g. tcp:no-connection)")
 	var obsFlags obs.CLIFlags
 	obsFlags.Register(fs)
@@ -124,24 +114,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *rewrite != "" {
-		out, err := os.Create(*rewrite)
-		if err != nil {
-			return fmt.Errorf("rewrite: %w", err)
-		}
-		span := reg.Span("rewrite")
-		if err := dataset.Rewrite(src, out, dataset.Options{Version: *dsVersion, Metrics: reg}); err != nil {
-			out.Close()
-			return fmt.Errorf("rewrite: %w", err)
-		}
-		span.End()
-		if err := out.Close(); err != nil {
-			return fmt.Errorf("rewrite: %w", err)
-		}
-		fmt.Fprintf(stderr, "webfail-analyze: rewrote %d records to %s (v%d)\n", src.Stored(), *rewrite, *dsVersion)
-		return nil
-	}
-
 	meta := src.Meta()
 	spec, err := scenarioFor(meta)
 	if err != nil {
@@ -389,8 +361,8 @@ func runForensics(stdout, stderr io.Writer, meta measure.DatasetMeta, spec *scen
 
 // scenarioFor reconstructs the world a dataset came from: the embedded
 // spec document when the header carries one, the checked-in scenario of
-// that name otherwise, and paper-default for v1 and older v2 datasets
-// written before scenario metadata existed.
+// that name otherwise, and paper-default for datasets written before
+// scenario metadata existed.
 func scenarioFor(meta measure.DatasetMeta) (*scenario.Spec, error) {
 	if len(meta.SpecJSON) > 0 {
 		spec, err := scenario.Parse(meta.SpecJSON)

@@ -30,7 +30,7 @@ func fixtureDataset(t *testing.T) string {
 	sc := workload.BuildScenario(topo, scenario.PaperParams(2005, 0, end))
 	cfg := measure.Config{Topo: topo, Scenario: sc, Seed: 1, Start: 0, End: end}
 
-	path := filepath.Join(t.TempDir(), "fixture.ds2")
+	path := filepath.Join(t.TempDir(), "fixture.ds")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
@@ -64,68 +64,6 @@ func fixtureDataset(t *testing.T) string {
 		t.Fatal(err)
 	}
 	return path
-}
-
-// fixtureRecords runs the fixture experiment once in memory, returning
-// the meta (with the Observe-policy counts folded) and the stored
-// failure subset — the ingredients for writing the same dataset in any
-// format generation.
-func fixtureRecords(t *testing.T, clients, sites int, hours int64) (measure.DatasetMeta, []measure.Record) {
-	t.Helper()
-	topo := scenario.PaperScaledTopology(clients, sites)
-	end := simnet.FromHours(hours)
-	sc := workload.BuildScenario(topo, scenario.PaperParams(2005, 0, end))
-	cfg := measure.Config{Topo: topo, Scenario: sc, Seed: 1, Start: 0, End: end}
-	meta := measure.DatasetMeta{
-		Seed: 2005, StartUnix: simnet.Time(0).Unix(), EndUnix: end.Unix(),
-		Clients: len(topo.Clients), Websites: len(topo.Websites),
-	}
-	var recs []measure.Record
-	if err := measure.Run(cfg, func(r *measure.Record) {
-		meta.Transactions++
-		if r.Failed() {
-			meta.Failures++
-			recs = append(recs, *r)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return meta, recs
-}
-
-// writeFixture stores recs at the given format generation: 1 through
-// the legacy codec, 2/3 through the chunked writer. The meta carries
-// the folded counts already, so every generation stores identical meta.
-func writeFixture(t *testing.T, path string, version int, meta measure.DatasetMeta, recs []measure.Record) {
-	t.Helper()
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if version == 1 {
-		ds := &measure.Dataset{Meta: meta, Records: recs}
-		if err := ds.Save(f); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	w, err := dataset.NewWriter(f, meta, dataset.Options{ChunkRecords: 128, Version: version})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := w.NewSink()
-	for i := range recs {
-		if err := sink.Append(&recs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func checkGolden(t *testing.T, name string, got []byte) {
@@ -184,92 +122,23 @@ func TestGoldenStdout(t *testing.T) {
 	}
 }
 
-// TestGoldenStdoutVersions is the cross-format acceptance gate: the
-// same records stored as v1 (legacy blob), v2 (gob chunks), and v3
-// (columnar chunks) must produce byte-identical stdout — the format
-// generation is invisible to analysis.
-func TestGoldenStdoutVersions(t *testing.T) {
-	meta, recs := fixtureRecords(t, 12, 8, 24)
-	want, err := os.ReadFile(filepath.Join("testdata", "golden_stdout.txt"))
-	if err != nil {
-		t.Fatalf("read golden (regenerate with -update): %v", err)
-	}
-	for _, version := range []int{1, 2, 3} {
-		path := filepath.Join(t.TempDir(), "fixture.ds")
-		writeFixture(t, path, version, meta, recs)
-		for _, par := range []int{1, 3} {
-			var out, errOut bytes.Buffer
-			args := []string{"-in", path, "-top", "5", "-parallel", strconv.Itoa(par)}
-			if err := run(args, &out, &errOut); err != nil {
-				t.Fatalf("run(v%d -parallel %d): %v\nstderr: %s", version, par, err, errOut.String())
-			}
-			if !bytes.Equal(out.Bytes(), want) {
-				t.Errorf("v%d -parallel %d stdout differs from golden", version, par)
-			}
-		}
-	}
-}
+// v3FixturePath is a checked-in small dataset that an earlier writer
+// produced (8 clients x 6 websites over 12 hours, stored without
+// scenario metadata). It is never regenerated: it pins bytes a past
+// writer wrote, so the test below keeps proving today's reader
+// understands yesterday's files — not merely today's writer.
+const v3FixturePath = "testdata/v3small.bin"
 
-// v2FixturePath is a checked-in small v2 dataset (regenerated with
-// -update): it pins the v2 bytes a past writer produced, so the
-// rewrite test below keeps proving today's reader understands
-// yesterday's files — not merely today's writer.
-const v2FixturePath = "testdata/v2small.bin"
-
-func v2FixtureInputs(t *testing.T) (measure.DatasetMeta, []measure.Record) {
-	return fixtureRecords(t, 8, 6, 12)
-}
-
-// TestRewriteV2FixturePreservesAnalysis drives `-rewrite` over the
-// checked-in v2 fixture and asserts the upgraded v3 file analyzes
-// byte-identically — the upgrade path loses nothing. The fixture's own
-// analysis is additionally pinned by a golden file.
-func TestRewriteV2FixturePreservesAnalysis(t *testing.T) {
-	if *update {
-		meta, recs := v2FixtureInputs(t)
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		writeFixture(t, v2FixturePath, 2, meta, recs)
-		t.Logf("rewrote %s", v2FixturePath)
-	}
-	if _, err := os.Stat(v2FixturePath); err != nil {
-		t.Fatalf("missing fixture (run with -update to regenerate): %v", err)
-	}
-
-	analyze := func(path string) []byte {
+// TestGoldenV3Small pins the analysis of the checked-in fixture at
+// several ingest widths.
+func TestGoldenV3Small(t *testing.T) {
+	for _, par := range []int{1, 2} {
 		var out, errOut bytes.Buffer
-		args := []string{"-in", path, "-top", "5", "-parallel", "2"}
+		args := []string{"-in", v3FixturePath, "-top", "5", "-parallel", strconv.Itoa(par)}
 		if err := run(args, &out, &errOut); err != nil {
-			t.Fatalf("run(-in %s): %v\nstderr: %s", path, err, errOut.String())
+			t.Fatalf("run(-parallel %d): %v\nstderr: %s", par, err, errOut.String())
 		}
-		return out.Bytes()
-	}
-	before := analyze(v2FixturePath)
-	checkGolden(t, "golden_v2small.txt", before)
-
-	upgraded := filepath.Join(t.TempDir(), "upgraded.ds3")
-	var out, errOut bytes.Buffer
-	if err := run([]string{"-in", v2FixturePath, "-rewrite", upgraded}, &out, &errOut); err != nil {
-		t.Fatalf("run(-rewrite): %v\nstderr: %s", err, errOut.String())
-	}
-	if out.Len() != 0 {
-		t.Errorf("-rewrite wrote %d bytes to stdout, want none", out.Len())
-	}
-	head := make([]byte, 11)
-	f, err := os.Open(upgraded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Read(head); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	if string(head) != "WEBFAILDS3\n" {
-		t.Fatalf("rewritten file magic = %q, want v3", head)
-	}
-	if after := analyze(upgraded); !bytes.Equal(before, after) {
-		t.Error("analysis of rewritten v3 dataset differs from the v2 original")
+		checkGolden(t, "golden_v3small.txt", out.Bytes())
 	}
 }
 

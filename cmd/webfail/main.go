@@ -21,14 +21,11 @@
 //	-clients N   limit the client roster (0 = all)
 //	-sites N     limit the website roster (0 = all)
 //	-artifacts LIST  comma-separated selection, e.g. "table3,fig5,headlines"
-//	             (default: everything); -only is an alias
+//	             (default: everything)
 //	-state M     analyzer state representation: "auto" (default; dense at
 //	             paper scale, sparse past the cell budget), "dense", or
 //	             "sparse" — output is identical for any value
 //	-save PATH   stream the failure dataset to PATH (v3 columnar format)
-//	-dataset-version N  dataset format generation for -save: 3 (default,
-//	             columnar + pipelined compression) or 2 (gob chunks);
-//	             any version analyzes identically
 //	-cpuprofile PATH  write a runtime/pprof CPU profile of the run
 //	-memprofile PATH  write a heap profile at exit
 //	-metrics-out PATH    write a Prometheus-style metrics dump at exit
@@ -87,9 +84,7 @@ func run(argv []string, stdout io.Writer) error {
 		nClients     = fs.Int("clients", 0, "limit client roster (0 = all)")
 		nSites       = fs.Int("sites", 0, "limit website roster (0 = all)")
 		artifacts    = fs.String("artifacts", "", "comma-separated artifacts (table1..table9, fig1..fig7, replicas, headlines)")
-		only         = fs.String("only", "", "alias for -artifacts")
 		savePath     = fs.String("save", "", "write failure dataset to this path")
-		dsVersion    = fs.Int("dataset-version", dataset.DefaultVersion, "dataset format for -save (2 or 3)")
 		state        = fs.String("state", "auto", "analyzer state representation: auto, dense, or sparse")
 		obsFlags     obs.CLIFlags
 	)
@@ -106,7 +101,7 @@ func run(argv []string, stdout io.Writer) error {
 	defer sess.Close()
 
 	sel := map[string]bool{}
-	for _, s := range strings.Split(*artifacts+","+*only, ",") {
+	for _, s := range strings.Split(*artifacts, ",") {
 		if s = strings.TrimSpace(strings.ToLower(s)); s != "" && s != "all" {
 			sel[s] = true
 		}
@@ -203,7 +198,7 @@ func run(argv []string, stdout io.Writer) error {
 			Seed: *seed, RunSeed: *runSeed, StartUnix: simnet.Time(0).Unix(), EndUnix: end.Unix(),
 			Clients: len(topo.Clients), Websites: len(topo.Websites),
 			Scenario: spec.Name, SpecHash: spec.Hash(), SpecJSON: spec.CanonicalJSON(),
-		}, dataset.Options{Version: *dsVersion, Metrics: reg})
+		}, dataset.Options{Metrics: reg})
 		if err != nil {
 			return fmt.Errorf("save: %w", err)
 		}

@@ -40,16 +40,6 @@ func ConsumeParallel(topo *workload.Topology, start, end simnet.Time, src datase
 	return ConsumeParallelOpts(topo, start, end, src, IngestOptions{Shards: shards, Passes: passes})
 }
 
-// ConsumeParallelObs is ConsumeParallel with observability attached:
-// reg (may be nil) receives one deterministic records-ingested counter
-// labeled with the selected pass set, and prog (may be nil) receives
-// live per-shard ingest counts for the progress reporter.
-func ConsumeParallelObs(topo *workload.Topology, start, end simnet.Time, src dataset.RecordSource, shards int, reg *obs.Registry, prog *obs.Progress, passes ...PassName) (*Analysis, error) {
-	return ConsumeParallelOpts(topo, start, end, src, IngestOptions{
-		Shards: shards, Metrics: reg, Progress: prog, Passes: passes,
-	})
-}
-
 // IngestOptions configures ConsumeParallelOpts.
 type IngestOptions struct {
 	// Shards is the worker count (<= 0 selects GOMAXPROCS; clamped to

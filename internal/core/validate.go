@@ -45,7 +45,7 @@ func (a *Analysis) ValidateAttribution(at *Attribution, sc *workload.Scenario) *
 			faults.ServerOutage, faults.ServerOverload)
 		if !serverTruth {
 			for _, ra := range w.ReplicaAddrs {
-				if _, ok := tl.Active(faults.Entity("replica:"+ra.String()), faults.ServerOutage, atTime); ok {
+				if _, ok := tl.ActiveID(tl.Lookup(faults.Entity("replica:"+ra.String())), faults.ServerOutage, atTime); ok {
 					serverTruth = true
 					break
 				}
@@ -131,9 +131,12 @@ func recallOf(rep *GroundTruthReport, b Blame, truthTotal int64) float64 {
 	return float64(correct) / float64(truthTotal)
 }
 
+// activeAnyKind reports whether an episode of any of kinds covers at for
+// e, resolving the entity once for all kinds.
 func activeAnyKind(tl *faults.Timeline, e faults.Entity, at simnet.Time, kinds ...faults.Kind) bool {
+	id := tl.Lookup(e)
 	for _, k := range kinds {
-		if _, ok := tl.Active(e, k, at); ok {
+		if _, ok := tl.ActiveID(id, k, at); ok {
 			return true
 		}
 	}

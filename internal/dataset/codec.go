@@ -13,11 +13,10 @@ import (
 	"webfail/internal/workload"
 )
 
-// The v3 chunk codec: a hand-rolled columnar encoding of
-// []measure.Record that replaces the reflection-driven gob stream of v2
-// chunks. Each chunk stores its records as per-field arrays ("columns"),
-// each independently encoded with the cheapest scheme its value
-// distribution admits:
+// The chunk codec: a hand-rolled columnar encoding of
+// []measure.Record. Each chunk stores its records as per-field arrays
+// ("columns"), each independently encoded with the cheapest scheme its
+// value distribution admits:
 //
 //   - delta + zigzag varint for the monotone columns (ClientIdx, At):
 //     the canonical record stream is client-major and per-client
@@ -43,8 +42,7 @@ import (
 // and append into caller-owned buffers.
 //
 // Chunk payload layout (this is the byte stream inside the chunk's gzip
-// frame; by default the frame uses stored deflate blocks — see
-// Options.CompressLevel):
+// frame, which uses stored deflate blocks — see chunkLevel):
 //
 //	byte    chunkFormatV3 (0x33)
 //	uvarint record count

@@ -158,7 +158,7 @@ func TestChunkDecodeTruncation(t *testing.T) {
 func TestIndexChunkMismatch(t *testing.T) {
 	recs := codecRecords(11, 200, 8)
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf, measure.DatasetMeta{Clients: 8, Websites: 40}, Options{ChunkRecords: 64, Version: 3})
+	w, err := NewWriter(&buf, measure.DatasetMeta{Clients: 8, Websites: 40}, Options{ChunkRecords: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,25 +1,22 @@
-// Package dataset is the stored-data layer: the on-disk formats for
-// performance-record datasets (v3 "WEBFAILDS3", v2 "WEBFAILDS2") and
-// the streaming RecordSink/RecordSource abstraction the rest of the
-// system programs against.
+// Package dataset is the stored-data layer: the on-disk format for
+// performance-record datasets ("WEBFAILDS3") and the streaming
+// RecordSink/RecordSource abstraction the rest of the system programs
+// against.
 //
-// The v1 format (internal/measure's gob+gzip blob, magic "WEBFAILDS1")
-// had to be fully decoded into one []Record before any analysis could
-// start, so `webfail-analyze` paid the whole dataset in memory and could
-// not shard its ingest without rescanning every record per shard. The
-// v2 and v3 formats are chunked:
+// A dataset file is chunked, so analysis can start before the whole
+// file is decoded and can shard its ingest without rescanning every
+// record per shard:
 //
-//	magic "WEBFAILDS2\n" / "WEBFAILDS3\n"
-//	chunk 0 … chunk n-1     each an independently gzip-compressed unit
-//	                        of at most ChunkRecords records — a gob
-//	                        []measure.Record in v2, a hand-rolled
-//	                        columnar block in v3 (see codec.go)
+//	magic "WEBFAILDS3\n"
+//	chunk 0 … chunk n-1     each an independently gzip-framed columnar
+//	                        block of at most ChunkRecords records (see
+//	                        codec.go)
 //	index                   gob(index{Meta, Chunks}) — per chunk: offset,
 //	                        length, raw (pre-compression) length, record
 //	                        count, client range [Lo, Hi], stream id and
 //	                        per-stream sequence number
 //	footer                  index offset (8B BE) | index length (8B BE) |
-//	                        "WFDS2IDX" / "WFDS3IDX"
+//	                        "WFDS3IDX"
 //
 // Because every chunk carries its client range in the index, a reader
 // can open only the chunks overlapping a client range — the exact
@@ -28,43 +25,33 @@
 // file concurrently: chunk order in the file does not matter, the index
 // is sorted into canonical client-major order at Close.
 //
-// v3 additionally moves the codec work off both hot paths: writers hand
-// sealed chunks to a bounded compression pipeline, and readers
-// decompress upcoming chunks ahead of the consumer, decoding into
-// reused record buffers so steady-state record I/O allocates nothing
-// per record. Chunk boundaries are fixed by record count, never by
-// worker timing, so the stored record stream is bit-deterministic for
-// a given run (see DESIGN.md §5j).
+// The codec work stays off both hot paths: writers hand sealed chunks
+// to a bounded compression pipeline, and readers decompress upcoming
+// chunks ahead of the consumer, decoding into reused record buffers so
+// steady-state record I/O allocates nothing per record. Chunk
+// boundaries are fixed by record count, never by worker timing, so the
+// stored record stream is bit-deterministic for a given run (see
+// DESIGN.md §5j).
 //
-// Compatibility policy: v1 and v2 datasets remain loadable forever
-// through Open, routed into the same RecordSource interface (see
-// legacy.go for v1); new datasets are written as v3 unless
-// Options.Version pins v2. Rewrite converts any readable dataset to
-// the current format.
+// Compatibility policy: this layout is the only format, and every file
+// written in it stays readable. Open rejects files of the earlier
+// generations ("WEBFAILDS1", "WEBFAILDS2") with an error.
 package dataset
 
 import (
 	"webfail/internal/measure"
 )
 
-// Magic strings of the three dataset generations. All are 11 bytes, so
-// Open can sniff any of them with one read.
 const (
-	magicV1 = "WEBFAILDS1\n"
-	magicV2 = "WEBFAILDS2\n"
+	// magicV3 opens every dataset file. The earlier generations' magics
+	// share its "WEBFAILDS" prefix and length.
 	magicV3 = "WEBFAILDS3\n"
-
-	// footerMagic / footerMagicV3 end every chunked file; Open locates
-	// the index from them.
-	footerMagic   = "WFDS2IDX"
+	// footerMagicV3 ends every dataset file; Open locates the index
+	// from it.
 	footerMagicV3 = "WFDS3IDX"
 	// footerLen is offset (8) + length (8) + footer magic (8).
 	footerLen = 24
 )
-
-// DefaultVersion is the format generation written when Options leaves
-// Version unset.
-const DefaultVersion = 3
 
 // DefaultChunkRecords is the chunk capacity used when Options leaves
 // ChunkRecords unset: large enough that compression amortizes well,
@@ -109,7 +96,7 @@ func AllRecords(src RecordSource, visit func(r *measure.Record) error) error {
 type chunkInfo struct {
 	Offset int64 // byte offset of the gzip stream
 	Length int64 // compressed length in bytes
-	Raw    int64 // pre-compression payload length (v3; 0 in v2 files)
+	Raw    int64 // pre-compression payload length
 	Count  int32 // records in the chunk
 	Lo, Hi int32 // min/max ClientIdx in the chunk (inclusive)
 	Stream int32 // writing sink's stream id
@@ -117,8 +104,7 @@ type chunkInfo struct {
 }
 
 // index is the trailing index, gob-encoded between the last chunk and
-// the footer. Gob tolerates the v3-only Raw field when reading v2
-// files (it decodes to zero), so one index schema serves both.
+// the footer.
 type index struct {
 	Meta   measure.DatasetMeta
 	Chunks []chunkInfo

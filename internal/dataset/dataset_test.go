@@ -3,6 +3,7 @@ package dataset_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -23,14 +24,14 @@ import (
 	"webfail/internal/workload"
 )
 
-// -update regenerates testdata/v1small.bin (the checked-in v1
+// -update regenerates testdata/v3small.bin (the checked-in
 // compatibility fixture) from the deterministic generator below.
-var update = flag.Bool("update", false, "rewrite the v1 compatibility fixture")
+var update = flag.Bool("update", false, "rewrite the v3 compatibility fixture")
 
 // randRecords builds n records over the given client count with every
 // field exercised, in canonical order (client-major, stable within a
-// client). The generator is deterministic for a given seed: the v1
-// fixture and the property tests both build on it.
+// client). The generator is deterministic for a given seed: the
+// compatibility fixture and the property tests both build on it.
 func randRecords(seed int64, n, clients int) []measure.Record {
 	rng := rand.New(rand.NewSource(seed))
 	cats := []workload.Category{workload.PL, workload.BB, workload.DU, workload.CN}
@@ -86,10 +87,9 @@ func sameRecords(t *testing.T, got, want []measure.Record, label string) {
 	}
 }
 
-// mixedIPRecords augments the deterministic generator with the address
-// shapes the v1 fixture era never stored: IPv6 and 4-in-6 replica
-// addresses. Kept separate from randRecords so the checked-in v1
-// fixture's bytes stay reproducible.
+// mixedIPRecords augments the deterministic generator with IPv6 and
+// 4-in-6 replica addresses. Kept separate from randRecords so the
+// checked-in fixture's bytes stay reproducible.
 func mixedIPRecords(seed int64, n, clients int) []measure.Record {
 	recs := randRecords(seed, n, clients)
 	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
@@ -107,22 +107,18 @@ func mixedIPRecords(seed int64, n, clients int) []measure.Record {
 	return recs
 }
 
-// TestDatasetV2RoundTrip / TestDatasetV3RoundTrip are the save→load
-// property: for random record sets and a sweep of chunk sizes (forcing
-// 1..n chunks, partial last chunks, and the empty dataset), the reader
-// reproduces the written records exactly, in canonical order, with the
-// meta intact.
-func TestDatasetV2RoundTrip(t *testing.T) { testRoundTrip(t, 2) }
-func TestDatasetV3RoundTrip(t *testing.T) { testRoundTrip(t, 3) }
-
-func testRoundTrip(t *testing.T, version int) {
+// TestDatasetV3RoundTrip is the save→load property: for random record
+// sets and a sweep of chunk sizes (forcing 1..n chunks, partial last
+// chunks, and the empty dataset), the reader reproduces the written
+// records exactly, in canonical order, with the meta intact.
+func TestDatasetV3RoundTrip(t *testing.T) {
 	meta := measure.DatasetMeta{Seed: 7, StartUnix: 100, EndUnix: 200, Clients: 16, Websites: 40, Transactions: 5000, Failures: 321}
 	for _, n := range []int{0, 1, 5, 257, 1000} {
 		for _, chunk := range []int{1, 3, 7, 64, 0} {
-			label := fmt.Sprintf("v%d n=%d chunk=%d", version, n, chunk)
+			label := fmt.Sprintf("n=%d chunk=%d", n, chunk)
 			recs := mixedIPRecords(int64(n)*31+int64(chunk), n, 16)
 			var buf bytes.Buffer
-			w, err := dataset.NewWriter(&buf, meta, dataset.Options{ChunkRecords: chunk, Version: version})
+			w, err := dataset.NewWriter(&buf, meta, dataset.Options{ChunkRecords: chunk})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,23 +170,19 @@ func testRoundTrip(t *testing.T, version int) {
 	}
 }
 
-// TestDatasetV2ParallelStreams / TestDatasetV3ParallelStreams write
-// through concurrent per-shard sinks — the RunParallel topology — and
-// check the stored canonical order equals the serial (single-stream)
-// order, and that concurrent range reads see consistent data. For v3
-// the concurrent sinks also exercise the compression pipeline from
-// several producers at once.
-func TestDatasetV2ParallelStreams(t *testing.T) { testParallelStreams(t, 2) }
-func TestDatasetV3ParallelStreams(t *testing.T) { testParallelStreams(t, 3) }
-
-func testParallelStreams(t *testing.T, version int) {
+// TestDatasetV3ParallelStreams writes through concurrent per-shard
+// sinks — the RunParallel topology — and checks the stored canonical
+// order equals the serial (single-stream) order, and that concurrent
+// range reads see consistent data. The concurrent sinks also exercise
+// the compression pipeline from several producers at once.
+func TestDatasetV3ParallelStreams(t *testing.T) {
 	const clients = 20
 	recs := mixedIPRecords(99, 700, clients)
 	meta := measure.DatasetMeta{Seed: 1, Clients: clients, Websites: 40}
 
 	write := func(streams int, chunk int) []byte {
 		var buf bytes.Buffer
-		w, err := dataset.NewWriter(&buf, meta, dataset.Options{ChunkRecords: chunk, Version: version})
+		w, err := dataset.NewWriter(&buf, meta, dataset.Options{ChunkRecords: chunk})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,30 +249,12 @@ func testParallelStreams(t *testing.T, version int) {
 	}
 }
 
-// TestNewWriterRejectsBadOptionsCleanly: an invalid Options must be
-// rejected before anything is written, so the caller's destination is
-// not left holding a partial magic string.
-func TestNewWriterRejectsBadOptionsCleanly(t *testing.T) {
-	for _, opts := range []dataset.Options{
-		{Version: 3, CompressLevel: 42},
-		{Version: 7},
-	} {
-		var buf bytes.Buffer
-		if _, err := dataset.NewWriter(&buf, measure.DatasetMeta{}, opts); err == nil {
-			t.Fatalf("options %+v accepted", opts)
-		}
-		if buf.Len() != 0 {
-			t.Errorf("options %+v: %d bytes written before rejection", opts, buf.Len())
-		}
-	}
-}
-
 // TestSinkFlushAfterWriterClose: sealing a chunk after the writer
 // closed is contract misuse, but it must surface as the documented
 // error — never as a send on the closed pipeline channel.
 func TestSinkFlushAfterWriterClose(t *testing.T) {
 	var buf bytes.Buffer
-	w, err := dataset.NewWriter(&buf, measure.DatasetMeta{Clients: 4, Websites: 40}, dataset.Options{ChunkRecords: 64, Version: 3})
+	w, err := dataset.NewWriter(&buf, measure.DatasetMeta{Clients: 4, Websites: 40}, dataset.Options{ChunkRecords: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,6 +269,49 @@ func TestSinkFlushAfterWriterClose(t *testing.T) {
 	// Closing the sink flushes its partial chunk into the closed writer.
 	if err := sink.Close(); err == nil {
 		t.Error("sink close after writer close succeeded")
+	}
+}
+
+// failAfterWriter accepts its first writes (the magic string), then
+// fails every later one, like a disk that fills up mid-save.
+type failAfterWriter struct{ ok int }
+
+var errDiskFull = errors.New("disk full")
+
+func (w *failAfterWriter) Write(p []byte) (int, error) {
+	if w.ok == 0 {
+		return 0, errDiskFull
+	}
+	w.ok--
+	return len(p), nil
+}
+
+// TestSinkCloseReportsAppendError: once a chunk write fails, the first
+// Sink.Close must return the error an earlier Append already returned —
+// a caller that checks only Close must not see a clean save.
+func TestSinkCloseReportsAppendError(t *testing.T) {
+	w, err := dataset.NewWriter(&failAfterWriter{ok: 1}, measure.DatasetMeta{Clients: 4, Websites: 40},
+		dataset.Options{ChunkRecords: 8, CompressWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := w.NewSink()
+	recs := randRecords(3, 10000, 4)
+	failed := false
+	for i := range recs {
+		if err := sink.Append(&recs[i]); err != nil {
+			failed = true
+			break
+		}
+	}
+	if !failed {
+		t.Fatal("no Append failed on a destination that rejects every chunk")
+	}
+	if err := sink.Close(); !errors.Is(err, errDiskFull) {
+		t.Errorf("first Sink.Close = %v, want the write error", err)
+	}
+	if err := w.Close(); !errors.Is(err, errDiskFull) {
+		t.Errorf("Writer.Close = %v, want the write error", err)
 	}
 }
 
@@ -313,7 +330,7 @@ func TestDatasetV3ReadAheadStress(t *testing.T) {
 	const clients = 16
 	recs := mixedIPRecords(123, 2000, clients)
 	var buf bytes.Buffer
-	w, err := dataset.NewWriter(&buf, measure.DatasetMeta{Clients: clients, Websites: 40}, dataset.Options{ChunkRecords: 8, Version: 3})
+	w, err := dataset.NewWriter(&buf, measure.DatasetMeta{Clients: clients, Websites: 40}, dataset.Options{ChunkRecords: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,111 +382,16 @@ func TestDatasetV3ReadAheadStress(t *testing.T) {
 	}
 }
 
-// TestDatasetV2Corruption exercises the failure paths: truncation at
-// every layer, a corrupt index, a corrupt chunk, and non-dataset input.
-// Every case must error cleanly, never panic.
-func TestDatasetV2Corruption(t *testing.T) {
-	recs := randRecords(5, 300, 8)
-	var buf bytes.Buffer
-	w, err := dataset.NewWriter(&buf, measure.DatasetMeta{Clients: 8, Websites: 40}, dataset.Options{ChunkRecords: 32, Version: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := w.NewSink()
-	for i := range recs {
-		sink.Append(&recs[i])
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-
-	open := func(b []byte) (dataset.RecordSource, error) {
-		return dataset.Open(bytes.NewReader(b), int64(len(b)))
-	}
-
-	// Truncations: mid-magic, mid-chunk (footer gone), mid-footer.
-	for _, size := range []int{0, 5, 11, 40, len(data) / 2, len(data) - 1} {
-		if size >= len(data) {
-			continue
-		}
-		if _, err := open(data[:size]); err == nil {
-			t.Errorf("truncated to %d bytes: accepted", size)
-		}
-	}
-
-	// Non-dataset input.
-	if _, err := open([]byte("definitely not a dataset, but long enough to sniff")); err == nil {
-		t.Error("garbage accepted")
-	}
-
-	// Corrupt footer magic.
-	bad := bytes.Clone(data)
-	bad[len(bad)-1] ^= 0xff
-	if _, err := open(bad); err == nil {
-		t.Error("corrupt footer magic accepted")
-	}
-
-	// Corrupt index offset pointing past the file.
-	bad = bytes.Clone(data)
-	for i := len(bad) - 24; i < len(bad)-16; i++ {
-		bad[i] = 0xff
-	}
-	if _, err := open(bad); err == nil {
-		t.Error("corrupt index offset accepted")
-	}
-
-	// Corrupt index body: zero the gob stream's leading length byte.
-	idxOff := int64(binary.BigEndian.Uint64(data[len(data)-24 : len(data)-16]))
-	bad = bytes.Clone(data)
-	bad[idxOff] = 0x00
-	if _, err := open(bad); err == nil {
-		t.Error("corrupt index body accepted")
-	}
-
-	// Corrupt chunk body: Open succeeds (index intact), Records must
-	// error when it reaches the damaged chunk.
-	bad = bytes.Clone(data)
-	for i := 15; i < 25; i++ {
-		bad[i] ^= 0xff
-	}
-	src, err := open(bad)
-	if err != nil {
-		t.Fatalf("corrupt chunk: Open should defer the error to Records, got %v", err)
-	}
-	if err := dataset.AllRecords(src, func(*measure.Record) error { return nil }); err == nil {
-		t.Error("corrupt chunk body read without error")
-	}
-
-	// Truncated v1 blob.
-	v1 := v1FixtureBytes(t)
-	if _, err := open(v1[:len(v1)/2]); err == nil {
-		t.Error("truncated v1 dataset accepted")
-	}
-
-	// Visit error aborts and propagates.
-	src, err = open(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantErr := fmt.Errorf("stop")
-	if err := dataset.AllRecords(src, func(*measure.Record) error { return wantErr }); err != wantErr {
-		t.Errorf("visit error = %v, want %v", err, wantErr)
-	}
-}
-
-// TestDatasetV3Corruption exercises the v3 failure paths at the file
-// level: truncation at every layer, a flipped bit anywhere in a chunk
-// body (the gzip CRC or the column validation must catch it), a corrupt
-// footer, and a wrong-generation footer magic. Every case must error
-// cleanly, never panic, at Open or at Records.
+// TestDatasetV3Corruption exercises the failure paths at the file
+// level: truncation at every layer, non-dataset input, an earlier
+// format generation's magic, a flipped bit anywhere in a chunk body
+// (the gzip CRC or the column validation must catch it), a corrupt
+// index body, a corrupt footer, and a wrong-generation footer magic.
+// Every case must error cleanly, never panic, at Open or at Records.
 func TestDatasetV3Corruption(t *testing.T) {
 	recs := mixedIPRecords(5, 300, 8)
 	var buf bytes.Buffer
-	w, err := dataset.NewWriter(&buf, measure.DatasetMeta{Clients: 8, Websites: 40}, dataset.Options{ChunkRecords: 32, Version: 3})
+	w, err := dataset.NewWriter(&buf, measure.DatasetMeta{Clients: 8, Websites: 40}, dataset.Options{ChunkRecords: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,8 +433,23 @@ func TestDatasetV3Corruption(t *testing.T) {
 		}
 	}
 
-	// A v2 footer magic on a v3 file (and vice versa) must be rejected:
-	// the footer generation is part of the format contract.
+	// Non-dataset input.
+	if _, err := open([]byte("definitely not a dataset, but long enough to sniff")); err == nil {
+		t.Error("garbage accepted")
+	}
+
+	// An earlier generation's magic on an otherwise intact file: those
+	// formats are no longer readable.
+	for _, magic := range []string{"WEBFAILDS1\n", "WEBFAILDS2\n"} {
+		bad := bytes.Clone(data)
+		copy(bad, magic)
+		if _, err := open(bad); err == nil {
+			t.Errorf("file starting with %q accepted", magic)
+		}
+	}
+
+	// A v2 footer magic on a v3 file must be rejected: the footer
+	// generation is part of the format contract.
 	bad := bytes.Clone(data)
 	copy(bad[len(bad)-8:], "WFDS2IDX")
 	if _, err := open(bad); err == nil {
@@ -528,12 +465,19 @@ func TestDatasetV3Corruption(t *testing.T) {
 		t.Error("corrupt index offset accepted")
 	}
 
+	// Corrupt index body: zero the gob stream's leading length byte.
+	idxOff := int(binary.BigEndian.Uint64(data[len(data)-24 : len(data)-16]))
+	bad = bytes.Clone(data)
+	bad[idxOff] = 0x00
+	if _, err := open(bad); err == nil {
+		t.Error("corrupt index body accepted")
+	}
+
 	// Bit flips across the chunk region: every one must either surface
 	// as an error from Open or Records, or leave the decoded records
 	// byte-identical (flips in non-semantic gzip header bytes — MTIME,
 	// XFL, OS — are outside the CRC and genuinely harmless). Silently
 	// different data is the only unacceptable outcome; panics never.
-	idxOff := int(binary.BigEndian.Uint64(data[len(data)-24 : len(data)-16]))
 	for pos := 11; pos < idxOff; pos += 7 {
 		bad := bytes.Clone(data)
 		bad[pos] ^= 0x10
@@ -562,62 +506,75 @@ func TestDatasetV3Corruption(t *testing.T) {
 	}
 }
 
-// v1 fixture: a deterministic record set saved in the legacy format.
+// v3 fixture: a deterministic record set saved with one compression
+// worker, so -update writes the same bytes every time.
 const (
-	v1FixturePath    = "testdata/v1small.bin"
-	v1FixtureSeed    = 42
-	v1FixtureRecords = 200
-	v1FixtureClients = 10
+	v3FixturePath    = "testdata/v3small.bin"
+	v3FixtureSeed    = 42
+	v3FixtureRecords = 200
+	v3FixtureClients = 10
 )
 
-func v1FixtureMeta() measure.DatasetMeta {
+func v3FixtureMeta() measure.DatasetMeta {
 	return measure.DatasetMeta{
-		Seed: v1FixtureSeed, StartUnix: 1104555600, EndUnix: 1104555600 + 3600*1000,
-		Clients: v1FixtureClients, Websites: 40, Transactions: 12345, Failures: v1FixtureRecords,
+		Seed: v3FixtureSeed, StartUnix: 1104555600, EndUnix: 1104555600 + 3600*1000,
+		Clients: v3FixtureClients, Websites: 40, Transactions: 12345, Failures: v3FixtureRecords,
 	}
 }
 
-func v1FixtureBytes(t *testing.T) []byte {
+func v3FixtureBytes(t *testing.T) []byte {
 	t.Helper()
-	ds := &measure.Dataset{Meta: v1FixtureMeta(), Records: randRecords(v1FixtureSeed, v1FixtureRecords, v1FixtureClients)}
+	recs := randRecords(v3FixtureSeed, v3FixtureRecords, v3FixtureClients)
 	var buf bytes.Buffer
-	if err := ds.Save(&buf); err != nil {
+	w, err := dataset.NewWriter(&buf, v3FixtureMeta(), dataset.Options{ChunkRecords: 32, CompressWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := w.NewSink()
+	for i := range recs {
+		if err := sink.Append(&recs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-// TestDatasetV1Compat proves backward compatibility against a
-// checked-in fixture: a v1 file written before the v2 format existed
-// must keep loading through dataset.Open, expose the same meta and
-// records, and serve the ranged reads the sharded ingest relies on
-// (the client-major layout is located by binary search, not a scan).
-func TestDatasetV1Compat(t *testing.T) {
+// TestDatasetV3Compat proves backward compatibility against a
+// checked-in fixture: a file written by an earlier writer must keep
+// loading through dataset.Open, expose the same meta and records, and
+// serve the ranged reads the sharded ingest relies on.
+func TestDatasetV3Compat(t *testing.T) {
 	if *update {
-		if err := os.MkdirAll(filepath.Dir(v1FixturePath), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(v3FixturePath), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(v1FixturePath, v1FixtureBytes(t), 0o644); err != nil {
+		if err := os.WriteFile(v3FixturePath, v3FixtureBytes(t), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("rewrote %s", v1FixturePath)
+		t.Logf("rewrote %s", v3FixturePath)
 	}
-	data, err := os.ReadFile(v1FixturePath)
+	data, err := os.ReadFile(v3FixturePath)
 	if err != nil {
 		t.Fatalf("missing fixture (run with -update to regenerate): %v", err)
 	}
 	src, err := dataset.Open(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
-		t.Fatalf("Open v1: %v", err)
+		t.Fatalf("Open: %v", err)
 	}
-	if got, want := src.Meta(), v1FixtureMeta(); !reflect.DeepEqual(got, want) {
+	if got, want := src.Meta(), v3FixtureMeta(); !reflect.DeepEqual(got, want) {
 		t.Errorf("meta = %+v, want %+v", got, want)
 	}
-	want := randRecords(v1FixtureSeed, v1FixtureRecords, v1FixtureClients)
+	want := randRecords(v3FixtureSeed, v3FixtureRecords, v3FixtureClients)
 	if src.Stored() != int64(len(want)) {
 		t.Errorf("stored = %d, want %d", src.Stored(), len(want))
 	}
-	sameRecords(t, collect(t, src, 0, 1<<30), want, "v1 full scan")
+	sameRecords(t, collect(t, src, 0, 1<<30), want, "full scan")
 	for _, rg := range [][2]int{{0, 3}, {3, 7}, {7, 10}, {5, 5}} {
 		var sub []measure.Record
 		for _, r := range want {
@@ -625,6 +582,6 @@ func TestDatasetV1Compat(t *testing.T) {
 				sub = append(sub, r)
 			}
 		}
-		sameRecords(t, collect(t, src, rg[0], rg[1]), sub, fmt.Sprintf("v1 range %v", rg))
+		sameRecords(t, collect(t, src, rg[0], rg[1]), sub, fmt.Sprintf("range %v", rg))
 	}
 }

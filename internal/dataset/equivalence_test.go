@@ -172,19 +172,18 @@ func TestShardedSaveEquivalence(t *testing.T) {
 	}
 }
 
-// TestDatasetV3SerialParallelEquivalence is the v3 determinism
-// contract end to end: a serial single-sink save, a sharded save
-// through concurrent sinks (both riding the compression pipeline), and
-// a v2 save of the same run must all store the identical canonical
-// record stream, and every (format, ingest width, read-ahead) pairing
-// must produce the identical analysis.
+// TestDatasetV3SerialParallelEquivalence is the determinism contract
+// end to end: a serial single-sink save and a sharded save through
+// concurrent sinks (both riding the compression pipeline) must store
+// the identical canonical record stream, and every (save, ingest
+// width, read-ahead) pairing must produce the identical analysis.
 func TestDatasetV3SerialParallelEquivalence(t *testing.T) {
 	cfg, topo, end := buildRunConfig(t)
 
-	save := func(version, shards, workers int) []byte {
+	save := func(shards, workers int) []byte {
 		var buf bytes.Buffer
 		w, err := dataset.NewWriter(&buf, runMeta(topo, end), dataset.Options{
-			ChunkRecords: 256, Version: version, CompressWorkers: workers,
+			ChunkRecords: 256, CompressWorkers: workers,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -220,9 +219,8 @@ func TestDatasetV3SerialParallelEquivalence(t *testing.T) {
 		return buf.Bytes()
 	}
 
-	serial3 := save(3, 1, 1)
-	sharded3 := save(3, 4, 3)
-	serial2 := save(2, 1, 0)
+	serial := save(1, 1)
+	sharded := save(4, 3)
 
 	openSrc := func(data []byte, opts ...dataset.OpenOption) dataset.RecordSource {
 		src, err := dataset.Open(bytes.NewReader(data), int64(len(data)), opts...)
@@ -232,10 +230,9 @@ func TestDatasetV3SerialParallelEquivalence(t *testing.T) {
 		return src
 	}
 
-	base := openSrc(serial3)
+	base := openSrc(serial)
 	want := collect(t, base, 0, 1<<30)
-	sameRecords(t, collect(t, openSrc(sharded3), 0, 1<<30), want, "sharded v3 canonical stream")
-	sameRecords(t, collect(t, openSrc(serial2), 0, 1<<30), want, "v2 canonical stream")
+	sameRecords(t, collect(t, openSrc(sharded), 0, 1<<30), want, "sharded canonical stream")
 
 	ref, err := core.ConsumeParallel(topo, 0, end, base, 1)
 	if err != nil {
@@ -243,82 +240,14 @@ func TestDatasetV3SerialParallelEquivalence(t *testing.T) {
 	}
 	for _, shards := range []int{1, 3, runtime.GOMAXPROCS(0)} {
 		for _, ahead := range []int{1, 2, 6} {
-			for name, data := range map[string][]byte{"serial-v3": serial3, "sharded-v3": sharded3, "v2": serial2} {
+			for name, data := range map[string][]byte{"serial": serial, "sharded": sharded} {
 				a, err := core.ConsumeParallel(topo, 0, end, openSrc(data, dataset.WithReadAhead(ahead)), shards)
 				if err != nil {
 					t.Fatalf("%s shards=%d ahead=%d: %v", name, shards, ahead, err)
 				}
 				if !reflect.DeepEqual(ref, a) {
-					t.Errorf("%s shards=%d ahead=%d: analysis differs from serial v3 ingest", name, shards, ahead)
+					t.Errorf("%s shards=%d ahead=%d: analysis differs from serial ingest", name, shards, ahead)
 				}
-			}
-		}
-	}
-}
-
-// TestV1SourceAnalyzesIdentically routes a v1 (legacy) dataset through
-// the RecordSource interface and checks serial and sharded ingest agree
-// with each other and with the v2 form of the same records.
-func TestV1SourceAnalyzesIdentically(t *testing.T) {
-	cfg, topo, end := buildRunConfig(t)
-
-	// Build the failure subset the v1 CLI path would have saved.
-	v1 := &measure.Dataset{Meta: runMeta(topo, end)}
-	if err := measure.Run(cfg, func(r *measure.Record) {
-		v1.Meta.Transactions++
-		if r.Failed() {
-			v1.Meta.Failures++
-			v1.Records = append(v1.Records, *r)
-		}
-	}); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	var v1buf bytes.Buffer
-	if err := v1.Save(&v1buf); err != nil {
-		t.Fatal(err)
-	}
-
-	// The same records through a v2 writer.
-	var v2buf bytes.Buffer
-	w, err := dataset.NewWriter(&v2buf, v1.Meta, dataset.Options{ChunkRecords: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := w.NewSink()
-	for i := range v1.Records {
-		sink.Append(&v1.Records[i])
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	v1src, err := dataset.Open(bytes.NewReader(v1buf.Bytes()), int64(v1buf.Len()))
-	if err != nil {
-		t.Fatalf("Open v1: %v", err)
-	}
-	v2src, err := dataset.Open(bytes.NewReader(v2buf.Bytes()), int64(v2buf.Len()))
-	if err != nil {
-		t.Fatalf("Open v2: %v", err)
-	}
-	if !reflect.DeepEqual(v1src.Meta(), v2src.Meta()) {
-		t.Errorf("meta differs across formats: v1 %+v v2 %+v", v1src.Meta(), v2src.Meta())
-	}
-
-	base := core.NewAnalysis(topo, 0, end)
-	if err := base.Consume(v1src); err != nil {
-		t.Fatalf("Consume v1: %v", err)
-	}
-	for _, shards := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-		for name, src := range map[string]dataset.RecordSource{"v1": v1src, "v2": v2src} {
-			a, err := core.ConsumeParallel(topo, 0, end, src, shards)
-			if err != nil {
-				t.Fatalf("%s shards=%d: %v", name, shards, err)
-			}
-			if !reflect.DeepEqual(base, a) {
-				t.Errorf("%s shards=%d: analysis differs from serial v1 ingest", name, shards)
 			}
 		}
 	}

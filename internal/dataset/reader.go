@@ -9,6 +9,7 @@ import (
 	"io"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,7 +18,7 @@ import (
 	"webfail/internal/obs"
 )
 
-// DefaultReadAhead is the number of chunks a v3 Records call keeps in
+// DefaultReadAhead is the number of chunks a Records call keeps in
 // flight ahead of its consumer: decompression and columnar decoding
 // run in background workers while the visitor chews on the previous
 // chunk, bounding memory at readAhead chunks per call.
@@ -40,7 +41,7 @@ func WithMetrics(reg *obs.Registry) OpenOption {
 	return func(c *openCfg) { c.metrics = reg }
 }
 
-// WithReadAhead bounds the v3 decode-ahead pipeline: each Records call
+// WithReadAhead bounds the decode-ahead pipeline: each Records call
 // decompresses up to n chunks ahead of its consumer. n <= 1 disables
 // the pipeline (decode inline, still through reused buffers); 0 keeps
 // DefaultReadAhead. Sharded ingest already runs one Records call per
@@ -49,10 +50,11 @@ func WithReadAhead(n int) OpenOption {
 	return func(c *openCfg) { c.readAhead = n }
 }
 
-// Open sniffs the dataset generation at r and returns a RecordSource
-// over it: a chunk-ranged streaming reader for v2 and v3 files, an
-// in-memory legacy adapter for v1 files. size is the total file size
-// (e.g. from os.File.Stat).
+// Open returns a RecordSource over the dataset at r: a chunk-ranged
+// streaming reader that holds only the index in memory. size is the
+// total file size (e.g. from os.File.Stat). A file that is not a
+// complete dataset in the current format — including one of an earlier
+// format generation — is an error.
 func Open(r io.ReaderAt, size int64, opts ...OpenOption) (RecordSource, error) {
 	cfg := openCfg{readAhead: DefaultReadAhead}
 	for _, opt := range opts {
@@ -61,23 +63,65 @@ func Open(r io.ReaderAt, size int64, opts ...OpenOption) (RecordSource, error) {
 	if cfg.readAhead == 0 {
 		cfg.readAhead = DefaultReadAhead
 	}
-	magic := make([]byte, len(magicV2))
+	magic := make([]byte, len(magicV3))
 	if size < int64(len(magic)) {
 		return nil, fmt.Errorf("dataset: truncated file (%d bytes)", size)
 	}
 	if _, err := r.ReadAt(magic, 0); err != nil {
 		return nil, fmt.Errorf("dataset: read magic: %w", err)
 	}
-	switch string(magic) {
-	case magicV3:
-		return openChunked(r, size, cfg, 3)
-	case magicV2:
-		return openChunked(r, size, cfg, 2)
-	case magicV1:
-		return openLegacy(r, size, cfg)
+	switch m := string(magic); {
+	case m == magicV3:
+	case strings.HasPrefix(m, "WEBFAILDS"):
+		return nil, fmt.Errorf("dataset: unsupported format generation %q (only %q files are readable)",
+			strings.TrimSpace(m), strings.TrimSpace(magicV3))
 	default:
 		return nil, fmt.Errorf("dataset: not a webfail dataset")
 	}
+
+	if size < int64(len(magicV3))+footerLen {
+		return nil, fmt.Errorf("dataset: truncated file (%d bytes)", size)
+	}
+	footer := make([]byte, footerLen)
+	if _, err := r.ReadAt(footer, size-footerLen); err != nil {
+		return nil, fmt.Errorf("dataset: read footer: %w", err)
+	}
+	if string(footer[16:]) != footerMagicV3 {
+		return nil, fmt.Errorf("dataset: bad footer (truncated or corrupt file)")
+	}
+	idxOff := int64(binary.BigEndian.Uint64(footer[0:8]))
+	idxLen := int64(binary.BigEndian.Uint64(footer[8:16]))
+	if idxOff < int64(len(magicV3)) || idxLen < 0 || idxOff+idxLen != size-footerLen {
+		return nil, fmt.Errorf("dataset: corrupt index location (offset=%d length=%d size=%d)", idxOff, idxLen, size)
+	}
+	var idx index
+	if err := gob.NewDecoder(io.NewSectionReader(r, idxOff, idxLen)).Decode(&idx); err != nil {
+		return nil, fmt.Errorf("dataset: decode index: %w", err)
+	}
+	d := &reader{r: r, ahead: cfg.readAhead, meta: idx.Meta, chunks: idx.Chunks, m: newReaderMetrics(cfg.metrics)}
+	for _, c := range d.chunks {
+		if c.Offset < int64(len(magicV3)) || c.Length <= 0 || c.Offset+c.Length > idxOff || c.Count < 0 {
+			return nil, fmt.Errorf("dataset: corrupt chunk entry (offset=%d length=%d count=%d)", c.Offset, c.Length, c.Count)
+		}
+		if c.Raw <= 0 || c.Raw > maxChunkRawBytes {
+			return nil, fmt.Errorf("dataset: corrupt chunk entry (raw=%d)", c.Raw)
+		}
+		d.stored += int64(c.Count)
+	}
+	// The writer stores the index in canonical order already; sort
+	// defensively so Records' ordering contract never depends on the
+	// producer.
+	sort.Slice(d.chunks, func(i, j int) bool {
+		a, b := &d.chunks[i], &d.chunks[j]
+		if a.Lo != b.Lo {
+			return a.Lo < b.Lo
+		}
+		if a.Stream != b.Stream {
+			return a.Stream < b.Stream
+		}
+		return a.Seq < b.Seq
+	})
+	return d, nil
 }
 
 // readerMetrics holds a RecordSource's resolved metric handles; all
@@ -98,70 +142,19 @@ func newReaderMetrics(reg *obs.Registry) readerMetrics {
 	}
 }
 
-// reader is the chunked (v2/v3) RecordSource: it holds only the index
+// reader is the dataset RecordSource: it holds only the index
 // and decodes one chunk at a time, so memory stays bounded by the
 // chunk size times the read-ahead window. All methods are safe for
 // concurrent use — each Records call owns its decode scratch, drawn
 // from a shared pool so repeated and sharded scans reuse buffers
 // instead of reallocating them.
 type reader struct {
-	r       io.ReaderAt
-	version int
-	ahead   int
-	meta    measure.DatasetMeta
-	chunks  []chunkInfo
-	stored  int64
-	m       readerMetrics
-}
-
-func openChunked(r io.ReaderAt, size int64, cfg openCfg, version int) (*reader, error) {
-	if size < int64(len(magicV2))+footerLen {
-		return nil, fmt.Errorf("dataset: truncated v%d file (%d bytes)", version, size)
-	}
-	footer := make([]byte, footerLen)
-	if _, err := r.ReadAt(footer, size-footerLen); err != nil {
-		return nil, fmt.Errorf("dataset: read footer: %w", err)
-	}
-	wantMagic := footerMagic
-	if version >= 3 {
-		wantMagic = footerMagicV3
-	}
-	if string(footer[16:]) != wantMagic {
-		return nil, fmt.Errorf("dataset: bad v%d footer (truncated or corrupt file)", version)
-	}
-	idxOff := int64(binary.BigEndian.Uint64(footer[0:8]))
-	idxLen := int64(binary.BigEndian.Uint64(footer[8:16]))
-	if idxOff < int64(len(magicV2)) || idxLen < 0 || idxOff+idxLen != size-footerLen {
-		return nil, fmt.Errorf("dataset: corrupt v%d index location (offset=%d length=%d size=%d)", version, idxOff, idxLen, size)
-	}
-	var idx index
-	if err := gob.NewDecoder(io.NewSectionReader(r, idxOff, idxLen)).Decode(&idx); err != nil {
-		return nil, fmt.Errorf("dataset: decode index: %w", err)
-	}
-	d := &reader{r: r, version: version, ahead: cfg.readAhead, meta: idx.Meta, chunks: idx.Chunks, m: newReaderMetrics(cfg.metrics)}
-	for _, c := range d.chunks {
-		if c.Offset < int64(len(magicV2)) || c.Length <= 0 || c.Offset+c.Length > idxOff || c.Count < 0 {
-			return nil, fmt.Errorf("dataset: corrupt chunk entry (offset=%d length=%d count=%d)", c.Offset, c.Length, c.Count)
-		}
-		if version >= 3 && (c.Raw <= 0 || c.Raw > maxChunkRawBytes) {
-			return nil, fmt.Errorf("dataset: corrupt chunk entry (raw=%d)", c.Raw)
-		}
-		d.stored += int64(c.Count)
-	}
-	// The writer stores the index in canonical order already; sort
-	// defensively so Records' ordering contract never depends on the
-	// producer.
-	sort.Slice(d.chunks, func(i, j int) bool {
-		a, b := &d.chunks[i], &d.chunks[j]
-		if a.Lo != b.Lo {
-			return a.Lo < b.Lo
-		}
-		if a.Stream != b.Stream {
-			return a.Stream < b.Stream
-		}
-		return a.Seq < b.Seq
-	})
-	return d, nil
+	r      io.ReaderAt
+	ahead  int
+	meta   measure.DatasetMeta
+	chunks []chunkInfo
+	stored int64
+	m      readerMetrics
 }
 
 // maxChunkRawBytes bounds the pre-compression chunk size the reader
@@ -205,9 +198,8 @@ func getScratch() *readScratch {
 // Records streams the records of every chunk overlapping [lo, hi) in
 // canonical order, filtering records to the range. Chunks outside the
 // range are never read from the file — a parallel ingest over client
-// shards does proportional, not total, I/O per worker. For v3 sources
-// the upcoming chunks decompress in background workers up to the
-// read-ahead window; delivery order (and therefore the visit sequence)
+// shards does proportional, not total, I/O per worker. The upcoming
+// chunks decompress in background workers up to the read-ahead window; delivery order (and therefore the visit sequence)
 // is the canonical chunk order regardless of worker timing.
 func (d *reader) Records(lo, hi int, visit func(r *measure.Record) error) error {
 	// Visited records are tallied locally and folded in once per call,
@@ -241,7 +233,7 @@ func (d *reader) Records(lo, hi int, visit func(r *measure.Record) error) error 
 
 	// The pipeline only pays off when a second core can inflate while
 	// the consumer visits; single-core it is pure handoff overhead.
-	if d.version < 3 || d.ahead <= 1 || len(sel) == 1 || runtime.GOMAXPROCS(0) == 1 {
+	if d.ahead <= 1 || len(sel) == 1 || runtime.GOMAXPROCS(0) == 1 {
 		scr := getScratch()
 		defer scratchPool.Put(scr)
 		for _, ci := range sel {
@@ -316,48 +308,17 @@ func (d *reader) Records(lo, hi int, visit func(r *measure.Record) error) error 
 	return nil
 }
 
-// readChunk decompresses and decodes one chunk through the scratch's
-// reused buffers. The returned records alias scr.recs (v3) or a fresh
-// gob-decoded slice (v2) and are valid until the scratch's next use.
+// readChunk reads, inflates, and columnar-decodes one chunk into the
+// scratch's reused buffers: zero steady-state allocations per record.
+// The returned records alias scr.recs and are valid until the
+// scratch's next use. The gzip trailer (CRC32 + length) is always
+// verified, so a bit flip in the compressed body surfaces here even
+// before the column validation sees it.
 func (d *reader) readChunk(c chunkInfo, scr *readScratch) ([]measure.Record, error) {
 	var start time.Time
 	if d.m.gunzipSeconds != nil {
 		start = time.Now()
 	}
-	var recs []measure.Record
-	if d.version >= 3 {
-		var err error
-		recs, err = d.readChunkV3(c, scr)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		zr, err := gzip.NewReader(io.NewSectionReader(d.r, c.Offset, c.Length))
-		if err != nil {
-			return nil, fmt.Errorf("dataset: chunk at %d: gzip: %w", c.Offset, err)
-		}
-		defer zr.Close()
-		if err := gob.NewDecoder(zr).Decode(&recs); err != nil {
-			return nil, fmt.Errorf("dataset: chunk at %d: decode: %w", c.Offset, err)
-		}
-	}
-	if len(recs) != int(c.Count) {
-		return nil, fmt.Errorf("dataset: chunk at %d: %d records, index says %d", c.Offset, len(recs), c.Count)
-	}
-	d.m.chunks.Inc()
-	d.m.bytes.Add(c.Length)
-	if d.m.gunzipSeconds != nil {
-		d.m.gunzipSeconds.Observe(time.Since(start).Seconds())
-	}
-	return recs, nil
-}
-
-// readChunkV3 reads, inflates, and columnar-decodes one v3 chunk into
-// the scratch's reused buffers: zero steady-state allocations per
-// record. The gzip trailer (CRC32 + length) is always verified, so a
-// bit flip in the compressed body surfaces here even before the
-// column validation sees it.
-func (d *reader) readChunkV3(c chunkInfo, scr *readScratch) ([]measure.Record, error) {
 	if cap(scr.comp) < int(c.Length) {
 		scr.comp = make([]byte, c.Length)
 	}
@@ -396,5 +357,13 @@ func (d *reader) readChunkV3(c chunkInfo, scr *readScratch) ([]measure.Record, e
 		return nil, fmt.Errorf("dataset: chunk at %d: decode: %w", c.Offset, err)
 	}
 	scr.recs = recs
+	if len(recs) != int(c.Count) {
+		return nil, fmt.Errorf("dataset: chunk at %d: %d records, index says %d", c.Offset, len(recs), c.Count)
+	}
+	d.m.chunks.Inc()
+	d.m.bytes.Add(c.Length)
+	if d.m.gunzipSeconds != nil {
+		d.m.gunzipSeconds.Observe(time.Since(start).Seconds())
+	}
 	return recs, nil
 }

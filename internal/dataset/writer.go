@@ -25,25 +25,10 @@ type Options struct {
 	// ChunkRecords records seals a chunk), never of compression timing,
 	// so the stored chunk topology is deterministic for a given stream.
 	ChunkRecords int
-	// Version selects the on-disk format generation: 3 (columnar
-	// chunks, pipelined compression) or 2 (gob chunks). 0 selects
-	// DefaultVersion.
-	Version int
-	// CompressWorkers bounds the v3 compression pipeline: sealed chunks
+	// CompressWorkers bounds the compression pipeline: sealed chunks
 	// are encoded and compressed by this many workers off the sinks'
-	// hot path. <= 0 selects GOMAXPROCS (capped at 8). Ignored for v2,
-	// which compresses synchronously in the flushing sink.
+	// hot path. <= 0 selects GOMAXPROCS (capped at 8).
 	CompressWorkers int
-	// CompressLevel is the gzip level v3 chunks are framed with, passed
-	// to gzip.NewWriterLevel. The zero value is gzip.NoCompression:
-	// chunks travel as stored deflate blocks — still CRC-verified gzip
-	// streams, but written and inflated at memcpy speed, which is what
-	// lets record I/O keep pace with the simulator (the columnar
-	// encoding already strips most of the redundancy gzip would find).
-	// Archival datasets can trade decode throughput for size with
-	// gzip.BestSpeed or gzip.BestCompression. Ignored for v2, which
-	// always compresses (gob chunks are highly redundant).
-	CompressLevel int
 	// Metrics, when non-nil, receives write-side counters (chunks,
 	// records, raw and compressed bytes written; per-chunk record-count
 	// distribution; chunk-buffer pool reuse) and the wall-clock
@@ -52,13 +37,20 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
-// Writer writes a v2 or v3 dataset to an io.Writer. Chunks are produced
+// chunkLevel is the gzip level chunks are framed with: stored deflate
+// blocks — still CRC-verified gzip streams, but written and inflated at
+// memcpy speed, which is what lets record I/O keep pace with the
+// simulator (the columnar encoding already strips most of the
+// redundancy gzip would find).
+const chunkLevel = gzip.NoCompression
+
+// Writer writes a dataset to an io.Writer. Chunks are produced
 // by Sinks (one per writing stream — e.g. one per measure.RunParallel
 // shard) and appended to the underlying writer under a mutex, so sinks
 // may flush concurrently; the index written at Close is sorted into
 // canonical client-major order regardless of the interleaving.
 //
-// For v3, sealed chunks are handed to a bounded worker pool that
+// Sealed chunks are handed to a bounded worker pool that
 // columnar-encodes and compresses them off the sink's hot path: a
 // sink's Append never blocks on gzip unless every worker is busy and
 // the job queue is full. Chunk contents and boundaries stay a pure
@@ -78,15 +70,13 @@ type Writer struct {
 	chunks   []chunkInfo
 	nstreams int32
 	chunkCap int
-	version  int
-	level    int
 	stored   int64
 	err      error
 	closed   bool // no new chunks may be submitted
 	sealed   bool // index written; appendChunk refused
 	m        writerMetrics
 
-	// v3 compression pipeline.
+	// Compression pipeline.
 	jobs     chan encodeJob
 	workers  sync.WaitGroup
 	inflight sync.WaitGroup // submits between their closed-check and channel send
@@ -135,45 +125,22 @@ func NewWriter(w io.Writer, meta measure.DatasetMeta, opts Options) (*Writer, er
 	if chunkCap <= 0 {
 		chunkCap = DefaultChunkRecords
 	}
-	version := opts.Version
-	if version == 0 {
-		version = DefaultVersion
-	}
-	var magic string
-	switch version {
-	case 2:
-		magic = magicV2
-	case 3:
-		magic = magicV3
-	default:
-		return nil, fmt.Errorf("dataset: unsupported version %d (want 2 or 3)", opts.Version)
-	}
-	if opts.CompressLevel < gzip.HuffmanOnly || opts.CompressLevel > gzip.BestCompression {
-		return nil, fmt.Errorf("dataset: invalid compress level %d", opts.CompressLevel)
-	}
-	// All options are validated; only now touch w, so a rejected Options
-	// never leaves a partial magic string in the destination.
-	n, err := io.WriteString(w, magic)
+	n, err := io.WriteString(w, magicV3)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: write magic: %w", err)
 	}
-	wr := &Writer{w: w, off: int64(n), meta: meta, chunkCap: chunkCap, version: version, level: opts.CompressLevel, m: newWriterMetrics(opts.Metrics)}
-	if version >= 3 {
-		workers := opts.CompressWorkers
-		if workers <= 0 {
-			workers = min(runtime.GOMAXPROCS(0), 8)
-		}
-		wr.jobs = make(chan encodeJob, 2*workers)
-		wr.workers.Add(workers)
-		for i := 0; i < workers; i++ {
-			go wr.encodeWorker()
-		}
+	wr := &Writer{w: w, off: int64(n), meta: meta, chunkCap: chunkCap, m: newWriterMetrics(opts.Metrics)}
+	workers := opts.CompressWorkers
+	if workers <= 0 {
+		workers = min(runtime.GOMAXPROCS(0), 8)
+	}
+	wr.jobs = make(chan encodeJob, 2*workers)
+	wr.workers.Add(workers)
+	for i := 0; i < workers; i++ {
+		go wr.encodeWorker()
 	}
 	return wr, nil
 }
-
-// Version reports the format generation being written.
-func (w *Writer) Version() int { return w.version }
 
 // NewSink returns a sink for one writing stream. Streams must cover
 // disjoint client sets (as measure.RunParallel shards do) for the
@@ -211,7 +178,7 @@ func (w *Writer) getRecBuf() []measure.Record {
 	return make([]measure.Record, 0, w.chunkCap)
 }
 
-// submit hands a sealed chunk to the compression pipeline (v3). It
+// submit hands a sealed chunk to the compression pipeline. It
 // reports any error the writer has already hit, so sinks stop early.
 func (w *Writer) submit(job encodeJob) error {
 	w.mu.Lock()
@@ -277,7 +244,7 @@ func (w *Writer) encodeWorker() {
 		}
 		zbuf.Reset()
 		if zw == nil {
-			zw, _ = gzip.NewWriterLevel(&zbuf, w.level)
+			zw, _ = gzip.NewWriterLevel(&zbuf, chunkLevel) // a valid level: no error
 		} else {
 			zw.Reset(&zbuf)
 		}
@@ -340,11 +307,9 @@ func (w *Writer) Close() error {
 	}
 	w.closed = true
 	w.mu.Unlock()
-	if w.jobs != nil {
-		w.inflight.Wait()
-		close(w.jobs)
-		w.workers.Wait()
-	}
+	w.inflight.Wait()
+	close(w.jobs)
+	w.workers.Wait()
 
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -373,11 +338,7 @@ func (w *Writer) Close() error {
 	footer := make([]byte, footerLen)
 	binary.BigEndian.PutUint64(footer[0:8], uint64(w.off))
 	binary.BigEndian.PutUint64(footer[8:16], uint64(ibuf.Len()))
-	if w.version >= 3 {
-		copy(footer[16:], footerMagicV3)
-	} else {
-		copy(footer[16:], footerMagic)
-	}
+	copy(footer[16:], footerMagicV3)
 	if _, err := w.w.Write(ibuf.Bytes()); err != nil {
 		w.err = fmt.Errorf("dataset: write index: %w", err)
 		return w.err
@@ -423,9 +384,9 @@ func (s *Sink) Append(r *measure.Record) error {
 	}
 	s.buf = append(s.buf, *r)
 	if len(s.buf) >= s.w.chunkCap {
-		return s.flush()
+		s.flush()
 	}
-	return nil
+	return s.err
 }
 
 // Observe applies the standard storage policy for a live run: every
@@ -441,11 +402,11 @@ func (s *Sink) Observe(r *measure.Record) error {
 	return s.err
 }
 
-// flush seals the buffered chunk: v3 hands it to the compression
-// pipeline, v2 compresses it in place with pooled state.
-func (s *Sink) flush() error {
+// flush seals the buffered chunk and hands it to the compression
+// pipeline. A failure is kept in s.err, which Append and Close return.
+func (s *Sink) flush() {
 	if len(s.buf) == 0 {
-		return nil
+		return
 	}
 	lo, hi := s.buf[0].ClientIdx, s.buf[0].ClientIdx
 	for i := range s.buf {
@@ -455,76 +416,26 @@ func (s *Sink) flush() error {
 			hi = c
 		}
 	}
-	info := chunkInfo{Count: int32(len(s.buf)), Lo: lo, Hi: hi, Stream: s.stream, Seq: s.seq}
+	job := encodeJob{recs: s.buf, info: chunkInfo{Count: int32(len(s.buf)), Lo: lo, Hi: hi, Stream: s.stream, Seq: s.seq}}
 	s.seq++
-	if s.w.version >= 3 {
-		job := encodeJob{recs: s.buf, info: info}
-		s.buf = s.w.getRecBuf()
-		if err := s.w.submit(job); err != nil {
-			s.err = err
-			return err
-		}
-		return nil
-	}
-	if err := s.flushV2(info); err != nil {
-		return err
-	}
-	s.buf = s.buf[:0]
-	return nil
-}
-
-// gzipWriterPool and chunkBufPool recycle the v2 flush path's gzip
-// state and staging buffer across chunks and sinks: a month-scale save
-// seals tens of thousands of chunks, and building a fresh gzip.Writer
-// (~1.4 MB of window state) and staging buffer for each was pure
-// allocator churn.
-var (
-	gzipWriterPool = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
-	chunkBufPool   = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-)
-
-// flushV2 compresses and appends the buffered chunk in the caller's
-// goroutine (the v2 format's synchronous path).
-func (s *Sink) flushV2(info chunkInfo) error {
-	zbuf := chunkBufPool.Get().(*bytes.Buffer)
-	zbuf.Reset()
-	defer chunkBufPool.Put(zbuf)
-	var gzStart time.Time
-	if s.w.m.gzipSeconds != nil {
-		gzStart = time.Now()
-	}
-	zw := gzipWriterPool.Get().(*gzip.Writer)
-	zw.Reset(zbuf)
-	defer gzipWriterPool.Put(zw)
-	if err := gob.NewEncoder(zw).Encode(s.buf); err != nil {
-		s.err = fmt.Errorf("dataset: encode chunk: %w", err)
-		return s.err
-	}
-	if err := zw.Close(); err != nil {
-		s.err = fmt.Errorf("dataset: compress chunk: %w", err)
-		return s.err
-	}
-	if s.w.m.gzipSeconds != nil {
-		s.w.m.gzipSeconds.Observe(time.Since(gzStart).Seconds())
-	}
-	if err := s.w.appendChunk(zbuf.Bytes(), info); err != nil {
+	s.buf = s.w.getRecBuf()
+	if err := s.w.submit(job); err != nil {
 		s.err = err
-		return err
 	}
-	return nil
 }
 
 // Close flushes the partial last chunk and folds the sink's Observe
-// counts into the writer's meta.
+// counts into the writer's meta. It returns the first error the sink
+// hit, including one an earlier Append already returned.
 func (s *Sink) Close() error {
 	if s.closed {
 		return s.err
 	}
 	s.closed = true
-	err := s.flush()
+	s.flush()
 	s.w.mu.Lock()
 	s.w.meta.Transactions += s.txns
 	s.w.meta.Failures += s.fails
 	s.w.mu.Unlock()
-	return err
+	return s.err
 }

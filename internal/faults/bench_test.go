@@ -33,18 +33,12 @@ func benchTimeline(nEntities, epsPerEntity int) (*Timeline, []Entity) {
 	return tl, ents
 }
 
-// BenchmarkTimelineActive compares the string-keyed query path against
-// the interned-handle path the fast-mode evaluator uses.
+// BenchmarkTimelineActive measures the interned-handle query paths the
+// fast-mode evaluator uses.
 func BenchmarkTimelineActive(b *testing.B) {
 	tl, ents := benchTimeline(300, 12)
 	at := simnet.Time(372) * simnet.Time(time.Hour) // mid-month
 
-	b.Run("string", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tl.Active(ents[i%len(ents)], PathOutage, at)
-		}
-	})
 	b.Run("interned", func(b *testing.B) {
 		ids := make([]EntityID, len(ents))
 		for i, e := range ents {

@@ -162,8 +162,8 @@ type Timeline struct {
 	// Interned index, built by Freeze. entities doubles as the cached
 	// result of Entities(). kindEps/kindMax are flattened
 	// [entity x kind] tables indexed by int(id)*numKinds + int(kind);
-	// eps/epsMax are the per-entity all-kind views used by the
-	// ActiveAny family.
+	// eps/epsMax are the per-entity all-kind views used by
+	// ActiveAnyIntoID.
 	ids      map[Entity]EntityID
 	entities []Entity
 	eps      [][]Episode
@@ -246,16 +246,10 @@ func (t *Timeline) Lookup(e Entity) EntityID {
 	return NoEntity
 }
 
-// Active returns the most severe episode of the given kind covering
-// instant at for the entity, and whether one exists. It is a thin wrapper
-// over the interned path; hot loops should use Lookup + ActiveID.
-func (t *Timeline) Active(e Entity, kind Kind, at simnet.Time) (Episode, bool) {
-	return t.ActiveID(t.Lookup(e), kind, at)
-}
-
-// ActiveID is the interned-handle form of Active: two array indexings plus
-// a binary search, no string hashing, no allocation. Querying NoEntity
-// reports no episode.
+// ActiveID returns the most severe episode of the given kind covering
+// instant at for the entity, and whether one exists: two array
+// indexings plus a binary search, no string hashing, no allocation.
+// Querying NoEntity reports no episode.
 func (t *Timeline) ActiveID(id EntityID, kind Kind, at simnet.Time) (Episode, bool) {
 	if !t.frozen {
 		panic("faults: query before Freeze")
@@ -281,21 +275,11 @@ func (t *Timeline) ActiveID(id EntityID, kind Kind, at simnet.Time) (Episode, bo
 	return best, found
 }
 
-// ActiveAny returns all episodes (any kind) covering instant at.
-func (t *Timeline) ActiveAny(e Entity, at simnet.Time) []Episode {
-	return t.ActiveAnyInto(e, at, nil)
-}
-
-// ActiveAnyInto appends every episode (any kind) covering instant at to
-// buf and returns the extended slice. Passing a reused buf[:0] makes the
-// query allocation-free in steady state.
-func (t *Timeline) ActiveAnyInto(e Entity, at simnet.Time, buf []Episode) []Episode {
-	return t.ActiveAnyIntoID(t.Lookup(e), at, buf)
-}
-
-// ActiveAnyIntoID is the interned-handle form of ActiveAnyInto. Episodes
-// are appended in start-sorted (insertion-stable) order, the same order
-// Active resolves severity ties in.
+// ActiveAnyIntoID appends every episode (any kind) covering instant at
+// for the entity to buf and returns the extended slice. Passing a reused
+// buf[:0] makes the query allocation-free in steady state. Episodes are
+// appended in start-sorted (insertion-stable) order, the same order
+// ActiveID resolves severity ties in.
 func (t *Timeline) ActiveAnyIntoID(id EntityID, at simnet.Time, buf []Episode) []Episode {
 	if !t.frozen {
 		panic("faults: query before Freeze")

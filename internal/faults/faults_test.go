@@ -2,6 +2,7 @@ package faults
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -18,23 +19,24 @@ func TestTimelineBasic(t *testing.T) {
 	tl.Add(Episode{Entity: "www:x", Kind: ServerOutage, Start: hour(5), Duration: time.Hour, Severity: 1})
 	tl.Freeze()
 
-	if ep, ok := tl.Active("client:a", ClientConnectivity, hour(5).Add(time.Minute)); !ok || ep.Severity != 1 {
-		t.Errorf("Active = %+v, %v", ep, ok)
+	a := tl.Lookup("client:a")
+	if ep, ok := tl.ActiveID(a, ClientConnectivity, hour(5).Add(time.Minute)); !ok || ep.Severity != 1 {
+		t.Errorf("ActiveID = %+v, %v", ep, ok)
 	}
-	if _, ok := tl.Active("client:a", ClientConnectivity, hour(4)); ok {
+	if _, ok := tl.ActiveID(a, ClientConnectivity, hour(4)); ok {
 		t.Error("active before start")
 	}
-	if _, ok := tl.Active("client:a", ClientConnectivity, hour(7)); ok {
+	if _, ok := tl.ActiveID(a, ClientConnectivity, hour(7)); ok {
 		t.Error("active after end (end-exclusive)")
 	}
-	if _, ok := tl.Active("client:a", ServerOutage, hour(5)); ok {
+	if _, ok := tl.ActiveID(a, ServerOutage, hour(5)); ok {
 		t.Error("wrong kind matched")
 	}
-	if _, ok := tl.Active("client:b", ClientConnectivity, hour(5)); ok {
+	if _, ok := tl.ActiveID(tl.Lookup("client:b"), ClientConnectivity, hour(5)); ok {
 		t.Error("wrong entity matched")
 	}
-	if got := tl.ActiveAny("client:a", hour(6).Add(time.Minute)); len(got) != 2 {
-		t.Errorf("ActiveAny = %d, want 2", len(got))
+	if got := tl.ActiveAnyIntoID(a, hour(6).Add(time.Minute), nil); len(got) != 2 {
+		t.Errorf("ActiveAnyIntoID = %d, want 2", len(got))
 	}
 	if tl.Len() != 3 {
 		t.Errorf("Len = %d", tl.Len())
@@ -49,12 +51,13 @@ func TestTimelineMostSevereWins(t *testing.T) {
 	tl.Add(Episode{Entity: "www:x", Kind: ServerOutage, Start: hour(1), Duration: 10 * time.Hour, Severity: 0.3})
 	tl.Add(Episode{Entity: "www:x", Kind: ServerOutage, Start: hour(2), Duration: time.Hour, Severity: 0.9})
 	tl.Freeze()
-	ep, ok := tl.Active("www:x", ServerOutage, hour(2).Add(30*time.Minute))
+	x := tl.Lookup("www:x")
+	ep, ok := tl.ActiveID(x, ServerOutage, hour(2).Add(30*time.Minute))
 	if !ok || ep.Severity != 0.9 {
 		t.Errorf("got %+v", ep)
 	}
 	// After the short severe episode, the long mild one still applies.
-	ep, ok = tl.Active("www:x", ServerOutage, hour(4))
+	ep, ok = tl.ActiveID(x, ServerOutage, hour(4))
 	if !ok || ep.Severity != 0.3 {
 		t.Errorf("got %+v", ep)
 	}
@@ -69,7 +72,7 @@ func TestTimelineOverlapScanBound(t *testing.T) {
 		tl.Add(Episode{Entity: "e", Kind: ServerOutage, Start: hour(i), Duration: time.Minute, Severity: 1})
 	}
 	tl.Freeze()
-	if _, ok := tl.Active("e", PathOutage, hour(99)); !ok {
+	if _, ok := tl.ActiveID(tl.Lookup("e"), PathOutage, hour(99)); !ok {
 		t.Error("long episode missed by scan")
 	}
 }
@@ -83,7 +86,7 @@ func TestFreezeDiscipline(t *testing.T) {
 				t.Error("query before Freeze did not panic")
 			}
 		}()
-		tl.Active("e", PathOutage, 0)
+		tl.ActiveID(tl.Lookup("e"), PathOutage, 0)
 	}()
 	tl.Freeze()
 	func() {
@@ -257,30 +260,44 @@ func TestEntityIDStability(t *testing.T) {
 
 func TestActiveIDMatchesActive(t *testing.T) {
 	// Property: over randomized timelines, the interned path returns
-	// exactly what the string-keyed wrapper returns, for every entity,
-	// kind, and query instant.
+	// exactly what a linear scan over every episode returns — the most
+	// severe covering episode of that kind, ties going to the earliest
+	// in start-sorted insertion order — for every entity, kind, and
+	// query instant.
 	entities := []Entity{"a", "b", "c"}
 	kinds := []Kind{ClientConnectivity, PathOutage, ServerOutage, BGPInstability}
 	f := func(seed int64, queries []uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tl := NewTimeline()
 		n := 5 + rng.Intn(40)
+		var all []Episode
 		for i := 0; i < n; i++ {
-			tl.Add(Episode{
+			ep := Episode{
 				Entity:   entities[rng.Intn(len(entities))],
 				Kind:     kinds[rng.Intn(len(kinds))],
 				Start:    simnet.Time(rng.Intn(5000)) * simnet.Time(time.Minute),
 				Duration: time.Duration(1+rng.Intn(600)) * time.Minute,
-				Severity: 0.1 + 0.9*rng.Float64(),
-			})
+				// Few distinct severities, so ties occur and the
+				// tie-break is checked too.
+				Severity: float64(1+rng.Intn(4)) / 4,
+			}
+			all = append(all, ep)
+			tl.Add(ep)
 		}
 		tl.Freeze()
+		sort.SliceStable(all, func(i, j int) bool { return all[i].Start < all[j].Start })
 		for _, q := range queries {
 			at := simnet.Time(q) * simnet.Time(time.Minute)
 			for _, e := range entities {
 				id := tl.Lookup(e)
 				for _, k := range kinds {
-					wantEp, wantOK := tl.Active(e, k, at)
+					var wantEp Episode
+					wantOK := false
+					for _, ep := range all {
+						if ep.Entity == e && ep.Kind == k && ep.Contains(at) && (!wantOK || ep.Severity > wantEp.Severity) {
+							wantEp, wantOK = ep, true
+						}
+					}
 					gotEp, gotOK := tl.ActiveID(id, k, at)
 					if wantOK != gotOK || wantEp != gotEp {
 						return false
@@ -301,12 +318,13 @@ func TestActiveAnyIntoEquivalence(t *testing.T) {
 		tl.Add(Episode{Entity: "e", Kind: Kind(i % 4), Start: hour(i % 7), Duration: 3 * time.Hour, Severity: 1})
 	}
 	tl.Freeze()
+	id := tl.Lookup("e")
 	buf := make([]Episode, 0, 4)
 	for h := int64(0); h < 12; h++ {
-		want := tl.ActiveAny("e", hour(h))
-		buf = tl.ActiveAnyInto("e", hour(h), buf[:0])
+		want := tl.ActiveAnyIntoID(id, hour(h), nil)
+		buf = tl.ActiveAnyIntoID(id, hour(h), buf[:0])
 		if len(buf) != len(want) {
-			t.Fatalf("hour %d: ActiveAnyInto = %d episodes, ActiveAny = %d", h, len(buf), len(want))
+			t.Fatalf("hour %d: reused buffer = %d episodes, fresh = %d", h, len(buf), len(want))
 		}
 		for i := range buf {
 			if buf[i] != want[i] {
@@ -316,14 +334,14 @@ func TestActiveAnyIntoEquivalence(t *testing.T) {
 	}
 	// Append semantics: existing buf contents are preserved.
 	sentinel := Episode{Entity: "sentinel", Kind: PathOutage, Start: hour(999), Duration: time.Hour, Severity: 1}
-	got := tl.ActiveAnyInto("e", hour(1), []Episode{sentinel})
+	got := tl.ActiveAnyIntoID(id, hour(1), []Episode{sentinel})
 	if len(got) == 0 || got[0] != sentinel {
-		t.Error("ActiveAnyInto clobbered the existing buffer prefix")
+		t.Error("ActiveAnyIntoID clobbered the existing buffer prefix")
 	}
 }
 
 func TestActivePropertyConsistency(t *testing.T) {
-	// Active(e,k,t) agrees with a brute-force scan over all episodes.
+	// ActiveID(e,k,t) agrees with a brute-force scan over all episodes.
 	f := func(starts []uint16, durs []uint8, query uint16) bool {
 		tl := NewTimeline()
 		var eps []Episode
@@ -345,7 +363,7 @@ func TestActivePropertyConsistency(t *testing.T) {
 		}
 		tl.Freeze()
 		at := simnet.Time(query) * simnet.Time(time.Minute)
-		_, got := tl.Active("e", PathOutage, at)
+		_, got := tl.ActiveID(tl.Lookup("e"), PathOutage, at)
 		want := false
 		for _, ep := range eps {
 			if ep.Contains(at) {

@@ -1,29 +1,7 @@
 package measure
 
-import (
-	"compress/gzip"
-	"encoding/gob"
-	"fmt"
-	"io"
-)
-
-// Dataset is the legacy v1 stored collection of performance records
-// (magic "WEBFAILDS1"): one monolithic gob+gzip blob that must be fully
-// decoded before any record is available. New datasets are written in
-// the chunked formats by internal/dataset — columnar v3 by default,
-// gob-chunked v2 on request — which also loads v1 files through the
-// same RecordSource interface; this codec remains so old archives stay
-// readable (and writable, for compatibility fixtures).
-type Dataset struct {
-	// Meta describes the run.
-	Meta DatasetMeta
-	// Records holds the stored records (typically the failure subset
-	// plus a sample of successes; storing all ~20M records of a full
-	// run is possible but large).
-	Records []Record
-}
-
-// DatasetMeta identifies a run.
+// DatasetMeta identifies a run: the description stored with every
+// dataset file (internal/dataset).
 type DatasetMeta struct {
 	Seed         int64
 	StartUnix    int64
@@ -51,47 +29,4 @@ type DatasetMeta struct {
 	Scenario string
 	SpecHash string
 	SpecJSON []byte
-}
-
-const datasetMagic = "WEBFAILDS1\n"
-
-// Save writes the dataset.
-func (d *Dataset) Save(w io.Writer) error {
-	if _, err := io.WriteString(w, datasetMagic); err != nil {
-		return err
-	}
-	zw := gzip.NewWriter(w)
-	enc := gob.NewEncoder(zw)
-	if err := enc.Encode(d.Meta); err != nil {
-		return fmt.Errorf("measure: encode meta: %w", err)
-	}
-	if err := enc.Encode(d.Records); err != nil {
-		return fmt.Errorf("measure: encode records: %w", err)
-	}
-	return zw.Close()
-}
-
-// LoadDataset reads a dataset written by Save.
-func LoadDataset(r io.Reader) (*Dataset, error) {
-	magic := make([]byte, len(datasetMagic))
-	if _, err := io.ReadFull(r, magic); err != nil {
-		return nil, fmt.Errorf("measure: read magic: %w", err)
-	}
-	if string(magic) != datasetMagic {
-		return nil, fmt.Errorf("measure: not a webfail dataset")
-	}
-	zr, err := gzip.NewReader(r)
-	if err != nil {
-		return nil, fmt.Errorf("measure: gzip: %w", err)
-	}
-	defer zr.Close()
-	dec := gob.NewDecoder(zr)
-	d := &Dataset{}
-	if err := dec.Decode(&d.Meta); err != nil {
-		return nil, fmt.Errorf("measure: decode meta: %w", err)
-	}
-	if err := dec.Decode(&d.Records); err != nil {
-		return nil, fmt.Errorf("measure: decode records: %w", err)
-	}
-	return d, nil
 }

@@ -720,7 +720,7 @@ func transientKindFor(rng *rand.Rand, cat workload.Category) httpsim.ConnFailKin
 
 // mostSevere picks the most severe episode of the given kind from an
 // ActiveAnyIntoID result, resolving severity ties in favour of the
-// earliest-listed episode — the same winner Timeline.Active picks, since
+// earliest-listed episode — the same winner Timeline.ActiveID picks, since
 // both visit episodes in start-sorted insertion-stable order.
 func mostSevere(eps []faults.Episode, kind faults.Kind) (faults.Episode, bool) {
 	var best faults.Episode

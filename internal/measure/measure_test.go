@@ -1,8 +1,6 @@
 package measure
 
 import (
-	"bytes"
-	"reflect"
 	"testing"
 	"time"
 
@@ -283,43 +281,6 @@ func TestProxiedRecordsMaskDNS(t *testing.T) {
 	})
 	if !sawProxied {
 		t.Error("no proxied records")
-	}
-}
-
-func TestDatasetRoundTrip(t *testing.T) {
-	cfg := smallConfig(t, 5, 5, 4, 11)
-	ds := &Dataset{Meta: DatasetMeta{Seed: 1, Clients: 5, Websites: 5}}
-	_ = Run(cfg, func(r *Record) {
-		if r.Failed() || len(ds.Records) < 100 {
-			ds.Records = append(ds.Records, *r)
-		}
-		ds.Meta.Transactions++
-		if r.Failed() {
-			ds.Meta.Failures++
-		}
-	})
-	var buf bytes.Buffer
-	if err := ds.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadDataset(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Meta, ds.Meta) {
-		t.Errorf("meta = %+v, want %+v", got.Meta, ds.Meta)
-	}
-	if len(got.Records) != len(ds.Records) {
-		t.Fatalf("records = %d, want %d", len(got.Records), len(ds.Records))
-	}
-	for i := range got.Records {
-		if got.Records[i] != ds.Records[i] {
-			t.Fatalf("record %d differs", i)
-		}
-	}
-	// Garbage rejected.
-	if _, err := LoadDataset(bytes.NewReader([]byte("junkjunkjunkjunk"))); err == nil {
-		t.Error("garbage accepted")
 	}
 }
 

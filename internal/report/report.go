@@ -390,7 +390,7 @@ var knownArtifacts = []string{
 	"replicas", "headlines",
 }
 
-// KnownArtifacts lists the valid -only selections.
+// KnownArtifacts lists the valid -artifacts selections.
 func KnownArtifacts() []string { return append([]string(nil), knownArtifacts...) }
 
 // Run renders the selected artifacts ("" or nil set = everything).

@@ -272,11 +272,13 @@ func TestPaperChronicCoverage(t *testing.T) {
 	topo := PaperTopology()
 	sc := workload.BuildScenario(topo, PaperParams(3, 0, simnet.FromHours(744)))
 	// sina.com.cn should be under a chronic episode ~97% of the month.
-	ent := faults.Entity("www:www.sina.com.cn")
+	id := sc.Timeline.Lookup("www:www.sina.com.cn")
+	var buf []faults.Episode
 	covered := 0
 	for h := int64(0); h < 744; h++ {
 		at := simnet.FromHours(h).Add(30 * time.Minute)
-		for _, ep := range sc.Timeline.ActiveAny(ent, at) {
+		buf = sc.Timeline.ActiveAnyIntoID(id, at, buf[:0])
+		for _, ep := range buf {
 			if ep.Kind == faults.ServerOutage {
 				covered++
 				break

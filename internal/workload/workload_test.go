@@ -390,10 +390,13 @@ func TestScenarioBuildPlumbing(t *testing.T) {
 		t.Error("chronic client episodes missing")
 	}
 	// Chronic coverage: www.single.example under its episode most hours.
+	id := sc.Timeline.Lookup("www:www.single.example")
+	var buf []faults.Episode
 	covered := 0
 	for h := int64(0); h < 744; h++ {
 		at := simnet.FromHours(h).Add(30 * time.Minute)
-		for _, ep := range sc.Timeline.ActiveAny("www:www.single.example", at) {
+		buf = sc.Timeline.ActiveAnyIntoID(id, at, buf[:0])
+		for _, ep := range buf {
 			if ep.Kind == faults.ServerOutage {
 				covered++
 				break

@@ -3,10 +3,11 @@
 # serial/parallel equivalence tests under the race detector (scoped to
 # the packages exercising the sharded runner, the merge, and the
 # sharded dataset ingest, to keep CI time bounded), the dataset
-# backward-compatibility gate against the checked-in v1 fixture, the
+# backward-compatibility gate against the checked-in v3 fixture, the
 # golden-stdout gate on webfail-analyze (byte-identity across
-# -parallel values, with and without metrics enabled — the
-# TestGolden pattern includes TestGoldenStdoutWithMetrics), the
+# -parallel values, with and without metrics enabled, and the analysis
+# of a checked-in dataset an earlier writer produced — the TestGolden
+# pattern includes TestGoldenStdoutWithMetrics and TestGoldenV3Small), the
 # selective-vs-full analyzer-pass equivalence under the race detector,
 # the observability registry under the race detector (concurrent
 # updates, merge determinism), and the allocation-regression gate on
@@ -44,7 +45,7 @@ else
     echo "staticcheck not installed; go vet served as the static-analysis pass"
 fi
 go test ./...
-go test -race -run 'TestSerialParallelEquivalence|TestRunParallelShardClamp|TestMerge|TestShardedSaveEquivalence|TestDatasetV2ParallelStreams' \
+go test -race -run 'TestSerialParallelEquivalence|TestRunParallelShardClamp|TestMerge|TestShardedSaveEquivalence|TestDatasetV3ParallelStreams' \
     ./internal/measure ./internal/core ./internal/dataset
 # Capacity-aware state gate: the sparse and dense analyzer backends
 # must produce identical artifacts for random rosters and any shard
@@ -54,19 +55,17 @@ go test -race -run 'TestSerialParallelEquivalence|TestRunParallelShardClamp|Test
 # exercises the sparse maps concurrently across shard accumulators).
 go test -race -run 'TestSparseDenseEquivalence|TestSparseMergeOrderIndependence|TestMergeStateModeMismatch|TestResolveState|TestTopFailingPairsMatchesFull|TestRandomPairSimilarityBounded|TestPairCellInt64|TestHourSet|TestTopK' \
     -count=1 ./internal/core
-# Dataset format gates: the v1 fixture must keep opening (backward
-# compatibility), the v3 columnar codec must round-trip and reject
-# corruption (truncations, bit flips, index/chunk mismatches) without
-# panicking, sharded v3 writes must produce the same canonical stream
-# as a serial save, the steady-state encode/decode path must stay at
-# zero heap allocations per chunk, and -rewrite must upgrade the
-# checked-in v2 fixture to v3 with byte-identical analysis. The golden
-# gate (TestGoldenStdoutVersions) proves v1, v2, and v3 files analyze
-# byte-identically at several -parallel widths.
-go test -run 'TestDatasetV1Compat|TestDatasetV3RoundTrip|TestDatasetV3Corruption|TestDatasetV3SerialParallelEquivalence|TestChunkCodecRoundTrip|TestChunkDecodeTruncation|TestIndexChunkMismatch' \
+# Dataset format gates: the checked-in v3 fixture must keep opening
+# (backward compatibility), the columnar codec must round-trip and
+# reject corruption (truncations, bit flips, index/chunk mismatches,
+# earlier format generations) without panicking, sharded writes must
+# produce the same canonical stream as a serial save, and the
+# steady-state encode/decode path must stay at zero heap allocations
+# per chunk.
+go test -run 'TestDatasetV3Compat|TestDatasetV3RoundTrip|TestDatasetV3Corruption|TestDatasetV3SerialParallelEquivalence|TestChunkCodecRoundTrip|TestChunkDecodeTruncation|TestIndexChunkMismatch' \
     ./internal/dataset
 go test -run 'TestEncodeDecodeZeroAllocs' -count=1 ./internal/dataset
-go test -run 'TestGolden|TestRewriteV2FixturePreservesAnalysis' ./cmd/webfail-analyze
+go test -run 'TestGolden' ./cmd/webfail-analyze
 go test -race -run 'TestSelectiveMatchesFull|TestArtifactPassRegistry' ./internal/report
 go test -race -count=1 ./internal/obs
 go test -run 'TestEvaluateZeroAllocs' -count=1 ./internal/measure
@@ -103,20 +102,20 @@ go build -o /tmp/webfail-analyze-verify ./cmd/webfail-analyze
 for sc in paper-default 10k-chaos cascading-outage cdn-flap; do
     /tmp/webfail-verify -scenario "$sc" -hours 1 -state auto -artifacts headlines > /dev/null
 done
-# The serial save uses the default format (v3 columnar); the sharded
-# save is pinned to v2, so the comparison proves analysis byte-identity
-# across shard counts AND format generations at 10k-chaos scale.
+# A serial and a 4-shard save of the same run: the comparison proves
+# analysis byte-identity across shard counts at 10k-chaos scale.
 /tmp/webfail-verify -scenario 10k-chaos -hours 1 -parallel 1 -state sparse \
     -artifacts headlines -save /tmp/chaos_p1.ds > /dev/null
-/tmp/webfail-verify -scenario 10k-chaos -hours 1 -parallel 4 -state sparse -dataset-version 2 \
+/tmp/webfail-verify -scenario 10k-chaos -hours 1 -parallel 4 -state sparse \
     -artifacts headlines -save /tmp/chaos_p4.ds > /dev/null
 /tmp/webfail-analyze-verify -in /tmp/chaos_p1.ds -artifacts all > /tmp/chaos_p1.out
 /tmp/webfail-analyze-verify -in /tmp/chaos_p4.ds -artifacts all > /tmp/chaos_p4.out
 cmp /tmp/chaos_p1.out /tmp/chaos_p4.out
 rm -f /tmp/webfail-verify /tmp/webfail-analyze-verify /tmp/chaos_p1.ds /tmp/chaos_p4.ds /tmp/chaos_p1.out /tmp/chaos_p4.out
 # Opt-in bench-regression gate: WEBFAIL_BENCH_GATE=1 takes a fresh
-# benchmark snapshot and fails if it regresses beyond tolerance against
-# the latest committed BENCH_*.json (see scripts/bench.sh -compare).
+# benchmark snapshot at the baseline's GOMAXPROCS and fails if it
+# regresses beyond tolerance against the latest committed BENCH_*.json
+# (see scripts/bench.sh -compare).
 # Off by default: benchmark runs add minutes and wall-time deltas on
 # shared boxes are noisy, so this gates release branches, not every
 # edit loop.
