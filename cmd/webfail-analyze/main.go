@@ -8,7 +8,6 @@
 // Usage:
 //
 //	webfail-analyze -in dataset.bin [-top N] [-parallel N] [-artifacts LIST]
-//	                [-state auto|dense|sparse]
 //	                [-forensics CLASS] [-trace-out PATH] [-trace-exemplars N]
 //	                [-cpuprofile PATH] [-memprofile PATH]
 //	                [-metrics-out PATH] [-metrics-listen ADDR] [-progress]
@@ -77,7 +76,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	top := fs.Int("top", 10, "rows in top-N listings")
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "ingest worker shards (1 = serial)")
 	artifacts := fs.String("artifacts", "", `comma-separated report artifacts to render ("all" = everything)`)
-	state := fs.String("state", "auto", "analyzer state representation: auto, dense, or sparse")
 	forensics := fs.String("forensics", "", "replay the run and render waterfall forensics for this failure class (e.g. tcp:no-connection)")
 	var obsFlags obs.CLIFlags
 	obsFlags.Register(fs)
@@ -89,10 +87,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if obsFlags.TraceOut != "" && *forensics == "" {
 		return fmt.Errorf("-trace-out requires -forensics here (or use webfail -trace-out during the run)")
-	}
-	stateMode, err := core.ParseStateMode(*state)
-	if err != nil {
-		return err
 	}
 	reg := obs.NewRegistry()
 	sess, err := obsFlags.Start(component, reg)
@@ -153,19 +147,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	ingestSpan := reg.Span("ingest")
 	a, err := core.ConsumeParallelOpts(topo, start, end, src, core.IngestOptions{
-		Shards: *parallel, State: stateMode, Passes: passes, Metrics: reg, Progress: prog,
+		Shards: *parallel, Passes: passes, Metrics: reg, Progress: prog,
 	})
 	ingestSpan.End()
 	prog.Stop()
 	if err != nil {
 		return err
 	}
-	// The shard count and the resolved state backend are the
-	// flag-dependent values; they go to stderr (and the metrics
-	// registry) so stdout is byte-identical for any ingest width or
-	// state representation.
-	fmt.Fprintf(stderr, "webfail-analyze: %d ingest shards, %v state (%d cells)\n", shards, a.State(), a.StateCells())
-	reg.Gauge("core_state_cells{state=\"" + a.State().String() + "\"}").Set(float64(a.StateCells()))
+	// The shard count depends on the flag, so it goes to stderr with the
+	// allocated-cell count (also a metric), keeping stdout byte-identical
+	// for any ingest width.
+	fmt.Fprintf(stderr, "webfail-analyze: %d ingest shards, %d state cells\n", shards, a.StateCells())
+	reg.Gauge("core_state_cells").Set(float64(a.StateCells()))
 	fmt.Fprintf(stdout, "stored-record accumulator: %s\n", a)
 	fmt.Fprintln(stdout, "failure-stage shares over stored records:")
 	for _, row := range a.Summary() {

@@ -142,49 +142,15 @@ func TestGoldenV3Small(t *testing.T) {
 	}
 }
 
-// TestGoldenStdoutState asserts the state-representation flag never
-// leaks into stdout: -state auto (which resolves dense at fixture
-// scale), an explicit -state dense, and a forced -state sparse must all
-// reproduce the same golden bytes.
-func TestGoldenStdoutState(t *testing.T) {
-	path := fixtureDataset(t)
-	want, err := os.ReadFile(filepath.Join("testdata", "golden_stdout.txt"))
-	if err != nil {
-		t.Fatalf("read golden (regenerate with -update): %v", err)
-	}
-	for _, state := range []string{"auto", "dense", "sparse"} {
-		var out, errOut bytes.Buffer
-		args := []string{"-in", path, "-top", "5", "-parallel", "2", "-state", state}
-		if err := run(args, &out, &errOut); err != nil {
-			t.Fatalf("run(-state %s): %v\nstderr: %s", state, err, errOut.String())
-		}
-		if !bytes.Equal(out.Bytes(), want) {
-			t.Errorf("-state %s stdout differs from golden", state)
-		}
-	}
-}
-
 // TestGoldenArtifacts locks the stdout of a full-report run
 // (-artifacts all), which exercises every analyzer pass and every
 // report artifact over the stored records.
 func TestGoldenArtifacts(t *testing.T) {
 	path := fixtureDataset(t)
-	for _, state := range []string{"auto", "sparse"} {
-		var out, errOut bytes.Buffer
-		args := []string{"-in", path, "-top", "3", "-parallel", "2", "-artifacts", "all", "-state", state}
-		if err := run(args, &out, &errOut); err != nil {
-			t.Fatalf("run(-state %s): %v\nstderr: %s", state, err, errOut.String())
-		}
-		if state == "auto" {
-			checkGolden(t, "golden_artifacts.txt", out.Bytes())
-			continue
-		}
-		want, err := os.ReadFile(filepath.Join("testdata", "golden_artifacts.txt"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(out.Bytes(), want) {
-			t.Errorf("-state %s full-report stdout differs from golden", state)
-		}
+	var out, errOut bytes.Buffer
+	args := []string{"-in", path, "-top", "3", "-parallel", "2", "-artifacts", "all"}
+	if err := run(args, &out, &errOut); err != nil {
+		t.Fatalf("run: %v\nstderr: %s", err, errOut.String())
 	}
+	checkGolden(t, "golden_artifacts.txt", out.Bytes())
 }

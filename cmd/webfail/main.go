@@ -22,9 +22,6 @@
 //	-sites N     limit the website roster (0 = all)
 //	-artifacts LIST  comma-separated selection, e.g. "table3,fig5,headlines"
 //	             (default: everything)
-//	-state M     analyzer state representation: "auto" (default; dense at
-//	             paper scale, sparse past the cell budget), "dense", or
-//	             "sparse" — output is identical for any value
 //	-save PATH   stream the failure dataset to PATH (v3 columnar format)
 //	-cpuprofile PATH  write a runtime/pprof CPU profile of the run
 //	-memprofile PATH  write a heap profile at exit
@@ -85,7 +82,6 @@ func run(argv []string, stdout io.Writer) error {
 		nSites       = fs.Int("sites", 0, "limit website roster (0 = all)")
 		artifacts    = fs.String("artifacts", "", "comma-separated artifacts (table1..table9, fig1..fig7, replicas, headlines)")
 		savePath     = fs.String("save", "", "write failure dataset to this path")
-		state        = fs.String("state", "auto", "analyzer state representation: auto, dense, or sparse")
 		obsFlags     obs.CLIFlags
 	)
 	obsFlags.Register(fs)
@@ -113,11 +109,6 @@ func run(argv []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	stateMode, err := core.ParseStateMode(*state)
-	if err != nil {
-		return err
-	}
-
 	spec, err := scenario.Resolve(*scenarioFlag)
 	if err != nil {
 		return err
@@ -177,7 +168,7 @@ func run(argv []string, stdout io.Writer) error {
 		defer cfg.Progress.Stop()
 	}
 
-	aopts := core.Options{State: stateMode, Passes: passes}
+	aopts := core.Options{Passes: passes}
 	a := core.NewAnalysisOpts(topo, 0, end, aopts)
 
 	// The dataset streams to disk during the run: shard workers feed
@@ -253,7 +244,7 @@ func run(argv []string, stdout io.Writer) error {
 	if s := elapsed.Seconds(); s > 0 {
 		reg.WallGauge("run_txns_per_sec").Set(float64(a.TotalTxns()) / s)
 	}
-	reg.Gauge("core_state_cells{state=\"" + a.State().String() + "\"}").Set(float64(a.StateCells()))
+	reg.Gauge("core_state_cells").Set(float64(a.StateCells()))
 	fmt.Fprintf(stdout, "run completed in %v: %s\n\n", elapsed.Round(time.Millisecond), a)
 
 	repSpan := reg.Span("report")

@@ -30,7 +30,7 @@ func runCLI(t *testing.T, args ...string) []byte {
 }
 
 // goldenCases pins the CLI's stdout for the paper-default world across
-// the engine modes, shard counts, and analyzer state representations.
+// the engine modes and shard counts.
 // These goldens predate the scenario refactor: byte-identity here is
 // the proof that spec-driven generation reproduces the hard-coded
 // roster exactly.
@@ -40,8 +40,7 @@ var goldenCases = []struct {
 }{
 	{"golden_fast_h6_p1.txt", []string{"-hours", "6", "-parallel", "1"}},
 	{"golden_fast_h6_p4.txt", []string{"-hours", "6", "-parallel", "4"}},
-	{"golden_fast_h6_p2_dense.txt", []string{"-hours", "6", "-parallel", "2", "-state", "dense"}},
-	{"golden_fast_h6_p2_sparse.txt", []string{"-hours", "6", "-parallel", "2", "-state", "sparse"}},
+	{"golden_fast_h6_p2.txt", []string{"-hours", "6", "-parallel", "2"}},
 	{"golden_packet_h4_p1.txt", []string{"-hours", "4", "-clients", "25", "-sites", "12", "-mode", "packet", "-parallel", "1"}},
 	{"golden_packet_h4_p3.txt", []string{"-hours", "4", "-clients", "25", "-sites", "12", "-mode", "packet", "-parallel", "3"}},
 }

@@ -25,7 +25,6 @@ package core
 
 import (
 	"fmt"
-	"net/netip"
 	"time"
 
 	"webfail/internal/httpsim"
@@ -53,14 +52,13 @@ type entityHour struct {
 // FailureRec is the compact retained form of a failed transaction, the
 // input to the attribution pass.
 type FailureRec struct {
-	Client  int32
-	Site    int32
-	Hour    int32 // hour index relative to the analysis window
-	Stage   httpsim.Stage
-	DNS     measure.DNSOutcome
-	Kind    httpsim.ConnFailKind
-	Replica netip.Addr
-	Conns   int16
+	Client int32
+	Site   int32
+	Hour   int32 // hour index relative to the analysis window
+	Stage  httpsim.Stage
+	DNS    measure.DNSOutcome
+	Kind   httpsim.ConnFailKind
+	Conns  int16
 }
 
 // Analysis accumulates a run's records across a selected set of
@@ -79,10 +77,6 @@ type Analysis struct {
 	binNS     int64
 
 	nClients, nSites int
-
-	// Resolved representation mode (never StateAuto): the backend every
-	// state-bearing pass was constructed with. See StateMode.
-	state StateMode
 
 	// Active passes in canonical order, plus typed handles: the typed
 	// fields are nil for unselected passes, and the ingest hot path
@@ -127,9 +121,6 @@ func NewAnalysisBinnedSelected(topo *workload.Topology, start, end simnet.Time, 
 type Options struct {
 	// Bin is the episode bin duration (<= 0 means the paper's 1 hour).
 	Bin time.Duration
-	// State selects the pass representation; StateAuto (the zero value)
-	// resolves from roster geometry against DenseCellBudget.
-	State StateMode
 	// Passes selects the analyzer passes (none = all; totals is always
 	// included).
 	Passes []PassName
@@ -147,10 +138,6 @@ func NewAnalysisOpts(topo *workload.Topology, start, end simnet.Time, opts Optio
 	if hours <= 0 {
 		hours = 1
 	}
-	nReplicas := 0
-	for j := range topo.Websites {
-		nReplicas += len(topo.Websites[j].ReplicaAddrs)
-	}
 	a := &Analysis{
 		Topo:      topo,
 		StartHour: int64(start) / binNS,
@@ -158,7 +145,6 @@ func NewAnalysisOpts(topo *workload.Topology, start, end simnet.Time, opts Optio
 		binNS:     binNS,
 		nClients:  len(topo.Clients),
 		nSites:    len(topo.Websites),
-		state:     resolveState(opts.State, len(topo.Clients), len(topo.Websites), nReplicas, hours),
 	}
 	for _, name := range normalizePasses(opts.Passes) {
 		var p Pass
@@ -167,22 +153,22 @@ func NewAnalysisOpts(topo *workload.Topology, start, end simnet.Time, opts Optio
 			a.totals = newTotalsPass()
 			p = a.totals
 		case PassTraffic:
-			a.traffic = newTrafficPass(a.nClients, a.nSites, a.state)
+			a.traffic = newTrafficPass(a.nClients, a.nSites)
 			p = a.traffic
 		case PassGrids:
-			a.grids = newGridsPass(a.nClients, a.nSites, hours, a.state)
+			a.grids = newGridsPass(a.nClients, a.nSites, hours)
 			p = a.grids
 		case PassFailures:
 			a.fails = newFailuresPass()
 			p = a.fails
 		case PassPairs:
-			a.pairs = newPairsPass(a.nClients, a.nSites, a.state)
+			a.pairs = newPairsPass(a.nClients, a.nSites)
 			p = a.pairs
 		case PassReplicas:
-			a.replicas = newReplicasPass(topo, hours, a.state)
+			a.replicas = newReplicasPass(topo, hours)
 			p = a.replicas
 		case PassConns:
-			a.conns = newConnsPass(a.nClients, a.nSites, hours, a.state)
+			a.conns = newConnsPass(a.nClients, a.nSites, hours)
 			p = a.conns
 		}
 		a.active = append(a.active, p)

@@ -229,7 +229,7 @@ func (a *Analysis) LossCorrelation() (float64, error) {
 	totals := rowTotals(&g.client, a.Hours, a.nClients)
 	var loss, fail []float64
 	for c := 0; c < a.nClients; c++ {
-		pkts := t.clientPkts.val(int32(c))
+		pkts := t.clientPkts[c]
 		if pkts == 0 {
 			continue
 		}
@@ -237,7 +237,7 @@ func (a *Analysis) LossCorrelation() (float64, error) {
 		if tot.Txns == 0 {
 			continue
 		}
-		loss = append(loss, float64(t.clientRetrans.val(int32(c)))/float64(pkts))
+		loss = append(loss, float64(t.clientRetrans[c])/float64(pkts))
 		fail = append(fail, float64(tot.FailTxns)/float64(tot.Txns))
 	}
 	return stats.Pearson(loss, fail)

@@ -18,9 +18,9 @@ const MinEpisodeSamples = 8
 // rates, separately for clients and servers — Figure 4, whose knee picks
 // the threshold f.
 //
-// The scans run over materialized cells only (forEach): untouched cells
+// The scans run over allocated pages only (forEach): untouched cells
 // have zero transactions and cannot pass the MinEpisodeSamples filter,
-// so the dense and sparse backends produce identical CDFs.
+// so skipping unallocated pages cannot change the CDFs.
 func (a *Analysis) EpisodeRateCDFs() (clients, servers *stats.CDF) {
 	g := a.mustGrids()
 	var cs, ss []float64
@@ -88,8 +88,8 @@ func pairBetter(a, b PermanentPair) bool {
 // use TopFailingPairs when only the worst offenders matter and the
 // roster is too large to retain every candidate.
 //
-// Untouched sparse cells have zero transactions and fail the
-// minimum-sample filter, so both backends detect the same pairs.
+// Cells of unallocated pages have zero transactions and fail the
+// minimum-sample filter, so skipping them cannot change the result.
 func (a *Analysis) PermanentPairs(threshold float64) []PermanentPair {
 	pp := a.mustPairs()
 	var out []PermanentPair
@@ -242,15 +242,14 @@ func (a *Analysis) Attribute(f float64, exclude []PermanentPair) *Attribution {
 		ServerEpisodeHours: make([]HourSet, a.nSites),
 	}
 
-	// Identify failure episodes per entity-hour, scanning materialized
-	// cells only: the exclusion adjustment only lowers counts, so a cell
-	// that is zero (or absent in sparse mode) can never reach the
-	// minimum-sample bar, and both backends flag the same hours.
+	// Identify failure episodes per entity-hour, scanning allocated
+	// pages only: the exclusion adjustment only lowers counts, so a cell
+	// that is zero (or in an unallocated page) can never reach the
+	// minimum-sample bar.
 	// Excluded pairs' traffic is removed from the rates so a
 	// permanently-blocked pair does not manufacture fake episodes for
 	// its endpoints. The hour bitsets double as the classification
-	// lookup below, replacing the dense clients x hours flag arrays the
-	// dense-only implementation used.
+	// lookup below.
 	g := a.mustGrids()
 	exclCell := a.excludedCells(excl)
 	flagEpisodes := func(sets []HourSet, gr *grid[gridCell], adjs map[int]gridCell) {
@@ -304,8 +303,8 @@ func (a *Analysis) Attribute(f float64, exclude []PermanentPair) *Attribution {
 // removing the pair's failures (which is what distorts rates) and the
 // same number of transactions. The adjustments are keyed by grid index
 // and derived from the failure list, so they are proportional to the
-// excluded traffic, never to roster geometry (the dense temporaries
-// they replace would be GBs at mega-roster scale).
+// excluded traffic, never to roster geometry (temporaries sized by
+// geometry would be GBs at mega-roster scale).
 type exclGrid struct {
 	client map[int]gridCell
 	server map[int]gridCell

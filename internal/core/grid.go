@@ -1,111 +1,105 @@
 package core
 
-import (
-	"fmt"
-	"sort"
+import "fmt"
+
+// Every analyzer grid is a page table over its roster geometry, with
+// pages of pageCells cells allocated on first touch. At paper scale
+// every page is touched, so a grid is the flat array plus one index.
+// 8-cell pages retain the least state on TestMegaRosterMemory's
+// mega-roster stream: 4-cell pages double the page table, and 16-cell
+// pages already miss its 5x bound (EXPERIMENTS.md has the sweep).
+const (
+	pageShift = 3
+	pageCells = 1 << pageShift
+	pageMask  = pageCells - 1
 )
 
-// grid is the capacity-aware backing for a pass's fixed-geometry cell
-// array: a flat slice in dense mode, a hash map of materialized cells
-// in sparse mode. The logical length n is the full roster geometry in
-// both modes; sparse cells that were never touched read as zero.
-//
-// The two backends must agree observably: forEach visits cells in
-// ascending index order in both modes, but skips unmaterialized cells
-// in sparse mode, so consumers must be written so zero-valued cells
-// contribute nothing (every analysis here filters on a minimum sample
-// count or sums, which zero cells cannot affect).
+// grid is the backing of a pass's fixed-geometry cell array, indexed in
+// the pass's row-major order. Cells of unallocated pages read as zero
+// and forEach skips them, so consumers must be written so zero-valued
+// cells contribute nothing (every analysis here filters on a minimum
+// sample count or sums, which zero cells cannot affect).
 type grid[C any] struct {
-	n      int
-	dense  []C
-	sparse map[int]*C
+	n     int
+	pages []*[pageCells]C
 }
 
-func newGrid[C any](n int, st StateMode) grid[C] {
-	if st == StateSparse {
-		return grid[C]{n: n, sparse: make(map[int]*C)}
-	}
-	return grid[C]{n: n, dense: make([]C, n)}
+func newGrid[C any](n int) grid[C] {
+	return grid[C]{n: n, pages: make([]*[pageCells]C, (n+pageMask)>>pageShift)}
 }
 
-// mut returns a mutable cell, materializing it in sparse mode. The
+// mut returns a mutable cell, allocating its page on first touch. The
 // ingest hot path.
 func (g *grid[C]) mut(i int) *C {
-	if g.dense != nil {
-		return &g.dense[i]
+	p := g.pages[i>>pageShift]
+	if p == nil {
+		p = new([pageCells]C)
+		g.pages[i>>pageShift] = p
 	}
-	c := g.sparse[i]
-	if c == nil {
-		c = new(C)
-		g.sparse[i] = c
-	}
-	return c
+	return &p[i&pageMask]
 }
 
-// val reads a cell; unmaterialized sparse cells read as zero.
+// val reads a cell; cells of unallocated pages read as zero.
 func (g *grid[C]) val(i int) C {
-	if g.dense != nil {
-		return g.dense[i]
-	}
-	if c := g.sparse[i]; c != nil {
-		return *c
+	if p := g.pages[i>>pageShift]; p != nil {
+		return p[i&pageMask]
 	}
 	var zero C
 	return zero
 }
 
-// touched reports how many cells are materialized (the full length in
-// dense mode) — the capacity metric the CLIs expose.
-func (g *grid[C]) touched() int {
-	if g.dense != nil {
-		return len(g.dense)
+// allocated reports how many cells the allocated pages hold.
+func (g *grid[C]) allocated() int {
+	n := 0
+	for _, p := range g.pages {
+		if p != nil {
+			n += pageCells
+		}
 	}
-	return len(g.sparse)
+	return n
 }
 
-// forEach visits cells in ascending index order: every cell in dense
-// mode, only materialized cells in sparse mode.
+// forEach visits the cells of allocated pages in ascending index order,
+// stopping at the geometry's end (the last page may run past it).
 func (g *grid[C]) forEach(fn func(i int, c *C)) {
-	if g.dense != nil {
-		for i := range g.dense {
-			fn(i, &g.dense[i])
+	for k, p := range g.pages {
+		if p == nil {
+			continue
 		}
-		return
-	}
-	keys := make([]int, 0, len(g.sparse))
-	for k := range g.sparse {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	for _, k := range keys {
-		fn(k, g.sparse[k])
+		base := k << pageShift
+		for j := 0; j < pageCells && base+j < g.n; j++ {
+			fn(base+j, &p[j])
+		}
 	}
 }
 
-// mergeGrid folds src into dst cell-wise with add. Cell-wise addition
-// commutes, so sparse map iteration order cannot affect the result and
-// shard merges stay order-independent. Backends of the two grids must
-// match (Analysis.Merge checks the resolved state mode up front).
+// mergeGrid folds src into dst cell-wise with add, copying the pages dst
+// lacks. Cell-wise addition commutes, so shard merges stay
+// order-independent, and the merged pages are the union of the shards'.
 func mergeGrid[C any](dst, src *grid[C], add func(d, s *C)) error {
-	if dst.n != src.n || (dst.dense != nil) != (src.dense != nil) {
-		return fmt.Errorf("core: merge of mismatched grids (%d cells dense=%v vs %d cells dense=%v)",
-			dst.n, dst.dense != nil, src.n, src.dense != nil)
+	if dst.n != src.n {
+		return fmt.Errorf("core: merge of mismatched grids (%d vs %d cells)", dst.n, src.n)
 	}
-	if dst.dense != nil {
-		for i := range src.dense {
-			add(&dst.dense[i], &src.dense[i])
+	for k, sp := range src.pages {
+		if sp == nil {
+			continue
 		}
-		return nil
-	}
-	for k, s := range src.sparse {
-		add(dst.mut(k), s)
+		dp := dst.pages[k]
+		if dp == nil {
+			cp := *sp
+			dst.pages[k] = &cp
+			continue
+		}
+		for j := range sp {
+			add(&dp[j], &sp[j])
+		}
 	}
 	return nil
 }
 
 // rowTotals reduces a grid of rows x rowLen cells to one summed cell
 // per row in a single scan — the per-entity month totals the headline
-// analyses read. Zero cells add nothing, so both backends agree.
+// analyses read.
 func rowTotals(g *grid[gridCell], rowLen, rows int) []gridCell {
 	out := make([]gridCell, rows)
 	g.forEach(func(i int, c *gridCell) {
@@ -116,57 +110,23 @@ func rowTotals(g *grid[gridCell], rowLen, rows int) []gridCell {
 	return out
 }
 
-// counterVec is a capacity-aware int64 counter array (per-client
-// accounting in the traffic pass): flat in dense mode, hash-backed in
-// sparse mode.
-type counterVec struct {
-	n      int
-	dense  []int64
-	sparse map[int32]int64
-}
-
-func newCounterVec(n int, st StateMode) counterVec {
-	if st == StateSparse {
-		return counterVec{n: n, sparse: make(map[int32]int64)}
+// StateCells reports the number of grid cells in allocated pages across
+// the selected passes. Deterministic for a merged accumulator (shard
+// merges allocate the union of the shards' pages), so it is safe to
+// expose as an obs gauge.
+func (a *Analysis) StateCells() int64 {
+	var n int
+	if a.grids != nil {
+		n += a.grids.client.allocated() + a.grids.server.allocated()
 	}
-	return counterVec{n: n, dense: make([]int64, n)}
-}
-
-func (v *counterVec) add(i int32, n int64) {
-	if v.dense != nil {
-		v.dense[i] += n
-		return
+	if a.conns != nil {
+		n += a.conns.client.allocated() + a.conns.server.allocated()
 	}
-	v.sparse[i] += n
-}
-
-func (v *counterVec) val(i int32) int64 {
-	if v.dense != nil {
-		return v.dense[i]
+	if a.pairs != nil {
+		n += a.pairs.cells.allocated()
 	}
-	return v.sparse[i]
-}
-
-func (v *counterVec) touched() int {
-	if v.dense != nil {
-		return len(v.dense)
+	if a.replicas != nil {
+		n += a.replicas.replicaHours.allocated()
 	}
-	return len(v.sparse)
-}
-
-func mergeCounterVec(dst, src *counterVec) error {
-	if dst.n != src.n || (dst.dense != nil) != (src.dense != nil) {
-		return fmt.Errorf("core: merge of mismatched counter vectors (%d dense=%v vs %d dense=%v)",
-			dst.n, dst.dense != nil, src.n, src.dense != nil)
-	}
-	if dst.dense != nil {
-		for i, n := range src.dense {
-			dst.dense[i] += n
-		}
-		return nil
-	}
-	for i, n := range src.sparse {
-		dst.sparse[i] += n
-	}
-	return nil
+	return int64(n)
 }

@@ -45,10 +45,6 @@ type IngestOptions struct {
 	// Shards is the worker count (<= 0 selects GOMAXPROCS; clamped to
 	// the client count).
 	Shards int
-	// State selects the representation every shard accumulator — and
-	// the merged result — is built with (StateAuto resolves from roster
-	// geometry, identically in every shard).
-	State StateMode
 	// Passes selects the analyzer passes (none = all).
 	Passes []PassName
 	// Metrics (may be nil) receives one deterministic records-ingested
@@ -61,14 +57,14 @@ type IngestOptions struct {
 // ConsumeParallelOpts is the fully general parallel ingest entry point.
 // Each shard counts into plain locals and folds in once at completion,
 // so totals are shard-count-independent and the ingest loop carries no
-// atomics; shard accumulators merge in shard order, so the result is
-// identical to a serial Consume for any shard count and either state
-// representation.
+// atomics. A shard's grids allocate only the pages its client range
+// touches, and the later shards merge into the first in shard order, so
+// the result is identical to a serial Consume for any shard count.
 func ConsumeParallelOpts(topo *workload.Topology, start, end simnet.Time, src dataset.RecordSource, opts IngestOptions) (*Analysis, error) {
 	n := len(topo.Clients)
 	shards := measure.EffectiveShards(n, opts.Shards)
 	reg, prog := opts.Metrics, opts.Progress
-	aopts := Options{State: opts.State, Passes: opts.Passes}
+	aopts := Options{Passes: opts.Passes}
 	accs := make([]*Analysis, shards)
 	errs := make([]error, shards)
 	var wg sync.WaitGroup
@@ -101,13 +97,12 @@ func ConsumeParallelOpts(topo *workload.Topology, start, end simnet.Time, src da
 			return nil, err
 		}
 	}
-	merged := NewAnalysisOpts(topo, start, end, aopts)
-	for _, acc := range accs {
-		if err := merged.Merge(acc); err != nil {
+	for _, acc := range accs[1:] {
+		if err := accs[0].Merge(acc); err != nil {
 			return nil, err
 		}
 	}
-	return merged, nil
+	return accs[0], nil
 }
 
 // ingestCounterName labels the records-ingested counter with the

@@ -11,7 +11,7 @@ import (
 // pass set; Merge errors otherwise and leaves a unchanged.
 //
 // Every counter merges by addition, which is order-independent, so any
-// merge order yields the same dense grids, pair counts, and category
+// merge order yields the same grids, pair counts, and category
 // totals. The two order-sensitive pieces are handled as follows:
 //
 //   - Failure records append in call order. Callers recovering a serial
@@ -36,10 +36,6 @@ func (a *Analysis) Merge(other *Analysis) error {
 	case !slices.Equal(a.Passes(), other.Passes()):
 		return fmt.Errorf("core: merge of mismatched pass sets (%v vs %v)",
 			a.Passes(), other.Passes())
-	case a.state != other.state:
-		// Both sides resolved StateAuto from the same roster geometry, so
-		// this only fires when callers force different explicit modes.
-		return fmt.Errorf("core: merge of mismatched state modes (%v vs %v)", a.state, other.state)
 	case a.replicas != nil && len(a.replicas.replicaAddrs) != len(other.replicas.replicaAddrs):
 		// Checked up front (not just in replicasPass.Merge) so a failed
 		// merge leaves a unchanged.

@@ -24,7 +24,7 @@ const (
 	// (Table 4, Figures 2–3), and per-client loss accounting
 	// (Section 4.1.3).
 	PassTraffic PassName = "traffic"
-	// PassGrids accumulates the dense per-client and per-server
+	// PassGrids accumulates the per-client and per-server
 	// transaction grids that episode detection (Figure 4) and blame
 	// attribution (Tables 5–9) read.
 	PassGrids PassName = "grids"

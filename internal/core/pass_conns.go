@@ -30,11 +30,11 @@ type connsPass struct {
 	server grid[connCell] // [site*hours + h]
 }
 
-func newConnsPass(nClients, nSites, hours int, st StateMode) *connsPass {
+func newConnsPass(nClients, nSites, hours int) *connsPass {
 	return &connsPass{
 		hours:  hours,
-		client: newGrid[connCell](nClients*hours, st),
-		server: newGrid[connCell](nSites*hours, st),
+		client: newGrid[connCell](nClients * hours),
+		server: newGrid[connCell](nSites * hours),
 	}
 }
 

@@ -24,14 +24,13 @@ func (p *failuresPass) consume(r *measure.Record, hour int) {
 		return
 	}
 	p.recs = append(p.recs, FailureRec{
-		Client:  r.ClientIdx,
-		Site:    r.SiteIdx,
-		Hour:    int32(hour),
-		Stage:   r.Stage,
-		DNS:     r.DNS,
-		Kind:    r.FailKind,
-		Replica: r.ReplicaIP,
-		Conns:   r.Conns,
+		Client: r.ClientIdx,
+		Site:   r.SiteIdx,
+		Hour:   int32(hour),
+		Stage:  r.Stage,
+		DNS:    r.DNS,
+		Kind:   r.FailKind,
+		Conns:  r.Conns,
 	})
 }
 

@@ -15,20 +15,18 @@ func addGridCell(d, s *gridCell) {
 
 // gridsPass accumulates the per-client and per-server transaction
 // grids that episode detection (Figure 4) and blame attribution
-// (Tables 5–9) read. The backing representation is capacity-aware:
-// dense flat arrays at paper scale, hash-backed sparse grids for
-// mega-rosters (see StateMode).
+// (Tables 5–9) read.
 type gridsPass struct {
 	hours  int
 	client grid[gridCell] // [client*hours + h]
 	server grid[gridCell] // [site*hours + h]
 }
 
-func newGridsPass(nClients, nSites, hours int, st StateMode) *gridsPass {
+func newGridsPass(nClients, nSites, hours int) *gridsPass {
 	return &gridsPass{
 		hours:  hours,
-		client: newGrid[gridCell](nClients*hours, st),
-		server: newGrid[gridCell](nSites*hours, st),
+		client: newGrid[gridCell](nClients * hours),
+		server: newGrid[gridCell](nSites * hours),
 	}
 }
 

@@ -18,17 +18,17 @@ func addPairCell(d, s *pairCell) {
 
 // pairsPass accumulates month-long per-pair transaction and failure
 // counts for permanent pair detection (Section 4.4.2). The clients x
-// sites geometry is the analyzer's largest, so the capacity-aware grid
-// matters most here.
+// sites geometry is the analyzer's largest, so paging matters most
+// here.
 type pairsPass struct {
 	nSites int
 	cells  grid[pairCell] // [client*nSites + site]
 }
 
-func newPairsPass(nClients, nSites int, st StateMode) *pairsPass {
+func newPairsPass(nClients, nSites int) *pairsPass {
 	return &pairsPass{
 		nSites: nSites,
-		cells:  newGrid[pairCell](nClients*nSites, st),
+		cells:  newGrid[pairCell](nClients * nSites),
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 // census (the 10%-of-connections qualification rule) and the
 // total/partial failure classification. Replica IPs are indexed densely
 // in topology order so two passes over the same topology always agree.
-// Only the replica-hour grid is capacity-aware; the per-replica and
-// per-site connection totals are O(roster) int64s in either mode.
+// Only the replica-hour grid is paged; the per-replica and per-site
+// connection totals are O(roster) int64s.
 type replicasPass struct {
 	hours int
 
@@ -26,7 +26,7 @@ type replicasPass struct {
 	siteConns     []int64        // total connections per site
 }
 
-func newReplicasPass(topo *workload.Topology, hours int, st StateMode) *replicasPass {
+func newReplicasPass(topo *workload.Topology, hours int) *replicasPass {
 	p := &replicasPass{
 		hours:         hours,
 		replicaIdx:    make(map[netip.Addr]int),
@@ -42,7 +42,7 @@ func newReplicasPass(topo *workload.Topology, hours int, st StateMode) *replicas
 			p.replicaBySite[j] = append(p.replicaBySite[j], int32(ri))
 		}
 	}
-	p.replicaHours = newGrid[gridCell](len(p.replicaAddrs)*hours, st)
+	p.replicaHours = newGrid[gridCell](len(p.replicaAddrs) * hours)
 	p.replicaConns = make([]int64, len(p.replicaAddrs))
 	return p
 }

@@ -43,16 +43,15 @@ type trafficPass struct {
 	// TCP failure kinds per category (Figure 3).
 	tcpKindByCat [256]*enumCounts
 
-	// Per-client loss accounting (Section 4.1.3). Capacity-aware: flat
-	// arrays at paper scale, hash-backed for mega-rosters.
-	clientPkts, clientRetrans counterVec
+	// Per-client loss accounting (Section 4.1.3).
+	clientPkts, clientRetrans []int64
 }
 
-func newTrafficPass(nClients, nSites int, st StateMode) *trafficPass {
+func newTrafficPass(nClients, nSites int) *trafficPass {
 	return &trafficPass{
 		dnsClassBySite: make([]*enumCounts, nSites),
-		clientPkts:     newCounterVec(nClients, st),
-		clientRetrans:  newCounterVec(nClients, st),
+		clientPkts:     make([]int64, nClients),
+		clientRetrans:  make([]int64, nClients),
 	}
 }
 
@@ -68,8 +67,8 @@ func (p *trafficPass) consume(r *measure.Record) {
 	p.catTxns[cat]++
 	p.catConns[cat] += int64(r.Conns)
 	p.catFailCo[cat] += int64(r.FailedConns())
-	p.clientPkts.add(r.ClientIdx, int64(r.DataPkts))
-	p.clientRetrans.add(r.ClientIdx, int64(r.Retransmits))
+	p.clientPkts[r.ClientIdx] += int64(r.DataPkts)
+	p.clientRetrans[r.ClientIdx] += int64(r.Retransmits)
 
 	if !r.Failed() {
 		return
@@ -145,8 +144,11 @@ func (p *trafficPass) Merge(other Pass) error {
 		}
 		dst.addAll(src)
 	}
-	if err := mergeCounterVec(&p.clientPkts, &q.clientPkts); err != nil {
-		return err
+	for i, n := range q.clientPkts {
+		p.clientPkts[i] += n
 	}
-	return mergeCounterVec(&p.clientRetrans, &q.clientRetrans)
+	for i, n := range q.clientRetrans {
+		p.clientRetrans[i] += n
+	}
+	return nil
 }

@@ -17,8 +17,8 @@ import (
 
 // megaVisit streams a realistically sparse internet-scale workload:
 // each client is active on a handful of sites during a handful of
-// hours (most clients idle most hours — the regime the sparse backend
-// is built for), with per-client fault windows and a few blocked pairs
+// hours (most clients idle most hours — the regime paging is built
+// for), with per-client fault windows and a few blocked pairs
 // so the downstream artifacts have structure to find.
 func megaVisit(topo *workload.Topology, hours int64, perClient int, seed int64, visit func(*measure.Record)) {
 	rng := rand.New(rand.NewSource(seed))
@@ -70,8 +70,8 @@ func megaVisit(topo *workload.Topology, hours int64, perClient int, seed int64, 
 
 // retainedMB reports the GC-settled heap growth attributable to build's
 // return value — the retained-state measure EXPERIMENTS.md records for
-// the dense/sparse comparison (a lower bound on peak RSS that isolates
-// the analyzer state from test-harness allocations).
+// the paged layout (a lower bound on peak RSS that isolates the
+// analyzer state from test-harness allocations).
 func retainedMB(build func() *Analysis) (*Analysis, float64) {
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -82,10 +82,10 @@ func retainedMB(build func() *Analysis) (*Analysis, float64) {
 	return a, float64(after.HeapAlloc-before.HeapAlloc) / (1 << 20)
 }
 
-// denseStateMB estimates the dense backend's grid bytes for a
-// geometry, from the per-cell sizes of each pass's cell type — the
-// extrapolation used where allocating the dense arrays outright would
-// swamp the test host.
+// denseStateMB estimates the bytes a flat layout (one array cell per
+// roster-geometry cell) would hold for a geometry, from the per-cell
+// sizes of each pass's cell type. At 10k x 1k x 168h it is within 1% of
+// flat arrays measured directly (192 MB, EXPERIMENTS.md).
 func denseStateMB(topo *workload.Topology, hours int) float64 {
 	nC, nS := len(topo.Clients), len(topo.Websites)
 	nR := 0
@@ -97,7 +97,7 @@ func denseStateMB(topo *workload.Topology, hours int) float64 {
 	bytes += int64(nC+nS) * int64(hours) * 8  // grids: gridCell
 	bytes += int64(nC+nS) * int64(hours) * 12 // conns: connCell
 	bytes += int64(nR) * int64(hours) * 8     // replicas: gridCell
-	bytes += 2 * int64(nC) * 8                // traffic counter vecs
+	bytes += 2 * int64(nC) * 8                // traffic: per-client counters
 	return float64(bytes) / (1 << 20)
 }
 
@@ -124,10 +124,9 @@ func runArtifacts(tb testing.TB, a *Analysis) {
 
 // TestMegaRosterMemory is the capacity acceptance check: a 100k-client
 // x 1k-site synthetic roster must complete the full analyze artifact
-// path in well under 2 GB of retained state with the sparse backend,
-// while the dense layout for the same geometry extrapolates to >= 5x
-// the sparse footprint. The 10k roster is measured in BOTH backends so
-// the extrapolation is anchored to a directly measured dense number.
+// path in well under 2 GB of retained state, while the flat layout of
+// the same geometry extrapolates to >= 5x the paged footprint (>= 4x at
+// 10k clients).
 func TestMegaRosterMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mega-roster memory check skipped in -short mode")
@@ -137,79 +136,60 @@ func TestMegaRosterMemory(t *testing.T) {
 		perClient = 40
 	)
 	end := simnet.FromHours(hours)
-	build := func(topo *workload.Topology, st StateMode) func() *Analysis {
+	build := func(topo *workload.Topology) func() *Analysis {
 		return func() *Analysis {
-			a := NewAnalysisOpts(topo, 0, end, Options{State: st})
+			a := NewAnalysis(topo, 0, end)
 			megaVisit(topo, hours, perClient, 1, a.Add)
 			return a
 		}
 	}
 
-	// 10k roster: measure both backends directly.
 	topo10k := scenario.SyntheticTopology(10_000, 1_000)
-	sparse10k, sparse10kMB := retainedMB(build(topo10k, StateSparse))
-	runArtifacts(t, sparse10k)
-	dense10k, dense10kMB := retainedMB(build(topo10k, StateDense))
-	runArtifacts(t, dense10k)
-	t.Logf("10k x 1k x %dh: sparse %.0f MB (%d cells), dense %.0f MB (est %.0f MB)",
-		hours, sparse10kMB, sparse10k.StateCells(), dense10kMB, denseStateMB(topo10k, hours))
-	if dense10kMB < 4*sparse10kMB {
-		t.Errorf("10k roster: dense %.0f MB is under 4x sparse %.0f MB — the sparse backend is not earning its keep", dense10kMB, sparse10kMB)
+	a10k, paged10kMB := retainedMB(build(topo10k))
+	runArtifacts(t, a10k)
+	flat10kMB := denseStateMB(topo10k, hours)
+	t.Logf("10k x 1k x %dh: paged %.0f MB (%d cells), flat %.0f MB (%.1fx)",
+		hours, paged10kMB, a10k.StateCells(), flat10kMB, flat10kMB/paged10kMB)
+	if flat10kMB < 4*paged10kMB {
+		t.Errorf("10k roster: flat %.0f MB is under 4x paged %.0f MB", flat10kMB, paged10kMB)
 	}
 
-	// 100k roster: sparse measured, dense extrapolated (the dense pair
-	// grid alone is 100k x 1k x 16 B = 1.6 GB).
 	topo100k := scenario.SyntheticTopology(100_000, 1_000)
-	a, sparseMB := retainedMB(build(topo100k, StateSparse))
+	a, pagedMB := retainedMB(build(topo100k))
 	runArtifacts(t, a)
-	denseMB := denseStateMB(topo100k, hours)
+	flatMB := denseStateMB(topo100k, hours)
 	reg := obs.NewRegistry()
-	reg.Gauge("core_state_cells{state=\"" + a.State().String() + "\"}").Set(float64(a.StateCells()))
-	reg.Gauge("core_state_retained_mb").Set(sparseMB)
-	t.Logf("100k x 1k x %dh: sparse %.0f MB retained (%d cells, %d txns), dense extrapolates to %.0f MB (%.1fx)",
-		hours, sparseMB, a.StateCells(), a.TotalTxns(), denseMB, denseMB/sparseMB)
-	if sparseMB > 2048 {
-		t.Errorf("100k-client sparse analyze retained %.0f MB, want < 2048", sparseMB)
+	reg.Gauge("core_state_cells").Set(float64(a.StateCells()))
+	reg.Gauge("core_state_retained_mb").Set(pagedMB)
+	t.Logf("100k x 1k x %dh: paged %.0f MB retained (%d cells, %d txns), flat extrapolates to %.0f MB (%.1fx)",
+		hours, pagedMB, a.StateCells(), a.TotalTxns(), flatMB, flatMB/pagedMB)
+	if pagedMB > 2048 {
+		t.Errorf("100k-client analyze retained %.0f MB, want < 2048", pagedMB)
 	}
-	if denseMB < 5*sparseMB {
-		t.Errorf("dense extrapolation %.0f MB is under 5x sparse %.0f MB", denseMB, sparseMB)
-	}
-	// Auto must resolve sparse at this geometry without being asked.
-	auto := NewAnalysisOpts(topo100k, 0, end, Options{})
-	if auto.State() != StateSparse {
-		t.Errorf("auto state at 100k x 1k = %v, want sparse", auto.State())
+	if flatMB < 5*pagedMB {
+		t.Errorf("flat extrapolation %.0f MB is under 5x paged %.0f MB", flatMB, pagedMB)
 	}
 }
 
-// benchAnalyze is the ingest+analyze benchmark body shared by the
-// dense and sparse variants.
-func benchAnalyze(b *testing.B, nClients, nSites int, st StateMode) {
+// BenchmarkAnalyze ingests the mega-roster stream and runs every
+// artifact's analysis.
+func BenchmarkAnalyze(b *testing.B) {
 	const (
 		hours     = 168
 		perClient = 40
 	)
-	topo := scenario.SyntheticTopology(nClients, nSites)
 	end := simnet.FromHours(hours)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := NewAnalysisOpts(topo, 0, end, Options{State: st})
-		megaVisit(topo, hours, perClient, 1, a.Add)
-		runArtifacts(b, a)
-		b.ReportMetric(float64(a.TotalTxns()), "txns/op")
-	}
-}
-
-func BenchmarkAnalyzeSparse(b *testing.B) {
 	for _, n := range []int{10_000, 100_000} {
 		b.Run(fmt.Sprintf("clients=%d", n), func(b *testing.B) {
-			benchAnalyze(b, n, 1_000, StateSparse)
+			topo := scenario.SyntheticTopology(n, 1_000)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a := NewAnalysis(topo, 0, end)
+				megaVisit(topo, hours, perClient, 1, a.Add)
+				runArtifacts(b, a)
+				b.ReportMetric(float64(a.TotalTxns()), "txns/op")
+			}
 		})
 	}
-}
-
-func BenchmarkAnalyzeDense(b *testing.B) {
-	b.Run("clients=10000", func(b *testing.B) {
-		benchAnalyze(b, 10_000, 1_000, StateDense)
-	})
 }

@@ -9,7 +9,7 @@ import "sort"
 // common case where the candidate doesn't make the cut. Because less
 // is a total order, the selected set — and therefore sorted() — is
 // identical to sorting the whole stream and truncating, which keeps
-// top-k artifacts byte-identical to their dense renderings.
+// top-k artifacts byte-identical to their full-sort renderings.
 type topK[T any] struct {
 	k     int
 	less  func(a, b T) bool

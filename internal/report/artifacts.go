@@ -1,22 +1,22 @@
 package report
 
-// ArtifactMode declares an artifact's rendering contract under the
-// capacity-aware analyzer state (core.StateMode): every artifact must
-// state whether it is computed from complete listings or tolerates
-// bounded top-k retention. The sparse/dense equivalence harness asserts
-// byte-identity for both kinds — top-k selection runs under a strict
-// total order, so truncation is deterministic — but only BoundedTopK
-// artifacts are allowed to cap the state their rendering materializes.
+// ArtifactMode declares an artifact's rendering contract at mega-roster
+// scale: every artifact must state whether it is computed from complete
+// listings or tolerates bounded top-k retention. Both kinds are
+// byte-identical for any shard count or merge order — top-k selection
+// runs under a strict total order, so truncation is deterministic — but
+// only BoundedTopK artifacts are allowed to cap the state their
+// rendering materializes.
 type ArtifactMode uint8
 
 // Artifact rendering contracts.
 const (
-	// Exact artifacts derive from complete pass state and must be
-	// byte-identical across state backends with no retention cap.
+	// Exact artifacts derive from complete pass state with no
+	// retention cap.
 	Exact ArtifactMode = iota
 	// BoundedTopK artifacts print a fixed number of rows selected by a
 	// strict total order (rate/size descending, indexes ascending).
-	// They are still byte-identical across backends, but at mega-roster
+	// They equal the complete listing truncated, but at mega-roster
 	// scale the renderer may retain only the top k candidates
 	// (core.TopFailingPairs, core.CoLocatedSimilarityTop) instead of
 	// materializing the full listing.

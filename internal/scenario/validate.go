@@ -74,6 +74,20 @@ func checkWeights(path string, ws []float64) error {
 	return nil
 }
 
+// reserve adds a block's count to a roster side's running total,
+// rejecting the block when the total would pass the address plan's
+// capacity. Validate runs it before the roster is expanded, so a huge
+// count fails here instead of allocating; comparing n with what is left
+// keeps the sum from overflowing.
+func reserve(total *int, n, capacity int, path, what string) error {
+	if n > capacity-*total {
+		return fmt.Errorf("%s: %d %s would exceed the address plan's %d (%d declared before this block)",
+			path, n, what, capacity, *total)
+	}
+	*total += n
+	return nil
+}
+
 func checkProcess(path string, ps ProcessSpec) error {
 	if _, ok := faults.ParseKind(ps.Kind); !ok {
 		return fmt.Errorf("%s.kind: unknown fault kind %q", path, ps.Kind)
@@ -111,6 +125,8 @@ func (s *Spec) Validate() error {
 	if len(s.Clients) == 0 {
 		return wrap(fmt.Errorf("clients: must list at least one block"))
 	}
+	const maxClients = workload.MaxClientSites * workload.MaxClientsPerSite
+	nClients := 0
 	for bi, b := range s.Clients {
 		path := fmt.Sprintf("clients[%d]", bi)
 		nset := 0
@@ -139,6 +155,9 @@ func (s *Spec) Validate() error {
 			if g.Count < 1 {
 				return wrap(fmt.Errorf("%s.count: must be >= 1, got %d", p, g.Count))
 			}
+			if err := reserve(&nClients, g.Count, maxClients, p+".count", "clients"); err != nil {
+				return wrap(err)
+			}
 			if !formatOK(g.NameFormat) {
 				return wrap(fmt.Errorf("%s.nameFormat: %q must contain exactly one %%d verb", p, g.NameFormat))
 			}
@@ -146,6 +165,9 @@ func (s *Spec) Validate() error {
 				return wrap(fmt.Errorf("%s.roundsPerHour: must be > 0, got %v", p, g.RoundsPerHour))
 			}
 		case len(b.Members) > 0:
+			if err := reserve(&nClients, len(b.Members), maxClients, path+".members", "clients"); err != nil {
+				return wrap(err)
+			}
 			for mi, m := range b.Members {
 				p := fmt.Sprintf("%s.members[%d]", path, mi)
 				if m.Name == "" || m.Site == "" || m.Region == "" {
@@ -163,6 +185,9 @@ func (s *Spec) Validate() error {
 			p := path + ".fleet"
 			if f.Count < 1 {
 				return wrap(fmt.Errorf("%s.count: must be >= 1, got %d", p, f.Count))
+			}
+			if err := reserve(&nClients, f.Count, maxClients, p+".count", "clients"); err != nil {
+				return wrap(err)
 			}
 			if !formatOK(f.NameFormat) {
 				return wrap(fmt.Errorf("%s.nameFormat: %q must contain exactly one %%d verb", p, f.NameFormat))
@@ -233,16 +258,23 @@ func (s *Spec) Validate() error {
 	if len(s.Websites) == 0 {
 		return wrap(fmt.Errorf("websites: must list at least one block"))
 	}
+	nWebsites := 0
 	for bi, b := range s.Websites {
 		path := fmt.Sprintf("websites[%d]", bi)
 		if (len(b.List) > 0) == (b.Fleet != nil) {
 			return wrap(fmt.Errorf("%s: exactly one of list, fleet must be set", path))
+		}
+		if err := reserve(&nWebsites, len(b.List), workload.MaxWebsites, path+".list", "websites"); err != nil {
+			return wrap(err)
 		}
 		if b.Fleet != nil {
 			f := b.Fleet
 			p := path + ".fleet"
 			if f.Count < 1 {
 				return wrap(fmt.Errorf("%s.count: must be >= 1, got %d", p, f.Count))
+			}
+			if err := reserve(&nWebsites, f.Count, workload.MaxWebsites, p+".count", "websites"); err != nil {
+				return wrap(err)
 			}
 			if !formatOK(f.HostFormat) {
 				return wrap(fmt.Errorf("%s.hostFormat: %q must contain exactly one %%d verb", p, f.HostFormat))
@@ -336,9 +368,6 @@ func checkRoster(cs []workload.Client, ws []workload.Website, s *Spec) error {
 	}
 	if len(sitePop) > workload.MaxClientSites {
 		return fmt.Errorf("clients: %d sites exceed the address plan's %d /24s", len(sitePop), workload.MaxClientSites)
-	}
-	if len(ws) > workload.MaxWebsites {
-		return fmt.Errorf("websites: %d websites exceed the address plan's %d /24s", len(ws), workload.MaxWebsites)
 	}
 	hosts := make(map[string]bool, len(ws))
 	for j, w := range ws {

@@ -118,6 +118,29 @@ func TestValidateRejects(t *testing.T) {
 			s.Clients[0].Fleet.Count = workload.MaxClientSites + 1
 			s.Clients[0].Fleet.GroupSizes = nil // singleton sites
 		}, "exceed the address plan"},
+		{"huge-fleet-count", func(s *Spec) {
+			s.Clients[0].Fleet.Count = 400_000_000
+		}, "clients[0].fleet.count: 400000000 clients would exceed the address plan's"},
+		{"huge-group-count", func(s *Spec) {
+			s.Clients[0] = ClientBlock{Group: &ClientGroup{
+				Site: "big", Region: "us-west", Category: "BB",
+				Count: 2_000_000_000, NameFormat: "g%d", RoundsPerHour: 1,
+			}}
+		}, "clients[0].group.count: 2000000000 clients would exceed the address plan's"},
+		{"huge-website-fleet-count", func(s *Spec) {
+			s.Websites[0] = WebsiteBlock{Fleet: &WebsiteFleet{
+				Count: 300_000_000, HostFormat: "www.w%d.example",
+				Templates: []WebsiteTemplate{{Weight: 1, Group: "US-MISC"}},
+				Regions:   []WeightedValue{{Value: "us-west", Weight: 1}},
+			}}
+		}, "websites[0].fleet.count: 300000000 websites would exceed the address plan's"},
+		{"roster-total-over-plan", func(s *Spec) {
+			s.Clients[0].Fleet.Count = workload.MaxClientSites*workload.MaxClientsPerSite - 4
+			s.Clients = append(s.Clients, ClientBlock{Group: &ClientGroup{
+				Site: "late", Region: "us-west", Category: "BB", Count: 8,
+				NameFormat: "x%d", RoundsPerHour: 1,
+			}})
+		}, "clients[1].group.count: 8 clients would exceed the address plan's 16121856 (16121852 declared before this block)"},
 		{"bad-name-format", func(s *Spec) {
 			s.Clients[0].Fleet.NameFormat = "c%s"
 		}, "clients[0].fleet.nameFormat"},

@@ -47,13 +47,14 @@ fi
 go test ./...
 go test -race -run 'TestSerialParallelEquivalence|TestRunParallelShardClamp|TestMerge|TestShardedSaveEquivalence|TestDatasetV3ParallelStreams' \
     ./internal/measure ./internal/core ./internal/dataset
-# Capacity-aware state gate: the sparse and dense analyzer backends
-# must produce identical artifacts for random rosters and any shard
-# merge order, the bounded top-k listings must equal their complete
-# counterparts, and the episode bitsets and heap must pass their
-# property tests — all under the race detector (the sharded ingest
-# exercises the sparse maps concurrently across shard accumulators).
-go test -race -run 'TestSparseDenseEquivalence|TestSparseMergeOrderIndependence|TestMergeStateModeMismatch|TestResolveState|TestTopFailingPairsMatchesFull|TestRandomPairSimilarityBounded|TestPairCellInt64|TestHourSet|TestTopK' \
+# Analyzer state gate: every paged grid must hold exactly the cells of
+# a plain map accumulation of the same records (on random rosters whose
+# geometries end mid-page), merged artifacts must be identical for any
+# shard count and merge order, a shard accumulator must allocate no
+# page outside its client range, the bounded top-k listings must equal
+# their complete counterparts, and the episode bitsets and heap must
+# pass their property tests — all under the race detector.
+go test -race -run 'TestGridMatchesReference|TestMergeOrderIndependence|TestShardLocalPages|TestTopFailingPairsMatchesFull|TestRandomPairSimilarityBounded|TestPairCellInt64|TestHourSet|TestTopK' \
     -count=1 ./internal/core
 # Dataset format gates: the checked-in v3 fixture must keep opening
 # (backward compatibility), the columnar codec must round-trip and
@@ -83,30 +84,30 @@ go test -run 'TestTimerStop|TestWheelMatchesReferenceOrder|TestSchedulerTimerChu
     -count=1 ./internal/simnet
 go test -run 'TestCalibration' -count=1 -timeout 10m ./internal/measure
 # Scenario gates: every checked-in scenario must validate, compile, and
-# complete a short-horizon fast run under the auto analyzer state; the
+# complete a short-horizon fast run; the
 # paper-default spec must compile to the exact hard-coded roster and
 # fault timeline (golden equivalence below re-proves the stdout side);
 # a generated non-paper fleet must be serial/parallel equivalent under
 # the race detector; and the 10k-chaos world must run end to end —
 # generate, run, -save, webfail-analyze — with byte-identical analysis
-# output for any -parallel value under the sparse analyzer. (The raw
-# dataset files are not compared: sharded sinks flush independently
-# compressed chunks, so the byte layout legitimately varies by shard
-# count while the canonical record stream — what analyze reads — is
-# identical, per TestShardedSaveEquivalence.)
+# output for any -parallel value. (The raw dataset files are not
+# compared: sharded sinks flush independently compressed chunks, so the
+# byte layout legitimately varies by shard count while the canonical
+# record stream — what analyze reads — is identical, per
+# TestShardedSaveEquivalence.)
 go test -run 'TestPaper|TestEmbeddedScenariosCompile|TestValidate|TestChaosScenarioScale' ./internal/scenario
 go test -run 'TestGoldenOutput|TestScenarioFlagDefaultEquivalence|TestScenarioGoldens' ./cmd/webfail
 go test -race -run 'TestScenarioSerialParallelEquivalence' -count=1 ./cmd/webfail
 go build -o /tmp/webfail-verify ./cmd/webfail
 go build -o /tmp/webfail-analyze-verify ./cmd/webfail-analyze
 for sc in paper-default 10k-chaos cascading-outage cdn-flap; do
-    /tmp/webfail-verify -scenario "$sc" -hours 1 -state auto -artifacts headlines > /dev/null
+    /tmp/webfail-verify -scenario "$sc" -hours 1 -artifacts headlines > /dev/null
 done
 # A serial and a 4-shard save of the same run: the comparison proves
 # analysis byte-identity across shard counts at 10k-chaos scale.
-/tmp/webfail-verify -scenario 10k-chaos -hours 1 -parallel 1 -state sparse \
+/tmp/webfail-verify -scenario 10k-chaos -hours 1 -parallel 1 \
     -artifacts headlines -save /tmp/chaos_p1.ds > /dev/null
-/tmp/webfail-verify -scenario 10k-chaos -hours 1 -parallel 4 -state sparse \
+/tmp/webfail-verify -scenario 10k-chaos -hours 1 -parallel 4 \
     -artifacts headlines -save /tmp/chaos_p4.ds > /dev/null
 /tmp/webfail-analyze-verify -in /tmp/chaos_p1.ds -artifacts all > /tmp/chaos_p1.out
 /tmp/webfail-analyze-verify -in /tmp/chaos_p4.ds -artifacts all > /tmp/chaos_p4.out
