@@ -689,8 +689,8 @@ func benchDatasetSave(b *testing.B, opts dataset.Options) {
 	}
 }
 
-// BenchmarkDatasetSave measures the save path: columnar chunks through
-// the compression pipeline.
+// BenchmarkDatasetSave measures the save path: columnar chunks that the
+// sink encodes, compresses and appends itself.
 func BenchmarkDatasetSave(b *testing.B) { benchDatasetSave(b, dataset.Options{}) }
 
 // benchDatasetLoadParallel measures the sharded ingest path end to end:
@@ -741,8 +741,8 @@ func benchDatasetLoadParallel(b *testing.B, opts dataset.Options) {
 	}
 }
 
-// BenchmarkDatasetLoadParallel measures the load path: columnar decode
-// with read-ahead.
+// BenchmarkDatasetLoadParallel measures the load path: each ingest
+// shard reads, inflates and decodes its chunks inline.
 func BenchmarkDatasetLoadParallel(b *testing.B) { benchDatasetLoadParallel(b, dataset.Options{}) }
 
 // BenchmarkAnalyzeSelective measures the ingest cost of the analyzer

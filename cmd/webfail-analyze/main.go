@@ -85,6 +85,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *in == "" {
 		return fmt.Errorf("-in is required")
 	}
+	if *top < 0 {
+		return fmt.Errorf("-top must be >= 0 (got %d)", *top)
+	}
 	if obsFlags.TraceOut != "" && *forensics == "" {
 		return fmt.Errorf("-trace-out requires -forensics here (or use webfail -trace-out during the run)")
 	}

@@ -6,9 +6,11 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 
 	"webfail/internal/dataset"
+	"webfail/internal/httpsim"
 	"webfail/internal/measure"
 	"webfail/internal/scenario"
 	"webfail/internal/simnet"
@@ -153,4 +155,62 @@ func TestGoldenArtifacts(t *testing.T) {
 		t.Fatalf("run: %v\nstderr: %s", err, errOut.String())
 	}
 	checkGolden(t, "golden_artifacts.txt", out.Bytes())
+}
+
+// TestTopFlagBounds: a negative -top is refused before the dataset is
+// read, never a slice-bounds panic in the top-N listings; -top 0 still
+// prints the (empty) listings.
+func TestTopFlagBounds(t *testing.T) {
+	var out, errOut bytes.Buffer
+	if err := run([]string{"-in", v3FixturePath, "-top", "-1"}, &out, &errOut); err == nil {
+		t.Error("-top -1 accepted")
+	}
+	out.Reset()
+	if err := run([]string{"-in", v3FixturePath, "-top", "0"}, &out, &errOut); err != nil {
+		t.Fatalf("-top 0: %v", err)
+	}
+	if !strings.Contains(out.String(), "top 0 failing clients:") {
+		t.Errorf("-top 0 did not print the empty listings:\n%s", out.String())
+	}
+}
+
+// TestOutOfRosterRecord: a stored record whose site lies past the
+// header's roster must fail the full report with an error, never panic
+// an analysis pass indexing its grids.
+func TestOutOfRosterRecord(t *testing.T) {
+	end := simnet.FromHours(12)
+	meta := measure.DatasetMeta{
+		Seed: 2005, StartUnix: simnet.Time(0).Unix(), EndUnix: end.Unix(),
+		Clients: 8, Websites: 6,
+	}
+	recs := []measure.Record{
+		{ClientIdx: 0, SiteIdx: 1, At: simnet.FromHours(1), Stage: httpsim.StageTCP, Conns: 1},
+		{ClientIdx: 7, SiteIdx: 580, At: simnet.FromHours(2), Stage: httpsim.StageTCP, Conns: 1},
+	}
+	path := filepath.Join(t.TempDir(), "bad.ds")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	w, err := dataset.NewWriter(f, meta, dataset.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := w.NewSink()
+	for i := range recs {
+		if err := sink.Append(&recs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var out, errOut bytes.Buffer
+	if err := run([]string{"-in", path, "-artifacts", "all"}, &out, &errOut); err == nil {
+		t.Error("-artifacts all over a record past the roster succeeded")
+	}
 }

@@ -57,8 +57,6 @@ func AllPasses() []PassName { return append([]PassName(nil), allPasses...) }
 type Pass interface {
 	// Name identifies the pass.
 	Name() PassName
-	// Artifacts lists the report artifacts this pass feeds.
-	Artifacts() []string
 	// Consume folds one record into the pass. hour is the record's
 	// window-relative episode bin, computed once by the facade.
 	Consume(r *measure.Record, hour int)

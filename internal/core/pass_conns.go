@@ -38,9 +38,7 @@ func newConnsPass(nClients, nSites, hours int) *connsPass {
 	}
 }
 
-func (p *connsPass) Name() PassName      { return PassConns }
-func (p *connsPass) Artifacts() []string { return append([]string(nil), passArtifacts[PassConns]...) }
-
+func (p *connsPass) Name() PassName                      { return PassConns }
 func (p *connsPass) Consume(r *measure.Record, hour int) { p.consume(r, hour) }
 
 func (p *connsPass) consume(r *measure.Record, hour int) {

@@ -12,11 +12,7 @@ type failuresPass struct {
 
 func newFailuresPass() *failuresPass { return &failuresPass{} }
 
-func (p *failuresPass) Name() PassName { return PassFailures }
-func (p *failuresPass) Artifacts() []string {
-	return append([]string(nil), passArtifacts[PassFailures]...)
-}
-
+func (p *failuresPass) Name() PassName                      { return PassFailures }
 func (p *failuresPass) Consume(r *measure.Record, hour int) { p.consume(r, hour) }
 
 func (p *failuresPass) consume(r *measure.Record, hour int) {

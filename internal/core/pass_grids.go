@@ -30,9 +30,7 @@ func newGridsPass(nClients, nSites, hours int) *gridsPass {
 	}
 }
 
-func (p *gridsPass) Name() PassName      { return PassGrids }
-func (p *gridsPass) Artifacts() []string { return append([]string(nil), passArtifacts[PassGrids]...) }
-
+func (p *gridsPass) Name() PassName                      { return PassGrids }
 func (p *gridsPass) Consume(r *measure.Record, hour int) { p.consume(r, hour) }
 
 func (p *gridsPass) consume(r *measure.Record, hour int) {

@@ -32,9 +32,7 @@ func newPairsPass(nClients, nSites int) *pairsPass {
 	}
 }
 
-func (p *pairsPass) Name() PassName      { return PassPairs }
-func (p *pairsPass) Artifacts() []string { return append([]string(nil), passArtifacts[PassPairs]...) }
-
+func (p *pairsPass) Name() PassName                   { return PassPairs }
 func (p *pairsPass) Consume(r *measure.Record, _ int) { p.consume(r) }
 
 func (p *pairsPass) consume(r *measure.Record) {

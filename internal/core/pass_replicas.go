@@ -47,11 +47,7 @@ func newReplicasPass(topo *workload.Topology, hours int) *replicasPass {
 	return p
 }
 
-func (p *replicasPass) Name() PassName { return PassReplicas }
-func (p *replicasPass) Artifacts() []string {
-	return append([]string(nil), passArtifacts[PassReplicas]...)
-}
-
+func (p *replicasPass) Name() PassName                      { return PassReplicas }
 func (p *replicasPass) Consume(r *measure.Record, hour int) { p.consume(r, hour) }
 
 func (p *replicasPass) consume(r *measure.Record, hour int) {

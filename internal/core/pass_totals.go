@@ -10,9 +10,7 @@ type totalsPass struct {
 
 func newTotalsPass() *totalsPass { return &totalsPass{} }
 
-func (p *totalsPass) Name() PassName      { return PassTotals }
-func (p *totalsPass) Artifacts() []string { return append([]string(nil), passArtifacts[PassTotals]...) }
-
+func (p *totalsPass) Name() PassName                   { return PassTotals }
 func (p *totalsPass) Consume(r *measure.Record, _ int) { p.consume(r) }
 
 func (p *totalsPass) consume(r *measure.Record) {

@@ -55,11 +55,7 @@ func newTrafficPass(nClients, nSites int) *trafficPass {
 	}
 }
 
-func (p *trafficPass) Name() PassName { return PassTraffic }
-func (p *trafficPass) Artifacts() []string {
-	return append([]string(nil), passArtifacts[PassTraffic]...)
-}
-
+func (p *trafficPass) Name() PassName                   { return PassTraffic }
 func (p *trafficPass) Consume(r *measure.Record, _ int) { p.consume(r) }
 
 func (p *trafficPass) consume(r *measure.Record) {

@@ -2,6 +2,8 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"math/rand"
 	"net/netip"
 	"sort"
@@ -153,8 +155,11 @@ func TestChunkDecodeTruncation(t *testing.T) {
 }
 
 // TestIndexChunkMismatch: a chunk that inflates fine but disagrees with
-// its index entry (record count or raw payload length) must be
-// rejected — the index is part of the integrity surface.
+// its index entry (record count, raw payload length, or a client range
+// narrower than its records) must be rejected — the index is part of
+// the integrity surface. An index entry whose client range is inverted
+// or leaves the roster must already fail Open: ranged reads would
+// silently skip its records.
 func TestIndexChunkMismatch(t *testing.T) {
 	recs := codecRecords(11, 200, 8)
 	var buf bytes.Buffer
@@ -194,6 +199,46 @@ func TestIndexChunkMismatch(t *testing.T) {
 	if err := scan(func(d *reader) { d.chunks[0].Raw++ }); err == nil {
 		t.Error("raw-length-too-long mismatch read without error")
 	}
+	if err := scan(func(d *reader) { d.chunks[0].Hi-- }); err == nil {
+		t.Error("lowered client-range Hi read without error")
+	}
+	if err := scan(func(d *reader) { d.chunks[1].Lo++ }); err == nil {
+		t.Error("raised client-range Lo read without error")
+	}
+
+	for name, tamper := range map[string]func(*index){
+		"negative Lo":    func(x *index) { x.Chunks[0].Lo = -1 },
+		"Lo above Hi":    func(x *index) { x.Chunks[1].Lo = x.Chunks[1].Hi + 1 },
+		"Hi past roster": func(x *index) { x.Chunks[2].Hi = int32(x.Meta.Clients) },
+		"roster shrunk":  func(x *index) { x.Meta.Clients = int(x.Chunks[len(x.Chunks)-1].Hi) },
+	} {
+		data := rewriteIndex(t, buf.Bytes(), tamper)
+		if _, err := Open(bytes.NewReader(data), int64(len(data))); err == nil {
+			t.Errorf("%s: Open accepted the index", name)
+		}
+	}
+}
+
+// rewriteIndex returns a copy of a dataset file whose index went
+// through tamper, with the footer fixed up to match.
+func rewriteIndex(t *testing.T, data []byte, tamper func(*index)) []byte {
+	t.Helper()
+	idxOff := int(binary.BigEndian.Uint64(data[len(data)-footerLen:]))
+	var idx index
+	if err := gob.NewDecoder(bytes.NewReader(data[idxOff : len(data)-footerLen])).Decode(&idx); err != nil {
+		t.Fatal(err)
+	}
+	tamper(&idx)
+	var ibuf bytes.Buffer
+	if err := gob.NewEncoder(&ibuf).Encode(idx); err != nil {
+		t.Fatal(err)
+	}
+	footer := make([]byte, footerLen)
+	binary.BigEndian.PutUint64(footer[0:8], uint64(idxOff))
+	binary.BigEndian.PutUint64(footer[8:16], uint64(ibuf.Len()))
+	copy(footer[16:], footerMagicV3)
+	out := append(bytes.Clone(data[:idxOff]), ibuf.Bytes()...)
+	return append(out, footer...)
 }
 
 // TestEncodeDecodeZeroAllocs locks the codec's steady-state allocation

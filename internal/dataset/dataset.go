@@ -1,7 +1,7 @@
 // Package dataset is the stored-data layer: the on-disk format for
-// performance-record datasets ("WEBFAILDS3") and the streaming
-// RecordSink/RecordSource abstraction the rest of the system programs
-// against.
+// performance-record datasets ("WEBFAILDS3"), its streaming writer
+// (Writer, one Sink per writing stream) and the RecordSource
+// abstraction the rest of the system reads through.
 //
 // A dataset file is chunked, so analysis can start before the whole
 // file is decoded and can shard its ingest without rescanning every
@@ -25,12 +25,14 @@
 // file concurrently: chunk order in the file does not matter, the index
 // is sorted into canonical client-major order at Close.
 //
-// The codec work stays off both hot paths: writers hand sealed chunks
-// to a bounded compression pipeline, and readers decompress upcoming
-// chunks ahead of the consumer, decoding into reused record buffers so
-// steady-state record I/O allocates nothing per record. Chunk
-// boundaries are fixed by record count, never by worker timing, so the
-// stored record stream is bit-deterministic for a given run (see
+// Chunk I/O is synchronous and the package starts no goroutines: a
+// Sink encodes, compresses and appends each chunk it seals, and
+// Records reads, inflates and decodes each chunk inline, both through
+// reused buffers so steady-state record I/O allocates nothing per
+// record. The concurrency is the callers' — one Sink per run shard,
+// one Records call per ingest shard. Chunk boundaries are fixed by
+// record count, so the stored record stream is bit-deterministic for a
+// given run, and a single-sink file is byte-for-byte repeatable (see
 // DESIGN.md §5j).
 //
 // Compatibility policy: this layout is the only format, and every file
@@ -39,6 +41,8 @@
 package dataset
 
 import (
+	"sort"
+
 	"webfail/internal/measure"
 )
 
@@ -57,14 +61,6 @@ const (
 // ChunkRecords unset: large enough that compression amortizes well,
 // small enough that a reader's working set stays in the low megabytes.
 const DefaultChunkRecords = 8192
-
-// RecordSink receives performance records one at a time, the streaming
-// replacement for appending to a []measure.Record. Implementations may
-// buffer; the record is copied before Append returns, so callers may
-// reuse the pointed-to Record (measure.RunParallel's visit contract).
-type RecordSink interface {
-	Append(r *measure.Record) error
-}
 
 // RecordSource streams the stored records of a dataset. Implementations
 // are safe for concurrent Records calls, so parallel ingest workers can
@@ -101,6 +97,22 @@ type chunkInfo struct {
 	Lo, Hi int32 // min/max ClientIdx in the chunk (inclusive)
 	Stream int32 // writing sink's stream id
 	Seq    int32 // per-stream chunk ordinal
+}
+
+// sortCanonical puts index entries in canonical order: client-major.
+// Streams own disjoint client ranges, so Lo never ties across streams;
+// within a stream, Seq is the write order.
+func sortCanonical(chunks []chunkInfo) {
+	sort.Slice(chunks, func(i, j int) bool {
+		a, b := &chunks[i], &chunks[j]
+		if a.Lo != b.Lo {
+			return a.Lo < b.Lo
+		}
+		if a.Stream != b.Stream {
+			return a.Stream < b.Stream
+		}
+		return a.Seq < b.Seq
+	})
 }
 
 // index is the trailing index, gob-encoded between the last chunk and

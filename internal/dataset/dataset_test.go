@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -87,6 +88,29 @@ func sameRecords(t *testing.T, got, want []measure.Record, label string) {
 	}
 }
 
+// save writes recs through one sink and returns the dataset's bytes.
+func save(t *testing.T, meta measure.DatasetMeta, recs []measure.Record, chunk int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := dataset.NewWriter(&buf, meta, dataset.Options{ChunkRecords: chunk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := w.NewSink()
+	for i := range recs {
+		if err := sink.Append(&recs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // mixedIPRecords augments the deterministic generator with IPv6 and
 // 4-in-6 replica addresses. Kept separate from randRecords so the
 // checked-in fixture's bytes stay reproducible.
@@ -156,16 +180,6 @@ func TestDatasetV3RoundTrip(t *testing.T) {
 				}
 				sameRecords(t, collect(t, src, rg[0], rg[1]), want, fmt.Sprintf("%s range %v", label, rg))
 			}
-
-			// Read-ahead sweep: the decode pipeline (disabled, default,
-			// wider than the chunk count) never changes the visit order.
-			for _, ahead := range []int{1, 2, 8} {
-				src, err := dataset.Open(bytes.NewReader(buf.Bytes()), int64(buf.Len()), dataset.WithReadAhead(ahead))
-				if err != nil {
-					t.Fatalf("%s: Open(ahead=%d): %v", label, ahead, err)
-				}
-				sameRecords(t, collect(t, src, 0, 1<<30), recs, fmt.Sprintf("%s ahead=%d", label, ahead))
-			}
 		}
 	}
 }
@@ -173,8 +187,11 @@ func TestDatasetV3RoundTrip(t *testing.T) {
 // TestDatasetV3ParallelStreams writes through concurrent per-shard
 // sinks — the RunParallel topology — and checks the stored canonical
 // order equals the serial (single-stream) order, and that concurrent
-// range reads see consistent data. The concurrent sinks also exercise
-// the compression pipeline from several producers at once.
+// range reads see consistent data. The concurrent sinks each encode
+// and compress their own chunks and append them under the writer's
+// mutex at once. A single stream's file must also be byte-for-byte
+// repeatable at any GOMAXPROCS: its sink appends every chunk as it
+// seals it, so no scheduling can reorder them.
 func TestDatasetV3ParallelStreams(t *testing.T) {
 	const clients = 20
 	recs := mixedIPRecords(99, 700, clients)
@@ -247,11 +264,21 @@ func TestDatasetV3ParallelStreams(t *testing.T) {
 		}
 		sameRecords(t, joined, recs, fmt.Sprintf("streams=%d concurrent shards", streams))
 	}
+
+	first := write(1, 16)
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		again := write(1, 16)
+		runtime.GOMAXPROCS(prev)
+		if !bytes.Equal(again, first) {
+			t.Errorf("GOMAXPROCS=%d: single-stream save is not byte-identical to the first", procs)
+		}
+	}
 }
 
 // TestSinkFlushAfterWriterClose: sealing a chunk after the writer
 // closed is contract misuse, but it must surface as the documented
-// error — never as a send on the closed pipeline channel.
+// error — never as a chunk appended behind the written index.
 func TestSinkFlushAfterWriterClose(t *testing.T) {
 	var buf bytes.Buffer
 	w, err := dataset.NewWriter(&buf, measure.DatasetMeta{Clients: 4, Websites: 40}, dataset.Options{ChunkRecords: 64})
@@ -291,7 +318,7 @@ func (w *failAfterWriter) Write(p []byte) (int, error) {
 // a caller that checks only Close must not see a clean save.
 func TestSinkCloseReportsAppendError(t *testing.T) {
 	w, err := dataset.NewWriter(&failAfterWriter{ok: 1}, measure.DatasetMeta{Clients: 4, Websites: 40},
-		dataset.Options{ChunkRecords: 8, CompressWorkers: 1})
+		dataset.Options{ChunkRecords: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,97 +342,17 @@ func TestSinkCloseReportsAppendError(t *testing.T) {
 	}
 }
 
-// TestDatasetV3ReadAheadStress hammers the decode-ahead pipeline:
-// many small chunks through a tiny read-ahead window, scanned by
-// concurrent Records calls, repeatedly. A deadline guard turns a
-// pipeline liveness regression (a chunk claimed without a token to
-// park it) into a fast failure instead of a hung test suite.
-func TestDatasetV3ReadAheadStress(t *testing.T) {
-	// Records falls back to serial decoding at GOMAXPROCS=1; force the
-	// pipeline on so a 1-CPU CI box still runs the path under test —
-	// heavy preemption on one core is where a claim/token ordering bug
-	// bites hardest.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-
-	const clients = 16
-	recs := mixedIPRecords(123, 2000, clients)
-	var buf bytes.Buffer
-	w, err := dataset.NewWriter(&buf, measure.DatasetMeta{Clients: clients, Websites: 40}, dataset.Options{ChunkRecords: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := w.NewSink()
-	for i := range recs {
-		if err := sink.Append(&recs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for iter := 0; iter < 20; iter++ {
-			src, err := dataset.Open(bytes.NewReader(data), int64(len(data)), dataset.WithReadAhead(2))
-			if err != nil {
-				t.Errorf("Open: %v", err)
-				return
-			}
-			var wg sync.WaitGroup
-			for s := 0; s < 4; s++ {
-				wg.Add(1)
-				go func(s int) {
-					defer wg.Done()
-					lo, hi := measure.ShardRange(clients, 4, s)
-					var n int64
-					if err := src.Records(lo, hi, func(*measure.Record) error {
-						n++
-						return nil
-					}); err != nil {
-						t.Errorf("iter %d shard %d: %v", iter, s, err)
-					}
-				}(s)
-			}
-			wg.Wait()
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(60 * time.Second):
-		t.Fatal("decode-ahead pipeline deadlocked")
-	}
-}
-
 // TestDatasetV3Corruption exercises the failure paths at the file
 // level: truncation at every layer, non-dataset input, an earlier
 // format generation's magic, a flipped bit anywhere in a chunk body
 // (the gzip CRC or the column validation must catch it), a corrupt
-// index body, a corrupt footer, and a wrong-generation footer magic.
-// Every case must error cleanly, never panic, at Open or at Records.
+// index body, a corrupt footer, a wrong-generation footer magic, and a
+// record outside the header's roster. Every case must error cleanly,
+// never panic, at Open or at Records.
 func TestDatasetV3Corruption(t *testing.T) {
 	recs := mixedIPRecords(5, 300, 8)
-	var buf bytes.Buffer
-	w, err := dataset.NewWriter(&buf, measure.DatasetMeta{Clients: 8, Websites: 40}, dataset.Options{ChunkRecords: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := w.NewSink()
-	for i := range recs {
-		sink.Append(&recs[i])
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	roster := measure.DatasetMeta{Clients: 8, Websites: 40}
+	data := save(t, roster, recs, 32)
 
 	open := func(b []byte) (dataset.RecordSource, error) {
 		return dataset.Open(bytes.NewReader(b), int64(len(b)))
@@ -495,7 +442,7 @@ func TestDatasetV3Corruption(t *testing.T) {
 		sameRecords(t, got, recs, fmt.Sprintf("bit flip at %d decoded without error yet", pos))
 	}
 
-	// Visit error aborts and propagates (through the decode pipeline).
+	// Visit error aborts and propagates.
 	src, err = open(data)
 	if err != nil {
 		t.Fatal(err)
@@ -504,10 +451,32 @@ func TestDatasetV3Corruption(t *testing.T) {
 	if err := dataset.AllRecords(src, func(*measure.Record) error { return wantErr }); err != wantErr {
 		t.Errorf("visit error = %v, want %v", err, wantErr)
 	}
+
+	// A record outside the header's roster would index past an analysis
+	// pass's arrays. The writer stores it as given; the reader must
+	// refuse it — a site past Websites when its chunk is read, a client
+	// past Clients already at Open (the index's client range holds it).
+	for _, tc := range []struct {
+		name string
+		edit func(r *measure.Record)
+	}{
+		{"site past roster", func(r *measure.Record) { r.SiteIdx = 580 }},
+		{"client past roster", func(r *measure.Record) { r.ClientIdx = 8 }},
+	} {
+		bad := slices.Clone(recs)
+		tc.edit(&bad[len(bad)-1])
+		src, err := open(save(t, roster, bad, 32))
+		if err == nil {
+			err = scan(src)
+		}
+		if err == nil {
+			t.Errorf("%s: read without error", tc.name)
+		}
+	}
 }
 
-// v3 fixture: a deterministic record set saved with one compression
-// worker, so -update writes the same bytes every time.
+// v3 fixture: a deterministic record set saved through one sink, so
+// -update writes the same bytes every time.
 const (
 	v3FixturePath    = "testdata/v3small.bin"
 	v3FixtureSeed    = 42
@@ -524,25 +493,7 @@ func v3FixtureMeta() measure.DatasetMeta {
 
 func v3FixtureBytes(t *testing.T) []byte {
 	t.Helper()
-	recs := randRecords(v3FixtureSeed, v3FixtureRecords, v3FixtureClients)
-	var buf bytes.Buffer
-	w, err := dataset.NewWriter(&buf, v3FixtureMeta(), dataset.Options{ChunkRecords: 32, CompressWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := w.NewSink()
-	for i := range recs {
-		if err := sink.Append(&recs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return save(t, v3FixtureMeta(), randRecords(v3FixtureSeed, v3FixtureRecords, v3FixtureClients), 32)
 }
 
 // TestDatasetV3Compat proves backward compatibility against a

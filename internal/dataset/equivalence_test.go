@@ -174,17 +174,15 @@ func TestShardedSaveEquivalence(t *testing.T) {
 
 // TestDatasetV3SerialParallelEquivalence is the determinism contract
 // end to end: a serial single-sink save and a sharded save through
-// concurrent sinks (both riding the compression pipeline) must store
-// the identical canonical record stream, and every (save, ingest
-// width, read-ahead) pairing must produce the identical analysis.
+// concurrent sinks must store the identical canonical record stream,
+// and every (save, ingest width) pairing must produce the identical
+// analysis.
 func TestDatasetV3SerialParallelEquivalence(t *testing.T) {
 	cfg, topo, end := buildRunConfig(t)
 
-	save := func(shards, workers int) []byte {
+	save := func(shards int) []byte {
 		var buf bytes.Buffer
-		w, err := dataset.NewWriter(&buf, runMeta(topo, end), dataset.Options{
-			ChunkRecords: 256, CompressWorkers: workers,
-		})
+		w, err := dataset.NewWriter(&buf, runMeta(topo, end), dataset.Options{ChunkRecords: 256})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,11 +217,11 @@ func TestDatasetV3SerialParallelEquivalence(t *testing.T) {
 		return buf.Bytes()
 	}
 
-	serial := save(1, 1)
-	sharded := save(4, 3)
+	serial := save(1)
+	sharded := save(4)
 
-	openSrc := func(data []byte, opts ...dataset.OpenOption) dataset.RecordSource {
-		src, err := dataset.Open(bytes.NewReader(data), int64(len(data)), opts...)
+	openSrc := func(data []byte) dataset.RecordSource {
+		src, err := dataset.Open(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,15 +237,13 @@ func TestDatasetV3SerialParallelEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{1, 3, runtime.GOMAXPROCS(0)} {
-		for _, ahead := range []int{1, 2, 6} {
-			for name, data := range map[string][]byte{"serial": serial, "sharded": sharded} {
-				a, err := core.ConsumeParallel(topo, 0, end, openSrc(data, dataset.WithReadAhead(ahead)), shards)
-				if err != nil {
-					t.Fatalf("%s shards=%d ahead=%d: %v", name, shards, ahead, err)
-				}
-				if !reflect.DeepEqual(ref, a) {
-					t.Errorf("%s shards=%d ahead=%d: analysis differs from serial ingest", name, shards, ahead)
-				}
+		for name, data := range map[string][]byte{"serial": serial, "sharded": sharded} {
+			a, err := core.ConsumeParallel(topo, 0, end, openSrc(data), shards)
+			if err != nil {
+				t.Fatalf("%s shards=%d: %v", name, shards, err)
+			}
+			if !reflect.DeepEqual(ref, a) {
+				t.Errorf("%s shards=%d: analysis differs from serial ingest", name, shards)
 			}
 		}
 	}

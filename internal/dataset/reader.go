@@ -7,29 +7,19 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"runtime"
-	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"webfail/internal/measure"
 	"webfail/internal/obs"
 )
 
-// DefaultReadAhead is the number of chunks a Records call keeps in
-// flight ahead of its consumer: decompression and columnar decoding
-// run in background workers while the visitor chews on the previous
-// chunk, bounding memory at readAhead chunks per call.
-const DefaultReadAhead = 2
-
 // OpenOption configures Open.
 type OpenOption func(*openCfg)
 
 type openCfg struct {
-	metrics   *obs.Registry
-	readAhead int
+	metrics *obs.Registry
 }
 
 // WithMetrics instruments the returned RecordSource: chunks, records,
@@ -41,27 +31,15 @@ func WithMetrics(reg *obs.Registry) OpenOption {
 	return func(c *openCfg) { c.metrics = reg }
 }
 
-// WithReadAhead bounds the decode-ahead pipeline: each Records call
-// decompresses up to n chunks ahead of its consumer. n <= 1 disables
-// the pipeline (decode inline, still through reused buffers); 0 keeps
-// DefaultReadAhead. Sharded ingest already runs one Records call per
-// shard, so the default stays small.
-func WithReadAhead(n int) OpenOption {
-	return func(c *openCfg) { c.readAhead = n }
-}
-
 // Open returns a RecordSource over the dataset at r: a chunk-ranged
 // streaming reader that holds only the index in memory. size is the
 // total file size (e.g. from os.File.Stat). A file that is not a
 // complete dataset in the current format — including one of an earlier
 // format generation — is an error.
 func Open(r io.ReaderAt, size int64, opts ...OpenOption) (RecordSource, error) {
-	cfg := openCfg{readAhead: DefaultReadAhead}
+	var cfg openCfg
 	for _, opt := range opts {
 		opt(&cfg)
-	}
-	if cfg.readAhead == 0 {
-		cfg.readAhead = DefaultReadAhead
 	}
 	magic := make([]byte, len(magicV3))
 	if size < int64(len(magic)) {
@@ -98,7 +76,7 @@ func Open(r io.ReaderAt, size int64, opts ...OpenOption) (RecordSource, error) {
 	if err := gob.NewDecoder(io.NewSectionReader(r, idxOff, idxLen)).Decode(&idx); err != nil {
 		return nil, fmt.Errorf("dataset: decode index: %w", err)
 	}
-	d := &reader{r: r, ahead: cfg.readAhead, meta: idx.Meta, chunks: idx.Chunks, m: newReaderMetrics(cfg.metrics)}
+	d := &reader{r: r, meta: idx.Meta, chunks: idx.Chunks, m: newReaderMetrics(cfg.metrics)}
 	for _, c := range d.chunks {
 		if c.Offset < int64(len(magicV3)) || c.Length <= 0 || c.Offset+c.Length > idxOff || c.Count < 0 {
 			return nil, fmt.Errorf("dataset: corrupt chunk entry (offset=%d length=%d count=%d)", c.Offset, c.Length, c.Count)
@@ -106,21 +84,18 @@ func Open(r io.ReaderAt, size int64, opts ...OpenOption) (RecordSource, error) {
 		if c.Raw <= 0 || c.Raw > maxChunkRawBytes {
 			return nil, fmt.Errorf("dataset: corrupt chunk entry (raw=%d)", c.Raw)
 		}
+		// Ranged reads skip chunks by [Lo, Hi], so a range outside the
+		// roster would silently drop records from sharded ingests.
+		if c.Lo < 0 || c.Lo > c.Hi || int(c.Hi) >= d.meta.Clients {
+			return nil, fmt.Errorf("dataset: corrupt chunk entry (offset=%d clients [%d, %d], %d in roster)",
+				c.Offset, c.Lo, c.Hi, d.meta.Clients)
+		}
 		d.stored += int64(c.Count)
 	}
 	// The writer stores the index in canonical order already; sort
 	// defensively so Records' ordering contract never depends on the
 	// producer.
-	sort.Slice(d.chunks, func(i, j int) bool {
-		a, b := &d.chunks[i], &d.chunks[j]
-		if a.Lo != b.Lo {
-			return a.Lo < b.Lo
-		}
-		if a.Stream != b.Stream {
-			return a.Stream < b.Stream
-		}
-		return a.Seq < b.Seq
-	})
+	sortCanonical(d.chunks)
 	return d, nil
 }
 
@@ -144,13 +119,11 @@ func newReaderMetrics(reg *obs.Registry) readerMetrics {
 
 // reader is the dataset RecordSource: it holds only the index
 // and decodes one chunk at a time, so memory stays bounded by the
-// chunk size times the read-ahead window. All methods are safe for
-// concurrent use — each Records call owns its decode scratch, drawn
-// from a shared pool so repeated and sharded scans reuse buffers
-// instead of reallocating them.
+// chunk size. All methods are safe for concurrent use — each Records
+// call owns its decode scratch, drawn from a shared pool so repeated
+// and sharded scans reuse buffers instead of reallocating them.
 type reader struct {
 	r      io.ReaderAt
-	ahead  int
 	meta   measure.DatasetMeta
 	chunks []chunkInfo
 	stored int64
@@ -168,11 +141,9 @@ func (d *reader) Meta() measure.DatasetMeta { return d.meta }
 // chunk is decoded).
 func (d *reader) Stored() int64 { return d.stored }
 
-// readScratch is one decode worker's reusable state: the compressed
+// readScratch is one Records call's reusable state: the compressed
 // and raw chunk buffers, the gzip inflater, the record buffer the
-// columnar decoder fills, and the decoder's dictionary scratch. A
-// Records call draws scratches from the reader's pool, so steady-state
-// scans allocate nothing per chunk.
+// columnar decoder fills, and the decoder's dictionary scratch.
 type readScratch struct {
 	comp    []byte
 	payload []byte
@@ -185,124 +156,47 @@ type readScratch struct {
 // scratchPool recycles readScratch across Records calls and across
 // readers: an analysis pipeline that opens several datasets (or the
 // same one repeatedly) reuses the same chunk-sized buffers instead of
-// re-growing them per open.
-var scratchPool sync.Pool
-
-func getScratch() *readScratch {
-	if s, ok := scratchPool.Get().(*readScratch); ok && s != nil {
-		return s
-	}
-	return &readScratch{}
-}
+// re-growing them per open, so steady-state scans allocate nothing per
+// chunk.
+var scratchPool = sync.Pool{New: func() any { return new(readScratch) }}
 
 // Records streams the records of every chunk overlapping [lo, hi) in
-// canonical order, filtering records to the range. Chunks outside the
-// range are never read from the file — a parallel ingest over client
-// shards does proportional, not total, I/O per worker. The upcoming
-// chunks decompress in background workers up to the read-ahead window; delivery order (and therefore the visit sequence)
-// is the canonical chunk order regardless of worker timing.
+// canonical order, filtering records to the range. Each chunk is read,
+// inflated and decoded inline, one at a time. Chunks outside the range
+// are never read from the file — a parallel ingest over client shards
+// does proportional, not total, I/O per worker.
 func (d *reader) Records(lo, hi int, visit func(r *measure.Record) error) error {
 	// Visited records are tallied locally and folded in once per call,
 	// so a sharded ingest does not contend on one atomic per record.
 	var visited int64
 	defer func() { d.m.records.Add(visited) }()
 
-	// Select the overlapping chunks once; both paths walk sel in order.
-	sel := make([]int, 0, len(d.chunks))
-	for i, c := range d.chunks {
+	scr := scratchPool.Get().(*readScratch)
+	defer scratchPool.Put(scr)
+	for _, c := range d.chunks {
 		if int(c.Hi) < lo || int(c.Lo) >= hi {
 			continue
 		}
-		sel = append(sel, i)
-	}
-	if len(sel) == 0 {
-		return nil
-	}
-
-	emit := func(recs []measure.Record) error {
+		recs, err := d.readChunk(c, scr)
+		if err != nil {
+			return err
+		}
 		for i := range recs {
-			if ci := int(recs[i].ClientIdx); ci >= lo && ci < hi {
-				if err := visit(&recs[i]); err != nil {
+			r := &recs[i]
+			// Ranged reads trust the index's [Lo, Hi], and analysis
+			// passes index arrays by client and site: a record outside
+			// either bound is corrupt. The check rides this loop, which
+			// loads every record anyway.
+			if r.ClientIdx < c.Lo || r.ClientIdx > c.Hi || int(r.SiteIdx) >= d.meta.Websites {
+				return fmt.Errorf("dataset: chunk at %d: record %d (client %d, site %d) outside clients [%d, %d] or %d websites",
+					c.Offset, i, r.ClientIdx, r.SiteIdx, c.Lo, c.Hi, d.meta.Websites)
+			}
+			if ci := int(r.ClientIdx); ci >= lo && ci < hi {
+				if err := visit(r); err != nil {
 					return err
 				}
 				visited++
 			}
-		}
-		return nil
-	}
-
-	// The pipeline only pays off when a second core can inflate while
-	// the consumer visits; single-core it is pure handoff overhead.
-	if d.ahead <= 1 || len(sel) == 1 || runtime.GOMAXPROCS(0) == 1 {
-		scr := getScratch()
-		defer scratchPool.Put(scr)
-		for _, ci := range sel {
-			recs, err := d.readChunk(d.chunks[ci], scr)
-			if err != nil {
-				return err
-			}
-			if err := emit(recs); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// Decode-ahead pipeline: workers claim chunks in order, decode each
-	// into its own scratch, and park the result in the chunk's slot;
-	// the consumer walks the slots in canonical order. The semaphore
-	// caps decoded-but-unconsumed chunks at the read-ahead window, so
-	// memory stays bounded no matter how far the workers could run
-	// ahead of a slow visitor. Workers acquire a token BEFORE claiming
-	// an index: every claimed-but-unconsumed chunk therefore holds a
-	// token, so the window can never fill with later chunks while the
-	// lowest outstanding one — the only slot the consumer will take
-	// next — sits unclaimed.
-	type decoded struct {
-		recs []measure.Record
-		scr  *readScratch
-		err  error
-	}
-	slots := make([]chan decoded, len(sel))
-	for i := range slots {
-		slots[i] = make(chan decoded, 1)
-	}
-	sem := make(chan struct{}, d.ahead)
-	abort := make(chan struct{})
-	var next atomic.Int64
-	next.Store(-1)
-	workers := min(d.ahead, len(sel))
-	for w := 0; w < workers; w++ {
-		go func() {
-			for {
-				select {
-				case sem <- struct{}{}:
-				case <-abort:
-					return
-				}
-				i := int(next.Add(1))
-				if i >= len(sel) {
-					<-sem
-					return
-				}
-				scr := getScratch()
-				recs, err := d.readChunk(d.chunks[sel[i]], scr)
-				slots[i] <- decoded{recs: recs, scr: scr, err: err}
-			}
-		}()
-	}
-	for i := range slots {
-		dc := <-slots[i]
-		if dc.err != nil {
-			close(abort)
-			return dc.err
-		}
-		err := emit(dc.recs)
-		scratchPool.Put(dc.scr)
-		<-sem
-		if err != nil {
-			close(abort)
-			return err
 		}
 	}
 	return nil

@@ -7,8 +7,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -22,18 +20,14 @@ type Options struct {
 	// a chunk once it is full, which bounds both writer memory and the
 	// reader's per-chunk working set. <= 0 selects DefaultChunkRecords.
 	// Chunk boundaries are a pure function of the record stream (every
-	// ChunkRecords records seals a chunk), never of compression timing,
-	// so the stored chunk topology is deterministic for a given stream.
+	// ChunkRecords records seals a chunk), so the stored chunk topology
+	// is deterministic for a given stream.
 	ChunkRecords int
-	// CompressWorkers bounds the compression pipeline: sealed chunks
-	// are encoded and compressed by this many workers off the sinks'
-	// hot path. <= 0 selects GOMAXPROCS (capped at 8).
-	CompressWorkers int
 	// Metrics, when non-nil, receives write-side counters (chunks,
 	// records, raw and compressed bytes written; per-chunk record-count
-	// distribution; chunk-buffer pool reuse) and the wall-clock
-	// encode/gzip time. Counts are deterministic for a fixed flag set;
-	// chunk topology depends on the number of writing streams.
+	// distribution) and the wall-clock encode/gzip time. Counts are
+	// deterministic for a fixed flag set; chunk topology depends on the
+	// number of writing streams.
 	Metrics *obs.Registry
 }
 
@@ -46,22 +40,17 @@ const chunkLevel = gzip.NoCompression
 
 // Writer writes a dataset to an io.Writer. Chunks are produced
 // by Sinks (one per writing stream — e.g. one per measure.RunParallel
-// shard) and appended to the underlying writer under a mutex, so sinks
-// may flush concurrently; the index written at Close is sorted into
-// canonical client-major order regardless of the interleaving.
-//
-// Sealed chunks are handed to a bounded worker pool that
-// columnar-encodes and compresses them off the sink's hot path: a
-// sink's Append never blocks on gzip unless every worker is busy and
-// the job queue is full. Chunk contents and boundaries stay a pure
-// function of each stream's record sequence — only the byte order of
-// chunks within the file depends on worker timing, and the sorted
-// index makes that order irrelevant to readers.
+// shard): each sink encodes and compresses its own sealed chunks and
+// appends them to the underlying writer under a mutex, so sinks may
+// flush concurrently. Only the byte order of chunks from different
+// sinks depends on their timing; the index written at Close is sorted
+// into canonical client-major order, which makes that order irrelevant
+// to readers. A single sink's file is byte-for-byte repeatable.
 //
 // Usage: NewWriter, NewSink per stream, feed records, Close every sink,
-// then Close the writer (which drains the pipeline and writes the
-// index and footer). Errors hit by pipeline workers surface on the
-// next flush and, definitively, at Close.
+// then Close the writer (which writes the index and footer). A write
+// error surfaces on the failing sink's Append and, definitively, at
+// every later Close.
 type Writer struct {
 	mu       sync.Mutex
 	w        io.Writer
@@ -72,23 +61,8 @@ type Writer struct {
 	chunkCap int
 	stored   int64
 	err      error
-	closed   bool // no new chunks may be submitted
-	sealed   bool // index written; appendChunk refused
+	closed   bool // Close called; appendChunk refused
 	m        writerMetrics
-
-	// Compression pipeline.
-	jobs     chan encodeJob
-	workers  sync.WaitGroup
-	inflight sync.WaitGroup // submits between their closed-check and channel send
-	recPool  sync.Pool      // *[]measure.Record, capacity chunkCap
-}
-
-// encodeJob is one sealed chunk travelling from a sink to a pipeline
-// worker: the records to encode (ownership transfers to the worker,
-// which recycles the buffer) and the index entry to complete.
-type encodeJob struct {
-	recs []measure.Record
-	info chunkInfo
 }
 
 // writerMetrics holds the Writer's resolved metric handles. All fields
@@ -98,7 +72,6 @@ type writerMetrics struct {
 	records       *obs.Counter
 	bytes         *obs.Counter
 	rawBytes      *obs.Counter
-	bufReuse      *obs.Counter
 	chunkRecords  *obs.Histogram
 	gzipSeconds   *obs.Histogram
 	encodeSeconds *obs.Histogram
@@ -110,7 +83,6 @@ func newWriterMetrics(reg *obs.Registry) writerMetrics {
 		records:       reg.Counter("dataset_records_written_total"),
 		bytes:         reg.Counter("dataset_bytes_written_total"),
 		rawBytes:      reg.Counter("dataset_raw_bytes_total"),
-		bufReuse:      reg.Counter("dataset_chunk_buffers_reused_total"),
 		chunkRecords:  reg.Histogram("dataset_chunk_records", []float64{64, 512, 2048, 8192, 32768}),
 		gzipSeconds:   reg.WallHistogram("dataset_gzip_seconds", []float64{0.001, 0.005, 0.025, 0.1, 0.5, 2.5}),
 		encodeSeconds: reg.WallHistogram("dataset_encode_seconds", []float64{0.001, 0.005, 0.025, 0.1, 0.5, 2.5}),
@@ -129,17 +101,7 @@ func NewWriter(w io.Writer, meta measure.DatasetMeta, opts Options) (*Writer, er
 	if err != nil {
 		return nil, fmt.Errorf("dataset: write magic: %w", err)
 	}
-	wr := &Writer{w: w, off: int64(n), meta: meta, chunkCap: chunkCap, m: newWriterMetrics(opts.Metrics)}
-	workers := opts.CompressWorkers
-	if workers <= 0 {
-		workers = min(runtime.GOMAXPROCS(0), 8)
-	}
-	wr.jobs = make(chan encodeJob, 2*workers)
-	wr.workers.Add(workers)
-	for i := 0; i < workers; i++ {
-		go wr.encodeWorker()
-	}
-	return wr, nil
+	return &Writer{w: w, off: int64(n), meta: meta, chunkCap: chunkCap, m: newWriterMetrics(opts.Metrics)}, nil
 }
 
 // NewSink returns a sink for one writing stream. Streams must cover
@@ -168,112 +130,15 @@ func (w *Writer) Chunks() int {
 	return len(w.chunks)
 }
 
-// getRecBuf hands a sink an empty chunk record buffer, reusing one a
-// pipeline worker recycled when possible.
-func (w *Writer) getRecBuf() []measure.Record {
-	if p, ok := w.recPool.Get().(*[]measure.Record); ok && p != nil {
-		w.m.bufReuse.Inc()
-		return (*p)[:0]
-	}
-	return make([]measure.Record, 0, w.chunkCap)
-}
-
-// submit hands a sealed chunk to the compression pipeline. It
-// reports any error the writer has already hit, so sinks stop early.
-func (w *Writer) submit(job encodeJob) error {
-	w.mu.Lock()
-	if w.err != nil {
-		err := w.err
-		w.mu.Unlock()
-		return err
-	}
-	if w.closed {
-		w.err = fmt.Errorf("dataset: chunk sealed after writer close")
-		w.mu.Unlock()
-		return w.err
-	}
-	// Raised under the same lock that checked closed, so Close — which
-	// sets closed under the lock and then waits on inflight — observes
-	// every such submit before it closes the jobs channel. A sink racing
-	// Close therefore gets the sealed-after-close error above, never a
-	// send on a closed channel.
-	w.inflight.Add(1)
-	w.mu.Unlock()
-	w.jobs <- job
-	w.inflight.Done()
-	return nil
-}
-
-// setErr records the first error the writer hits.
-func (w *Writer) setErr(err error) {
-	w.mu.Lock()
-	if w.err == nil {
-		w.err = err
-	}
-	w.mu.Unlock()
-}
-
-// encodeWorker drains sealed chunks: columnar-encode, compress, append.
-// Worker-local scratch (encode buffers, one gzip writer) is reused for
-// the writer's whole life, so the steady-state pipeline allocates
-// nothing per chunk beyond pool misses.
-func (w *Writer) encodeWorker() {
-	defer w.workers.Done()
-	var (
-		sc      encodeScratch
-		payload []byte
-		zbuf    bytes.Buffer
-		zw      *gzip.Writer
-	)
-	for job := range w.jobs {
-		var encStart time.Time
-		if w.m.encodeSeconds != nil {
-			encStart = time.Now()
-		}
-		payload = appendChunkV3(payload[:0], job.recs, &sc)
-		if w.m.encodeSeconds != nil {
-			w.m.encodeSeconds.Observe(time.Since(encStart).Seconds())
-		}
-		job.info.Raw = int64(len(payload))
-		recs := job.recs
-		w.recPool.Put(&recs)
-
-		var gzStart time.Time
-		if w.m.gzipSeconds != nil {
-			gzStart = time.Now()
-		}
-		zbuf.Reset()
-		if zw == nil {
-			zw, _ = gzip.NewWriterLevel(&zbuf, chunkLevel) // a valid level: no error
-		} else {
-			zw.Reset(&zbuf)
-		}
-		if _, err := zw.Write(payload); err != nil {
-			w.setErr(fmt.Errorf("dataset: compress chunk: %w", err))
-			continue
-		}
-		if err := zw.Close(); err != nil {
-			w.setErr(fmt.Errorf("dataset: compress chunk: %w", err))
-			continue
-		}
-		if w.m.gzipSeconds != nil {
-			w.m.gzipSeconds.Observe(time.Since(gzStart).Seconds())
-		}
-		if err := w.appendChunk(zbuf.Bytes(), job.info); err != nil {
-			// appendChunk stored the error; later flushes and Close see it.
-			continue
-		}
-	}
-}
-
 // appendChunk writes one compressed chunk and records its index entry.
+// It reports any error the writer has already hit, so sinks stop early.
 func (w *Writer) appendChunk(data []byte, info chunkInfo) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
 		return w.err
 	}
-	if w.sealed {
+	if w.closed {
 		w.err = fmt.Errorf("dataset: chunk appended after writer close")
 		return w.err
 	}
@@ -294,42 +159,20 @@ func (w *Writer) appendChunk(data []byte, info chunkInfo) error {
 	return nil
 }
 
-// Close drains the compression pipeline, then writes the index and
-// footer. Every Sink must have been closed first. Close reports any
-// error a concurrent sink flush or pipeline worker hit earlier, so a
-// caller that checks only Close still sees write failures.
+// Close writes the index and footer. Every Sink must have been closed
+// first. Close reports any error a sink flush hit earlier, so a caller
+// that checks only Close still sees write failures.
 func (w *Writer) Close() error {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.closed {
-		err := w.err
-		w.mu.Unlock()
-		return err
+		return w.err
 	}
 	w.closed = true
-	w.mu.Unlock()
-	w.inflight.Wait()
-	close(w.jobs)
-	w.workers.Wait()
-
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.sealed = true
 	if w.err != nil {
 		return w.err
 	}
-	// Canonical order: client-major. Streams own disjoint client
-	// ranges, so Lo never ties across streams; within a stream, Seq is
-	// the write order.
-	sort.Slice(w.chunks, func(i, j int) bool {
-		a, b := &w.chunks[i], &w.chunks[j]
-		if a.Lo != b.Lo {
-			return a.Lo < b.Lo
-		}
-		if a.Stream != b.Stream {
-			return a.Stream < b.Stream
-		}
-		return a.Seq < b.Seq
-	})
+	sortCanonical(w.chunks)
 	var ibuf bytes.Buffer
 	if err := gob.NewEncoder(&ibuf).Encode(index{Meta: w.meta, Chunks: w.chunks}); err != nil {
 		w.err = fmt.Errorf("dataset: encode index: %w", err)
@@ -352,14 +195,13 @@ func (w *Writer) Close() error {
 
 // Sink is one writing stream of a Writer: it buffers up to the writer's
 // chunk capacity of records and seals each full chunk as one
-// independently compressed unit. A Sink is not safe for concurrent use;
-// use one Sink per goroutine (the Writer serializes the appends).
+// independently compressed unit, which it encodes, compresses and
+// appends itself. A Sink is not safe for concurrent use; use one Sink
+// per goroutine (the Writer serializes the appends).
 //
-// Sink implements RecordSink and is designed as the visit target of
-// measure.RunParallel: shard s feeds sinks[s], so each worker writes
-// its own chunks and peak memory stays bounded by chunk size × shards
-// (plus the bounded compression pipeline) instead of the whole record
-// set.
+// Sink is designed as the visit target of measure.RunParallel: shard s
+// feeds sinks[s], so each worker writes its own chunks and peak memory
+// stays bounded by chunk size × shards instead of the whole record set.
 type Sink struct {
 	w           *Writer
 	stream      int32
@@ -368,9 +210,18 @@ type Sink struct {
 	txns, fails int64
 	err         error
 	closed      bool
+
+	// Encode scratch, reused for every chunk the sink seals, so the
+	// steady-state write path allocates nothing per chunk.
+	enc     encodeScratch
+	payload []byte
+	zbuf    bytes.Buffer
+	zw      *gzip.Writer
 }
 
-// Append stores one record (copied immediately).
+// Append stores one record. The record is copied before Append
+// returns, so callers may reuse it (measure.RunParallel's visit
+// contract).
 func (s *Sink) Append(r *measure.Record) error {
 	if s.err != nil {
 		return s.err
@@ -380,7 +231,7 @@ func (s *Sink) Append(r *measure.Record) error {
 		return s.err
 	}
 	if s.buf == nil {
-		s.buf = s.w.getRecBuf()
+		s.buf = make([]measure.Record, 0, s.w.chunkCap)
 	}
 	s.buf = append(s.buf, *r)
 	if len(s.buf) >= s.w.chunkCap {
@@ -402,8 +253,8 @@ func (s *Sink) Observe(r *measure.Record) error {
 	return s.err
 }
 
-// flush seals the buffered chunk and hands it to the compression
-// pipeline. A failure is kept in s.err, which Append and Close return.
+// flush seals the buffered chunk: columnar-encode, compress, append.
+// A failure is kept in s.err, which Append and Close return.
 func (s *Sink) flush() {
 	if len(s.buf) == 0 {
 		return
@@ -416,10 +267,40 @@ func (s *Sink) flush() {
 			hi = c
 		}
 	}
-	job := encodeJob{recs: s.buf, info: chunkInfo{Count: int32(len(s.buf)), Lo: lo, Hi: hi, Stream: s.stream, Seq: s.seq}}
+	info := chunkInfo{Count: int32(len(s.buf)), Lo: lo, Hi: hi, Stream: s.stream, Seq: s.seq}
 	s.seq++
-	s.buf = s.w.getRecBuf()
-	if err := s.w.submit(job); err != nil {
+
+	m := &s.w.m
+	var start time.Time
+	if m.encodeSeconds != nil {
+		start = time.Now()
+	}
+	s.payload = appendChunkV3(s.payload[:0], s.buf, &s.enc)
+	s.buf = s.buf[:0]
+	info.Raw = int64(len(s.payload))
+	if m.encodeSeconds != nil {
+		m.encodeSeconds.Observe(time.Since(start).Seconds())
+		start = time.Now()
+	}
+
+	s.zbuf.Reset()
+	if s.zw == nil {
+		s.zw, _ = gzip.NewWriterLevel(&s.zbuf, chunkLevel) // a valid level: no error
+	} else {
+		s.zw.Reset(&s.zbuf)
+	}
+	if _, err := s.zw.Write(s.payload); err != nil {
+		s.err = fmt.Errorf("dataset: compress chunk: %w", err)
+		return
+	}
+	if err := s.zw.Close(); err != nil {
+		s.err = fmt.Errorf("dataset: compress chunk: %w", err)
+		return
+	}
+	if m.gzipSeconds != nil {
+		m.gzipSeconds.Observe(time.Since(start).Seconds())
+	}
+	if err := s.w.appendChunk(s.zbuf.Bytes(), info); err != nil {
 		s.err = err
 	}
 }

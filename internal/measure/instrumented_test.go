@@ -78,38 +78,3 @@ func TestSerialParallelEquivalenceInstrumented(t *testing.T) {
 		}
 	}
 }
-
-// TestRegistryMergeAcrossRuns checks the cross-package contract behind
-// per-shard registries: separate runs counted into separate registries
-// fold together with Merge into the same totals one shared registry
-// would have accumulated.
-func TestRegistryMergeAcrossRuns(t *testing.T) {
-	cfg, topo, end := buildParallelConfig(t)
-	const shards = 3
-
-	shared := obs.NewRegistry()
-	scfg := cfg
-	scfg.Metrics = shared
-	runSharded(t, scfg, topo, end, shards)
-
-	a, b := obs.NewRegistry(), obs.NewRegistry()
-	cfgA, cfgB := cfg, cfg
-	cfgA.Metrics, cfgB.Metrics = a, b
-	runSharded(t, cfgA, topo, end, 1)
-	runSharded(t, cfgB, topo, end, shards)
-	merged := obs.NewRegistry()
-	if err := merged.Merge(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := merged.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	det := merged.Snapshot().Deterministic
-	want := shared.Snapshot().Deterministic
-	if got := det.Counters["measure_txns_total"]; got != 2*want.Counters["measure_txns_total"] {
-		t.Errorf("merged txns = %d, want 2x%d", got, want.Counters["measure_txns_total"])
-	}
-	if got := det.Counters["measure_failures_total"]; got != 2*want.Counters["measure_failures_total"] {
-		t.Errorf("merged failures = %d, want 2x%d", got, want.Counters["measure_failures_total"])
-	}
-}

@@ -13,14 +13,12 @@
 //   - wall-clock metrics measure elapsed real time and derived rates
 //     (span durations, gzip time, throughput), which vary run to run.
 //
-// The registry mirrors how core.Analysis shards: per-shard Registry
-// instances can be folded together with Merge, which sums every metric
-// and is therefore independent of merge order. The common single-process
-// pattern is simpler still — one shared Registry whose atomic metrics
-// are updated from any goroutine, with hot loops keeping plain local
-// counters and folding them in once at shard completion (the pattern
+// A run keeps one shared Registry whose atomic metrics are updated from
+// any goroutine, with hot loops keeping plain local counters and
+// folding them in once at shard completion (the pattern
 // internal/measure uses so its per-transaction path stays
-// allocation-free).
+// allocation-free). Summation commutes, so the deterministic metrics do
+// not depend on the shard count or on the order shards finish in.
 //
 // All instrumentation is stdout-silent: the registry writes only where
 // it is told to (a file, an HTTP response, a caller-supplied stderr
@@ -287,104 +285,6 @@ func equalBounds(a, b []float64) bool {
 		}
 	}
 	return true
-}
-
-// Merge folds every metric of src into r: counters, gauges, and
-// histograms all sum (gauges included, so per-shard residency gauges
-// aggregate naturally). Summation commutes, so merging shard registries
-// in any order yields the same result — the registry counterpart of
-// core.Analysis.Merge. Merge validates every metric before applying
-// anything: a kind, class, or bucket-bounds mismatch returns an error
-// and leaves r untouched.
-func (r *Registry) Merge(src *Registry) error {
-	if src == nil {
-		return nil
-	}
-	if r == nil {
-		return fmt.Errorf("obs: merge into nil registry")
-	}
-	if r == src {
-		return fmt.Errorf("obs: merge registry with itself")
-	}
-	snap := src.Snapshot()
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	// Phase 1: validate against r's existing registrations.
-	for _, sec := range []Section{snap.Deterministic, snap.Wall} {
-		for name := range sec.Counters {
-			if err := r.mergeCheck(name, "counter"); err != nil {
-				return err
-			}
-		}
-		for name := range sec.Gauges {
-			if err := r.mergeCheck(name, "gauge"); err != nil {
-				return err
-			}
-		}
-		for name, hs := range sec.Histograms {
-			if err := r.mergeCheck(name, "histogram"); err != nil {
-				return err
-			}
-			if h, ok := r.hists[name]; ok && !equalBounds(h.bounds, hs.Bounds) {
-				return fmt.Errorf("obs: merge: histogram %q bucket bounds differ", name)
-			}
-		}
-	}
-	// Phase 2: apply. The maps are touched directly (r.mu is held) via
-	// the same get-or-create paths, minus locking.
-	apply := func(sec Section, wall bool) {
-		for name, v := range sec.Counters {
-			c, ok := r.counters[name]
-			if !ok {
-				c = &Counter{wall: wall}
-				r.counters[name] = c
-			}
-			c.v.Add(v)
-		}
-		for name, v := range sec.Gauges {
-			g, ok := r.gauges[name]
-			if !ok {
-				g = &Gauge{wall: wall}
-				r.gauges[name] = g
-			}
-			g.v.Add(v)
-		}
-		for name, hs := range sec.Histograms {
-			h, ok := r.hists[name]
-			if !ok {
-				h = &Histogram{
-					bounds: append([]float64(nil), hs.Bounds...),
-					counts: make([]atomic.Int64, len(hs.Bounds)+1),
-					wall:   wall,
-				}
-				r.hists[name] = h
-			}
-			for i, n := range hs.Counts {
-				h.counts[i].Add(n)
-			}
-			h.sum.Add(hs.Sum)
-			h.count.Add(hs.Count)
-		}
-	}
-	apply(snap.Deterministic, false)
-	apply(snap.Wall, true)
-	return nil
-}
-
-// mergeCheck reports whether name is registered in r as a different
-// metric kind. Callers hold r.mu.
-func (r *Registry) mergeCheck(name, kind string) error {
-	if _, ok := r.counters[name]; ok && kind != "counter" {
-		return fmt.Errorf("obs: merge: %q is a counter in the receiver, a %s in the source", name, kind)
-	}
-	if _, ok := r.gauges[name]; ok && kind != "gauge" {
-		return fmt.Errorf("obs: merge: %q is a gauge in the receiver, a %s in the source", name, kind)
-	}
-	if _, ok := r.hists[name]; ok && kind != "histogram" {
-		return fmt.Errorf("obs: merge: %q is a histogram in the receiver, a %s in the source", name, kind)
-	}
-	return nil
 }
 
 // atomicFloat is a float64 with atomic Store/Load/Add.

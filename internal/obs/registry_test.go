@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -143,125 +142,6 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	}
 	if _, ok := snap.Wall.Histograms["wall_h"]; !ok {
 		t.Fatal("wall histogram missing from wall section")
-	}
-}
-
-// randomShardRegistry builds one shard's registry from a seeded rng,
-// drawing from a fixed metric-name vocabulary so shards overlap.
-func randomShardRegistry(rng *rand.Rand) *Registry {
-	r := NewRegistry()
-	bounds := []float64{1, 8, 64}
-	for i := 0; i < 8; i++ {
-		switch rng.Intn(3) {
-		case 0:
-			name := []string{"c0", "c1", "c2"}[rng.Intn(3)]
-			r.Counter(name).Add(rng.Int63n(1000))
-		case 1:
-			name := []string{"g0", "g1"}[rng.Intn(2)]
-			r.Gauge(name).Add(float64(rng.Intn(16)))
-		default:
-			name := []string{"h0", "h1"}[rng.Intn(2)]
-			r.Histogram(name, bounds).Observe(float64(rng.Intn(128)))
-		}
-	}
-	r.WallCounter("wc").Add(rng.Int63n(10))
-	return r
-}
-
-// TestMergeShardOrderIndependent is the property test behind the
-// "registries merge like analysis shards" contract: folding the same
-// shard registries in any permutation yields an identical snapshot.
-func TestMergeShardOrderIndependent(t *testing.T) {
-	const shards = 6
-	build := func() []*Registry {
-		regs := make([]*Registry, shards)
-		for i := range regs {
-			regs[i] = randomShardRegistry(rand.New(rand.NewSource(int64(1000 + i))))
-		}
-		return regs
-	}
-	var want Snapshot
-	for trial := 0; trial < 20; trial++ {
-		regs := build()
-		perm := rand.New(rand.NewSource(int64(trial))).Perm(shards)
-		merged := NewRegistry()
-		for _, i := range perm {
-			if err := merged.Merge(regs[i]); err != nil {
-				t.Fatalf("trial %d: merge shard %d: %v", trial, i, err)
-			}
-		}
-		got := merged.Snapshot()
-		if trial == 0 {
-			want = got
-			continue
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d (order %v): merged snapshot differs:\n got  %+v\n want %+v", trial, perm, got, want)
-		}
-	}
-}
-
-func TestMergeSums(t *testing.T) {
-	a, b := NewRegistry(), NewRegistry()
-	a.Counter("c").Add(3)
-	b.Counter("c").Add(4)
-	a.Gauge("g").Set(1.5)
-	b.Gauge("g").Set(2.5)
-	ah := a.Histogram("h", []float64{10})
-	bh := b.Histogram("h", []float64{10})
-	ah.Observe(5)
-	bh.Observe(50)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	snap := a.Snapshot().Deterministic
-	if snap.Counters["c"] != 7 {
-		t.Fatalf("merged counter = %d, want 7", snap.Counters["c"])
-	}
-	if snap.Gauges["g"] != 4 {
-		t.Fatalf("merged gauge = %v, want 4 (gauges sum)", snap.Gauges["g"])
-	}
-	hs := snap.Histograms["h"]
-	if !reflect.DeepEqual(hs.Counts, []int64{1, 1}) || hs.Count != 2 || hs.Sum != 55 {
-		t.Fatalf("merged histogram = %+v", hs)
-	}
-}
-
-// TestMergeMismatchLeavesReceiverUntouched checks the validate-then-
-// apply contract: any mismatch rejects the whole merge.
-func TestMergeMismatchLeavesReceiverUntouched(t *testing.T) {
-	cases := []struct {
-		name string
-		src  func() *Registry
-	}{
-		{"kind", func() *Registry { s := NewRegistry(); s.Gauge("c").Set(1); s.Counter("extra").Add(9); return s }},
-		{"bounds", func() *Registry {
-			s := NewRegistry()
-			s.Histogram("h", []float64{1, 2}).Observe(1)
-			s.Counter("extra").Add(9)
-			return s
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			r := NewRegistry()
-			r.Counter("c").Add(5)
-			r.Histogram("h", []float64{1, 99}).Observe(1)
-			before := r.Snapshot()
-			if err := r.Merge(tc.src()); err == nil {
-				t.Fatal("merge with mismatched source succeeded")
-			}
-			if got := r.Snapshot(); !reflect.DeepEqual(got, before) {
-				t.Fatalf("failed merge modified the receiver:\n before %+v\n after  %+v", before, got)
-			}
-		})
-	}
-	if err := NewRegistry().Merge(nil); err != nil {
-		t.Fatalf("merge of nil source should no-op, got %v", err)
-	}
-	r := NewRegistry()
-	if err := r.Merge(r); err == nil {
-		t.Fatal("self-merge should error")
 	}
 }
 

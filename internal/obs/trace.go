@@ -38,8 +38,8 @@ type TraceExemplar struct {
 // complete transactions out of canonical order (packet mode's event
 // loop) still converge on the same exemplar set. Per-shard Tracers are
 // combined with Merge, which is an ordered merge and therefore
-// independent of shard count — the same contract Registry.Merge and
-// core.Analysis.Merge follow.
+// independent of shard count — the same contract core.Analysis.Merge
+// follows.
 //
 // A Tracer is not safe for concurrent use; use one per shard and merge.
 type Tracer struct {

@@ -228,7 +228,7 @@ func (r *Reporter) table6() {
 }
 
 // table8Rows is the number of example pairs Table 8 prints — the k of
-// its bounded top-k contract (see ArtifactMode).
+// its bounded top-k selection (core.CoLocatedSimilarityTop).
 const table8Rows = 8
 
 func (r *Reporter) tables78(show7, show8 bool) {

@@ -11,9 +11,10 @@
 # webfail-benchdiff: per-metric tolerances (generous on wall time for
 # noisy CI boxes, tight on allocations), nonzero exit with a FAIL table
 # on regression. The fresh snapshot runs at the baseline's GOMAXPROCS:
-# allocation counts depend on it (the writer starts one compression
-# worker per CPU, and the reader decodes ahead only on more than one),
-# so snapshots taken at different values do not compare.
+# the load bench ingests with one shard per CPU, so its allocation
+# counts depend on it (the save bench's do not: a sink encodes and
+# compresses its own chunks), and snapshots taken at different values
+# do not compare.
 # scripts/verify.sh runs this when WEBFAIL_BENCH_GATE=1.
 set -eu
 

@@ -2,18 +2,21 @@
 # Tier-1 verify: formatting, build, vet, full test suite, then the
 # serial/parallel equivalence tests under the race detector (scoped to
 # the packages exercising the sharded runner, the merge, and the
-# sharded dataset ingest, to keep CI time bounded), the dataset
-# backward-compatibility gate against the checked-in v3 fixture, the
-# golden-stdout gate on webfail-analyze (byte-identity across
-# -parallel values, with and without metrics enabled, and the analysis
-# of a checked-in dataset an earlier writer produced — the TestGolden
-# pattern includes TestGoldenStdoutWithMetrics and TestGoldenV3Small), the
-# selective-vs-full analyzer-pass equivalence under the race detector,
-# the observability registry under the race detector (concurrent
-# updates, merge determinism), and the allocation-regression gate on
-# the fast-mode hot path (evaluate must stay at zero heap allocations
-# per transaction, with its metrics counters and progress flushing
-# active).
+# sharded dataset save and ingest — concurrent sinks append their
+# chunks under the writer's mutex — to keep CI time bounded), the
+# dataset backward-compatibility gate against the checked-in v3
+# fixture, the golden-stdout gate on webfail-analyze (byte-identity
+# across -parallel values, with and without metrics enabled, and the
+# analysis of a checked-in dataset an earlier writer produced — the
+# TestGolden pattern includes TestGoldenStdoutWithMetrics and
+# TestGoldenV3Small), webfail-analyze's input gates (a stored record
+# outside the header's roster and a negative -top are errors, never
+# panics), the selective-vs-full analyzer-pass equivalence under the
+# race detector, the observability registry under the race detector
+# (concurrent updates from many goroutines), and the
+# allocation-regression gate on the fast-mode hot path (evaluate must
+# stay at zero heap allocations per transaction, with its metrics
+# counters and progress flushing active).
 #
 # Packet-engine gates: the sharded packet runner must produce a record
 # stream byte-identical to the serial engine for every shard count
@@ -59,14 +62,15 @@ go test -race -run 'TestGridMatchesReference|TestMergeOrderIndependence|TestShar
 # Dataset format gates: the checked-in v3 fixture must keep opening
 # (backward compatibility), the columnar codec must round-trip and
 # reject corruption (truncations, bit flips, index/chunk mismatches,
-# earlier format generations) without panicking, sharded writes must
-# produce the same canonical stream as a serial save, and the
-# steady-state encode/decode path must stay at zero heap allocations
-# per chunk.
-go test -run 'TestDatasetV3Compat|TestDatasetV3RoundTrip|TestDatasetV3Corruption|TestDatasetV3SerialParallelEquivalence|TestChunkCodecRoundTrip|TestChunkDecodeTruncation|TestIndexChunkMismatch' \
+# client ranges and records outside the header's roster, earlier format
+# generations) without panicking, sharded writes must produce the same
+# canonical stream as a serial save, a single-stream save must be
+# byte-for-byte repeatable at any GOMAXPROCS, and the steady-state
+# encode/decode path must stay at zero heap allocations per chunk.
+go test -run 'TestDatasetV3Compat|TestDatasetV3RoundTrip|TestDatasetV3Corruption|TestDatasetV3SerialParallelEquivalence|TestDatasetV3ParallelStreams|TestChunkCodecRoundTrip|TestChunkDecodeTruncation|TestIndexChunkMismatch' \
     ./internal/dataset
 go test -run 'TestEncodeDecodeZeroAllocs' -count=1 ./internal/dataset
-go test -run 'TestGolden' ./cmd/webfail-analyze
+go test -run 'TestGolden|TestOutOfRosterRecord|TestTopFlagBounds' ./cmd/webfail-analyze
 go test -race -run 'TestSelectiveMatchesFull|TestArtifactPassRegistry' ./internal/report
 go test -race -count=1 ./internal/obs
 go test -run 'TestEvaluateZeroAllocs' -count=1 ./internal/measure
