@@ -532,6 +532,25 @@ func BenchmarkHeadlines(b *testing.B) {
 		100*mc, 100*ms, corr, len(f.pairs))
 }
 
+// BenchmarkGroundTruth scores the f=5% attribution against the injected
+// fault schedule and the detected permanent pairs against the injected
+// blocks: the headline artifact's ground-truth lines, which
+// BenchmarkHeadlines does not time.
+func BenchmarkGroundTruth(b *testing.B) {
+	f := getFixture(b)
+	var gt *core.GroundTruthReport
+	var tp, fn, fp int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		gt = f.a.ValidateAttribution(f.at, f.sc)
+		tp, fn, fp = f.a.DetectedPermanentBlocks(f.pairs, f.sc, f.topo)
+	}
+	b.StopTimer()
+	b.Logf("GroundTruth over %d failures: server precision %.0f%% recall %.0f%%, client precision %.0f%% recall %.0f%%; permanent blocks %d correct, %d missed, %d spurious",
+		gt.Total, 100*gt.ServerPrecision, 100*gt.ServerRecall, 100*gt.ClientPrecision, 100*gt.ClientRecall, tp, fn, fp)
+}
+
 // --- Ablations (DESIGN.md section 5) ---
 
 // BenchmarkAblationEpisodeDuration re-runs attribution with 15-minute,

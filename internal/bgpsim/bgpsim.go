@@ -9,10 +9,11 @@
 package bgpsim
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"net/netip"
-	"sort"
+	"slices"
 	"time"
 
 	"webfail/internal/simnet"
@@ -84,7 +85,7 @@ func NewGenerator(seed int64, prefixes []netip.Prefix) *Generator {
 
 // Updates returns all generated updates sorted by time.
 func (g *Generator) Updates() []Update {
-	sort.SliceStable(g.updates, func(i, j int) bool { return g.updates[i].At < g.updates[j].At })
+	slices.SortStableFunc(g.updates, func(x, y Update) int { return cmp.Compare(x.At, y.At) })
 	return g.updates
 }
 

@@ -186,6 +186,57 @@ func TestAttributionServerSide(t *testing.T) {
 	if one != 1 || multi != 0 {
 		t.Errorf("servers with episodes = %d/%d", one, multi)
 	}
+	checkSpread(t, a, at)
+
+	// Partial spreads on a roster wider than one 64-client word: in
+	// hour 1, server s < 5 fails for every client divisible by s+2.
+	a = mkAnalysis(130, 25, 3)
+	for h := int64(0); h < 3; h++ {
+		for c := 0; c < 130; c++ {
+			for s := 0; s < 25; s++ {
+				r := rec(c, s, h, (c*25+s)%60)
+				if h == 1 && s < 5 && c%(s+2) == 0 {
+					failTCP(r, httpsim.NoConnection)
+				}
+				a.Add(r)
+			}
+		}
+	}
+	at = a.Attribute(0.05, nil)
+	stats = a.ServerEpisodeStats(at)
+	if len(stats) != 5 {
+		t.Fatalf("partial-spread episode stats = %+v, want 5 servers", stats)
+	}
+	for _, st := range stats {
+		if st.Spread <= 0 || st.Spread >= 1 {
+			t.Errorf("%s: spread %v, want a partial one", st.Site, st.Spread)
+		}
+	}
+	checkSpread(t, a, at)
+}
+
+// checkSpread requires each Table 6 row's spread to equal a map-based
+// count of the distinct clients behind the site's server- or
+// both-blamed failures, over the roster size.
+func checkSpread(t *testing.T, a *Analysis, at *Attribution) {
+	t.Helper()
+	affected := map[string]map[int32]bool{}
+	for _, tf := range at.Tags {
+		if tf.Blame != BlameServer && tf.Blame != BlameBoth {
+			continue
+		}
+		host := a.Topo.Websites[tf.Site].Host
+		if affected[host] == nil {
+			affected[host] = map[int32]bool{}
+		}
+		affected[host][tf.Client] = true
+	}
+	for _, st := range a.ServerEpisodeStats(at) {
+		if want := float64(len(affected[st.Site])) / float64(len(a.Topo.Clients)); st.Spread != want {
+			t.Errorf("%s: spread %v, want %d distinct clients of %d = %v",
+				st.Site, st.Spread, len(affected[st.Site]), len(a.Topo.Clients), want)
+		}
+	}
 }
 
 func TestAttributionClientSide(t *testing.T) {

@@ -354,16 +354,18 @@ type ServerEpisodeStat struct {
 // ServerEpisodeStats produces Table 6 from an attribution, sorted by
 // episode count descending.
 func (a *Analysis) ServerEpisodeStats(at *Attribution) []ServerEpisodeStat {
-	// Clients affected by failures ascribed to each server.
-	affected := make([]map[int32]bool, a.nSites)
+	// Clients affected by failures ascribed to each server: one
+	// transient bitset holding a row of words per site, each row used
+	// as a set over client indexes.
+	words := (a.nClients + 63) / 64
+	affected := make([]uint64, a.nSites*words)
+	row := func(s int) HourSet { return HourSet{bits: affected[s*words : (s+1)*words]} }
 	for _, tf := range at.Tags {
 		if tf.Blame != BlameServer && tf.Blame != BlameBoth {
 			continue
 		}
-		if affected[tf.Site] == nil {
-			affected[tf.Site] = make(map[int32]bool)
-		}
-		affected[tf.Site][tf.Client] = true
+		r := row(int(tf.Site))
+		r.Add(int(tf.Client))
 	}
 
 	var out []ServerEpisodeStat
@@ -379,8 +381,8 @@ func (a *Analysis) ServerEpisodeStats(at *Attribution) []ServerEpisodeStat {
 			Coalesced:    coalesced,
 			LongestRun:   longest,
 		}
-		if aff := affected[s]; len(aff) > 0 {
-			st.Spread = float64(len(aff)) / float64(a.nClients)
+		if n := row(s).Len(); n > 0 {
+			st.Spread = float64(n) / float64(a.nClients)
 		}
 		out = append(out, st)
 	}

@@ -31,40 +31,78 @@ type GroundTruthReport struct {
 // generated the run. The transaction time is reconstructed from the bin
 // index midpoint, which is exact enough because injected episodes are
 // much longer than a bin.
+//
+// The join queries the timeline by handle: each roster entity it asks
+// about is resolved to its EntityID once per call, and the server-side
+// truth of a (site, bin), which depends on nothing else, is computed
+// once. A classified failure then costs a few ActiveID queries, with no
+// entity-name building or hashing.
 func (a *Analysis) ValidateAttribution(at *Attribution, sc *workload.Scenario) *GroundTruthReport {
-	rep := &GroundTruthReport{Confusion: map[Blame]map[Blame]int64{}}
 	tl := sc.Timeline
+	type clientIDs struct{ client, site, prefix faults.EntityID }
+	clients := make([]clientIDs, a.nClients)
+	for i := range clients {
+		c := &a.Topo.Clients[i]
+		clients[i] = clientIDs{
+			client: tl.Lookup(faults.Entity("client:" + c.Name)),
+			site:   tl.Lookup(faults.Entity("site:" + c.Site)),
+			prefix: tl.Lookup(faults.Entity("prefix:" + c.Prefix.String())),
+		}
+	}
+	type siteIDs struct {
+		www                faults.EntityID
+		replicas, prefixes []faults.EntityID
+	}
+	sites := make([]siteIDs, a.nSites)
+	for s := range sites {
+		w := &a.Topo.Websites[s]
+		ids := &sites[s]
+		ids.www = tl.Lookup(faults.Entity("www:" + w.Host))
+		for _, ra := range w.ReplicaAddrs {
+			ids.replicas = append(ids.replicas, tl.Lookup(faults.Entity("replica:"+ra.String())))
+		}
+		for _, p := range w.Prefixes {
+			ids.prefixes = append(ids.prefixes, tl.Lookup(faults.Entity("prefix:"+p.String())))
+		}
+	}
+	serverActive := func(ids *siteIDs, atTime simnet.Time) bool {
+		if activeAnyKind(tl, ids.www, atTime, faults.ServerOutage, faults.ServerOverload) {
+			return true
+		}
+		for _, id := range ids.replicas {
+			if activeAnyKind(tl, id, atTime, faults.ServerOutage) {
+				return true
+			}
+		}
+		for _, id := range ids.prefixes {
+			if activeAnyKind(tl, id, atTime, faults.BGPInstability, faults.PathOutage) {
+				return true
+			}
+		}
+		return false
+	}
+	// serverMemo[site*Hours+bin] is 0 until that cell's server-side
+	// truth is computed, then 1 (false) or 2 (true).
+	serverMemo := make([]uint8, a.nSites*a.Hours)
 
+	var conf [numBlames][numBlames]int64
 	for _, tf := range at.Tags {
-		c := &a.Topo.Clients[tf.Client]
-		w := &a.Topo.Websites[tf.Site]
 		// Bin midpoint as representative instant.
 		atTime := binMid(a, int(tf.Hour))
 
-		serverTruth := activeAnyKind(tl, faults.Entity("www:"+w.Host), atTime,
-			faults.ServerOutage, faults.ServerOverload)
-		if !serverTruth {
-			for _, ra := range w.ReplicaAddrs {
-				if _, ok := tl.ActiveID(tl.Lookup(faults.Entity("replica:"+ra.String())), faults.ServerOutage, atTime); ok {
-					serverTruth = true
-					break
-				}
+		memo := &serverMemo[int(tf.Site)*a.Hours+int(tf.Hour)]
+		if *memo == 0 {
+			*memo = 1
+			if serverActive(&sites[tf.Site], atTime) {
+				*memo = 2
 			}
 		}
-		if !serverTruth {
-			for _, p := range w.Prefixes {
-				if activeAnyKind(tl, faults.Entity("prefix:"+p.String()), atTime, faults.BGPInstability, faults.PathOutage) {
-					serverTruth = true
-					break
-				}
-			}
-		}
+		serverTruth := *memo == 2
 
-		clientTruth := activeAnyKind(tl, faults.Entity("site:"+c.Site), atTime,
-			faults.ClientConnectivity, faults.LDNSOutage) ||
-			activeAnyKind(tl, faults.Entity("client:"+c.Name), atTime, faults.ClientConnectivity) ||
-			activeAnyKind(tl, faults.Entity("prefix:"+c.Prefix.String()), atTime,
-				faults.BGPInstability, faults.PathOutage)
+		c := &clients[tf.Client]
+		clientTruth := activeAnyKind(tl, c.site, atTime, faults.ClientConnectivity, faults.LDNSOutage) ||
+			activeAnyKind(tl, c.client, atTime, faults.ClientConnectivity) ||
+			activeAnyKind(tl, c.prefix, atTime, faults.BGPInstability, faults.PathOutage)
 
 		var truth Blame
 		switch {
@@ -77,64 +115,60 @@ func (a *Analysis) ValidateAttribution(at *Attribution, sc *workload.Scenario) *
 		default:
 			truth = BlameOther
 		}
-		if rep.Confusion[tf.Blame] == nil {
-			rep.Confusion[tf.Blame] = map[Blame]int64{}
-		}
-		rep.Confusion[tf.Blame][truth]++
-		rep.Total++
+		conf[tf.Blame][truth]++
 	}
 
-	// Precision/recall treating "both" as agreeing with either side.
-	sums := func(b Blame) (attributed, truthTotal, correct int64) {
-		for attr, row := range rep.Confusion {
-			for truth, n := range row {
-				attrMatch := attr == b || attr == BlameBoth
-				truthMatch := truth == b || truth == BlameBoth
-				if attrMatch {
-					attributed += n
-					if truthMatch {
-						correct += n
-					}
-				}
-				if truthMatch {
-					truthTotal += n
-				}
+	rep := &GroundTruthReport{Confusion: map[Blame]map[Blame]int64{}, Total: int64(len(at.Tags))}
+	for attr, row := range conf {
+		for truth, n := range row {
+			if n == 0 {
+				continue
 			}
+			if rep.Confusion[Blame(attr)] == nil {
+				rep.Confusion[Blame(attr)] = map[Blame]int64{}
+			}
+			rep.Confusion[Blame(attr)][Blame(truth)] = n
 		}
-		return
 	}
-	if attr, truthTotal, correct := sums(BlameServer); attr > 0 && truthTotal > 0 {
-		rep.ServerPrecision = float64(correct) / float64(attr)
-		rep.ServerRecall = recallOf(rep, BlameServer, truthTotal)
-	}
-	if attr, truthTotal, correct := sums(BlameClient); attr > 0 && truthTotal > 0 {
-		rep.ClientPrecision = float64(correct) / float64(attr)
-		rep.ClientRecall = recallOf(rep, BlameClient, truthTotal)
-	}
+	rep.ServerPrecision, rep.ServerRecall = precisionRecall(&conf, BlameServer)
+	rep.ClientPrecision, rep.ClientRecall = precisionRecall(&conf, BlameClient)
 	return rep
 }
 
-// recallOf counts ground-truth-b failures that were attributed b (or
-// both), over all ground-truth-b failures.
-func recallOf(rep *GroundTruthReport, b Blame, truthTotal int64) float64 {
-	var correct int64
-	for attr, row := range rep.Confusion {
+// numBlames sizes the confusion matrix ValidateAttribution counts in.
+const numBlames = int(BlameBoth) + 1
+
+// precisionRecall scores blame b against a confusion matrix, treating
+// "both" as agreeing with either side: precision is the share of b (or
+// both) attributions whose truth is b or both, recall the share of b
+// (or both) truths attributed b or both. Both are zero unless b was
+// attributed and occurred.
+func precisionRecall(conf *[numBlames][numBlames]int64, b Blame) (precision, recall float64) {
+	var attributed, truthTotal, correct int64
+	for attr, row := range conf {
 		for truth, n := range row {
-			if (truth == b || truth == BlameBoth) && (attr == b || attr == BlameBoth) {
-				correct += n
+			attrMatch := Blame(attr) == b || Blame(attr) == BlameBoth
+			truthMatch := Blame(truth) == b || Blame(truth) == BlameBoth
+			if attrMatch {
+				attributed += n
+				if truthMatch {
+					correct += n
+				}
+			}
+			if truthMatch {
+				truthTotal += n
 			}
 		}
 	}
-	if truthTotal == 0 {
-		return 0
+	if attributed == 0 || truthTotal == 0 {
+		return 0, 0
 	}
-	return float64(correct) / float64(truthTotal)
+	return float64(correct) / float64(attributed), float64(correct) / float64(truthTotal)
 }
 
 // activeAnyKind reports whether an episode of any of kinds covers at for
-// e, resolving the entity once for all kinds.
-func activeAnyKind(tl *faults.Timeline, e faults.Entity, at simnet.Time, kinds ...faults.Kind) bool {
-	id := tl.Lookup(e)
+// the interned entity id.
+func activeAnyKind(tl *faults.Timeline, id faults.EntityID, at simnet.Time, kinds ...faults.Kind) bool {
 	for _, k := range kinds {
 		if _, ok := tl.ActiveID(id, k, at); ok {
 			return true

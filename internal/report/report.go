@@ -186,20 +186,20 @@ func (r *Reporter) fig4() {
 
 func (r *Reporter) table5() {
 	r.header("Table 5: blame classification of TCP failures")
-	_, pairs := r.attribution()
+	at5, pairs := r.attribution()
 	connShare, txnShare := r.A.PermanentPairShare(pairs)
 	fmt.Fprintf(r.W, "permanent pairs excluded: %d (paper 38); they carry %.1f%% of failed conns (paper 50.7%%), %.1f%% of failed txns (paper 13%%)\n",
 		len(pairs), 100*connShare, 100*txnShare)
 	fmt.Fprintf(r.W, "%-6s %12s %12s %8s %8s\n", "f", "server-side", "client-side", "both", "other")
-	for _, f := range []float64{0.05, 0.10} {
-		at := r.A.Attribute(f, pairs)
+	// f = 5% is the attribution every other artifact shares; only
+	// f = 10% is computed for this table alone.
+	for _, at := range []*core.Attribution{at5, r.A.Attribute(0.10, pairs)} {
 		fmt.Fprintf(r.W, "%-6s %11.1f%% %11.1f%% %7.1f%% %7.1f%%\n",
-			fmt.Sprintf("%.0f%%", 100*f), 100*at.Share(core.BlameServer), 100*at.Share(core.BlameClient),
+			fmt.Sprintf("%.0f%%", 100*at.F), 100*at.Share(core.BlameServer), 100*at.Share(core.BlameClient),
 			100*at.Share(core.BlameBoth), 100*at.Share(core.BlameOther))
 	}
 	fmt.Fprintln(r.W, "paper: f=5%: 48.0/9.9/4.4/37.7; f=10%: 41.5/6.7/0.7/51.1")
-	at, _ := r.attribution()
-	ps := r.A.ClientServerSpecific(at)
+	ps := r.A.ClientServerSpecific(at5)
 	fmt.Fprintf(r.W, "within \"other\": %d client-server-specific episode cells carrying %.0f%% of other-blamed failures (Section 2.2 category 3)\n",
 		ps.Episodes, 100*ps.ShareOfOther)
 }

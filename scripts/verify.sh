@@ -12,7 +12,10 @@
 # TestGoldenV3Small), webfail-analyze's input gates (a stored record
 # outside the header's roster and a negative -top are errors, never
 # panics), the selective-vs-full analyzer-pass equivalence under the
-# race detector, the observability registry under the race detector
+# race detector, the ground-truth join against its string-keyed
+# reference under the race detector
+# (TestValidateAttributionMatchesReference), the observability
+# registry under the race detector
 # (concurrent updates from many goroutines), and the
 # allocation-regression gate on the fast-mode hot path (evaluate must
 # stay at zero heap allocations per transaction, with its metrics
@@ -57,7 +60,10 @@ go test -race -run 'TestSerialParallelEquivalence|TestRunParallelShardClamp|Test
 # page outside its client range, the bounded top-k listings must equal
 # their complete counterparts, and the episode bitsets and heap must
 # pass their property tests — all under the race detector.
-go test -race -run 'TestGridMatchesReference|TestMergeOrderIndependence|TestShardLocalPages|TestTopFailingPairsMatchesFull|TestRandomPairSimilarityBounded|TestPairCellInt64|TestHourSet|TestTopK' \
+# TestValidateAttributionMatchesReference holds the ID-based
+# ground-truth join to its string-keyed reference on every shipped
+# scenario and keeps its allocations independent of the failure count.
+go test -race -run 'TestGridMatchesReference|TestMergeOrderIndependence|TestShardLocalPages|TestTopFailingPairsMatchesFull|TestRandomPairSimilarityBounded|TestPairCellInt64|TestHourSet|TestTopK|TestValidateAttributionMatchesReference' \
     -count=1 ./internal/core
 # Dataset format gates: the checked-in v3 fixture must keep opening
 # (backward compatibility), the columnar codec must round-trip and
