@@ -715,10 +715,9 @@ func BenchmarkDatasetSave(b *testing.B) { benchDatasetSave(b, dataset.Options{})
 // benchDatasetLoadParallel measures the sharded ingest path end to end:
 // open a dataset written with opts and ConsumeParallel it
 // across GOMAXPROCS client-range shards (each worker reads only its
-// overlapping chunks, decoding through reused buffers). Ingest runs the
-// passes webfail-analyze's default summary resolves to (totals +
-// traffic), so the bench tracks record I/O rather than the cost of
-// constructing every analyzer grid.
+// overlapping chunks, decoding through reused buffers). Ingest runs
+// only the totals and traffic passes, which hold no grid, so the bench
+// tracks record I/O rather than the cost of constructing analyzer grids.
 func benchDatasetLoadParallel(b *testing.B, opts dataset.Options) {
 	recs, meta, topo, end := getDatasetFixture(b)
 	var buf bytes.Buffer

@@ -25,11 +25,15 @@
 // client range), and the shard accumulators merge deterministically —
 // the output is identical for any shard count.
 //
-// The default summary needs only the totals and traffic analyzer
-// passes, so only those accumulate during ingest. -artifacts selects
-// paper artifacts (table1..table9, fig1..fig7, replicas, headlines, or
-// "all") to render from the stored records; the selection propagates
-// down to ingest, so unselected analyzer passes are never constructed.
+// The summary reads the dataset once: the totals, traffic, grids and
+// pairs analyzer passes accumulate during ingest, and every count and
+// top-N listing is read from their state. -artifacts selects paper
+// artifacts (table1..table9, fig1..fig7, replicas, headlines, or "all")
+// to render from the same ingest; the selection widens the pass set,
+// and unselected analyzer passes are never constructed.
+//
+// A dataset whose header roster differs from the roster its scenario
+// rebuilds, or that stores a record outside its window, is an error.
 //
 // Observability output (progress, metrics, logs) goes to stderr or the
 // flagged files only; stdout stays byte-identical for any -parallel
@@ -42,7 +46,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"sort"
 	"strings"
 	"time"
 
@@ -121,6 +124,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("scenario %q: %w", spec.Name, err)
 	}
+	// The reader bounds records by the header's roster and every pass
+	// indexes by the rebuilt one, so the two must agree.
+	if len(topo.Clients) != meta.Clients || len(topo.Websites) != meta.Websites {
+		return fmt.Errorf("dataset header roster of %d clients x %d websites does not match scenario %q's rebuilt roster of %d x %d",
+			meta.Clients, meta.Websites, spec.Name, len(topo.Clients), len(topo.Websites))
+	}
 
 	report.DatasetInfo(stdout, meta, src.Stored())
 
@@ -128,10 +137,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return runForensics(stdout, stderr, meta, spec, topo, *forensics, &obsFlags)
 	}
 
-	// The default summary reads only grand totals and the per-category
-	// traffic breakdown; a report selection widens the pass set to
-	// whatever its artifacts require.
-	passes := []core.PassName{core.PassTotals, core.PassTraffic}
+	// The summary reads the totals, the per-category traffic breakdown,
+	// the per-entity-hour grids and the pair grid; a report selection
+	// widens the pass set to whatever its artifacts require.
+	passes := []core.PassName{core.PassTotals, core.PassTraffic, core.PassGrids, core.PassPairs}
 	if *artifacts != "" {
 		need, err := report.PassesFor(sel)
 		if err != nil {
@@ -164,7 +173,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	reg.Gauge("core_state_cells").Set(float64(a.StateCells()))
 	fmt.Fprintf(stdout, "stored-record accumulator: %s\n", a)
 	fmt.Fprintln(stdout, "failure-stage shares over stored records:")
-	for _, row := range a.Summary() {
+	summary := a.Summary()
+	for _, row := range summary {
 		if row.FailTxns == 0 {
 			continue
 		}
@@ -173,109 +183,30 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	fmt.Fprintln(stdout)
 
-	byStage := map[httpsim.Stage]int{}
-	byCat := map[workload.Category]int{}
-	byClient := map[int32]int{}
-	bySite := map[int32]int{}
-	byPair := map[[2]int32]int{}
-	byHour := map[int64]int{}
-	scanSpan := reg.Span("scan")
-	err = dataset.AllRecords(src, func(r *measure.Record) error {
-		if !r.Failed() {
-			return nil
-		}
-		byStage[r.Stage]++
-		byCat[r.Category]++
-		byClient[r.ClientIdx]++
-		bySite[r.SiteIdx]++
-		byPair[[2]int32{r.ClientIdx, r.SiteIdx}]++
-		byHour[r.At.Hour()]++
-		return nil
-	})
-	scanSpan.End()
-	if err != nil {
-		return err
-	}
-
 	fmt.Fprintln(stdout, "failures by stage:")
 	for _, st := range []httpsim.Stage{httpsim.StageDNS, httpsim.StageTCP, httpsim.StageHTTP} {
-		fmt.Fprintf(stdout, "  %-8s %8d\n", st, byStage[st])
+		fmt.Fprintf(stdout, "  %-8s %8d\n", st, a.StageFailures(st))
 	}
 	fmt.Fprintln(stdout, "failures by category:")
-	for _, c := range []workload.Category{workload.PL, workload.BB, workload.DU, workload.CN} {
-		fmt.Fprintf(stdout, "  %-8v %8d\n", c, byCat[c])
+	for _, row := range summary {
+		fmt.Fprintf(stdout, "  %-8v %8d\n", row.Category, row.FailTxns)
 	}
 
 	fmt.Fprintf(stdout, "\ntop %d failing clients:\n", *top)
-	for _, kv := range topN(byClient, *top) {
-		name := "?"
-		if int(kv.k) < len(topo.Clients) {
-			name = topo.Clients[kv.k].Name
-		}
-		fmt.Fprintf(stdout, "  %-50s %8d\n", name, kv.v)
+	for _, c := range a.TopFailingClients(*top) {
+		fmt.Fprintf(stdout, "  %-50s %8d\n", topo.Clients[c.Index].Name, c.Fails)
 	}
 	fmt.Fprintf(stdout, "\ntop %d failing servers:\n", *top)
-	for _, kv := range topN(bySite, *top) {
-		name := "?"
-		if int(kv.k) < len(topo.Websites) {
-			name = topo.Websites[kv.k].Host
-		}
-		fmt.Fprintf(stdout, "  %-50s %8d\n", name, kv.v)
+	for _, s := range a.TopFailingSites(*top) {
+		fmt.Fprintf(stdout, "  %-50s %8d\n", topo.Websites[s.Index].Host, s.Fails)
 	}
-
 	fmt.Fprintf(stdout, "\ntop %d failing pairs:\n", *top)
-	type pairN struct {
-		k [2]int32
-		v int
+	for _, p := range a.TopFailingPairs(*top) {
+		fmt.Fprintf(stdout, "  %-40s x %-24s %6d\n", topo.Clients[p.Client].Name, topo.Websites[p.Site].Host, p.Fails)
 	}
-	var pairs []pairN
-	for k, v := range byPair {
-		pairs = append(pairs, pairN{k, v})
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].v != pairs[j].v {
-			return pairs[i].v > pairs[j].v
-		}
-		if pairs[i].k[0] != pairs[j].k[0] {
-			return pairs[i].k[0] < pairs[j].k[0]
-		}
-		return pairs[i].k[1] < pairs[j].k[1]
-	})
-	for i, p := range pairs {
-		if i >= *top {
-			break
-		}
-		cn, sn := "?", "?"
-		if int(p.k[0]) < len(topo.Clients) {
-			cn = topo.Clients[p.k[0]].Name
-		}
-		if int(p.k[1]) < len(topo.Websites) {
-			sn = topo.Websites[p.k[1]].Host
-		}
-		fmt.Fprintf(stdout, "  %-40s x %-24s %6d\n", cn, sn, p.v)
-	}
-
-	// Worst hours.
 	fmt.Fprintf(stdout, "\nworst %d hours by failure count:\n", *top)
-	type hourN struct {
-		h int64
-		v int
-	}
-	var hs []hourN
-	for h, v := range byHour {
-		hs = append(hs, hourN{h, v})
-	}
-	sort.Slice(hs, func(i, j int) bool {
-		if hs[i].v != hs[j].v {
-			return hs[i].v > hs[j].v
-		}
-		return hs[i].h < hs[j].h
-	})
-	for i, h := range hs {
-		if i >= *top {
-			break
-		}
-		fmt.Fprintf(stdout, "  hour %4d: %6d failures\n", h.h, h.v)
+	for _, h := range a.WorstHours(*top) {
+		fmt.Fprintf(stdout, "  hour %4d: %6d failures\n", a.StartHour+int64(h.Index), h.Fails)
 	}
 
 	if *artifacts != "" {
@@ -387,26 +318,4 @@ func parseArtifacts(list string) map[string]bool {
 		sel[s] = true
 	}
 	return sel
-}
-
-type kv struct {
-	k int32
-	v int
-}
-
-func topN(m map[int32]int, n int) []kv {
-	out := make([]kv, 0, len(m))
-	for k, v := range m {
-		out = append(out, kv{k, v})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].v != out[j].v {
-			return out[i].v > out[j].v
-		}
-		return out[i].k < out[j].k
-	})
-	if len(out) > n {
-		out = out[:n]
-	}
-	return out
 }

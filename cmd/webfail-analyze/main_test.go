@@ -174,19 +174,58 @@ func TestTopFlagBounds(t *testing.T) {
 	}
 }
 
-// TestOutOfRosterRecord: a stored record whose site lies past the
-// header's roster must fail the full report with an error, never panic
-// an analysis pass indexing its grids.
+// TestOutOfRosterRecord: a stored record the analysis cannot place —
+// past the header's roster, under a header roster the rebuilt scenario
+// does not match, or outside the header's window — must fail both the
+// default summary and the full report with an error, never panic a
+// pass indexing its grids, drop the record, or clamp it into an edge
+// bin.
 func TestOutOfRosterRecord(t *testing.T) {
 	end := simnet.FromHours(12)
-	meta := measure.DatasetMeta{
-		Seed: 2005, StartUnix: simnet.Time(0).Unix(), EndUnix: end.Unix(),
-		Clients: 8, Websites: 6,
+	meta := func(clients, websites int) measure.DatasetMeta {
+		return measure.DatasetMeta{
+			Seed: 2005, StartUnix: simnet.Time(0).Unix(), EndUnix: end.Unix(),
+			Clients: clients, Websites: websites,
+		}
 	}
-	recs := []measure.Record{
-		{ClientIdx: 0, SiteIdx: 1, At: simnet.FromHours(1), Stage: httpsim.StageTCP, Conns: 1},
-		{ClientIdx: 7, SiteIdx: 580, At: simnet.FromHours(2), Stage: httpsim.StageTCP, Conns: 1},
+	ok := measure.Record{ClientIdx: 0, SiteIdx: 1, At: simnet.FromHours(1), Stage: httpsim.StageTCP, Conns: 1}
+	cases := []struct {
+		name string
+		meta measure.DatasetMeta
+		bad  measure.Record
+		want string // in the error
+	}{
+		{"site past the header roster", meta(8, 6),
+			measure.Record{ClientIdx: 7, SiteIdx: 580, At: simnet.FromHours(2), Stage: httpsim.StageTCP, Conns: 1}, "or 6 websites"},
+		{"header wider than the scenario's websites", meta(8, 5000),
+			measure.Record{ClientIdx: 7, SiteIdx: 4000, At: simnet.FromHours(2), Stage: httpsim.StageDNS, DNS: measure.DNSLDNSTimeout}, "8 clients x 5000 websites does not match"},
+		{"header wider than the scenario's clients", meta(5000, 6),
+			measure.Record{ClientIdx: 4000, SiteIdx: 2, At: simnet.FromHours(2), Stage: httpsim.StageTCP, Conns: 1}, "5000 clients x 6 websites does not match"},
+		{"record before the window", meta(8, 6),
+			measure.Record{ClientIdx: 7, SiteIdx: 2, At: -simnet.FromHours(3), Stage: httpsim.StageTCP, Conns: 1}, "outside the analysis window"},
+		{"record after the window", meta(8, 6),
+			measure.Record{ClientIdx: 7, SiteIdx: 2, At: simnet.FromHours(500), Stage: httpsim.StageTCP, Conns: 1}, "outside the analysis window"},
 	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := writeDataset(t, tc.meta, []measure.Record{ok, tc.bad})
+			for _, extra := range [][]string{nil, {"-artifacts", "all"}} {
+				var out, errOut bytes.Buffer
+				args := append([]string{"-in", path}, extra...)
+				err := run(args, &out, &errOut)
+				if err == nil {
+					t.Errorf("%v succeeded:\n%s", args[2:], out.String())
+				} else if !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%v: error %q does not contain %q", args[2:], err, tc.want)
+				}
+			}
+		})
+	}
+}
+
+// writeDataset stores recs under meta in a fresh dataset file.
+func writeDataset(t *testing.T, meta measure.DatasetMeta, recs []measure.Record) string {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "bad.ds")
 	f, err := os.Create(path)
 	if err != nil {
@@ -209,8 +248,5 @@ func TestOutOfRosterRecord(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	var out, errOut bytes.Buffer
-	if err := run([]string{"-in", path, "-artifacts", "all"}, &out, &errOut); err == nil {
-		t.Error("-artifacts all over a record past the roster succeeded")
-	}
+	return path
 }

@@ -78,6 +78,9 @@ type Analysis struct {
 
 	nClients, nSites int
 
+	// outside counts the records Add clamped into the window.
+	outside int64
+
 	// Active passes in canonical order, plus typed handles: the typed
 	// fields are nil for unselected passes, and the ingest hot path
 	// dispatches through them directly rather than via the interface.
@@ -185,23 +188,23 @@ func (a *Analysis) Passes() []PassName {
 	return out
 }
 
-// hourIndex maps a record time to the window-relative bin, clamped.
-func (a *Analysis) hourIndex(at simnet.Time) int {
-	h := int(int64(at)/a.binNS - a.StartHour)
-	if h < 0 {
-		h = 0
-	}
-	if h >= a.Hours {
-		h = a.Hours - 1
-	}
-	return h
+// hourIndex maps a record time to the window-relative bin, clamped; ok
+// reports whether the time needed no clamp.
+func (a *Analysis) hourIndex(at simnet.Time) (h int, ok bool) {
+	h = int(int64(at)/a.binNS - a.StartHour)
+	return min(max(h, 0), a.Hours-1), h >= 0 && h < a.Hours
 }
 
 // Add consumes one record into every selected pass. Records must arrive
 // in per-client time order (both measure modes guarantee per-client
-// ordering) for streak tracking.
+// ordering) for streak tracking. A time outside the window is clamped
+// into its first or last bin and counted; the stored-record entry
+// points refuse such records (checkWindow).
 func (a *Analysis) Add(r *measure.Record) {
-	h := a.hourIndex(r.At)
+	h, ok := a.hourIndex(r.At)
+	if !ok {
+		a.outside++
+	}
 	// Direct typed dispatch: this is the ingest hot path, and the
 	// passes are independent, so order does not matter.
 	if a.totals != nil {
@@ -225,6 +228,16 @@ func (a *Analysis) Add(r *measure.Record) {
 	if a.fails != nil {
 		a.fails.consume(r, h)
 	}
+}
+
+// checkWindow fails when Add clamped any record into the window: a live
+// run never produces one, so only a corrupt stored record can.
+func (a *Analysis) checkWindow() error {
+	if a.outside == 0 {
+		return nil
+	}
+	return fmt.Errorf("core: %d stored record(s) lie outside the analysis window [%v, %v)",
+		a.outside, simnet.Time(a.StartHour*a.binNS), simnet.Time((a.StartHour+int64(a.Hours))*a.binNS))
 }
 
 func (a *Analysis) missingPass(name PassName) *Analysis {

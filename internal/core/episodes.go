@@ -84,9 +84,7 @@ func pairBetter(a, b PermanentPair) bool {
 
 // PermanentPairs detects pairs whose month-long transaction failure rate
 // exceeds threshold (the paper uses 0.9) with a minimum sample size.
-// The result is complete (attribution needs the full exclusion set);
-// use TopFailingPairs when only the worst offenders matter and the
-// roster is too large to retain every candidate.
+// The result is complete: attribution needs the full exclusion set.
 //
 // Cells of unallocated pages have zero transactions and fail the
 // minimum-sample filter, so skipping them cannot change the result.
@@ -107,30 +105,6 @@ func (a *Analysis) PermanentPairs(threshold float64) []PermanentPair {
 	})
 	sort.Slice(out, func(i, j int) bool { return pairBetter(out[i], out[j]) })
 	return out
-}
-
-// TopFailingPairs streams every qualifying pair (same filter and order
-// as PermanentPairs at threshold) through a bounded top-k heap,
-// retaining at most k candidates at any moment — O(k) memory for
-// mega-rosters where the full listing would not fit. The order is the
-// strict total order PermanentPairs sorts by, so the result equals
-// PermanentPairs(threshold) truncated to k.
-func (a *Analysis) TopFailingPairs(threshold float64, k int) []PermanentPair {
-	pp := a.mustPairs()
-	top := newTopK[PermanentPair](k, func(x, y PermanentPair) bool { return pairBetter(y, x) })
-	pp.cells.forEach(func(i int, cell *pairCell) {
-		if cell.Txns < 20 {
-			return
-		}
-		rate := float64(cell.Fails) / float64(cell.Txns)
-		if rate > threshold {
-			top.push(PermanentPair{
-				Client: i / a.nSites, Site: i % a.nSites,
-				Txns: cell.Txns, Fails: cell.Fails, Rate: rate,
-			})
-		}
-	})
-	return top.sorted()
 }
 
 // PermanentPairShare reports the fraction of all failed *connections* and

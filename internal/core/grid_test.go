@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -142,6 +143,11 @@ type stateFingerprint struct {
 	Loss                 float64
 	LossErr              string
 	PairSpec             PairSpecificResult
+	StageFails           []int64
+	WorstClients         []FailCount
+	WorstSites           []FailCount
+	WorstHours           []FailCount
+	WorstPairs           []PairFailCount
 
 	GridClient, GridServer map[int]gridCell
 	ConnClient, ConnServer map[int]connCell
@@ -184,6 +190,14 @@ func fingerprint(a *Analysis) stateFingerprint {
 		fp.LossErr = err.Error()
 	}
 	fp.PairSpec = a.ClientServerSpecific(at)
+	for _, st := range []httpsim.Stage{httpsim.StageDNS, httpsim.StageTCP, httpsim.StageHTTP} {
+		fp.StageFails = append(fp.StageFails, a.StageFailures(st))
+	}
+	const all = 1 << 20 // past every listing's length
+	fp.WorstClients = a.TopFailingClients(all)
+	fp.WorstSites = a.TopFailingSites(all)
+	fp.WorstHours = a.WorstHours(all)
+	fp.WorstPairs = a.TopFailingPairs(all)
 
 	fp.GridClient = snapshotGrid(&a.grids.client)
 	fp.GridServer = snapshotGrid(&a.grids.server)
@@ -293,7 +307,7 @@ func TestGridMatchesReference(t *testing.T) {
 			cc, cs := refCells[connCell]{}, refCells[connCell]{}
 			pc, rh := refCells[pairCell]{}, refCells[gridCell]{}
 			for _, r := range recs {
-				h := a.hourIndex(r.At)
+				h, _ := a.hourIndex(r.At)
 				ci, si := int(r.ClientIdx)*int(hours)+h, int(r.SiteIdx)*int(hours)+h
 				fail, fc := int32(0), int32(r.FailedConns())
 				if r.Failed() {
@@ -419,22 +433,28 @@ func diffFingerprint(t *testing.T, want, got stateFingerprint) {
 	}
 }
 
-// TestTopFailingPairsMatchesFull: the bounded-top-k listing must equal
-// the complete listing truncated, for any k.
+// TestTopFailingPairsMatchesFull: the bounded-top-k pair listing must
+// equal a full sort of every failing pair, worst first with ties to the
+// lower client and site, truncated to k.
 func TestTopFailingPairsMatchesFull(t *testing.T) {
 	topo := scenario.SyntheticTopology(30, 10)
 	const hours = 6
 	a := buildState(topo, hours, synthStream(topo, hours, 150, 3))
-	full := a.PermanentPairs(0.9)
+	var full []PairFailCount
+	for c := range topo.Clients {
+		for s := range topo.Websites {
+			if _, fails := a.PairStats(c, s); fails > 0 {
+				full = append(full, PairFailCount{Client: c, Site: s, Fails: fails})
+			}
+		}
+	}
+	slices.SortStableFunc(full, func(x, y PairFailCount) int { return cmp.Compare(y.Fails, x.Fails) })
 	if len(full) < 3 {
-		t.Fatalf("synthetic stream produced only %d permanent pairs; want more for a meaningful test", len(full))
+		t.Fatalf("synthetic stream produced only %d failing pairs; want more for a meaningful test", len(full))
 	}
 	for _, k := range []int{0, 1, 3, len(full), len(full) + 5} {
-		got := a.TopFailingPairs(0.9, k)
-		want := full
-		if len(want) > k {
-			want = want[:k]
-		}
+		got := a.TopFailingPairs(k)
+		want := full[:min(k, len(full))]
 		if len(got) == 0 && len(want) == 0 {
 			continue
 		}

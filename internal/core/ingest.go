@@ -13,12 +13,17 @@ import (
 
 // Consume streams every stored record of src into the accumulator in
 // canonical (client-major, per-client time-ordered) order — the
-// stored-data counterpart of feeding Add from a live measure.Run.
+// stored-data counterpart of feeding Add from a live measure.Run. A
+// record outside the analysis window is an error.
 func (a *Analysis) Consume(src dataset.RecordSource) error {
-	return dataset.AllRecords(src, func(r *measure.Record) error {
+	err := dataset.AllRecords(src, func(r *measure.Record) error {
 		a.Add(r)
 		return nil
 	})
+	if err != nil {
+		return err
+	}
+	return a.checkWindow()
 }
 
 // ConsumeParallel ingests src across shards workers, one contiguous
@@ -59,7 +64,8 @@ type IngestOptions struct {
 // so totals are shard-count-independent and the ingest loop carries no
 // atomics. A shard's grids allocate only the pages its client range
 // touches, and the later shards merge into the first in shard order, so
-// the result is identical to a serial Consume for any shard count.
+// the result is identical to a serial Consume for any shard count. Like
+// Consume, it fails on a record outside the analysis window.
 func ConsumeParallelOpts(topo *workload.Topology, start, end simnet.Time, src dataset.RecordSource, opts IngestOptions) (*Analysis, error) {
 	n := len(topo.Clients)
 	shards := measure.EffectiveShards(n, opts.Shards)
@@ -89,6 +95,9 @@ func ConsumeParallelOpts(topo *workload.Topology, start, end simnet.Time, src da
 			})
 			sc.Add(sinceFlush)
 			reg.Counter(ingestCounterName(accs[s])).Add(ingested)
+			if errs[s] == nil {
+				errs[s] = accs[s].checkWindow()
+			}
 		}(s)
 	}
 	wg.Wait()

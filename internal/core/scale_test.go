@@ -107,7 +107,7 @@ func denseStateMB(topo *workload.Topology, hours int) float64 {
 func runArtifacts(tb testing.TB, a *Analysis) {
 	tb.Helper()
 	pairs := a.PermanentPairs(0.9)
-	a.TopFailingPairs(0.9, 8)
+	a.TopFailingPairs(8)
 	a.PermanentPairShare(pairs)
 	a.EpisodeRateCDFs()
 	a.MedianFailureRates()

@@ -16,8 +16,9 @@ type topK[T any] struct {
 	items []T // min-heap on less: items[0] is the weakest retained
 }
 
+// newTopK reserves nothing, so a k far past the stream costs nothing.
 func newTopK[T any](k int, less func(a, b T) bool) *topK[T] {
-	return &topK[T]{k: k, less: less, items: make([]T, 0, k)}
+	return &topK[T]{k: k, less: less}
 }
 
 func (t *topK[T]) push(x T) {

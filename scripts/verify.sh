@@ -10,8 +10,10 @@
 # analysis of a checked-in dataset an earlier writer produced — the
 # TestGolden pattern includes TestGoldenStdoutWithMetrics and
 # TestGoldenV3Small), webfail-analyze's input gates (a stored record
-# outside the header's roster and a negative -top are errors, never
-# panics), the selective-vs-full analyzer-pass equivalence under the
+# outside the header's roster, a header roster that differs from the
+# roster the scenario rebuilds, a stored record outside the header's
+# window and a negative -top are errors, never panics), the
+# selective-vs-full analyzer-pass equivalence under the
 # race detector, the ground-truth join against its string-keyed
 # reference under the race detector
 # (TestValidateAttributionMatchesReference), the observability
@@ -58,12 +60,15 @@ go test -race -run 'TestSerialParallelEquivalence|TestRunParallelShardClamp|Test
 # geometries end mid-page), merged artifacts must be identical for any
 # shard count and merge order, a shard accumulator must allocate no
 # page outside its client range, the bounded top-k listings must equal
-# their complete counterparts, and the episode bitsets and heap must
-# pass their property tests — all under the race detector.
+# their complete counterparts and the webfail-analyze summary listings
+# the map-and-sort reference (TestTopFailingMatchesReference), both
+# stored-record ingest paths must refuse a record outside the analysis
+# window, and the episode bitsets and heap must pass their property
+# tests — all under the race detector.
 # TestValidateAttributionMatchesReference holds the ID-based
 # ground-truth join to its string-keyed reference on every shipped
 # scenario and keeps its allocations independent of the failure count.
-go test -race -run 'TestGridMatchesReference|TestMergeOrderIndependence|TestShardLocalPages|TestTopFailingPairsMatchesFull|TestRandomPairSimilarityBounded|TestPairCellInt64|TestHourSet|TestTopK|TestValidateAttributionMatchesReference' \
+go test -race -run 'TestGridMatchesReference|TestMergeOrderIndependence|TestShardLocalPages|TestTopFailingPairsMatchesFull|TestTopFailingMatchesReference|TestStoredRecordOutsideWindow|TestRandomPairSimilarityBounded|TestPairCellInt64|TestHourSet|TestTopK|TestValidateAttributionMatchesReference' \
     -count=1 ./internal/core
 # Dataset format gates: the checked-in v3 fixture must keep opening
 # (backward compatibility), the columnar codec must round-trip and
