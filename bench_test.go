@@ -565,7 +565,7 @@ func BenchmarkAblationEpisodeDuration(b *testing.B) {
 		bin := bin
 		b.Run(bin.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				a := core.NewAnalysisBinned(topo, 0, end, bin)
+				a := core.NewAnalysisOpts(topo, 0, end, core.Options{Bin: bin})
 				if err := measure.Run(cfg, func(r *measure.Record) { a.Add(r) }); err != nil {
 					b.Fatal(err)
 				}
@@ -713,7 +713,7 @@ func benchDatasetSave(b *testing.B, opts dataset.Options) {
 func BenchmarkDatasetSave(b *testing.B) { benchDatasetSave(b, dataset.Options{}) }
 
 // benchDatasetLoadParallel measures the sharded ingest path end to end:
-// open a dataset written with opts and ConsumeParallel it
+// open a dataset written with opts and ConsumeParallelOpts it
 // across GOMAXPROCS client-range shards (each worker reads only its
 // overlapping chunks, decoding through reused buffers). Ingest runs
 // only the totals and traffic passes, which hold no grid, so the bench
@@ -791,7 +791,7 @@ func BenchmarkAnalyzeSelective(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				a := core.NewAnalysisSelected(topo, 0, end, passes...)
+				a := core.NewAnalysisOpts(topo, 0, end, core.Options{Passes: passes})
 				for j := range recs {
 					a.Add(&recs[j])
 				}

@@ -16,8 +16,10 @@
 // reconstructed from the stored scenario and run seed) with exemplar
 // tracing on, and renders the sampled transactions of the given failure
 // class (e.g. tcp:no-connection) as waterfall span trees, naming the
-// blamed fault entity on each failing span. -trace-out additionally
-// exports the replayed exemplars as Chrome trace-event JSON.
+// blamed fault entity on each failing span. A replay that does not
+// reproduce the dataset's transaction and failure counts, such as one
+// of a packet-mode run, is an error. -trace-out additionally exports
+// the replayed exemplars as Chrome trace-event JSON.
 //
 // The ingest into the core analysis accumulator is sharded across
 // -parallel workers: each worker opens only the dataset chunks
@@ -232,19 +234,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 // from the stored scenario metadata, replays the run in fast mode with
 // exemplar tracing on, and renders the sampled transactions of the
 // requested failure class as waterfall span trees — each span naming
-// the blamed entity from the fault ground truth. The replay is exact:
-// fast mode is deterministic in (topology, scenario, run seed), all of
-// which the dataset records.
+// the blamed entity from the fault ground truth. Fast mode is
+// deterministic in (topology, scenario, run seed), all of which the
+// dataset records, so the replay must reproduce the header's
+// transaction and failure counts; a run it cannot reproduce, such as a
+// packet-mode one, is an error.
 func runForensics(stdout, stderr io.Writer, meta measure.DatasetMeta, spec *scenario.Spec, topo *workload.Topology, class string, obsFlags *obs.CLIFlags) error {
 	if _, err := measure.ParseTraceClass(class); err != nil {
 		return err
-	}
-	runSeed := meta.RunSeed
-	if runSeed == 0 {
-		// Datasets written before RunSeed metadata existed decode to 0;
-		// the CLI default has always been 1.
-		runSeed = 1
-		fmt.Fprintln(stderr, "webfail-analyze: dataset predates run-seed metadata; replaying with the default seed 1")
 	}
 	start := simnet.FromUnix(meta.StartUnix)
 	end := simnet.FromUnix(meta.EndUnix)
@@ -253,14 +250,25 @@ func runForensics(stdout, stderr io.Writer, meta measure.DatasetMeta, spec *scen
 		return fmt.Errorf("scenario %q: %w", spec.Name, err)
 	}
 	sc := workload.BuildScenario(topo, params)
-	tracer := obs.NewTracer(obsFlags.TraceExemplars)
-	cfg := measure.Config{Topo: topo, Scenario: sc, Seed: runSeed, Start: start, End: end, Trace: tracer}
-	if err := measure.Run(cfg, func(*measure.Record) {}); err != nil {
+	cfg := measure.Config{Topo: topo, Scenario: sc, Seed: meta.RunSeed, Start: start, End: end}
+	tracer, txns, fails, err := replay(cfg, obsFlags.TraceExemplars)
+	if err == nil && (txns != meta.Transactions || fails != meta.Failures) && cfg.Seed == 0 {
+		// Datasets written before RunSeed metadata existed decode to 0;
+		// the CLI default has always been 1.
+		cfg.Seed = 1
+		fmt.Fprintln(stderr, "webfail-analyze: dataset predates run-seed metadata; replaying with the default seed 1")
+		tracer, txns, fails, err = replay(cfg, obsFlags.TraceExemplars)
+	}
+	if err != nil {
 		return fmt.Errorf("forensics replay: %w", err)
+	}
+	if txns != meta.Transactions || fails != meta.Failures {
+		return fmt.Errorf("forensics replay of run seed %d made %d transactions and %d failures, but the dataset records %d and %d; only a fast-mode run replays",
+			cfg.Seed, txns, fails, meta.Transactions, meta.Failures)
 	}
 
 	exs := tracer.Exemplars(class)
-	fmt.Fprintf(stdout, "forensics: %d exemplar(s) of class %s (fast-mode replay, run seed %d)\n\n", len(exs), class, runSeed)
+	fmt.Fprintf(stdout, "forensics: %d exemplar(s) of class %s (fast-mode replay, run seed %d)\n\n", len(exs), class, cfg.Seed)
 	for _, ex := range exs {
 		origin := ex.Spans[0].Start
 		spans := make([]textplot.WaterfallSpan, len(ex.Spans))
@@ -284,6 +292,19 @@ func runForensics(stdout, stderr io.Writer, meta measure.DatasetMeta, spec *scen
 		fmt.Fprintf(stdout, "trace written to %s (%d exemplars)\n", obsFlags.TraceOut, tracer.Len())
 	}
 	return nil
+}
+
+// replay reruns cfg in fast mode with a tracer keeping k exemplars per
+// class, counting the transactions and failures it makes.
+func replay(cfg measure.Config, k int) (tracer *obs.Tracer, txns, fails int64, err error) {
+	cfg.Trace = obs.NewTracer(k)
+	err = measure.Run(cfg, func(r *measure.Record) {
+		txns++
+		if r.Failed() {
+			fails++
+		}
+	})
+	return cfg.Trace, txns, fails, err
 }
 
 // scenarioFor reconstructs the world a dataset came from: the embedded

@@ -24,29 +24,39 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // fixed scenario and run seeds, streamed through the same sink path
 // `webfail -save` uses. The workload and measurement layers are fully
 // deterministic, so the bytes under analysis are identical on every
-// run and the golden files can be checked in without the dataset.
+// run and the golden files can be checked in without the dataset. Its
+// header carries no run seed, like datasets written before run-seed
+// metadata existed.
 func fixtureDataset(t *testing.T) string {
 	t.Helper()
 	topo := scenario.PaperScaledTopology(12, 8)
 	end := simnet.FromHours(24)
 	sc := workload.BuildScenario(topo, scenario.PaperParams(2005, 0, end))
 	cfg := measure.Config{Topo: topo, Scenario: sc, Seed: 1, Start: 0, End: end}
+	meta := measure.DatasetMeta{
+		Seed: 2005, StartUnix: simnet.Time(0).Unix(), EndUnix: end.Unix(),
+		Clients: len(topo.Clients), Websites: len(topo.Websites),
+	}
+	return saveRun(t, meta, func(visit func(*measure.Record)) error { return measure.Run(cfg, visit) })
+}
 
+// saveRun streams the records of run through one dataset sink, as
+// `webfail -save` does at one shard, into a fresh file with header meta
+// and returns its path.
+func saveRun(t *testing.T, meta measure.DatasetMeta, run func(visit func(*measure.Record)) error) string {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "fixture.ds")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dw, err := dataset.NewWriter(f, measure.DatasetMeta{
-		Seed: 2005, StartUnix: simnet.Time(0).Unix(), EndUnix: end.Unix(),
-		Clients: len(topo.Clients), Websites: len(topo.Websites),
-	}, dataset.Options{})
+	dw, err := dataset.NewWriter(f, meta, dataset.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sink := dw.NewSink()
 	var sinkErr error
-	if err := measure.Run(cfg, func(r *measure.Record) {
+	if err := run(func(r *measure.Record) {
 		if err := sink.Observe(r); err != nil && sinkErr == nil {
 			sinkErr = err
 		}

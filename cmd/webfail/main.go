@@ -104,7 +104,7 @@ func run(argv []string, stdout io.Writer) error {
 	}
 	// Resolve the selection to the analyzer passes its artifacts need
 	// (empty selection = everything); only those accumulate during the
-	// run, whether serial or sharded.
+	// run, in every shard.
 	passes, err := report.PassesFor(sel)
 	if err != nil {
 		return err
@@ -149,10 +149,7 @@ func run(argv []string, stdout io.Writer) error {
 		return nil
 	}
 
-	shards := 1
-	if *mode == "fast" || *mode == "packet" {
-		shards = measure.EffectiveShards(len(topo.Clients), *parallel)
-	}
+	shards := measure.EffectiveShards(len(topo.Clients), *parallel)
 	cfg.Trace = obsFlags.Tracer()
 	fmt.Fprintf(stdout, "webfail: %s; %d clients x %d websites over %d hours (%s mode, %d shards)\n",
 		topo, len(topo.Clients), len(topo.Websites), *hours, *mode, shards)
@@ -167,9 +164,6 @@ func run(argv []string, stdout io.Writer) error {
 		// 100%-with-totals flush even when the run errors mid-batch.
 		defer cfg.Progress.Stop()
 	}
-
-	aopts := core.Options{Passes: passes}
-	a := core.NewAnalysisOpts(topo, 0, end, aopts)
 
 	// The dataset streams to disk during the run: shard workers feed
 	// per-shard sinks that flush independently compressed chunks, so
@@ -194,14 +188,35 @@ func run(argv []string, stdout io.Writer) error {
 			return fmt.Errorf("save: %w", err)
 		}
 	}
-	var sink *dataset.Sink // serial modes write one stream
-	if dw != nil && !(*mode == "fast" && shards > 1) {
-		sink = dw.NewSink()
+	// Fast-mode shards run concurrently, so each feeds a private
+	// accumulator and sink; a is shard 0's accumulator, and the others
+	// merge into it in shard order. The shards are contiguous client
+	// ranges and the serial record stream is client-major, so the merged
+	// analysis and the saved canonical record order equal a serial run's.
+	// Packet mode delivers every shard's records after its workers
+	// finish, sequentially in canonical order, so a and one sink take the
+	// whole stream.
+	streams := 1
+	if *mode == "fast" {
+		streams = shards
 	}
-	visit := func(r *measure.Record) {
-		a.Add(r)
-		if sink != nil {
-			sink.Observe(r)
+	aopts := core.Options{Passes: passes}
+	accs := make([]*core.Analysis, streams)
+	for s := range accs {
+		accs[s] = core.NewAnalysisOpts(topo, 0, end, aopts)
+	}
+	a := accs[0]
+	var sinks []*dataset.Sink
+	if dw != nil {
+		sinks = make([]*dataset.Sink, streams)
+		for s := range sinks {
+			sinks[s] = dw.NewSink()
+		}
+	}
+	visit := func(s int, r *measure.Record) {
+		accs[s].Add(r)
+		if sinks != nil {
+			sinks[s].Observe(r)
 		}
 	}
 
@@ -209,32 +224,25 @@ func run(argv []string, stdout io.Writer) error {
 	runSpan := reg.Span("run/" + *mode)
 	switch *mode {
 	case "fast":
-		if shards > 1 {
-			err = runFastSharded(cfg, shards, topo, a, dw, aopts)
-		} else {
-			err = measure.Run(cfg, visit)
-		}
+		err = measure.RunParallel(cfg, shards, visit)
 	case "packet":
 		if workload.ExpectedTransactions(topo, *runSeed, 0, end) > 2_000_000 {
 			return fmt.Errorf("packet mode at this scale would take very long; reduce -hours/-clients/-sites")
 		}
-		if shards > 1 {
-			// The parallel entry point replays each shard's buffered
-			// records sequentially in canonical order after the workers
-			// finish, so the single accumulator and dataset sink see the
-			// exact serial stream.
-			err = measure.RunPacketParallel(cfg, shards, func(_ int, r *measure.Record) { visit(r) })
-		} else {
-			err = measure.RunPacket(cfg, visit)
-		}
+		err = measure.RunPacketParallel(cfg, shards, func(_ int, r *measure.Record) { visit(0, r) })
 	default:
 		return fmt.Errorf("unknown mode %q", *mode)
+	}
+	for _, acc := range accs[1:] {
+		if err == nil {
+			err = a.Merge(acc)
+		}
 	}
 	runSpan.End()
 	if err != nil {
 		return fmt.Errorf("run: %w", err)
 	}
-	if sink != nil {
+	for _, sink := range sinks {
 		if err := sink.Close(); err != nil {
 			return fmt.Errorf("save: %w", err)
 		}
@@ -268,46 +276,6 @@ func run(argv []string, stdout io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(stdout, "\ntrace written to %s (%d exemplars)\n", obsFlags.TraceOut, cfg.Trace.Len())
-	}
-	return nil
-}
-
-// runFastSharded runs fast mode across shards workers, each feeding a
-// private accumulator (and, when saving, a private dataset sink), then
-// merges in shard order — shards are contiguous client ranges and the
-// serial record stream is client-major, so the merged analysis and the
-// saved dataset's canonical record order are identical to a serial
-// run's.
-func runFastSharded(cfg measure.Config, shards int, topo *workload.Topology, a *core.Analysis, dw *dataset.Writer, aopts core.Options) error {
-	accs := make([]*core.Analysis, shards)
-	for i := range accs {
-		accs[i] = core.NewAnalysisOpts(topo, cfg.Start, cfg.End, aopts)
-	}
-	var sinks []*dataset.Sink
-	if dw != nil {
-		sinks = make([]*dataset.Sink, shards)
-		for i := range sinks {
-			sinks[i] = dw.NewSink()
-		}
-	}
-	err := measure.RunParallel(cfg, shards, func(s int, r *measure.Record) {
-		accs[s].Add(r)
-		if sinks != nil {
-			sinks[s].Observe(r)
-		}
-	})
-	if err != nil {
-		return err
-	}
-	for s := 0; s < shards; s++ {
-		if err := a.Merge(accs[s]); err != nil {
-			return err
-		}
-		if sinks != nil {
-			if err := sinks[s].Close(); err != nil {
-				return err
-			}
-		}
 	}
 	return nil
 }

@@ -18,13 +18,14 @@
 // The Analysis accumulator consumes measure.Records in one streaming
 // pass; every analysis is a pure function over the accumulated state.
 // The state itself is decomposed into independent analyzer passes (see
-// Pass and the Pass* names): callers that need only some artifacts
-// select only the passes those artifacts require, and unselected passes
-// are never constructed.
+// PassName): callers that need only some artifacts select only the
+// passes those artifacts require, and unselected passes are never
+// constructed.
 package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"webfail/internal/httpsim"
@@ -32,22 +33,6 @@ import (
 	"webfail/internal/simnet"
 	"webfail/internal/workload"
 )
-
-// entityHour is the composite view of one client's or server's traffic
-// within one 1-hour episode (Section 4.4.3 fixes the episode duration
-// at one hour), assembled from the grids and conns passes by the
-// ClientHour/ServerHour accessors. Fields belonging to an unselected
-// pass read as zero.
-type entityHour struct {
-	Txns      int32
-	FailTxns  int32
-	Conns     int32
-	FailConns int32
-	// Streak tracking: longest run of consecutive failed transactions
-	// within the hour (Figure 5's third graph).
-	streakCur int16
-	StreakMax int16
-}
 
 // FailureRec is the compact retained form of a failed transaction, the
 // input to the attribution pass.
@@ -68,10 +53,8 @@ type FailureRec struct {
 type Analysis struct {
 	Topo *workload.Topology
 
-	// Window. "Hours" counts episode bins; bins are 1 hour by default
-	// (Section 4.4.3) but NewAnalysisBinned supports the paper's
-	// episode-duration trade-off discussion (10-minute bins catch
-	// short outages but starve on samples; 1-day bins bury them).
+	// Window. "Hours" counts episode bins, 1 hour unless Options.Bin
+	// sets another duration.
 	StartHour int64
 	Hours     int
 	binNS     int64
@@ -81,10 +64,10 @@ type Analysis struct {
 	// outside counts the records Add clamped into the window.
 	outside int64
 
-	// Active passes in canonical order, plus typed handles: the typed
-	// fields are nil for unselected passes, and the ingest hot path
-	// dispatches through them directly rather than via the interface.
-	active   []Pass
+	// The selected passes in canonical order, and one typed handle per
+	// pass, nil when unselected: Add and Merge dispatch through the
+	// handles.
+	passes   []PassName
 	totals   *totalsPass
 	traffic  *trafficPass
 	grids    *gridsPass
@@ -97,40 +80,24 @@ type Analysis struct {
 // NewAnalysis creates an accumulator for records in [start, end) with the
 // paper's 1-hour episode bins and every analyzer pass selected.
 func NewAnalysis(topo *workload.Topology, start, end simnet.Time) *Analysis {
-	return NewAnalysisBinned(topo, start, end, time.Hour)
-}
-
-// NewAnalysisSelected creates an accumulator with 1-hour bins and only
-// the given analyzer passes (none = all; totals is always included).
-func NewAnalysisSelected(topo *workload.Topology, start, end simnet.Time, passes ...PassName) *Analysis {
-	return NewAnalysisBinnedSelected(topo, start, end, time.Hour, passes...)
-}
-
-// NewAnalysisBinned creates an accumulator with a custom episode bin
-// duration — the ablation knob for the Section 4.4.3 trade-off. The BGP
-// correlation requires 1-hour bins (Routeviews aggregation is hourly).
-func NewAnalysisBinned(topo *workload.Topology, start, end simnet.Time, bin time.Duration) *Analysis {
-	return NewAnalysisBinnedSelected(topo, start, end, bin)
-}
-
-// NewAnalysisBinnedSelected creates an accumulator with a custom bin
-// duration and only the given analyzer passes (none = all; totals is
-// always included).
-func NewAnalysisBinnedSelected(topo *workload.Topology, start, end simnet.Time, bin time.Duration, passes ...PassName) *Analysis {
-	return NewAnalysisOpts(topo, start, end, Options{Bin: bin, Passes: passes})
+	return NewAnalysisOpts(topo, start, end, Options{})
 }
 
 // Options configures an Analysis beyond its window.
 type Options struct {
-	// Bin is the episode bin duration (<= 0 means the paper's 1 hour).
+	// Bin is the episode bin duration (<= 0 means the paper's 1 hour):
+	// the ablation knob for the Section 4.4.3 trade-off, where short
+	// bins catch brief outages but starve on samples and long bins bury
+	// them. The BGP correlation requires 1-hour bins (Routeviews
+	// aggregation is hourly).
 	Bin time.Duration
 	// Passes selects the analyzer passes (none = all; totals is always
 	// included).
 	Passes []PassName
 }
 
-// NewAnalysisOpts is the fully general constructor: every other
-// NewAnalysis* variant delegates here.
+// NewAnalysisOpts creates an accumulator for records in [start, end)
+// with the configured bins and passes; NewAnalysis is its default.
 func NewAnalysisOpts(topo *workload.Topology, start, end simnet.Time, opts Options) *Analysis {
 	bin := opts.Bin
 	if bin <= 0 {
@@ -149,44 +116,30 @@ func NewAnalysisOpts(topo *workload.Topology, start, end simnet.Time, opts Optio
 		nClients:  len(topo.Clients),
 		nSites:    len(topo.Websites),
 	}
-	for _, name := range normalizePasses(opts.Passes) {
-		var p Pass
+	a.passes = normalizePasses(opts.Passes)
+	for _, name := range a.passes {
 		switch name {
 		case PassTotals:
 			a.totals = newTotalsPass()
-			p = a.totals
 		case PassTraffic:
 			a.traffic = newTrafficPass(a.nClients, a.nSites)
-			p = a.traffic
 		case PassGrids:
 			a.grids = newGridsPass(a.nClients, a.nSites, hours)
-			p = a.grids
 		case PassFailures:
 			a.fails = newFailuresPass()
-			p = a.fails
 		case PassPairs:
 			a.pairs = newPairsPass(a.nClients, a.nSites)
-			p = a.pairs
 		case PassReplicas:
 			a.replicas = newReplicasPass(topo, hours)
-			p = a.replicas
 		case PassConns:
 			a.conns = newConnsPass(a.nClients, a.nSites, hours)
-			p = a.conns
 		}
-		a.active = append(a.active, p)
 	}
 	return a
 }
 
 // Passes returns the selected pass names in canonical order.
-func (a *Analysis) Passes() []PassName {
-	out := make([]PassName, len(a.active))
-	for i, p := range a.active {
-		out[i] = p.Name()
-	}
-	return out
-}
+func (a *Analysis) Passes() []PassName { return slices.Clone(a.passes) }
 
 // hourIndex maps a record time to the window-relative bin, clamped; ok
 // reports whether the time needed no clamp.
@@ -295,43 +248,6 @@ func (a *Analysis) TotalFails() int64 { return a.totals.fails }
 // Failures returns the retained failure records in canonical
 // (client-major, per-client time-ordered) order.
 func (a *Analysis) Failures() []FailureRec { return a.mustFailures().recs }
-
-// ClientHour returns the accumulated cell, assembled from the grids and
-// conns passes (unselected passes contribute zeros).
-func (a *Analysis) ClientHour(client, hour int) entityHour {
-	var eh entityHour
-	if a.grids != nil {
-		c := a.grids.client.val(client*a.Hours + hour)
-		eh.Txns, eh.FailTxns = c.Txns, c.FailTxns
-	}
-	if a.conns != nil {
-		c := a.conns.client.val(client*a.Hours + hour)
-		eh.Conns, eh.FailConns = c.Conns, c.FailConns
-		eh.streakCur, eh.StreakMax = c.streakCur, c.StreakMax
-	}
-	return eh
-}
-
-// ServerHour returns the accumulated cell, assembled like ClientHour.
-func (a *Analysis) ServerHour(site, hour int) entityHour {
-	var eh entityHour
-	if a.grids != nil {
-		c := a.grids.server.val(site*a.Hours + hour)
-		eh.Txns, eh.FailTxns = c.Txns, c.FailTxns
-	}
-	if a.conns != nil {
-		c := a.conns.server.val(site*a.Hours + hour)
-		eh.Conns, eh.FailConns = c.Conns, c.FailConns
-	}
-	return eh
-}
-
-// PairStats returns the month-long totals for a client-server pair.
-func (a *Analysis) PairStats(client, site int) (txns, fails int64) {
-	p := a.mustPairs()
-	c := p.cells.val(client*a.nSites + site)
-	return c.Txns, c.Fails
-}
 
 // String summarizes the accumulated run.
 func (a *Analysis) String() string {

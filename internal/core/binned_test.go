@@ -43,7 +43,7 @@ func TestBinnedAnalysis(t *testing.T) {
 	}
 
 	episodesAt := func(bin time.Duration) int {
-		a := NewAnalysisBinned(topo, 0, end, bin)
+		a := NewAnalysisOpts(topo, 0, end, Options{Bin: bin})
 		feed(a)
 		at := a.Attribute(0.05, nil)
 		return at.ServerEpisodeHours[0].Len()

@@ -443,7 +443,7 @@ func TestTopFailingPairsMatchesFull(t *testing.T) {
 	var full []PairFailCount
 	for c := range topo.Clients {
 		for s := range topo.Websites {
-			if _, fails := a.PairStats(c, s); fails > 0 {
+			if fails := a.pairs.cells.val(c*a.nSites + s).Fails; fails > 0 {
 				full = append(full, PairFailCount{Client: c, Site: s, Fails: fails})
 			}
 		}
@@ -514,7 +514,7 @@ func TestPairCellInt64(t *testing.T) {
 	q := newPairsPass(1, 1)
 	qc := q.cells.mut(0)
 	qc.Txns = math.MaxInt32
-	if err := p.Merge(q); err != nil {
+	if err := p.merge(q); err != nil {
 		t.Fatal(err)
 	}
 	if want := int64(math.MaxInt32)*2 + 1; cell.Txns != want {

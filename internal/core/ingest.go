@@ -26,25 +26,6 @@ func (a *Analysis) Consume(src dataset.RecordSource) error {
 	return a.checkWindow()
 }
 
-// ConsumeParallel ingests src across shards workers, one contiguous
-// client range per worker (the same partition measure.RunParallel
-// uses), each reading only the chunks overlapping its range into a
-// private accumulator; the shards merge in shard order, so the result
-// is identical to a serial Consume for any shard count. shards <= 0
-// selects GOMAXPROCS. passes selects the analyzer passes every shard
-// accumulator is built with (none = all): unselected passes are never
-// constructed, in any shard or in the merged result.
-//
-// Ingest is fully streaming: no shard ever materializes a []Record —
-// the source hands each worker records one at a time through reused
-// decode buffers (the RecordSource non-retention contract), so ingest
-// memory is bounded by the source's per-chunk working set regardless of
-// dataset size. Add copies everything it keeps, satisfying the
-// contract.
-func ConsumeParallel(topo *workload.Topology, start, end simnet.Time, src dataset.RecordSource, shards int, passes ...PassName) (*Analysis, error) {
-	return ConsumeParallelOpts(topo, start, end, src, IngestOptions{Shards: shards, Passes: passes})
-}
-
 // IngestOptions configures ConsumeParallelOpts.
 type IngestOptions struct {
 	// Shards is the worker count (<= 0 selects GOMAXPROCS; clamped to
@@ -59,13 +40,23 @@ type IngestOptions struct {
 	Progress *obs.Progress
 }
 
-// ConsumeParallelOpts is the fully general parallel ingest entry point.
-// Each shard counts into plain locals and folds in once at completion,
-// so totals are shard-count-independent and the ingest loop carries no
-// atomics. A shard's grids allocate only the pages its client range
-// touches, and the later shards merge into the first in shard order, so
-// the result is identical to a serial Consume for any shard count. Like
-// Consume, it fails on a record outside the analysis window.
+// ConsumeParallelOpts ingests src across opts.Shards workers, one
+// contiguous client range per worker (the partition measure.RunParallel
+// uses), each reading only the chunks overlapping its range into a
+// private accumulator built with opts.Passes. A shard's grids allocate
+// only the pages its client range touches, and the later shards merge
+// into the first in shard order, so the result is identical to a serial
+// Consume for any shard count. Like Consume, it fails on a record
+// outside the analysis window.
+//
+// Ingest is fully streaming: no shard ever materializes a []Record —
+// the source hands each worker records one at a time through reused
+// decode buffers (the RecordSource non-retention contract), so ingest
+// memory is bounded by the source's per-chunk working set regardless of
+// dataset size. Add copies everything it keeps, satisfying the
+// contract. Each shard counts into plain locals and folds in once at
+// completion, so the metrics are shard-count-independent and the
+// ingest loop carries no atomics.
 func ConsumeParallelOpts(topo *workload.Topology, start, end simnet.Time, src dataset.RecordSource, opts IngestOptions) (*Analysis, error) {
 	n := len(topo.Clients)
 	shards := measure.EffectiveShards(n, opts.Shards)

@@ -33,21 +33,34 @@ func (a *Analysis) Merge(other *Analysis) error {
 	case a.Hours != other.Hours || a.binNS != other.binNS || a.StartHour != other.StartHour:
 		return fmt.Errorf("core: merge of mismatched windows (%d bins of %dns from %d vs %d bins of %dns from %d)",
 			a.Hours, a.binNS, a.StartHour, other.Hours, other.binNS, other.StartHour)
-	case !slices.Equal(a.Passes(), other.Passes()):
+	case !slices.Equal(a.passes, other.passes):
 		return fmt.Errorf("core: merge of mismatched pass sets (%v vs %v)",
-			a.Passes(), other.Passes())
+			a.passes, other.passes)
 	case a.replicas != nil && len(a.replicas.replicaAddrs) != len(other.replicas.replicaAddrs):
-		// Checked up front (not just in replicasPass.Merge) so a failed
-		// merge leaves a unchanged.
 		return fmt.Errorf("core: merge of mismatched replica indexes (%d vs %d)",
 			len(a.replicas.replicaAddrs), len(other.replicas.replicaAddrs))
 	}
-	// Pass sets are equal and in canonical order, so the active slices
-	// pair up index-wise.
-	for i, p := range a.active {
-		if err := p.Merge(other.active[i]); err != nil {
-			return err
-		}
+	// The pass sets are equal, so each typed handle is set on both sides
+	// or on neither. Passes merge in canonical order, stopping at the
+	// first error.
+	err := a.totals.merge(other.totals)
+	if err == nil && a.traffic != nil {
+		err = a.traffic.merge(other.traffic)
 	}
-	return nil
+	if err == nil && a.grids != nil {
+		err = a.grids.merge(other.grids)
+	}
+	if err == nil && a.fails != nil {
+		err = a.fails.merge(other.fails)
+	}
+	if err == nil && a.pairs != nil {
+		err = a.pairs.merge(other.pairs)
+	}
+	if err == nil && a.replicas != nil {
+		err = a.replicas.merge(other.replicas)
+	}
+	if err == nil && a.conns != nil {
+		err = a.conns.merge(other.conns)
+	}
+	return err
 }

@@ -113,10 +113,11 @@ func TestMergeStreaks(t *testing.T) {
 	if err := acc.Merge(other); err != nil {
 		t.Fatalf("Merge: %v", err)
 	}
-	if got := acc.ClientHour(1, 0).StreakMax; got != 3 {
+	// One hour per client row: cell [client*Hours + hour].
+	if got := acc.conns.client.val(1).StreakMax; got != 3 {
 		t.Errorf("merged StreakMax = %d, want 3", got)
 	}
-	if got := acc.ClientHour(0, 0).StreakMax; got != 0 {
+	if got := acc.conns.client.val(0).StreakMax; got != 0 {
 		t.Errorf("untouched client StreakMax = %d, want 0", got)
 	}
 }
@@ -169,7 +170,7 @@ func TestMergeRejectsMismatch(t *testing.T) {
 	if err := base.Merge(otherWindow); err == nil {
 		t.Error("merge of mismatched windows succeeded, want error")
 	}
-	otherBin := NewAnalysisBinned(topo, 0, end, 30*time.Minute)
+	otherBin := NewAnalysisOpts(topo, 0, end, Options{Bin: 30 * time.Minute})
 	if err := base.Merge(otherBin); err == nil {
 		t.Error("merge of mismatched bins succeeded, want error")
 	}
@@ -191,9 +192,9 @@ func TestMergeRejectsMismatch(t *testing.T) {
 func TestMergeRejectsPassSetMismatch(t *testing.T) {
 	topo := scenario.PaperScaledTopology(3, 3)
 	end := simnet.FromHours(2)
-	base := NewAnalysisSelected(topo, 0, end, PassTotals, PassTraffic)
+	base := NewAnalysisOpts(topo, 0, end, Options{Passes: []PassName{PassTotals, PassTraffic}})
 
-	other := NewAnalysisSelected(topo, 0, end, PassTotals, PassGrids)
+	other := NewAnalysisOpts(topo, 0, end, Options{Passes: []PassName{PassTotals, PassGrids}})
 	err := base.Merge(other)
 	if err == nil {
 		t.Fatal("merge of mismatched pass sets succeeded, want error")
@@ -202,7 +203,7 @@ func TestMergeRejectsPassSetMismatch(t *testing.T) {
 		t.Errorf("error %q does not mention pass sets", err)
 	}
 	// base is untouched and still merges with a matching pass set.
-	fresh := NewAnalysisSelected(topo, 0, end, PassTotals, PassTraffic)
+	fresh := NewAnalysisOpts(topo, 0, end, Options{Passes: []PassName{PassTotals, PassTraffic}})
 	fresh.Add(mergeRecord(0, 0, 0, httpsim.StageTCP, workload.PL))
 	if err := base.Merge(fresh); err != nil {
 		t.Fatalf("valid merge failed: %v", err)
@@ -219,7 +220,7 @@ func TestSelectedPassSet(t *testing.T) {
 	topo := scenario.PaperScaledTopology(3, 3)
 	end := simnet.FromHours(2)
 
-	a := NewAnalysisSelected(topo, 0, end, PassGrids)
+	a := NewAnalysisOpts(topo, 0, end, Options{Passes: []PassName{PassGrids}})
 	want := []PassName{PassTotals, PassGrids}
 	if !slices.Equal(a.Passes(), want) {
 		t.Errorf("Passes() = %v, want %v", a.Passes(), want)
@@ -228,7 +229,7 @@ func TestSelectedPassSet(t *testing.T) {
 	if a.TotalTxns() != 1 || a.TotalFails() != 1 {
 		t.Errorf("totals = %d/%d, want 1/1", a.TotalTxns(), a.TotalFails())
 	}
-	if got := a.ClientHour(0, 0).Txns; got != 1 {
+	if got := a.grids.client.val(0).Txns; got != 1 {
 		t.Errorf("grid txns = %d, want 1", got)
 	}
 
@@ -256,5 +257,5 @@ func TestUnknownPassPanics(t *testing.T) {
 			t.Error("unknown pass name should panic")
 		}
 	}()
-	NewAnalysisSelected(scenario.PaperScaledTopology(3, 3), 0, simnet.FromHours(2), PassName("bogus"))
+	NewAnalysisOpts(scenario.PaperScaledTopology(3, 3), 0, simnet.FromHours(2), Options{Passes: []PassName{"bogus"}})
 }

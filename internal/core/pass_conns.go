@@ -38,9 +38,6 @@ func newConnsPass(nClients, nSites, hours int) *connsPass {
 	}
 }
 
-func (p *connsPass) Name() PassName                      { return PassConns }
-func (p *connsPass) Consume(r *measure.Record, hour int) { p.consume(r, hour) }
-
 func (p *connsPass) consume(r *measure.Record, hour int) {
 	conns := int32(r.Conns)
 	failConns := int32(r.FailedConns())
@@ -62,14 +59,10 @@ func (p *connsPass) consume(r *measure.Record, hour int) {
 	}
 }
 
-// Merge adds cells; streak maxima are exact only when the two passes
+// merge adds cells; streak maxima are exact only when the two passes
 // saw disjoint client sets, as RunParallel's client-sharded workers
 // guarantee (see Analysis.Merge).
-func (p *connsPass) Merge(other Pass) error {
-	q, ok := other.(*connsPass)
-	if !ok {
-		return mergeTypeError(p, other)
-	}
+func (p *connsPass) merge(q *connsPass) error {
 	if err := mergeGrid(&p.client, &q.client, addConnCell); err != nil {
 		return err
 	}

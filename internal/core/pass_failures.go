@@ -12,9 +12,6 @@ type failuresPass struct {
 
 func newFailuresPass() *failuresPass { return &failuresPass{} }
 
-func (p *failuresPass) Name() PassName                      { return PassFailures }
-func (p *failuresPass) Consume(r *measure.Record, hour int) { p.consume(r, hour) }
-
 func (p *failuresPass) consume(r *measure.Record, hour int) {
 	if !r.Failed() {
 		return
@@ -30,11 +27,7 @@ func (p *failuresPass) consume(r *measure.Record, hour int) {
 	})
 }
 
-func (p *failuresPass) Merge(other Pass) error {
-	q, ok := other.(*failuresPass)
-	if !ok {
-		return mergeTypeError(p, other)
-	}
+func (p *failuresPass) merge(q *failuresPass) error {
 	p.recs = append(p.recs, q.recs...)
 	return nil
 }

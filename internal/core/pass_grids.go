@@ -30,9 +30,6 @@ func newGridsPass(nClients, nSites, hours int) *gridsPass {
 	}
 }
 
-func (p *gridsPass) Name() PassName                      { return PassGrids }
-func (p *gridsPass) Consume(r *measure.Record, hour int) { p.consume(r, hour) }
-
 func (p *gridsPass) consume(r *measure.Record, hour int) {
 	ch := p.client.mut(int(r.ClientIdx)*p.hours + hour)
 	sh := p.server.mut(int(r.SiteIdx)*p.hours + hour)
@@ -44,11 +41,7 @@ func (p *gridsPass) consume(r *measure.Record, hour int) {
 	}
 }
 
-func (p *gridsPass) Merge(other Pass) error {
-	q, ok := other.(*gridsPass)
-	if !ok {
-		return mergeTypeError(p, other)
-	}
+func (p *gridsPass) merge(q *gridsPass) error {
 	if err := mergeGrid(&p.client, &q.client, addGridCell); err != nil {
 		return err
 	}

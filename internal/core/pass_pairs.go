@@ -32,9 +32,6 @@ func newPairsPass(nClients, nSites int) *pairsPass {
 	}
 }
 
-func (p *pairsPass) Name() PassName                   { return PassPairs }
-func (p *pairsPass) Consume(r *measure.Record, _ int) { p.consume(r) }
-
 func (p *pairsPass) consume(r *measure.Record) {
 	c := p.cells.mut(int(r.ClientIdx)*p.nSites + int(r.SiteIdx))
 	c.Txns++
@@ -43,10 +40,6 @@ func (p *pairsPass) consume(r *measure.Record) {
 	}
 }
 
-func (p *pairsPass) Merge(other Pass) error {
-	q, ok := other.(*pairsPass)
-	if !ok {
-		return mergeTypeError(p, other)
-	}
+func (p *pairsPass) merge(q *pairsPass) error {
 	return mergeGrid(&p.cells, &q.cells, addPairCell)
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"net/netip"
 
 	"webfail/internal/measure"
@@ -47,9 +46,6 @@ func newReplicasPass(topo *workload.Topology, hours int) *replicasPass {
 	return p
 }
 
-func (p *replicasPass) Name() PassName                      { return PassReplicas }
-func (p *replicasPass) Consume(r *measure.Record, hour int) { p.consume(r, hour) }
-
 func (p *replicasPass) consume(r *measure.Record, hour int) {
 	p.siteConns[r.SiteIdx] += int64(r.Conns)
 	ri, ok := p.replicaIdx[r.ReplicaIP]
@@ -64,15 +60,9 @@ func (p *replicasPass) consume(r *measure.Record, hour int) {
 	p.replicaConns[ri] += int64(r.Conns)
 }
 
-func (p *replicasPass) Merge(other Pass) error {
-	q, ok := other.(*replicasPass)
-	if !ok {
-		return mergeTypeError(p, other)
-	}
-	if len(p.replicaAddrs) != len(q.replicaAddrs) {
-		return fmt.Errorf("core: merge of mismatched replica indexes (%d vs %d)",
-			len(p.replicaAddrs), len(q.replicaAddrs))
-	}
+// merge relies on Analysis.Merge having checked that both replica
+// indexes have the same length.
+func (p *replicasPass) merge(q *replicasPass) error {
 	if err := mergeGrid(&p.replicaHours, &q.replicaHours, addGridCell); err != nil {
 		return err
 	}

@@ -10,9 +10,6 @@ type totalsPass struct {
 
 func newTotalsPass() *totalsPass { return &totalsPass{} }
 
-func (p *totalsPass) Name() PassName                   { return PassTotals }
-func (p *totalsPass) Consume(r *measure.Record, _ int) { p.consume(r) }
-
 func (p *totalsPass) consume(r *measure.Record) {
 	p.txns++
 	if r.Failed() {
@@ -20,11 +17,7 @@ func (p *totalsPass) consume(r *measure.Record) {
 	}
 }
 
-func (p *totalsPass) Merge(other Pass) error {
-	q, ok := other.(*totalsPass)
-	if !ok {
-		return mergeTypeError(p, other)
-	}
+func (p *totalsPass) merge(q *totalsPass) error {
 	p.txns += q.txns
 	p.fails += q.fails
 	return nil

@@ -55,9 +55,6 @@ func newTrafficPass(nClients, nSites int) *trafficPass {
 	}
 }
 
-func (p *trafficPass) Name() PassName                   { return PassTraffic }
-func (p *trafficPass) Consume(r *measure.Record, _ int) { p.consume(r) }
-
 func (p *trafficPass) consume(r *measure.Record) {
 	cat := r.Category
 	p.catTxns[cat]++
@@ -117,11 +114,7 @@ func mergeBanks(dst, src *[256]*enumCounts) {
 	}
 }
 
-func (p *trafficPass) Merge(other Pass) error {
-	q, ok := other.(*trafficPass)
-	if !ok {
-		return mergeTypeError(p, other)
-	}
+func (p *trafficPass) merge(q *trafficPass) error {
 	p.catTxns.addAll(&q.catTxns)
 	p.catFails.addAll(&q.catFails)
 	p.catConns.addAll(&q.catConns)

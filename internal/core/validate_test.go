@@ -147,7 +147,7 @@ func scenarioAnalysis(t *testing.T, name string, nClients, nSites int, hours int
 		t.Fatal(err)
 	}
 	sc := workload.BuildScenario(topo, params)
-	a := NewAnalysisBinned(topo, 0, end, bin)
+	a := NewAnalysisOpts(topo, 0, end, Options{Bin: bin})
 	cfg := measure.Config{Topo: topo, Scenario: sc, Seed: 1, Start: 0, End: end}
 	if err := measure.Run(cfg, a.Add); err != nil {
 		t.Fatal(err)

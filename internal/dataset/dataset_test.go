@@ -243,7 +243,7 @@ func TestDatasetV3ParallelStreams(t *testing.T) {
 		}
 		sameRecords(t, collect(t, src, 0, clients), recs, fmt.Sprintf("streams=%d", streams))
 
-		// Concurrent shard reads (the ConsumeParallel access pattern).
+		// Concurrent shard reads (the ConsumeParallelOpts access pattern).
 		var wg sync.WaitGroup
 		parts := make([][]measure.Record, 4)
 		for s := 0; s < 4; s++ {

@@ -1,7 +1,7 @@
 // Save/load serial/parallel equivalence: the stored-data counterpart of
 // measure's TestSerialParallelEquivalence. The guarantee extended here
 // across the persistence boundary: analyzing a dataset through
-// core.ConsumeParallel is byte-identical to a serial in-memory analysis,
+// core.ConsumeParallelOpts is byte-identical to a serial in-memory analysis,
 // for any shard count on either side of the save.
 package dataset_test
 
@@ -38,7 +38,7 @@ func runMeta(topo *workload.Topology, end simnet.Time) measure.DatasetMeta {
 
 // TestSerialParallelEquivalenceAcrossSaveLoad stores every record of a
 // serial run (small chunks, so many chunks and partial tails), then
-// checks that Consume and ConsumeParallel at several shard counts all
+// checks that Consume and ConsumeParallelOpts at several shard counts all
 // reproduce the live serial accumulator exactly.
 func TestSerialParallelEquivalenceAcrossSaveLoad(t *testing.T) {
 	cfg, topo, end := buildRunConfig(t)
@@ -85,12 +85,12 @@ func TestSerialParallelEquivalenceAcrossSaveLoad(t *testing.T) {
 	}
 
 	for _, shards := range []int{1, 3, runtime.GOMAXPROCS(0)} {
-		par, err := core.ConsumeParallel(topo, 0, end, src, shards)
+		par, err := core.ConsumeParallelOpts(topo, 0, end, src, core.IngestOptions{Shards: shards})
 		if err != nil {
-			t.Fatalf("ConsumeParallel(%d): %v", shards, err)
+			t.Fatalf("ConsumeParallelOpts(%d): %v", shards, err)
 		}
 		if !reflect.DeepEqual(live, par) {
-			t.Errorf("shards=%d: ConsumeParallel differs from live accumulator (%s vs %s)", shards, live, par)
+			t.Errorf("shards=%d: ConsumeParallelOpts differs from live accumulator (%s vs %s)", shards, live, par)
 		}
 	}
 }
@@ -158,11 +158,11 @@ func TestShardedSaveEquivalence(t *testing.T) {
 		sameRecords(t, collect(t, psrc, 0, 1<<30), collect(t, ssrc, 0, 1<<30),
 			"sharded-save canonical stream")
 
-		sa, err := core.ConsumeParallel(topo, 0, end, ssrc, 1)
+		sa, err := core.ConsumeParallelOpts(topo, 0, end, ssrc, core.IngestOptions{Shards: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		pa, err := core.ConsumeParallel(topo, 0, end, psrc, eff)
+		pa, err := core.ConsumeParallelOpts(topo, 0, end, psrc, core.IngestOptions{Shards: eff})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,13 +232,13 @@ func TestDatasetV3SerialParallelEquivalence(t *testing.T) {
 	want := collect(t, base, 0, 1<<30)
 	sameRecords(t, collect(t, openSrc(sharded), 0, 1<<30), want, "sharded canonical stream")
 
-	ref, err := core.ConsumeParallel(topo, 0, end, base, 1)
+	ref, err := core.ConsumeParallelOpts(topo, 0, end, base, core.IngestOptions{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{1, 3, runtime.GOMAXPROCS(0)} {
 		for name, data := range map[string][]byte{"serial": serial, "sharded": sharded} {
-			a, err := core.ConsumeParallel(topo, 0, end, openSrc(data), shards)
+			a, err := core.ConsumeParallelOpts(topo, 0, end, openSrc(data), core.IngestOptions{Shards: shards})
 			if err != nil {
 				t.Fatalf("%s shards=%d: %v", name, shards, err)
 			}

@@ -40,28 +40,15 @@ type CalibrateOptions struct {
 	// results are shard-count-independent: the packet engine's record
 	// stream is byte-identical for any value.
 	Shards int
-	// RateTol is the permitted absolute difference in overall failure
-	// rate (default 0.015, i.e. 1.5 percentage points).
-	RateTol float64
-	// ShareTol is the permitted absolute difference in any gated share
-	// family, measured as a fraction of all transactions (default
-	// 0.0125).
-	ShareTol float64
 }
 
-func (o *CalibrateOptions) rateTol() float64 {
-	if o.RateTol > 0 {
-		return o.RateTol
-	}
-	return 0.015
-}
-
-func (o *CalibrateOptions) shareTol() float64 {
-	if o.ShareTol > 0 {
-		return o.ShareTol
-	}
-	return 0.0125
-}
+// The calibration tolerances: the permitted absolute difference in
+// overall failure rate (1.5 percentage points), and in any gated share
+// family, measured as a fraction of all transactions.
+const (
+	calibrationRateTol  = 0.015
+	calibrationShareTol = 0.0125
+)
 
 // CalibrationStats summarizes one mode's run.
 type CalibrationStats struct {
@@ -173,7 +160,7 @@ func (r *CalibrationReport) String() string {
 // seed, window) drives both runs; cfg.Metrics, when set, receives both
 // runs' counters (packet-mode counters are prefixed by their engine).
 func Calibrate(cfg Config, opts CalibrateOptions) (*CalibrationReport, error) {
-	rep := &CalibrationReport{RateTol: opts.rateTol(), ShareTol: opts.shareTol()}
+	rep := &CalibrationReport{RateTol: calibrationRateTol, ShareTol: calibrationShareTol}
 
 	if err := Run(cfg, rep.Fast.observe); err != nil {
 		return nil, fmt.Errorf("calibrate: fast run: %w", err)

@@ -90,9 +90,6 @@ type Record struct {
 // Failed reports whether the transaction failed (any stage).
 func (r *Record) Failed() bool { return r.Stage != httpsim.StageNone }
 
-// ConnFailed reports whether the transaction failed at the TCP stage.
-func (r *Record) ConnFailed() bool { return r.Stage == httpsim.StageTCP }
-
 // FailedConns reports how many of the record's connection attempts failed:
 // all of them on a TCP-stage failure, all but the last otherwise.
 func (r *Record) FailedConns() int {

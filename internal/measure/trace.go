@@ -59,14 +59,6 @@ func (c TraceClass) String() string {
 	return fmt.Sprintf("TraceClass(%d)", uint8(c))
 }
 
-// TraceClasses lists every failure class name in exposition order
-// (CLI help and flag validation).
-func TraceClasses() []string {
-	out := make([]string, numTraceClassesInt)
-	copy(out, traceClassNames[:])
-	return out
-}
-
 // ParseTraceClass resolves a class name from the CLI.
 func ParseTraceClass(s string) (TraceClass, error) {
 	for i, n := range traceClassNames {

@@ -2,10 +2,55 @@ package report
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"webfail/internal/core"
 )
+
+// attributionPasses feed the blame attribution. Co-location similarity
+// (Tables 7–8) and proxy isolation (Table 9) are pure functions of the
+// attribution, so they need these passes and no state of their own.
+var attributionPasses = []core.PassName{core.PassGrids, core.PassFailures, core.PassPairs}
+
+// artifact is one renderable artifact and the analyzer passes it reads
+// beyond totals, which every artifact needs.
+type artifact struct {
+	name   string
+	passes []core.PassName
+}
+
+// artifacts lists every artifact Run can render, in -artifacts order.
+// Tables 1–2 render the topology alone.
+var artifacts = []artifact{
+	{"table1", nil},
+	{"table2", nil},
+	{"table3", []core.PassName{core.PassTraffic}},
+	{"table4", []core.PassName{core.PassTraffic}},
+	{"table5", attributionPasses},
+	{"table6", attributionPasses},
+	{"table7", attributionPasses},
+	{"table8", attributionPasses},
+	{"table9", attributionPasses},
+	{"fig1", []core.PassName{core.PassTraffic}},
+	{"fig2", []core.PassName{core.PassTraffic}},
+	{"fig3", []core.PassName{core.PassTraffic}},
+	{"fig4", []core.PassName{core.PassGrids}},
+	{"fig5", []core.PassName{core.PassConns}},
+	{"fig6", []core.PassName{core.PassConns}},
+	{"fig7", []core.PassName{core.PassConns}},
+	{"replicas", []core.PassName{core.PassGrids, core.PassFailures, core.PassPairs, core.PassReplicas}},
+	{"headlines", []core.PassName{core.PassTraffic, core.PassGrids, core.PassFailures, core.PassPairs}},
+}
+
+// KnownArtifacts lists the valid -artifacts selections.
+func KnownArtifacts() []string {
+	out := make([]string, len(artifacts))
+	for i, art := range artifacts {
+		out[i] = art.name
+	}
+	return out
+}
 
 // PassesFor resolves a report selection to the analyzer passes its
 // artifacts require, in canonical order. An empty selection (or one
@@ -20,15 +65,15 @@ func PassesFor(sel map[string]bool) ([]core.PassName, error) {
 	}
 	sort.Strings(names)
 	if len(names) == 0 {
-		names = knownArtifacts
+		names = KnownArtifacts()
 	}
-	need := map[core.PassName]bool{}
+	need := map[core.PassName]bool{core.PassTotals: true}
 	for _, name := range names {
-		passes := core.PassesForArtifact(name)
-		if len(passes) == 0 {
-			return nil, fmt.Errorf("report: unknown artifact %q (known: %v)", name, knownArtifacts)
+		i := slices.IndexFunc(artifacts, func(art artifact) bool { return art.name == name })
+		if i < 0 {
+			return nil, fmt.Errorf("report: unknown artifact %q (known: %v)", name, KnownArtifacts())
 		}
-		for _, p := range passes {
+		for _, p := range artifacts[i].passes {
 			need[p] = true
 		}
 	}

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,43 +12,59 @@ import (
 	"webfail/internal/workload"
 )
 
-// TestArtifactPassRegistry checks the report/core contract: every
-// artifact the Reporter can render resolves to a non-empty analyzer
-// pass set, and the core registry knows exactly the Reporter's
-// artifact names — no orphans on either side.
+// TestArtifactPassRegistry pins every artifact, in KnownArtifacts
+// order, to the analyzer passes PassesFor resolves it to alone.
 func TestArtifactPassRegistry(t *testing.T) {
+	const (
+		totals   = core.PassTotals
+		traffic  = core.PassTraffic
+		grids    = core.PassGrids
+		failures = core.PassFailures
+		pairs    = core.PassPairs
+		replicas = core.PassReplicas
+		conns    = core.PassConns
+	)
+	topology := []core.PassName{totals}
+	categories := []core.PassName{totals, traffic}
+	attribution := []core.PassName{totals, grids, failures, pairs}
+	bgp := []core.PassName{totals, conns}
+	want := []struct {
+		name   string
+		passes []core.PassName
+	}{
+		{"table1", topology},
+		{"table2", topology},
+		{"table3", categories},
+		{"table4", categories},
+		{"table5", attribution},
+		{"table6", attribution},
+		{"table7", attribution},
+		{"table8", attribution},
+		{"table9", attribution},
+		{"fig1", categories},
+		{"fig2", categories},
+		{"fig3", categories},
+		{"fig4", []core.PassName{totals, grids}},
+		{"fig5", bgp},
+		{"fig6", bgp},
+		{"fig7", bgp},
+		{"replicas", []core.PassName{totals, grids, failures, pairs, replicas}},
+		{"headlines", []core.PassName{totals, traffic, grids, failures, pairs}},
+	}
 	known := KnownArtifacts()
-	for _, name := range known {
-		passes := core.PassesForArtifact(name)
-		if len(passes) == 0 {
-			t.Errorf("artifact %q resolves to no analyzer passes", name)
+	if len(known) != len(want) {
+		t.Fatalf("KnownArtifacts() = %v, want %d artifacts", known, len(want))
+	}
+	for i, w := range want {
+		if known[i] != w.name {
+			t.Errorf("KnownArtifacts()[%d] = %q, want %q", i, known[i], w.name)
 		}
-		sel, err := PassesFor(map[string]bool{name: true})
+		got, err := PassesFor(map[string]bool{w.name: true})
 		if err != nil {
-			t.Errorf("PassesFor(%q): %v", name, err)
+			t.Errorf("PassesFor(%q): %v", w.name, err)
 		}
-		if len(sel) == 0 {
-			t.Errorf("PassesFor(%q) returned no passes", name)
-		}
-	}
-
-	reg := core.RegisteredArtifacts()
-	regSet := map[string]bool{}
-	for _, name := range reg {
-		regSet[name] = true
-	}
-	for _, name := range known {
-		if !regSet[name] {
-			t.Errorf("reporter artifact %q missing from core registry", name)
-		}
-	}
-	knownSet := map[string]bool{}
-	for _, name := range known {
-		knownSet[name] = true
-	}
-	for _, name := range reg {
-		if !knownSet[name] {
-			t.Errorf("core registry artifact %q unknown to the reporter", name)
+		if !slices.Equal(got, w.passes) {
+			t.Errorf("PassesFor(%q) = %v, want %v", w.name, got, w.passes)
 		}
 	}
 }
@@ -69,7 +86,8 @@ func TestPassesForErrors(t *testing.T) {
 // TestSelectiveMatchesFull is the end-to-end guarantee behind
 // -artifacts: for every artifact, an accumulator built with only that
 // artifact's passes renders byte-identical output to one built with
-// every pass, over the same record stream.
+// every pass, over the same record stream, and that output is not
+// empty.
 func TestSelectiveMatchesFull(t *testing.T) {
 	topo := scenario.PaperScaledTopology(24, 16)
 	end := simnet.FromHours(24)
@@ -92,7 +110,7 @@ func TestSelectiveMatchesFull(t *testing.T) {
 		if err != nil {
 			t.Fatalf("PassesFor(%q): %v", name, err)
 		}
-		partial := core.NewAnalysisSelected(topo, 0, end, passes...)
+		partial := core.NewAnalysisOpts(topo, 0, end, core.Options{Passes: passes})
 		for i := range recs {
 			partial.Add(&recs[i])
 		}
@@ -100,6 +118,9 @@ func TestSelectiveMatchesFull(t *testing.T) {
 		var wantBuf, gotBuf strings.Builder
 		(&Reporter{W: &wantBuf, A: full, Topo: topo, Sc: sc, Seed: 2005}).Run(sel)
 		(&Reporter{W: &gotBuf, A: partial, Topo: topo, Sc: sc, Seed: 2005}).Run(sel)
+		if wantBuf.Len() == 0 {
+			t.Errorf("artifact %q rendered nothing when selected alone", name)
+		}
 		if gotBuf.String() != wantBuf.String() {
 			t.Errorf("artifact %q: selective run (passes %v) differs from full run", name, passes)
 		}

@@ -382,17 +382,6 @@ func (r *Reporter) headlines() {
 	fmt.Fprintf(r.W, "permanent-pair detection vs injected blocks: %d correct, %d missed, %d spurious\n", tp, fn, fp)
 }
 
-// Selection names the artifacts Run can render.
-var knownArtifacts = []string{
-	"table1", "table2", "table3", "table4", "table5", "table6",
-	"table7", "table8", "table9",
-	"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
-	"replicas", "headlines",
-}
-
-// KnownArtifacts lists the valid -artifacts selections.
-func KnownArtifacts() []string { return append([]string(nil), knownArtifacts...) }
-
 // Run renders the selected artifacts ("" or nil set = everything).
 func (r *Reporter) Run(sel map[string]bool) {
 	want := func(k string) bool { return len(sel) == 0 || sel[k] }

@@ -25,7 +25,7 @@ import (
 //     back in as the clock approaches them;
 //   - events live in a flat arena indexed by int32 with a free list and
 //     per-node generation counters, so scheduling allocates nothing in
-//     steady state and a cancelled Timer is invalidated O(1) without
+//     steady state and a cancelled timer is invalidated O(1) without
 //     leaving a live closure riding the queue to its fire time;
 //   - slot chains are unordered; when the wheel advances to a slot its
 //     events move into a small value-typed ready heap ordered by
@@ -262,22 +262,6 @@ func (s *Scheduler) AfterHandle(d time.Duration, fn func()) TimerHandle {
 	}
 	id := s.schedule(s.now.Add(d), fn, nil, nil)
 	return TimerHandle{s: s, id: id, gen: s.arena[id].gen}
-}
-
-// Timer is a cancellable scheduled callback.
-type Timer struct {
-	h TimerHandle
-}
-
-// Stop cancels the timer. It is safe to call multiple times. Stop reports
-// whether the call prevented the callback from running.
-func (t *Timer) Stop() bool { return t.h.Stop() }
-
-// AfterTimer schedules fn like After but returns a Timer that can cancel it.
-// Protocol code that arms timers repeatedly should prefer AfterHandle,
-// which does not allocate.
-func (s *Scheduler) AfterTimer(d time.Duration, fn func()) *Timer {
-	return &Timer{h: s.AfterHandle(d, fn)}
 }
 
 // pushReady pushes onto the (at, seq) min-heap of due events.

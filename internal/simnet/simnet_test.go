@@ -136,7 +136,7 @@ func TestSchedulerCascade(t *testing.T) {
 func TestTimerStop(t *testing.T) {
 	var s Scheduler
 	fired := false
-	timer := s.AfterTimer(time.Second, func() { fired = true })
+	timer := s.AfterHandle(time.Second, func() { fired = true })
 	if !timer.Stop() {
 		t.Error("first Stop should report true")
 	}
@@ -152,7 +152,7 @@ func TestTimerStop(t *testing.T) {
 func TestTimerFires(t *testing.T) {
 	var s Scheduler
 	fired := false
-	timer := s.AfterTimer(time.Second, func() { fired = true })
+	timer := s.AfterHandle(time.Second, func() { fired = true })
 	s.Run()
 	if !fired {
 		t.Error("timer did not fire")

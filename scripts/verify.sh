@@ -1,9 +1,12 @@
 #!/bin/sh
-# Tier-1 verify: formatting, build, vet, full test suite, then the
-# serial/parallel equivalence tests under the race detector (scoped to
-# the packages exercising the sharded runner, the merge, and the
-# sharded dataset save and ingest — concurrent sinks append their
-# chunks under the writer's mutex — to keep CI time bounded), the
+# Tier-1 verify: formatting, build, vet, a vet and build of the
+# separate perfbench module (go build/vet ./... skip it, so an API
+# change that breaks the benchmark would otherwise pass), full test
+# suite, then the serial/parallel equivalence tests under the race
+# detector (scoped to the packages exercising the sharded runner, the
+# merge, and the sharded dataset save and ingest — concurrent sinks
+# append their chunks under the writer's mutex — to keep CI time
+# bounded), the
 # dataset backward-compatibility gate against the checked-in v3
 # fixture, the golden-stdout gate on webfail-analyze (byte-identity
 # across -parallel values, with and without metrics enabled, and the
@@ -44,6 +47,7 @@ cd "$(dirname "$0")/.."
 test -z "$(gofmt -l .)"
 go build ./...
 go vet ./...
+(cd perfbench && go vet . && go build -o /dev/null .)
 # Deeper static analysis when the toolchain is available: staticcheck
 # runs offline against the build cache; on boxes without it, the full
 # go vet pass above is the fallback (no network installs in CI).
