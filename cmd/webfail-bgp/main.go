@@ -10,6 +10,11 @@
 //	            [-cpuprofile PATH] [-memprofile PATH]
 //	            [-metrics-out PATH] [-metrics-listen ADDR] [-progress]
 //
+// The -mrt archive holds the raw update stream the report aggregates:
+// baseline churn, every injected instability storm and the collector
+// reset, so reading it back, aggregating and cleaning it gives the
+// reported table.
+//
 // Observability output (progress, metrics, logs) goes to stderr or the
 // flagged files only; stdout is unchanged by any of those flags.
 package main
@@ -18,6 +23,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"net/netip"
 	"os"
 	"sort"
@@ -35,46 +41,71 @@ import (
 const component = "webfail-bgp"
 
 func main() {
-	hours := flag.Int64("hours", 744, "experiment hours")
-	seed := flag.Int64("seed", 2005, "scenario seed")
-	scenarioFlag := flag.String("scenario", "", "scenario name or spec file path (default paper-default)")
-	mrtPath := flag.String("mrt", "", "write MRT archive to this path")
-	prefix := flag.String("prefix", "", "report hourly detail for one prefix")
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		if err != flag.ErrHelp {
+			obs.Logf(component, "%v", err)
+		}
+		os.Exit(1)
+	}
+}
+
+// run executes one webfail-bgp invocation, printing the report to
+// stdout. Factored from main so tests can drive the CLI in-process.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet(component, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	hours := fs.Int64("hours", 744, "experiment hours")
+	seed := fs.Int64("seed", 2005, "scenario seed")
+	scenarioFlag := fs.String("scenario", "", "scenario name or spec file path (default paper-default)")
+	mrtPath := fs.String("mrt", "", "write MRT archive to this path")
+	prefix := fs.String("prefix", "", "report hourly detail for one prefix")
 	var obsFlags obs.CLIFlags
-	obsFlags.Register(flag.CommandLine)
-	flag.Parse()
+	obsFlags.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if obsFlags.TraceOut != "" {
-		obs.Fatalf(component, "-trace-out applies to transaction runs; use webfail or webfail-analyze -forensics")
+		return fmt.Errorf("-trace-out applies to transaction runs; use webfail or webfail-analyze -forensics")
+	}
+	if *hours <= 0 {
+		return fmt.Errorf("-hours must be > 0 (got %d)", *hours)
+	}
+	var detail netip.Prefix
+	if *prefix != "" {
+		var err error
+		if detail, err = netip.ParsePrefix(*prefix); err != nil {
+			return fmt.Errorf("-prefix: %w", err)
+		}
 	}
 
 	reg := obs.NewRegistry()
 	sess, err := obsFlags.Start(component, reg)
 	if err != nil {
-		obs.Fatalf(component, "%v", err)
+		return err
 	}
 	defer sess.Close()
 
 	spec, err := scenario.Resolve(*scenarioFlag)
 	if err != nil {
-		obs.Fatalf(component, "%v", err)
+		return err
 	}
 	reg.Gauge(fmt.Sprintf("scenario_info{name=%q,hash=%q}", spec.Name, spec.ShortHash())).Set(1)
 	topo, err := spec.Topology(0, 0)
 	if err != nil {
-		obs.Fatalf(component, "scenario %q: %v", spec.Name, err)
+		return fmt.Errorf("scenario %q: %w", spec.Name, err)
 	}
 	end := simnet.FromHours(*hours)
 	params, err := spec.Params(*seed, 0, end)
 	if err != nil {
-		obs.Fatalf(component, "scenario %q: %v", spec.Name, err)
+		return fmt.Errorf("scenario %q: %w", spec.Name, err)
 	}
 	sc := workload.BuildScenario(topo, params)
 
 	prefixes := topo.AllPrefixes()
 	events := 0
 	for _, pfx := range prefixes {
-		for _, ep := range sc.Timeline.Episodes(faults.Entity("prefix:" + pfx.String())) {
+		for _, ep := range sc.Timeline.Episodes(workload.PrefixEntity(pfx)) {
 			if ep.Kind == faults.BGPInstability {
 				events++
 			}
@@ -82,21 +113,22 @@ func main() {
 	}
 	// Reuse core's generator so numbers match the main harness exactly.
 	genSpan := reg.Span("generate")
-	table, resets := core.GenerateBGP(topo, sc, *seed^0x6b67)
+	bgpSeed := *seed ^ 0x6b67
+	table, resets := core.GenerateBGP(topo, sc, bgpSeed)
 	genSpan.End()
 
 	var prog *obs.Progress
 	if obsFlags.Progress {
-		prog = obs.NewProgress(os.Stderr, component, "prefixes", int64(len(prefixes)), 1, 2*time.Second)
+		prog = obs.NewProgress(stderr, component, "prefixes", int64(len(prefixes)), 1, 2*time.Second)
 		prog.Start()
 	}
 	scanSpan := reg.Span("scan")
-	var updates int
+	var aggregated int
 	var severe70, severeB []string
 	for _, pfx := range prefixes {
 		for _, h := range table.Hours(pfx) {
 			st := table.Get(pfx, h)
-			updates += st.Announcements + st.Withdrawals
+			aggregated += st.Announcements + st.Withdrawals
 			if bgpsim.SevereInstability70(st) {
 				severe70 = append(severe70, fmt.Sprintf("%v @ hour %d (%d wdr, %d nbrs)", pfx, h, st.Withdrawals, st.CleanedWithdrawNeighbors()))
 			}
@@ -112,34 +144,30 @@ func main() {
 	prog.Stop()
 
 	// All deterministic: the archive is a pure function of seed+hours.
-	reg.Counter("bgp_updates_aggregated_total").Add(int64(updates))
+	reg.Counter("bgp_updates_aggregated_total").Add(int64(aggregated))
 	reg.Counter("bgp_events_injected_total").Add(int64(events))
 	reg.Counter("bgp_reset_hours_total").Add(int64(len(resets)))
 	reg.Counter("bgp_severe70_prefix_hours_total").Add(int64(len(severe70)))
 	reg.Counter("bgp_severe50x75_prefix_hours_total").Add(int64(len(severeB)))
 
-	fmt.Printf("monitored prefixes: %d (paper: 137 prefixes for 203 addresses)\n", len(prefixes))
-	fmt.Printf("aggregated updates (post-clean): %d; events injected: %d\n", updates, events)
-	fmt.Printf("collector-reset hours cleaned: %d\n", len(resets))
-	fmt.Printf("severe instability (>=70 of 73 neighbors): %d prefix-hours (paper 111)\n", len(severe70))
+	fmt.Fprintf(stdout, "monitored prefixes: %d (paper: 137 prefixes for 203 addresses)\n", len(prefixes))
+	fmt.Fprintf(stdout, "aggregated updates (post-clean): %d; events injected: %d\n", aggregated, events)
+	fmt.Fprintf(stdout, "collector-reset hours cleaned: %d\n", len(resets))
+	fmt.Fprintf(stdout, "severe instability (>=70 of 73 neighbors): %d prefix-hours (paper 111)\n", len(severe70))
 	for i, s := range severe70 {
 		if i >= 10 {
-			fmt.Printf("  ... and %d more\n", len(severe70)-10)
+			fmt.Fprintf(stdout, "  ... and %d more\n", len(severe70)-10)
 			break
 		}
-		fmt.Println("  " + s)
+		fmt.Fprintln(stdout, "  "+s)
 	}
-	fmt.Printf("severe instability (>=50 neighbors, >=75 withdrawals): %d prefix-hours (paper 32)\n", len(severeB))
+	fmt.Fprintf(stdout, "severe instability (>=50 neighbors, >=75 withdrawals): %d prefix-hours (paper 32)\n", len(severeB))
 
 	if *prefix != "" {
-		pfx, err := netip.ParsePrefix(*prefix)
-		if err != nil {
-			obs.Fatalf(component, "%v", err)
-		}
-		fmt.Printf("\nhourly detail for %v:\n", pfx)
-		for _, h := range table.Hours(pfx) {
-			st := table.Get(pfx, h)
-			fmt.Printf("  hour %4d: ann=%3d (nbrs %2d)  wdr=%3d (nbrs %2d)\n",
+		fmt.Fprintf(stdout, "\nhourly detail for %v:\n", detail)
+		for _, h := range table.Hours(detail) {
+			st := table.Get(detail, h)
+			fmt.Fprintf(stdout, "  hour %4d: ann=%3d (nbrs %2d)  wdr=%3d (nbrs %2d)\n",
 				h, st.Announcements, st.CleanedAnnounceNeighbors(), st.Withdrawals, st.CleanedWithdrawNeighbors())
 		}
 	}
@@ -148,24 +176,31 @@ func main() {
 		// Regenerate the raw update stream for archival (the table
 		// holds only aggregates).
 		mrtSpan := reg.Span("mrt")
-		gen2 := bgpsim.NewGenerator(*seed^0x6b67, prefixes)
-		gen2.GenerateBaseline(0, end)
-		f, err := os.Create(*mrtPath)
-		if err != nil {
-			obs.Fatalf(component, "%v", err)
+		updates := core.BGPUpdates(topo, sc, bgpSeed)
+		if err := writeMRT(*mrtPath, updates); err != nil {
+			return err
 		}
-		w := bufio.NewWriter(f)
-		if err := bgpsim.WriteMRT(w, gen2.Updates()); err != nil {
-			obs.Fatalf(component, "%v", err)
-		}
-		if err := w.Flush(); err != nil {
-			obs.Fatalf(component, "%v", err)
-		}
-		if err := f.Close(); err != nil {
-			obs.Fatalf(component, "%v", err)
-		}
-		reg.Counter("bgp_mrt_updates_written_total").Add(int64(len(gen2.Updates())))
+		reg.Counter("bgp_mrt_updates_written_total").Add(int64(len(updates)))
 		mrtSpan.End()
-		fmt.Printf("\nMRT archive written to %s\n", *mrtPath)
+		fmt.Fprintf(stdout, "\nMRT archive written to %s\n", *mrtPath)
 	}
+	return nil
+}
+
+// writeMRT writes the update stream as an MRT-like archive at path.
+func writeMRT(path string, updates []bgpsim.Update) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	w := bufio.NewWriter(f)
+	if err := bgpsim.WriteMRT(w, updates); err != nil {
+		f.Close()
+		return err
+	}
+	if err := w.Flush(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -32,7 +32,7 @@ func main() {
 	// Hour 20: a severe routing event takes the victim's prefix away
 	// from nearly every vantage point for 40 minutes.
 	tl.Add(faults.Episode{
-		Entity:   faults.Entity("prefix:" + victim.Prefix.String()),
+		Entity:   workload.PrefixEntity(victim.Prefix),
 		Kind:     faults.BGPInstability,
 		Start:    simnet.FromHours(20).Add(5 * time.Minute),
 		Duration: 40 * time.Minute,
@@ -41,7 +41,7 @@ func main() {
 	// Hour 33: a small local event — 2 of 73 neighbors — that barely
 	// dents reachability (contrast for the detectors).
 	tl.Add(faults.Episode{
-		Entity:   faults.Entity("prefix:" + victim.Prefix.String()),
+		Entity:   workload.PrefixEntity(victim.Prefix),
 		Kind:     faults.BGPInstability,
 		Start:    simnet.FromHours(33),
 		Duration: 30 * time.Minute,

@@ -164,8 +164,8 @@ func Clean(t PrefixHourTable, cfg CleanConfig) map[int64]bool {
 			if !ok {
 				continue
 			}
-			st.Announcements = maxInt(0, st.Announcements-avgAnn)
-			st.Withdrawals = maxInt(0, st.Withdrawals-avgWdr)
+			st.Announcements = max(0, st.Announcements-avgAnn)
+			st.Withdrawals = max(0, st.Withdrawals-avgWdr)
 			st.annAdjust = avgAnnNbr
 			st.wdrAdjust = avgWdrNbr
 		}
@@ -212,11 +212,4 @@ func SevereInstability70(st HourStats) bool {
 // 50 neighbors withdrawing with at least 75 withdrawal messages in all.
 func SevereInstability50x75(st HourStats) bool {
 	return st.CleanedWithdrawNeighbors() >= 50 && st.Withdrawals >= 75
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

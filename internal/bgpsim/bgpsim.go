@@ -28,9 +28,6 @@ const (
 	NumSessions = 73
 )
 
-// CollectorNames mirrors the servers used in the paper.
-var CollectorNames = [NumCollectors]string{"routeviews2", "eqix", "wide", "linx", "isc"}
-
 // UpdateKind distinguishes BGP announcements from withdrawals.
 type UpdateKind uint8
 
@@ -53,12 +50,6 @@ type Update struct {
 	Peer   uint8 // session index, 0..NumSessions-1
 	Prefix netip.Prefix
 	Kind   UpdateKind
-}
-
-// CollectorOf maps a session index to its collector server, distributing
-// sessions round-robin as Routeviews peers are spread across servers.
-func CollectorOf(peer uint8) string {
-	return CollectorNames[int(peer)%NumCollectors]
 }
 
 // Generator produces update streams for a set of monitored prefixes.

@@ -18,23 +18,6 @@ var (
 
 func allPrefixes() []netip.Prefix { return []netip.Prefix{pfxA, pfxB, pfxC} }
 
-func TestCollectorOf(t *testing.T) {
-	seen := map[string]int{}
-	for p := 0; p < NumSessions; p++ {
-		seen[CollectorOf(uint8(p))]++
-	}
-	if len(seen) != NumCollectors {
-		t.Errorf("collectors used = %d", len(seen))
-	}
-	total := 0
-	for _, n := range seen {
-		total += n
-	}
-	if total != NumSessions {
-		t.Errorf("total = %d", total)
-	}
-}
-
 func TestBaselineIsQuiet(t *testing.T) {
 	g := NewGenerator(1, allPrefixes())
 	g.GenerateBaseline(0, simnet.FromHours(744))

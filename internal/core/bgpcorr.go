@@ -11,20 +11,19 @@ import (
 	"webfail/internal/workload"
 )
 
-// GenerateBGP derives the Routeviews-style update archive implied by a
-// scenario: every BGPInstability episode becomes a withdrawal storm over
-// its prefix (the episode severity is the withdrawing-neighbor fraction),
-// on top of baseline churn, with one collector session reset injected to
-// exercise the Section 3.6 cleaning procedure. Returns the cleaned hourly
-// aggregation and the hours flagged as resets.
-func GenerateBGP(topo *workload.Topology, sc *workload.Scenario, seed int64) (bgpsim.PrefixHourTable, map[int64]bool) {
+// BGPUpdates derives the Routeviews-style update stream implied by a
+// scenario, sorted by time: every BGPInstability episode becomes a
+// withdrawal storm over its prefix (the episode severity is the
+// withdrawing-neighbor fraction), on top of baseline churn, with one
+// collector session reset injected to exercise the Section 3.6 cleaning
+// procedure.
+func BGPUpdates(topo *workload.Topology, sc *workload.Scenario, seed int64) []bgpsim.Update {
 	prefixes := topo.AllPrefixes()
 	gen := bgpsim.NewGenerator(seed, prefixes)
 	gen.GenerateBaseline(sc.Params.Start, sc.Params.End)
 
 	for _, pfx := range prefixes {
-		ent := faults.Entity("prefix:" + pfx.String())
-		for _, ep := range sc.Timeline.Episodes(ent) {
+		for _, ep := range sc.Timeline.Episodes(workload.PrefixEntity(pfx)) {
 			if ep.Kind != faults.BGPInstability {
 				continue
 			}
@@ -42,9 +41,15 @@ func GenerateBGP(topo *workload.Topology, sc *workload.Scenario, seed int64) (bg
 	if span := sc.Params.End.Sub(sc.Params.Start); span > 0 {
 		gen.InjectCollectorReset(sc.Params.Start.Add(span/3), 2)
 	}
+	return gen.Updates()
+}
 
-	table := bgpsim.Aggregate(gen.Updates())
-	resets := bgpsim.Clean(table, bgpsim.CleanConfig{ResetFraction: 0.5, TotalPrefixes: len(prefixes)})
+// GenerateBGP aggregates the BGPUpdates stream by prefix and hour and
+// cleans it, returning the cleaned table and the hours flagged as
+// collector resets.
+func GenerateBGP(topo *workload.Topology, sc *workload.Scenario, seed int64) (bgpsim.PrefixHourTable, map[int64]bool) {
+	table := bgpsim.Aggregate(BGPUpdates(topo, sc, seed))
+	resets := bgpsim.Clean(table, bgpsim.CleanConfig{ResetFraction: 0.5, TotalPrefixes: len(topo.AllPrefixes())})
 	return table, resets
 }
 

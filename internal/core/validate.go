@@ -32,49 +32,24 @@ type GroundTruthReport struct {
 // index midpoint, which is exact enough because injected episodes are
 // much longer than a bin.
 //
-// The join queries the timeline by handle: each roster entity it asks
-// about is resolved to its EntityID once per call, and the server-side
-// truth of a (site, bin), which depends on nothing else, is computed
-// once. A classified failure then costs a few ActiveID queries, with no
-// entity-name building or hashing.
+// The join queries the timeline by handle: the roster is resolved to its
+// entity table once per call, and the server-side truth of a (site,
+// bin), which depends on nothing else, is computed once. A classified
+// failure then costs a few ActiveID queries, with no entity-name
+// building or hashing.
 func (a *Analysis) ValidateAttribution(at *Attribution, sc *workload.Scenario) *GroundTruthReport {
 	tl := sc.Timeline
-	type clientIDs struct{ client, site, prefix faults.EntityID }
-	clients := make([]clientIDs, a.nClients)
-	for i := range clients {
-		c := &a.Topo.Clients[i]
-		clients[i] = clientIDs{
-			client: tl.Lookup(faults.Entity("client:" + c.Name)),
-			site:   tl.Lookup(faults.Entity("site:" + c.Site)),
-			prefix: tl.Lookup(faults.Entity("prefix:" + c.Prefix.String())),
-		}
-	}
-	type siteIDs struct {
-		www                faults.EntityID
-		replicas, prefixes []faults.EntityID
-	}
-	sites := make([]siteIDs, a.nSites)
-	for s := range sites {
-		w := &a.Topo.Websites[s]
-		ids := &sites[s]
-		ids.www = tl.Lookup(faults.Entity("www:" + w.Host))
-		for _, ra := range w.ReplicaAddrs {
-			ids.replicas = append(ids.replicas, tl.Lookup(faults.Entity("replica:"+ra.String())))
-		}
-		for _, p := range w.Prefixes {
-			ids.prefixes = append(ids.prefixes, tl.Lookup(faults.Entity("prefix:"+p.String())))
-		}
-	}
-	serverActive := func(ids *siteIDs, atTime simnet.Time) bool {
-		if activeAnyKind(tl, ids.www, atTime, faults.ServerOutage, faults.ServerOverload) {
+	ids := sc.EntityIDs(a.Topo)
+	serverActive := func(s int, atTime simnet.Time) bool {
+		if activeAnyKind(tl, ids.Website[s], atTime, faults.ServerOutage, faults.ServerOverload) {
 			return true
 		}
-		for _, id := range ids.replicas {
+		for _, id := range ids.Replica[s] {
 			if activeAnyKind(tl, id, atTime, faults.ServerOutage) {
 				return true
 			}
 		}
-		for _, id := range ids.prefixes {
+		for _, id := range ids.Prefixes[s] {
 			if activeAnyKind(tl, id, atTime, faults.BGPInstability, faults.PathOutage) {
 				return true
 			}
@@ -93,16 +68,16 @@ func (a *Analysis) ValidateAttribution(at *Attribution, sc *workload.Scenario) *
 		memo := &serverMemo[int(tf.Site)*a.Hours+int(tf.Hour)]
 		if *memo == 0 {
 			*memo = 1
-			if serverActive(&sites[tf.Site], atTime) {
+			if serverActive(int(tf.Site), atTime) {
 				*memo = 2
 			}
 		}
 		serverTruth := *memo == 2
 
-		c := &clients[tf.Client]
-		clientTruth := activeAnyKind(tl, c.site, atTime, faults.ClientConnectivity, faults.LDNSOutage) ||
-			activeAnyKind(tl, c.client, atTime, faults.ClientConnectivity) ||
-			activeAnyKind(tl, c.prefix, atTime, faults.BGPInstability, faults.PathOutage)
+		c := tf.Client
+		clientTruth := activeAnyKind(tl, ids.Site[c], atTime, faults.ClientConnectivity, faults.LDNSOutage) ||
+			activeAnyKind(tl, ids.Client[c], atTime, faults.ClientConnectivity) ||
+			activeAnyKind(tl, ids.ClientPrefix[c], atTime, faults.BGPInstability, faults.PathOutage)
 
 		var truth Blame
 		switch {

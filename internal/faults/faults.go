@@ -1,8 +1,10 @@
 // Package faults provides the fault-injection substrate of the
-// reproduction: timelines of fault episodes attached to named entities
-// (clients, LDNS servers, websites, replicas, prefixes), with efficient
-// point-in-time queries, plus a Poisson episode generator used to build
-// paper-calibrated schedules.
+// reproduction: timelines of fault episodes attached to named entities,
+// with efficient point-in-time queries, plus a Poisson episode generator
+// used to build paper-calibrated schedules. The package names no roster
+// entity: internal/workload decides how clients, sites, prefixes,
+// websites, replicas and blocked pairs are named, and resolves a roster
+// to EntityID handles once per run.
 //
 // The timeline doubles as the experiment's *ground truth*: the paper could
 // only validate its blame-attribution methodology indirectly
@@ -103,10 +105,7 @@ func ParseKind(name string) (Kind, bool) {
 // Freeze time.
 const numKinds = int(ClientMachineOff) + 1
 
-// Entity names the thing an episode applies to. Conventional prefixes:
-// "client:", "site:" (client site / LDNS scope), "www:" (website),
-// "replica:" (server IP), "prefix:", and "pair:client|www" for permanent
-// blocks.
+// Entity names the thing an episode applies to.
 type Entity string
 
 // EntityID is a dense integer handle for an Entity, assigned by Freeze in
@@ -118,11 +117,6 @@ type EntityID int32
 // NoEntity is returned by Lookup for entities with no episodes. Queries
 // against it report no active episode.
 const NoEntity EntityID = -1
-
-// PairEntity builds the entity key for a client-site×website pair.
-func PairEntity(clientSite, website string) Entity {
-	return Entity("pair:" + clientSite + "|" + website)
-}
 
 // Episode is one fault interval.
 type Episode struct {

@@ -187,12 +187,6 @@ func TestGenerateDeterminism(t *testing.T) {
 	}
 }
 
-func TestPairEntity(t *testing.T) {
-	if PairEntity("nwu.edu", "www.mp3.com") != "pair:nwu.edu|www.mp3.com" {
-		t.Error("pair entity format")
-	}
-}
-
 func TestKindStrings(t *testing.T) {
 	for k := ClientConnectivity; k <= ClientMachineOff; k++ {
 		if k.String() == "" || k.String()[0] == 'K' {

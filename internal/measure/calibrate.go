@@ -36,9 +36,10 @@ import (
 
 // CalibrateOptions tunes a calibration run.
 type CalibrateOptions struct {
-	// Shards is the packet-mode shard count (0 = serial). Calibration
-	// results are shard-count-independent: the packet engine's record
-	// stream is byte-identical for any value.
+	// Shards is the packet-mode shard count, as RunPacketParallel takes
+	// it (<= 0 selects GOMAXPROCS). Calibration results are
+	// shard-count-independent: the packet engine's record stream is
+	// byte-identical for any value.
 	Shards int
 }
 
@@ -165,13 +166,7 @@ func Calibrate(cfg Config, opts CalibrateOptions) (*CalibrationReport, error) {
 	if err := Run(cfg, rep.Fast.observe); err != nil {
 		return nil, fmt.Errorf("calibrate: fast run: %w", err)
 	}
-	var err error
-	if opts.Shards > 1 {
-		err = RunPacketParallel(cfg, opts.Shards, func(_ int, r *Record) { rep.Packet.observe(r) })
-	} else {
-		err = RunPacket(cfg, rep.Packet.observe)
-	}
-	if err != nil {
+	if err := RunPacketParallel(cfg, opts.Shards, func(_ int, r *Record) { rep.Packet.observe(r) }); err != nil {
 		return nil, fmt.Errorf("calibrate: packet run: %w", err)
 	}
 	if rep.Fast.Txns == 0 || rep.Packet.Txns == 0 {

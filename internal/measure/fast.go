@@ -42,24 +42,18 @@ func Run(cfg Config, visit func(*Record)) error {
 	return nil
 }
 
-// evaluator holds the per-run state of fast-mode evaluation. Entities are
-// resolved to interned faults.EntityID handles once at construction, and
-// the scratch buffers below are reused across transactions, so evaluate
-// performs zero heap allocations in steady state.
+// evaluator holds the per-shard state of fast-mode evaluation. It queries
+// the timeline through the run's shared entity table, and the scratch
+// buffers below are reused across transactions, so evaluate performs zero
+// heap allocations in steady state.
 type evaluator struct {
 	cfg  Config
 	topo *workload.Topology
 	tl   *faults.Timeline
+	ids  *workload.EntityTable
 	// One RNG per client so roster scaling does not perturb other
 	// clients' draws.
 	rngs []*rand.Rand
-
-	clientID []faults.EntityID // client:<name>, by client index
-	siteID   []faults.EntityID // site:<site>, by client index
-	cliPfxID []faults.EntityID // prefix:<client prefix>, by client index
-	wwwID    []faults.EntityID // www:<host>, by website index
-	pairID   map[[2]int32]faults.EntityID
-	sites    []siteFaultIDs // by website index
 
 	// quality is the per-client site-flakiness multiplier; it scales
 	// background loss and transient failures so flaky sites show both
@@ -118,35 +112,27 @@ type evalStats struct {
 // cost indistinguishable from zero.
 const progressFlushEvery = 8192
 
-// siteFaultIDs carries one website's per-replica interned handles, indexed
-// like WebsiteNode.ReplicaAddrs.
-type siteFaultIDs struct {
-	repID  []faults.EntityID // replica:<addr>
-	repPfx []faults.EntityID // prefix containing the addr (NoEntity if none)
+// newEvaluator builds the evaluator of a one-shard run, resolving the
+// roster itself.
+func newEvaluator(cfg Config) *evaluator {
+	return newShardEvaluator(cfg, cfg.Scenario.EntityIDs(cfg.Topo))
 }
 
-func newEvaluator(cfg Config) *evaluator {
+// newShardEvaluator builds one shard's evaluator over the run's entity
+// table, which the shards share read-only.
+func newShardEvaluator(cfg Config, ids *workload.EntityTable) *evaluator {
 	topo := cfg.Topo
-	tl := cfg.Scenario.Timeline
 	ev := &evaluator{
-		cfg:      cfg,
-		topo:     topo,
-		tl:       tl,
-		rngs:     make([]*rand.Rand, len(topo.Clients)),
-		clientID: make([]faults.EntityID, len(topo.Clients)),
-		siteID:   make([]faults.EntityID, len(topo.Clients)),
-		cliPfxID: make([]faults.EntityID, len(topo.Clients)),
-		wwwID:    make([]faults.EntityID, len(topo.Websites)),
-		pairID:   make(map[[2]int32]faults.EntityID),
-		sites:    make([]siteFaultIDs, len(topo.Websites)),
+		cfg:  cfg,
+		topo: topo,
+		tl:   cfg.Scenario.Timeline,
+		ids:  ids,
+		rngs: make([]*rand.Rand, len(topo.Clients)),
 	}
 	ev.quality = make([]float64, len(topo.Clients))
 	for i := range topo.Clients {
 		c := &topo.Clients[i]
 		ev.rngs[i] = rand.New(rand.NewSource(cfg.Seed ^ 0x5b5e1ca7 ^ int64(i)*0x100000001b3))
-		ev.clientID[i] = tl.Lookup(faults.Entity("client:" + c.Name))
-		ev.siteID[i] = tl.Lookup(faults.Entity("site:" + c.Site))
-		ev.cliPfxID[i] = tl.Lookup(faults.Entity("prefix:" + c.Prefix.String()))
 		q := 1.0
 		if f, ok := cfg.Scenario.SiteQuality[c.Site]; ok {
 			q = f
@@ -155,35 +141,7 @@ func newEvaluator(cfg Config) *evaluator {
 	}
 	maxRep := 1
 	for j := range topo.Websites {
-		w := &topo.Websites[j]
-		ev.wwwID[j] = tl.Lookup(faults.Entity("www:" + w.Host))
-		sf := siteFaultIDs{
-			repID:  make([]faults.EntityID, len(w.ReplicaAddrs)),
-			repPfx: make([]faults.EntityID, len(w.ReplicaAddrs)),
-		}
-		for k, ra := range w.ReplicaAddrs {
-			sf.repID[k] = tl.Lookup(faults.Entity("replica:" + ra.String()))
-			sf.repPfx[k] = faults.NoEntity
-			if pfx := prefixOf(w, ra); pfx.IsValid() {
-				sf.repPfx[k] = tl.Lookup(faults.Entity("prefix:" + pfx.String()))
-			}
-		}
-		ev.sites[j] = sf
-		if len(w.ReplicaAddrs) > maxRep {
-			maxRep = len(w.ReplicaAddrs)
-		}
-	}
-	for _, pair := range cfg.Scenario.PermanentPairs {
-		site, host := pair[0], pair[1]
-		wIdx := topo.WebsiteIndex(host)
-		if wIdx < 0 {
-			continue
-		}
-		for i := range topo.Clients {
-			if topo.Clients[i].Site == site {
-				ev.pairID[[2]int32{int32(i), int32(wIdx)}] = tl.Lookup(faults.PairEntity(site, host))
-			}
-		}
+		maxRep = max(maxRep, len(topo.Websites[j].ReplicaAddrs))
 	}
 	ev.addrBuf = make([]netip.Addr, 0, maxRep)
 	ev.pfxBuf = make([]faults.EntityID, 0, maxRep+1)
@@ -278,7 +236,7 @@ func (ev *evaluator) evaluateTx(tx *workload.Transaction, rec *Record) bool {
 	tl := ev.tl
 	at := tx.At
 
-	if _, off := tl.ActiveID(ev.clientID[ci], faults.ClientMachineOff, at); off {
+	if _, off := tl.ActiveID(ev.ids.Client[ci], faults.ClientMachineOff, at); off {
 		return false
 	}
 
@@ -297,17 +255,17 @@ func (ev *evaluator) evaluateTx(tx *workload.Transaction, rec *Record) bool {
 	}
 
 	// --- Client-side connectivity state (used by both DNS and TCP). ---
-	siteConn, siteConnOK := tl.ActiveID(ev.siteID[ci], faults.ClientConnectivity, at)
-	cliConn, cliConnOK := tl.ActiveID(ev.clientID[ci], faults.ClientConnectivity, at)
+	siteConn, siteConnOK := tl.ActiveID(ev.ids.Site[ci], faults.ClientConnectivity, at)
+	cliConn, cliConnOK := tl.ActiveID(ev.ids.Client[ci], faults.ClientConnectivity, at)
 	// Drawing siteHit first preserves the original short-circuit RNG
 	// sequence while exposing which end caused the loss.
 	siteHit := hit(rng, siteConn, siteConnOK)
 	connectivityDown := siteHit || hit(rng, cliConn, cliConnOK)
 	if ev.tracing && connectivityDown {
 		if siteHit {
-			ev.trConnCause = traceCause{ent: ev.siteID[ci], kind: faults.ClientConnectivity}
+			ev.trConnCause = traceCause{ent: ev.ids.Site[ci], kind: faults.ClientConnectivity}
 		} else {
-			ev.trConnCause = traceCause{ent: ev.clientID[ci], kind: faults.ClientConnectivity}
+			ev.trConnCause = traceCause{ent: ev.ids.Client[ci], kind: faults.ClientConnectivity}
 		}
 	}
 
@@ -355,24 +313,24 @@ func (ev *evaluator) resolveDNS(rng *rand.Rand, ci, si int, at simnet.Time, conn
 		return DNSLDNSTimeout, stubTimeoutTotal
 	}
 	// LDNS server trouble (site-scoped: co-located clients share it).
-	if ep, ok := tl.ActiveID(ev.siteID[ci], faults.LDNSOutage, at); hit(rng, ep, ok) {
+	if ep, ok := tl.ActiveID(ev.ids.Site[ci], faults.LDNSOutage, at); hit(rng, ep, ok) {
 		if ev.tracing {
-			ev.trDNSCause = traceCause{ent: ev.siteID[ci], kind: faults.LDNSOutage}
+			ev.trDNSCause = traceCause{ent: ev.ids.Site[ci], kind: faults.LDNSOutage}
 		}
 		return DNSLDNSTimeout, stubTimeoutTotal
 	}
 	// Authoritative DNS misconfiguration: definitive error response.
-	if ep, ok := tl.ActiveID(ev.wwwID[si], faults.AuthDNSMisconfig, at); hit(rng, ep, ok) {
+	if ep, ok := tl.ActiveID(ev.ids.Website[si], faults.AuthDNSMisconfig, at); hit(rng, ep, ok) {
 		if ev.tracing {
-			ev.trDNSCause = traceCause{ent: ev.wwwID[si], kind: faults.AuthDNSMisconfig}
+			ev.trDNSCause = traceCause{ent: ev.ids.Website[si], kind: faults.AuthDNSMisconfig}
 		}
 		return DNSErrorResponse, ev.sampleDNSTime(rng) + 50*time.Millisecond
 	}
 	// Authoritative DNS unreachable: the LDNS keeps retrying past the
 	// stub's patience — a non-LDNS timeout.
-	if ep, ok := tl.ActiveID(ev.wwwID[si], faults.AuthDNSOutage, at); hit(rng, ep, ok) {
+	if ep, ok := tl.ActiveID(ev.ids.Website[si], faults.AuthDNSOutage, at); hit(rng, ep, ok) {
 		if ev.tracing {
-			ev.trDNSCause = traceCause{ent: ev.wwwID[si], kind: faults.AuthDNSOutage}
+			ev.trDNSCause = traceCause{ent: ev.ids.Website[si], kind: faults.AuthDNSOutage}
 		}
 		return DNSNonLDNSTimeout, stubTimeoutTotal
 	}
@@ -399,15 +357,15 @@ func (ev *evaluator) proxyDNSFails(rng *rand.Rand, si int, at simnet.Time) bool 
 	tl := ev.tl
 	// Only a hard authoritative outage that outlives the proxy cache
 	// TTL is visible; model as a strongly discounted probability.
-	if ep, ok := tl.ActiveID(ev.wwwID[si], faults.AuthDNSOutage, at); ok {
+	if ep, ok := tl.ActiveID(ev.ids.Website[si], faults.AuthDNSOutage, at); ok {
 		if ev.tracing {
-			ev.trDNSCause = traceCause{ent: ev.wwwID[si], kind: faults.AuthDNSOutage}
+			ev.trDNSCause = traceCause{ent: ev.ids.Website[si], kind: faults.AuthDNSOutage}
 		}
 		return rng.Float64() < ep.Severity*0.15
 	}
-	if ep, ok := tl.ActiveID(ev.wwwID[si], faults.AuthDNSMisconfig, at); ok {
+	if ep, ok := tl.ActiveID(ev.ids.Website[si], faults.AuthDNSMisconfig, at); ok {
 		if ev.tracing {
-			ev.trDNSCause = traceCause{ent: ev.wwwID[si], kind: faults.AuthDNSMisconfig}
+			ev.trDNSCause = traceCause{ent: ev.ids.Website[si], kind: faults.AuthDNSMisconfig}
 		}
 		return rng.Float64() < ep.Severity*0.15
 	}
@@ -474,7 +432,7 @@ func (ev *evaluator) download(rng *rand.Rand, rec *Record, c *workload.ClientNod
 	// New generation: the replica-down set from the previous transaction
 	// expires without clearing anything.
 	ev.gen++
-	sf := &ev.sites[si]
+	repID, repPfx := ev.ids.Replica[si], ev.ids.ReplicaPrefix[si]
 
 	// Blame scratch for the tracer: which ground-truth episode each
 	// fault flag traces back to. Locals cost nothing when tracing is
@@ -483,23 +441,22 @@ func (ev *evaluator) download(rng *rand.Rand, rec *Record, c *workload.ClientNod
 	causePath = ev.trConnCause
 	causeTransient := traceCause{ent: faults.NoEntity, transient: true}
 
-	if pairID, hasPair := ev.pairID[[2]int32{rec.ClientIdx, si}]; hasPair {
-		if ep, ok := tl.ActiveID(pairID, faults.PermanentBlock, at); hit(rng, ep, ok) {
-			blocked = true
-			blockMode = ep.Mode
-			causeBlocked = traceCause{ent: pairID, kind: faults.PermanentBlock}
-		}
+	pairID := ev.ids.Pair(int(rec.ClientIdx), int(si))
+	if ep, ok := tl.ActiveID(pairID, faults.PermanentBlock, at); hit(rng, ep, ok) {
+		blocked = true
+		blockMode = ep.Mode
+		causeBlocked = traceCause{ent: pairID, kind: faults.PermanentBlock}
 	}
 	// BGP instability / path outages on either end's prefix. The prefix
 	// handle list (client prefix first, then each tried address's prefix
 	// in rotated order, duplicates preserved — every occurrence draws
 	// independently, as a multi-homed path would) builds in a reused
 	// scratch buffer.
-	pfxIDs := append(ev.pfxBuf[:0], ev.cliPfxID[rec.ClientIdx])
+	pfxIDs := append(ev.pfxBuf[:0], ev.ids.ClientPrefix[rec.ClientIdx])
 	if off >= 0 {
-		n := len(sf.repPfx)
+		n := len(repPfx)
 		for k := range addrs {
-			if id := sf.repPfx[(off+k)%n]; id != faults.NoEntity {
+			if id := repPfx[(off+k)%n]; id != faults.NoEntity {
 				pfxIDs = append(pfxIDs, id)
 			}
 		}
@@ -522,22 +479,22 @@ func (ev *evaluator) download(rng *rand.Rand, rec *Record, c *workload.ClientNod
 			pathDown = true
 		}
 	}
-	if ep, ok := tl.ActiveID(ev.wwwID[si], faults.ServerOutage, at); hit(rng, ep, ok) {
+	if ep, ok := tl.ActiveID(ev.ids.Website[si], faults.ServerOutage, at); hit(rng, ep, ok) {
 		wwwDown = true
-		causeWWW = traceCause{ent: ev.wwwID[si], kind: faults.ServerOutage}
+		causeWWW = traceCause{ent: ev.ids.Website[si], kind: faults.ServerOutage}
 	}
 	if off >= 0 {
-		n := len(sf.repID)
+		n := len(repID)
 		for k := range addrs {
-			if ep, active := tl.ActiveID(sf.repID[(off+k)%n], faults.ServerOutage, at); hit(rng, ep, active) {
+			if ep, active := tl.ActiveID(repID[(off+k)%n], faults.ServerOutage, at); hit(rng, ep, active) {
 				ev.repDownGen[k] = ev.gen
 			}
 		}
 	}
-	if ep, ok := tl.ActiveID(ev.wwwID[si], faults.ServerOverload, at); hit(rng, ep, ok) {
+	if ep, ok := tl.ActiveID(ev.ids.Website[si], faults.ServerOverload, at); hit(rng, ep, ok) {
 		overload = true
 		overloadMode = ep.Mode
-		causeOverload = traceCause{ent: ev.wwwID[si], kind: faults.ServerOverload}
+		causeOverload = traceCause{ent: ev.ids.Website[si], kind: faults.ServerOverload}
 	}
 	// Transient connection-level failure: a short glitch that a
 	// 20-second retry sequence does not outlive. Flakier client sites
@@ -588,7 +545,7 @@ func (ev *evaluator) download(rng *rand.Rand, rec *Record, c *workload.ClientNod
 					case wwwDown:
 						cause = causeWWW
 					default:
-						cause = traceCause{ent: sf.repID[(off+k)%len(sf.repID)], kind: faults.ServerOutage}
+						cause = traceCause{ent: repID[(off+k)%len(repID)], kind: faults.ServerOutage}
 					}
 					ev.tr.attempt(addr, before, elapsed, "no-connection", cause)
 				}
@@ -671,11 +628,11 @@ func (ev *evaluator) download(rng *rand.Rand, rec *Record, c *workload.ClientNod
 // httpPhase decides the HTTP outcome of a completed transfer.
 func (ev *evaluator) httpPhase(rng *rand.Rand, rec *Record, w *workload.WebsiteNode, at simnet.Time) {
 	p := &ev.cfg.Scenario.Params
-	if ep, ok := ev.tl.ActiveID(ev.wwwID[rec.SiteIdx], faults.ServerHTTPError, at); hit(rng, ep, ok) {
+	if ep, ok := ev.tl.ActiveID(ev.ids.Website[rec.SiteIdx], faults.ServerHTTPError, at); hit(rng, ep, ok) {
 		rec.Stage = httpsim.StageHTTP
 		rec.StatusCode = 503
 		if ev.tracing {
-			ev.trHTTPCause = traceCause{ent: ev.wwwID[rec.SiteIdx], kind: faults.ServerHTTPError}
+			ev.trHTTPCause = traceCause{ent: ev.ids.Website[rec.SiteIdx], kind: faults.ServerHTTPError}
 		}
 		return
 	}
@@ -732,17 +689,6 @@ func mostSevere(eps []faults.Episode, kind faults.Kind) (faults.Episode, bool) {
 		}
 	}
 	return best, found
-}
-
-// prefixOf locates the website prefix containing addr (CDN addresses have
-// no monitored prefix and return the zero prefix).
-func prefixOf(w *workload.WebsiteNode, addr netip.Addr) netip.Prefix {
-	for _, p := range w.Prefixes {
-		if p.Contains(addr) {
-			return p
-		}
-	}
-	return netip.Prefix{}
 }
 
 // sampleDNSTime draws a successful lookup latency: tens of milliseconds,

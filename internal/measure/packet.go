@@ -131,6 +131,8 @@ func runPacketSharded(cfg Config, shards int, captureClients []string, visit fun
 	}
 	bounds := packetShardBounds(cfg.Topo, shards)
 	outs := make([]packetShardResult, len(bounds)-1)
+	// One entity table for the run, read-only and shared by the worlds.
+	ids := cfg.Scenario.EntityIDs(cfg.Topo)
 
 	wallStart := time.Now()
 	var wg sync.WaitGroup
@@ -138,7 +140,7 @@ func runPacketSharded(cfg Config, shards int, captureClients []string, visit fun
 		wg.Add(1)
 		go func(shard int) {
 			defer wg.Done()
-			outs[shard] = runPacketShard(cfg, shard, bounds[shard], bounds[shard+1], captureClients)
+			outs[shard] = runPacketShard(cfg, ids, shard, bounds[shard], bounds[shard+1], captureClients)
 		}(s)
 	}
 	wg.Wait()
@@ -193,8 +195,8 @@ func runPacketSharded(cfg Config, shards int, captureClients []string, visit fun
 }
 
 // runPacketShard builds and runs one shard's world over clients [lo, hi).
-func runPacketShard(cfg Config, shard, lo, hi int, captureClients []string) packetShardResult {
-	w := buildWorld(cfg, lo, hi)
+func runPacketShard(cfg Config, ids *workload.EntityTable, shard, lo, hi int, captureClients []string) packetShardResult {
+	w := buildWorld(cfg, ids, lo, hi)
 
 	caps := make(map[string]*trace.Capture)
 	for _, name := range captureClients {
@@ -263,14 +265,14 @@ func runPacketShard(cfg Config, shard, lo, hi int, captureClients []string) pack
 	return out
 }
 
-// addrInfo is the pre-resolved fault-entity view of one simulated address,
-// interned at world-build time so the per-packet path function performs
-// two map probes and a handful of array-indexed ActiveID queries — no
-// string building, no string hashing.
+// addrInfo is the fault-entity view of one simulated address, taken from
+// the run's entity table at world-build time so the per-packet path
+// function performs two map probes and a handful of array-indexed
+// ActiveID queries — no string building, no string hashing.
 type addrInfo struct {
-	siteEnt faults.EntityID // site:<site> for client-side addrs
-	pfxEnt  faults.EntityID // prefix:<p> covering the addr
-	siteIdx int32           // shard-local client-site index, -1 if none
+	siteEnt faults.EntityID // the client site of a client-side addr
+	pfxEnt  faults.EntityID // the prefix covering the addr
+	client  int32           // a client of the addr's site, -1 if none
 	wwwIdx  int32           // website index, -1 if not server-side
 	isDNS   bool            // DNS infrastructure (LDNS, auth, root/TLD)
 }
@@ -281,6 +283,7 @@ type world struct {
 	cfg      Config
 	topo     *workload.Topology
 	tl       *faults.Timeline
+	ids      *workload.EntityTable
 	net      *simnet.Network
 	rng      *rand.Rand
 	clientLo int
@@ -292,14 +295,11 @@ type world struct {
 	ldns    map[string]*dnssim.LDNS // by site
 	servers []*httpsim.Server
 
-	// info classifies addresses for the path function; pairEnt is the
-	// flattened [clientSite][website] PermanentBlock entity table. The
-	// key is the packed IPv4 address (ipKey): the path function probes
-	// this map twice per packet, and a 4-byte key takes the runtime's
-	// fast 32-bit map path instead of hashing a 24-byte netip.Addr.
-	info     map[uint32]addrInfo
-	pairEnt  []faults.EntityID
-	numSites int
+	// info classifies addresses for the path function. The key is the
+	// packed IPv4 address (ipKey): the path function probes this map
+	// twice per packet, and a 4-byte key takes the runtime's fast 32-bit
+	// map path instead of hashing a 24-byte netip.Addr.
+	info map[uint32]addrInfo
 
 	// tracer is the shard-local exemplar sink (nil when tracing is off);
 	// trSeq assigns each client's performed transactions their canonical
@@ -314,15 +314,15 @@ type clientHost struct {
 	stack  *tcpsim.Stack
 	client *httpsim.Client
 	dig    *dnssim.Dig
-	offID  faults.EntityID // client:<name>, for the machine-off check
 }
 
-func buildWorld(cfg Config, clientLo, clientHi int) *world {
+func buildWorld(cfg Config, ids *workload.EntityTable, clientLo, clientHi int) *world {
 	topo := cfg.Topo
 	w := &world{
 		cfg:      cfg,
 		topo:     topo,
 		tl:       cfg.Scenario.Timeline,
+		ids:      ids,
 		net:      simnet.NewNetwork(cfg.Seed ^ 0x7a65b1),
 		rng:      rand.New(rand.NewSource(cfg.Seed ^ 0x11ddcc)),
 		clientLo: clientLo,
@@ -335,9 +335,9 @@ func buildWorld(cfg Config, clientLo, clientHi int) *world {
 	}
 
 	// Build-time address classification, compiled into w.info at the end.
-	addrSite := make(map[netip.Addr]string) // client-side addrs -> client site
-	addrWWW := make(map[netip.Addr]string)  // server-side addrs -> website host
-	prefixOf := make(map[netip.Addr]netip.Prefix)
+	addrClient := make(map[netip.Addr]int) // client-side addrs -> a client of the site
+	addrWWW := make(map[netip.Addr]int32)  // server-side addrs -> website index
+	addrPfx := make(map[netip.Addr]faults.EntityID)
 	// dnsAddr marks DNS infrastructure (LDNS, authoritative, root/TLD):
 	// prefix-scoped data-path faults (BGPInstability, PathOutage on a
 	// prefix entity) exempt DNS traffic, mirroring the fast-mode
@@ -382,28 +382,25 @@ func buildWorld(cfg Config, clientLo, clientHi int) *world {
 		for _, a := range site.ReplicaAddrs {
 			zone.AddA(site.Host, a, 60)
 		}
+		wwwID := ids.Website[i]
 		auth := dnssim.NewAuthServer(authHost, zone)
-		auth.Status = w.authStatus(site)
+		auth.Status = w.authStatus(wwwID)
 
 		for k, a := range site.ReplicaAddrs {
 			host := w.net.AddHost(site.Host+"-r"+strconv.Itoa(k), a)
 			stack := tcpsim.NewStack(host)
-			stack.Status = w.serverStatus(site, a)
+			stack.Status = w.serverStatus(wwwID, ids.Replica[i][k])
 			srv := httpsim.NewServer(stack)
 			srv.Hosts = []string{site.Host}
 			srv.Pages["/"] = httpsim.Page{Path: "/", Size: site.IndexSize}
-			srv.Status = w.appStatus(site)
+			srv.Status = w.appStatus(wwwID)
 			w.servers = append(w.servers, srv)
-			addrWWW[a] = site.Host
-			for _, p := range site.Prefixes {
-				if p.Contains(a) {
-					prefixOf[a] = p
-				}
-			}
+			addrWWW[a] = int32(i)
+			addrPfx[a] = ids.ReplicaPrefix[i][k]
 		}
-		addrWWW[site.AuthDNS] = site.Host
+		addrWWW[site.AuthDNS] = int32(i)
 		if len(site.Prefixes) > 0 {
-			prefixOf[site.AuthDNS] = site.Prefixes[0]
+			addrPfx[site.AuthDNS] = ids.Prefixes[i][0]
 		}
 	}
 	if cdnNeeded {
@@ -417,23 +414,17 @@ func buildWorld(cfg Config, clientLo, clientHi int) *world {
 	}
 
 	// --- Client sites: LDNS (one per site), proxies, clients.
-	siteIdxOf := map[string]int32{}
-	var siteNames []string
 	proxies := map[string]netip.AddrPort{}
 	w.rngs = make([]*rand.Rand, clientHi-clientLo)
 	for gi := clientLo; gi < clientHi; gi++ {
 		node := &topo.Clients[gi]
 		w.rngs[gi-clientLo] = rand.New(rand.NewSource(cfg.Seed ^ 0x11ddcc ^ (int64(gi)+1)*0x100000001b3))
-		if _, ok := siteIdxOf[node.Site]; !ok {
-			siteIdxOf[node.Site] = int32(len(siteNames))
-			siteNames = append(siteNames, node.Site)
-		}
 		if _, ok := w.ldns[node.Site]; !ok {
 			ldnsHost := w.net.AddHost("ldns."+node.Site, node.LDNS)
 			l := dnssim.NewLDNS(ldnsHost, []netip.Addr{topo.RootDNS})
-			l.Status = w.ldnsStatus(node.Site)
+			l.Status = w.ldnsStatus(ids.Site[gi])
 			w.ldns[node.Site] = l
-			addrSite[node.LDNS] = node.Site
+			addrClient[node.LDNS] = gi
 			dnsAddr[node.LDNS] = true
 		}
 		if node.Proxied {
@@ -443,8 +434,8 @@ func buildWorld(cfg Config, clientLo, clientHi int) *world {
 				resolver := dnssim.NewStubResolver(prxHost, node.LDNS)
 				httpsim.NewProxy(prxStack, resolver)
 				proxies[node.Site] = netip.AddrPortFrom(node.Proxy, httpsim.ProxyPort)
-				addrSite[node.Proxy] = node.Site
-				prefixOf[node.Proxy] = node.Prefix
+				addrClient[node.Proxy] = gi
+				addrPfx[node.Proxy] = ids.ClientPrefix[gi]
 			}
 		}
 
@@ -462,15 +453,12 @@ func buildWorld(cfg Config, clientLo, clientHi int) *world {
 			stack:  stack,
 			client: cli,
 			dig:    dnssim.NewDig(host, node.LDNS, []netip.Addr{topo.RootDNS}),
-			offID:  w.tl.Lookup(faults.Entity("client:" + node.Name)),
 		})
-		addrSite[node.Addr] = node.Site
-		prefixOf[node.Addr] = node.Prefix
+		addrClient[node.Addr] = gi
+		addrPfx[node.Addr] = ids.ClientPrefix[gi]
 	}
 
-	// --- Compile the per-address fault-entity table (satellite of PR 4's
-	// interning work): every string Entity the path function used to build
-	// per packet is resolved to an EntityID exactly once, here.
+	// --- Compile the per-address fault-entity view from the entity table.
 	touch := func(a netip.Addr, f func(*addrInfo)) {
 		inf, ok := w.info[ipKey(a)]
 		if !ok {
@@ -479,30 +467,20 @@ func buildWorld(cfg Config, clientLo, clientHi int) *world {
 		f(&inf)
 		w.info[ipKey(a)] = inf
 	}
-	for a, site := range addrSite {
-		site := site
+	for a, ci := range addrClient {
 		touch(a, func(inf *addrInfo) {
-			inf.siteEnt = w.tl.Lookup(faults.Entity("site:" + site))
-			inf.siteIdx = siteIdxOf[site]
+			inf.siteEnt = ids.Site[ci]
+			inf.client = int32(ci)
 		})
 	}
-	for a, host := range addrWWW {
-		wi := int32(topo.WebsiteIndex(host))
+	for a, wi := range addrWWW {
 		touch(a, func(inf *addrInfo) { inf.wwwIdx = wi })
 	}
-	for a, p := range prefixOf {
-		id := w.tl.Lookup(faults.Entity("prefix:" + p.String()))
+	for a, id := range addrPfx {
 		touch(a, func(inf *addrInfo) { inf.pfxEnt = id })
 	}
 	for a := range dnsAddr {
 		touch(a, func(inf *addrInfo) { inf.isDNS = true })
-	}
-	w.numSites = len(siteNames)
-	w.pairEnt = make([]faults.EntityID, len(siteNames)*len(topo.Websites))
-	for si, siteName := range siteNames {
-		for wi := range topo.Websites {
-			w.pairEnt[si*len(topo.Websites)+wi] = w.tl.Lookup(faults.PairEntity(siteName, topo.Websites[wi].Host))
-		}
 	}
 
 	w.net.RNGFor = func(ctx int32) *rand.Rand {
@@ -529,8 +507,7 @@ func (w *world) ctxRNG() *rand.Rand {
 // Status functions: episode severity becomes a per-call failure draw, so
 // fractional-severity episodes behave like flaky components.
 
-func (w *world) authStatus(site *workload.WebsiteNode) dnssim.StatusFunc {
-	id := w.tl.Lookup(faults.Entity("www:" + site.Host))
+func (w *world) authStatus(id faults.EntityID) dnssim.StatusFunc {
 	return func(now simnet.Time) dnssim.Status {
 		rng := w.ctxRNG()
 		if ep, ok := w.tl.ActiveID(id, faults.AuthDNSMisconfig, now); hit(rng, ep, ok) {
@@ -546,8 +523,7 @@ func (w *world) authStatus(site *workload.WebsiteNode) dnssim.StatusFunc {
 	}
 }
 
-func (w *world) ldnsStatus(siteName string) dnssim.StatusFunc {
-	id := w.tl.Lookup(faults.Entity("site:" + siteName))
+func (w *world) ldnsStatus(id faults.EntityID) dnssim.StatusFunc {
 	return func(now simnet.Time) dnssim.Status {
 		if ep, ok := w.tl.ActiveID(id, faults.LDNSOutage, now); hit(w.ctxRNG(), ep, ok) {
 			return dnssim.StatusDown
@@ -556,9 +532,7 @@ func (w *world) ldnsStatus(siteName string) dnssim.StatusFunc {
 	}
 }
 
-func (w *world) serverStatus(site *workload.WebsiteNode, addr netip.Addr) tcpsim.StatusFunc {
-	wwwID := w.tl.Lookup(faults.Entity("www:" + site.Host))
-	repID := w.tl.Lookup(faults.Entity("replica:" + addr.String()))
+func (w *world) serverStatus(wwwID, repID faults.EntityID) tcpsim.StatusFunc {
 	return func(now simnet.Time) tcpsim.HostStatus {
 		rng := w.ctxRNG()
 		if ep, ok := w.tl.ActiveID(wwwID, faults.ServerOutage, now); hit(rng, ep, ok) {
@@ -571,8 +545,7 @@ func (w *world) serverStatus(site *workload.WebsiteNode, addr netip.Addr) tcpsim
 	}
 }
 
-func (w *world) appStatus(site *workload.WebsiteNode) httpsim.AppStatusFunc {
-	id := w.tl.Lookup(faults.Entity("www:" + site.Host))
+func (w *world) appStatus(id faults.EntityID) httpsim.AppStatusFunc {
 	return func(now simnet.Time) httpsim.AppStatus {
 		rng := w.ctxRNG()
 		if ep, ok := w.tl.ActiveID(id, faults.ServerOverload, now); hit(rng, ep, ok) {
@@ -593,7 +566,7 @@ func (w *world) appStatus(site *workload.WebsiteNode) httpsim.AppStatusFunc {
 }
 
 // missingInfo is the lookup result for an unclassified address.
-var missingInfo = addrInfo{siteEnt: faults.NoEntity, pfxEnt: faults.NoEntity, siteIdx: -1, wwwIdx: -1}
+var missingInfo = addrInfo{siteEnt: faults.NoEntity, pfxEnt: faults.NoEntity, client: -1, wwwIdx: -1}
 
 // ipKey packs an address into the 4-byte info-table key. The simulated
 // topology is IPv4-only; As16 keeps the helper total for 4-in-6 forms.
@@ -660,11 +633,11 @@ func (w *world) pathState(src, dst netip.Addr, now simnet.Time) simnet.PathState
 	}
 
 	// Permanent pair blocks, in either direction.
-	checkPair := func(siteIdx, wwwIdx int32) {
-		if siteIdx < 0 || wwwIdx < 0 {
+	checkPair := func(client, wwwIdx int32) {
+		if client < 0 || wwwIdx < 0 {
 			return
 		}
-		id := w.pairEnt[int(siteIdx)*len(w.topo.Websites)+int(wwwIdx)]
+		id := w.ids.Pair(int(client), int(wwwIdx))
 		if id == faults.NoEntity {
 			return
 		}
@@ -678,8 +651,8 @@ func (w *world) pathState(src, dst netip.Addr, now simnet.Time) simnet.PathState
 			}
 		}
 	}
-	checkPair(si.siteIdx, di.wwwIdx)
-	checkPair(di.siteIdx, si.wwwIdx)
+	checkPair(si.client, di.wwwIdx)
+	checkPair(di.client, si.wwwIdx)
 	return st
 }
 
@@ -698,7 +671,7 @@ func (w *world) runTransaction(tx *workload.Transaction, visit func(*Record)) bo
 	site := &w.topo.Websites[tx.SiteIdx]
 
 	// Machine off: no access at all.
-	if _, off := w.tl.ActiveID(ch.offID, faults.ClientMachineOff, tx.At); off {
+	if _, off := w.tl.ActiveID(w.ids.Client[tx.ClientIdx], faults.ClientMachineOff, tx.At); off {
 		return false
 	}
 

@@ -6,10 +6,8 @@ import (
 	"strings"
 	"time"
 
-	"webfail/internal/faults"
 	"webfail/internal/httpsim"
 	"webfail/internal/obs"
-	"webfail/internal/simnet"
 	"webfail/internal/trace"
 	"webfail/internal/workload"
 )
@@ -42,7 +40,7 @@ func (w *world) traceTxn(ch *clientHost, site *workload.WebsiteNode, rec *Record
 
 	// Root transaction span: wget plus the forensic dig, when one ran.
 	ex.Spans = append(ex.Spans, traceSpan("txn", 0, int64(rec.At), int64(rec.Elapsed+digDur),
-		class.String(), w.episodeContext(ch, site, rec.At)))
+		class.String(), summarizeEpisodes(w.tl, w.ids.Touched(int(rec.ClientIdx), int(rec.SiteIdx)), rec.At)))
 
 	// Resolution phase.
 	if rec.Proxied {
@@ -91,37 +89,6 @@ func (w *world) traceTxn(ch *clientHost, site *workload.WebsiteNode, rec *Record
 
 func traceSpan(name string, depth int, start, dur int64, outcome, detail string) obs.TraceSpan {
 	return obs.TraceSpan{Name: name, Depth: depth, Start: start, Dur: dur, Outcome: outcome, Detail: detail}
-}
-
-// episodeContext is the packet-mode ground-truth view: the episodes
-// active on every entity the transaction touched, in the same entity
-// order fast mode uses so the two modes render comparable context.
-func (w *world) episodeContext(ch *clientHost, site *workload.WebsiteNode, at simnet.Time) string {
-	node := ch.node
-	ids := make([]faults.EntityID, 0, 6+2*len(site.ReplicaAddrs))
-	add := func(id faults.EntityID) {
-		if id == faults.NoEntity {
-			return
-		}
-		for _, have := range ids {
-			if have == id {
-				return
-			}
-		}
-		ids = append(ids, id)
-	}
-	add(ch.offID)
-	add(w.tl.Lookup(faults.Entity("site:" + node.Site)))
-	add(w.tl.Lookup(faults.Entity("prefix:" + node.Prefix.String())))
-	add(w.tl.Lookup(faults.Entity("www:" + site.Host)))
-	for _, a := range site.ReplicaAddrs {
-		add(w.tl.Lookup(faults.Entity("replica:" + a.String())))
-		if p := prefixOf(site, a); p.IsValid() {
-			add(w.tl.Lookup(faults.Entity("prefix:" + p.String())))
-		}
-	}
-	add(w.tl.Lookup(faults.PairEntity(node.Site, site.Host)))
-	return summarizeEpisodes(w.tl, ids, at)
 }
 
 // annotateFlowSpans joins capture-derived per-flow TCP statistics onto

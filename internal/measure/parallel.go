@@ -40,6 +40,8 @@ func RunParallel(cfg Config, shards int, visit func(shard int, r *Record)) error
 		tracers = make([]*traceShard, shards)
 	}
 
+	// One entity table for the run, read-only and shared by the shards.
+	ids := cfg.Scenario.EntityIDs(cfg.Topo)
 	var wg sync.WaitGroup
 	for s := 0; s < shards; s++ {
 		lo, hi := s*n/shards, (s+1)*n/shards
@@ -49,7 +51,7 @@ func RunParallel(cfg Config, shards int, visit func(shard int, r *Record)) error
 			// A private evaluator per worker: evaluator state (per-client
 			// RNGs) is mutable, and building one is negligible next to
 			// the run itself.
-			ev := newEvaluator(cfg)
+			ev := newShardEvaluator(cfg, ids)
 			ev.prog = cfg.Progress.Shard(shard)
 			if tracers != nil {
 				ev.tr = newTraceShard(cfg.Trace.K(), n)

@@ -312,7 +312,7 @@ func (ev *evaluator) materializeExemplar(rec *Record, class TraceClass, seq int6
 		ex.Spans = append(ex.Spans, out)
 	}
 	at := rec.At
-	span("txn", 0, at, fastTxnLatency(rec), class.String(), noCause, ev.activeEpisodeSummary(rec))
+	span("txn", 0, at, fastTxnLatency(rec), class.String(), noCause, summarizeEpisodes(ev.tl, ev.ids.Touched(ci, si), at))
 	gatewayFail := rec.Proxied && rec.StatusCode == 502
 	if !rec.Proxied {
 		span("dns", 1, at, rec.DNSTime, rec.DNS.String(), ev.trDNSCause, "")
@@ -339,44 +339,13 @@ func (ev *evaluator) materializeExemplar(rec *Record, class TraceClass, seq int6
 	return ex
 }
 
-// activeEpisodeSummary lists the ground-truth episodes active at the
-// transaction's time on every entity it touched — the forensic context
-// the paper reconstructs from layered evidence, available here directly
-// from the scenario. Only kept exemplars pay for this; the episode
-// counter is untouched so the deterministic work census stays
-// shard-count-invariant.
-func (ev *evaluator) activeEpisodeSummary(rec *Record) string {
-	ci, si := int(rec.ClientIdx), int(rec.SiteIdx)
-	sf := &ev.sites[si]
-	ids := make([]faults.EntityID, 0, 6+2*len(sf.repID))
-	add := func(id faults.EntityID) {
-		if id == faults.NoEntity {
-			return
-		}
-		for _, have := range ids {
-			if have == id {
-				return
-			}
-		}
-		ids = append(ids, id)
-	}
-	add(ev.clientID[ci])
-	add(ev.siteID[ci])
-	add(ev.cliPfxID[ci])
-	add(ev.wwwID[si])
-	for k := range sf.repID {
-		add(sf.repID[k])
-		add(sf.repPfx[k])
-	}
-	if pairID, ok := ev.pairID[[2]int32{rec.ClientIdx, rec.SiteIdx}]; ok {
-		add(pairID)
-	}
-	return summarizeEpisodes(ev.tl, ids, rec.At)
-}
-
 // summarizeEpisodes renders the episodes active at a point in time on
-// the given entities, in entity-list order — shared by both run modes
-// so exemplar context is mode-comparable.
+// the given entities, in entity-list order: the ground-truth context of
+// an exemplar, the forensic evidence the paper reconstructs from layered
+// observations, here read directly from the scenario. Both engines pass
+// EntityTable.Touched, so their context is comparable. Only kept
+// exemplars pay for it, and the episode counter is untouched, so the
+// deterministic work census stays shard-count-invariant.
 func summarizeEpisodes(tl *faults.Timeline, ids []faults.EntityID, at simnet.Time) string {
 	var b strings.Builder
 	var buf []faults.Episode

@@ -176,7 +176,6 @@ func (s *Spec) expandRoster() ([]workload.Client, []workload.Website, error) {
 					Replicas:       w.Replicas,
 					SpreadReplicas: w.SpreadReplicas,
 					IndexSize:      size,
-					RedirectTo:     w.RedirectTo,
 				})
 			}
 		case b.Fleet != nil:

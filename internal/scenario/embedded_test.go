@@ -6,6 +6,7 @@ import (
 
 	"webfail/internal/simnet"
 	"webfail/internal/workload"
+	"webfail/scenarios"
 )
 
 // TestEmbeddedScenariosCompile guarantees every checked-in scenario
@@ -120,5 +121,32 @@ func TestHashStability(t *testing.T) {
 	mutated.Faults.BGPRate++
 	if mutated.Hash() == b.Hash() {
 		t.Error("hash did not change after a semantic edit")
+	}
+}
+
+// TestParseStrict requires a key the spec does not define to fail by
+// name instead of silently keeping its zero value: a misspelled knob in
+// a shipped scenario, and the website key redirectTo, which no engine
+// ever read. Data after the document stays an error; trailing
+// whitespace does not.
+func TestParseStrict(t *testing.T) {
+	paper, _ := scenarios.Read(PaperDefault)
+	flap, _ := scenarios.Read("cdn-flap")
+	for _, tc := range []struct {
+		name, doc, wantErr string
+	}{
+		{"misspelled knob", strings.Replace(string(flap), `"transientConnFail"`, `"transientConnFial"`, 1), `unknown field "transientConnFial"`},
+		{"redirectTo", strings.Replace(string(paper), `"host":`, `"redirectTo": "www.example.com", "host":`, 1), `unknown field "redirectTo"`},
+		{"trailing document", string(paper) + "{}", "after the spec document"},
+		{"trailing garbage", string(paper) + "}", "scenario: parse"},
+		{"trailing whitespace", string(paper) + "\n\t \n", ""},
+	} {
+		_, err := Parse([]byte(tc.doc))
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.wantErr)
+		}
 	}
 }

@@ -15,8 +15,10 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"time"
 )
 
@@ -171,10 +173,9 @@ type WebsiteEntry struct {
 	Region string `json:"region"`
 	// Replicas: 0 = CDN-served (rotating pool addresses), 1 = single
 	// server, >1 = replica set.
-	Replicas       int    `json:"replicas"`
-	SpreadReplicas bool   `json:"spreadReplicas,omitempty"`
-	IndexSize      int    `json:"indexSize,omitempty"` // default 10240
-	RedirectTo     string `json:"redirectTo,omitempty"`
+	Replicas       int  `json:"replicas"`
+	SpreadReplicas bool `json:"spreadReplicas,omitempty"`
+	IndexSize      int  `json:"indexSize,omitempty"` // default 10240
 }
 
 // WebsiteFleet generates Count websites from weighted templates.
@@ -288,11 +289,19 @@ type PermanentSpec struct {
 	Mode string `json:"mode"`
 }
 
-// Parse decodes and validates a spec document.
+// Parse decodes and validates a spec document. A key the spec does not
+// define is an error, so a misspelled knob fails by name instead of
+// silently keeping its zero value, and so is anything after the
+// document.
 func Parse(data []byte) (*Spec, error) {
 	var s Spec
-	if err := json.Unmarshal(data, &s); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("scenario: parse: %w", err)
+	}
+	if err := dec.Decode(&json.RawMessage{}); err != io.EOF {
+		return nil, fmt.Errorf("scenario: parse: data after the spec document")
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err

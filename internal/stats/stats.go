@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit used throughout the
 // web-access-failure study: empirical CDFs and quantiles, Pearson
-// correlation, knee detection on failure-rate distributions, set-similarity
-// measures, and consecutive-failure streak extraction.
+// correlation, knee detection on failure-rate distributions, and failure
+// rates.
 //
 // Everything here operates on plain float64 slices so it can be reused by
 // the analysis code (internal/core), the benchmark harness, and the text
@@ -94,7 +94,7 @@ func (c *CDF) Points(n int) (xs, ps []float64) {
 	xs = make([]float64, 0, n)
 	ps = make([]float64, 0, n)
 	for i := 0; i < n; i++ {
-		idx := (i * (m - 1)) / maxInt(n-1, 1)
+		idx := (i * (m - 1)) / max(n-1, 1)
 		xs = append(xs, c.sorted[idx])
 		ps = append(ps, float64(idx+1)/float64(m))
 	}
@@ -116,21 +116,6 @@ func Mean(sample []float64) float64 {
 		sum += v
 	}
 	return sum / float64(len(sample))
-}
-
-// StdDev returns the population standard deviation, or NaN for an empty
-// sample.
-func StdDev(sample []float64) float64 {
-	if len(sample) == 0 {
-		return math.NaN()
-	}
-	mu := Mean(sample)
-	var ss float64
-	for _, v := range sample {
-		d := v - mu
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(sample)))
 }
 
 // Pearson returns the Pearson correlation coefficient of the paired samples
@@ -201,71 +186,10 @@ func Knee(sample []float64) (float64, error) {
 	return best, nil
 }
 
-// Jaccard returns |a ∩ b| / |a ∪ b| for two sets of int64 keys (episode
-// indices, in the co-location analysis of Section 4.4.6). By the paper's
-// convention an empty union yields 0.
-func Jaccard(a, b map[int64]bool) float64 {
-	union := 0
-	inter := 0
-	for k := range a {
-		union++
-		if b[k] {
-			inter++
-		}
-	}
-	for k := range b {
-		if !a[k] {
-			union++
-		}
-	}
-	if union == 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
-}
-
-// LongestRun returns the length of the longest run of true values in the
-// sequence, the per-hour "longest consecutive streak of access failures"
-// from Section 4.6 (Figure 5, third graph).
-func LongestRun(fail []bool) int {
-	best, cur := 0, 0
-	for _, f := range fail {
-		if f {
-			cur++
-			if cur > best {
-				best = cur
-			}
-		} else {
-			cur = 0
-		}
-	}
-	return best
-}
-
 // Rate returns failures/total as a float64 and 0 when total is 0.
 func Rate(failures, total int) float64 {
 	if total == 0 {
 		return 0
 	}
 	return float64(failures) / float64(total)
-}
-
-// Histogram counts samples into the half-open buckets
-// [bounds[0], bounds[1]), [bounds[1], bounds[2]), ... plus an implicit
-// final bucket [bounds[len-1], +inf) and an implicit initial bucket
-// (-inf, bounds[0]). The returned slice has len(bounds)+1 entries.
-func Histogram(sample []float64, bounds []float64) []int {
-	counts := make([]int, len(bounds)+1)
-	for _, v := range sample {
-		i := sort.SearchFloat64s(bounds, math.Nextafter(v, math.Inf(1)))
-		counts[i]++
-	}
-	return counts
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

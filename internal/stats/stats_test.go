@@ -162,14 +162,11 @@ func TestMeanMedianStdDev(t *testing.T) {
 	if got := Mean(s); !almostEqual(got, 5, 1e-12) {
 		t.Errorf("Mean = %v, want 5", got)
 	}
-	if got := StdDev(s); !almostEqual(got, 2, 1e-12) {
-		t.Errorf("StdDev = %v, want 2", got)
-	}
 	if got := Median([]float64{1, 3, 2}); got != 2 {
 		t.Errorf("Median = %v, want 2", got)
 	}
-	if !math.IsNaN(Mean(nil)) || !math.IsNaN(StdDev(nil)) {
-		t.Errorf("Mean/StdDev of empty should be NaN")
+	if !math.IsNaN(Mean(nil)) {
+		t.Errorf("Mean of empty should be NaN")
 	}
 }
 
@@ -244,109 +241,11 @@ func TestKneeDegenerate(t *testing.T) {
 	}
 }
 
-func TestJaccard(t *testing.T) {
-	a := map[int64]bool{1: true, 2: true, 3: true}
-	b := map[int64]bool{2: true, 3: true, 4: true}
-	if got := Jaccard(a, b); !almostEqual(got, 0.5, 1e-12) {
-		t.Errorf("Jaccard = %v, want 0.5", got)
-	}
-	if got := Jaccard(nil, nil); got != 0 {
-		t.Errorf("Jaccard empty = %v, want 0", got)
-	}
-	if got := Jaccard(a, a); got != 1 {
-		t.Errorf("Jaccard self = %v, want 1", got)
-	}
-	if got := Jaccard(a, map[int64]bool{9: true}); got != 0 {
-		t.Errorf("Jaccard disjoint = %v, want 0", got)
-	}
-}
-
-func TestJaccardProperties(t *testing.T) {
-	f := func(xs, ys []int64) bool {
-		a := map[int64]bool{}
-		b := map[int64]bool{}
-		for _, x := range xs {
-			a[x] = true
-		}
-		for _, y := range ys {
-			b[y] = true
-		}
-		j1 := Jaccard(a, b)
-		j2 := Jaccard(b, a)
-		return almostEqual(j1, j2, 1e-12) && j1 >= 0 && j1 <= 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestLongestRun(t *testing.T) {
-	cases := []struct {
-		in   []bool
-		want int
-	}{
-		{nil, 0},
-		{[]bool{false, false}, 0},
-		{[]bool{true}, 1},
-		{[]bool{true, true, false, true}, 2},
-		{[]bool{false, true, true, true, false, true, true}, 3},
-		{[]bool{true, true, true}, 3},
-	}
-	for _, tc := range cases {
-		if got := LongestRun(tc.in); got != tc.want {
-			t.Errorf("LongestRun(%v) = %d, want %d", tc.in, got, tc.want)
-		}
-	}
-}
-
 func TestRate(t *testing.T) {
 	if got := Rate(1, 4); got != 0.25 {
 		t.Errorf("Rate = %v, want 0.25", got)
 	}
 	if got := Rate(5, 0); got != 0 {
 		t.Errorf("Rate div0 = %v, want 0", got)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	bounds := []float64{0, 0.25, 0.5, 0.75}
-	sample := []float64{-1, 0, 0.1, 0.25, 0.6, 0.9, 2}
-	got := Histogram(sample, bounds)
-	want := []int{1, 2, 1, 1, 2}
-	if len(got) != len(want) {
-		t.Fatalf("Histogram len = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("bucket %d = %d, want %d (full %v)", i, got[i], want[i], got)
-		}
-	}
-	// Total preserved.
-	total := 0
-	for _, c := range got {
-		total += c
-	}
-	if total != len(sample) {
-		t.Errorf("histogram total = %d, want %d", total, len(sample))
-	}
-}
-
-func TestHistogramCountPreservedProperty(t *testing.T) {
-	f := func(sample []float64) bool {
-		clean := make([]float64, 0, len(sample))
-		for _, v := range sample {
-			if !math.IsNaN(v) {
-				clean = append(clean, v)
-			}
-		}
-		counts := Histogram(clean, []float64{-10, 0, 10})
-		total := 0
-		for _, c := range counts {
-			total += c
-		}
-		return total == len(clean)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }

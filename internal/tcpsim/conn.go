@@ -359,7 +359,7 @@ func (c *Conn) onRTO() {
 		return
 	}
 	c.rtoBackoff++
-	c.ssthresh = maxInt(c.inFlight()/2, 2*MSS)
+	c.ssthresh = max(c.inFlight()/2, 2*MSS)
 	c.cwnd = MSS
 	c.dupAcks = 0
 	c.sampleValid = false // Karn: retransmitted segments give no samples
@@ -528,7 +528,7 @@ func (c *Conn) processAck(th *netwire.TCPHeader) {
 		if c.cwnd < c.ssthresh {
 			c.cwnd += acked
 		} else {
-			c.cwnd += maxInt(MSS*acked/maxInt(c.cwnd, 1), 1)
+			c.cwnd += max(MSS*acked/max(c.cwnd, 1), 1)
 		}
 		if c.cwnd > recvWindow {
 			c.cwnd = recvWindow
@@ -556,7 +556,7 @@ func (c *Conn) processAck(th *netwire.TCPHeader) {
 
 // fastRetransmit resends the segment at sndUna and halves the window.
 func (c *Conn) fastRetransmit() {
-	c.ssthresh = maxInt(c.inFlight()/2, 2*MSS)
+	c.ssthresh = max(c.inFlight()/2, 2*MSS)
 	c.cwnd = c.ssthresh
 	c.sampleValid = false // Karn
 	c.Retransmits++
@@ -649,10 +649,3 @@ func (c *Conn) deliver(p []byte) {
 // SetCallbacks replaces the connection's callbacks; used by server
 // applications that receive the Conn from Accept before wiring handlers.
 func (c *Conn) SetCallbacks(cb Callbacks) { c.cb = cb }
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -297,9 +297,6 @@ func (c *Capture) Attach(h *simnet.Host) {
 	})
 }
 
-// Detach removes the capture from the host.
-func (c *Capture) Detach(h *simnet.Host) { h.SetCapture(nil) }
-
 // Len reports the number of stored packets.
 func (c *Capture) Len() int { return len(c.records) }
 

@@ -221,21 +221,21 @@ func BuildScenario(topo *Topology, p ScenarioParams) *Scenario {
 		c := &topo.Clients[i]
 		cat := c.Category
 		f := factorFor(c.Site, cat)
-		tl.Generate(rng, faults.Entity("client:"+c.Name), p.MachineOff[cat], start, end)
-		tl.Generate(rng, faults.Entity("client:"+c.Name), scaleProc(p.ClientConn[cat], f), start, end)
+		tl.Generate(rng, clientEntity(c.Name), p.MachineOff[cat], start, end)
+		tl.Generate(rng, clientEntity(c.Name), scaleProc(p.ClientConn[cat], f), start, end)
 		if !seenSite[c.Site] {
 			seenSite[c.Site] = true
-			tl.Generate(rng, faults.Entity("site:"+c.Site), scaleProc(p.SiteConn[cat], f), start, end)
-			tl.Generate(rng, faults.Entity("site:"+c.Site), scaleProc(p.LDNSOutage[cat], f), start, end)
-			tl.Generate(rng, faults.Entity("site:"+c.Site), scaleProc(p.LDNSFlaky[cat], f), start, end)
-			tl.Generate(rng, faults.Entity("prefix:"+c.Prefix.String()), scaleProc(p.WANOutage[cat], f), start, end)
+			tl.Generate(rng, siteEntity(c.Site), scaleProc(p.SiteConn[cat], f), start, end)
+			tl.Generate(rng, siteEntity(c.Site), scaleProc(p.LDNSOutage[cat], f), start, end)
+			tl.Generate(rng, siteEntity(c.Site), scaleProc(p.LDNSFlaky[cat], f), start, end)
+			tl.Generate(rng, PrefixEntity(c.Prefix), scaleProc(p.WANOutage[cat], f), start, end)
 			if ce, ok := chronicSites[c.Site]; ok {
-				addChronic(rng, tl, faults.Entity("site:"+c.Site), faults.ClientConnectivity, 0,
+				addChronic(rng, tl, siteEntity(c.Site), faults.ClientConnectivity, 0,
 					ce.Severity, ce.Cover, start, end)
 			}
 		}
 		if ce, ok := chronicClients[c.Name]; ok {
-			addChronic(rng, tl, faults.Entity("client:"+c.Name), faults.ClientConnectivity, 0,
+			addChronic(rng, tl, clientEntity(c.Name), faults.ClientConnectivity, 0,
 				ce.Severity, ce.Cover, start, end)
 		}
 	}
@@ -248,7 +248,7 @@ func BuildScenario(topo *Topology, p ScenarioParams) *Scenario {
 	}
 	for i := range topo.Websites {
 		w := &topo.Websites[i]
-		ent := faults.Entity("www:" + w.Host)
+		ent := websiteEntity(w.Host)
 		// Server operations quality is heterogeneous too: the paper
 		// found 56 of 80 sites with at least one server-side failure
 		// episode — i.e. 24 sites sailed through the month clean.
@@ -263,7 +263,7 @@ func BuildScenario(topo *Topology, p ScenarioParams) *Scenario {
 		tl.Generate(rng, ent, scaleProc(p.AuthDNSOutage, sf), start, end)
 		tl.Generate(rng, ent, scaleProc(p.HTTPError, sf), start, end)
 		for _, ra := range w.ReplicaAddrs {
-			tl.Generate(rng, faults.Entity("replica:"+ra.String()), p.ReplicaOutage, start, end)
+			tl.Generate(rng, replicaEntity(ra), p.ReplicaOutage, start, end)
 		}
 		if s, ok := specials[w.Host]; ok {
 			if s.ChronicCover > 0 {
@@ -276,7 +276,7 @@ func BuildScenario(topo *Topology, p ScenarioParams) *Scenario {
 			}
 			if s.ReplicaFlakyFraction > 0 {
 				for _, ra := range w.ReplicaAddrs {
-					addFlakyReplica(rng, tl, faults.Entity("replica:"+ra.String()), s.ReplicaFlakyFraction, start, end)
+					addFlakyReplica(rng, tl, replicaEntity(ra), s.ReplicaFlakyFraction, start, end)
 				}
 			}
 		}
@@ -293,12 +293,12 @@ func BuildScenario(topo *Topology, p ScenarioParams) *Scenario {
 			SeverityLow:  0.96, SeverityHigh: 1.0,
 		}
 		// Global events: most neighbors withdraw; severe path impact.
-		tl.Generate(rng, faults.Entity("prefix:"+pfx.String()), proc, start, end)
+		tl.Generate(rng, PrefixEntity(pfx), proc, start, end)
 		// Local events: few neighbors; milder and variable impact.
 		local := proc
 		local.RatePerMonth = p.BGPRate * (1 - p.BGPGlobalFraction)
 		local.SeverityLow, local.SeverityHigh = 0.02, 0.2
-		tl.Generate(rng, faults.Entity("prefix:"+pfx.String()), local, start, end)
+		tl.Generate(rng, PrefixEntity(pfx), local, start, end)
 	}
 
 	// Hand-placed signature events (the paper's Figures 5 and 7), when
@@ -310,9 +310,8 @@ func BuildScenario(topo *Topology, p ScenarioParams) *Scenario {
 
 	// Freeze sorts the episode index and interns every entity into a
 	// dense EntityID handle (assigned in sorted-entity order, so handles
-	// are as deterministic as the episode set itself); the fast-mode
-	// evaluator resolves its entities once via Lookup and queries by ID
-	// thereafter.
+	// are as deterministic as the episode set itself); EntityIDs resolves
+	// a roster once and the engines query by ID thereafter.
 	tl.Freeze()
 	return sc
 }
@@ -413,7 +412,7 @@ func (sc *Scenario) placePinnedBGP(topo *Topology, tl *faults.Timeline) {
 			continue
 		}
 		tl.Add(faults.Episode{
-			Entity: faults.Entity("prefix:" + c.Prefix.String()),
+			Entity: PrefixEntity(c.Prefix),
 			Kind:   faults.BGPInstability,
 			Start:  at, Duration: ev.Duration, Severity: ev.Severity,
 			Mode: ev.Mode,
@@ -447,7 +446,7 @@ func (sc *Scenario) placePermanentPairs(topo *Topology, tl *faults.Timeline) {
 		}
 		sc.PermanentPairs = append(sc.PermanentPairs, [2]string{pp.Site, pp.Host})
 		tl.Add(faults.Episode{
-			Entity:   faults.PairEntity(pp.Site, pp.Host),
+			Entity:   pairEntity(pp.Site, pp.Host),
 			Kind:     faults.PermanentBlock,
 			Mode:     pp.Mode,
 			Start:    sc.Params.Start,

@@ -100,7 +100,4 @@ type Website struct {
 	SpreadReplicas bool
 	// IndexSize is the top-level index page size in bytes.
 	IndexSize int
-	// RedirectTo, when set, makes the index respond 302 to this host
-	// (www redirects inflate the connection count, Section 3.3).
-	RedirectTo string
 }

@@ -408,6 +408,12 @@ func TestScenarioBuildPlumbing(t *testing.T) {
 	}
 }
 
+func TestPairEntity(t *testing.T) {
+	if pairEntity("nwu.edu", "www.mp3.com") != "pair:nwu.edu|www.mp3.com" {
+		t.Error("pair entity format")
+	}
+}
+
 func TestScenarioDeterminism(t *testing.T) {
 	cs, ws := testRoster()
 	topo := NewRosterTopology(cs, ws)

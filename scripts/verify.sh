@@ -89,6 +89,14 @@ go test -run 'TestGolden|TestOutOfRosterRecord|TestTopFlagBounds' ./cmd/webfail-
 go test -race -run 'TestSelectiveMatchesFull|TestArtifactPassRegistry' ./internal/report
 go test -race -count=1 ./internal/obs
 go test -run 'TestEvaluateZeroAllocs' -count=1 ./internal/measure
+# Fault-entity table gate: every handle the engines and the ground-truth
+# join index must equal a Timeline.Lookup of the entity's spelled name,
+# on every shipped scenario and on a timeline swapped in after the
+# scenario was built.
+go test -run 'TestEntityTableMatchesLookup|TestPairEntity' -count=1 ./internal/workload
+# webfail-bgp: its -mrt archive must re-aggregate to the printed report
+# and core.GenerateBGP's table, and bad flags fail before any output.
+go test -count=1 ./cmd/webfail-bgp
 # Tracing gates: exemplar selection and latency histograms must be
 # byte-identical across shard layouts in both engines (the -trace-out
 # invariance test drives the full CLI), and forensics replay must
@@ -103,7 +111,8 @@ go test -run 'TestTimerStop|TestWheelMatchesReferenceOrder|TestSchedulerTimerChu
     -count=1 ./internal/simnet
 go test -run 'TestCalibration' -count=1 -timeout 10m ./internal/measure
 # Scenario gates: every checked-in scenario must validate, compile, and
-# complete a short-horizon fast run; the
+# complete a short-horizon fast run; a spec key the spec does not define
+# must fail by name (TestParseStrict); the
 # paper-default spec must compile to the exact hard-coded roster and
 # fault timeline (golden equivalence below re-proves the stdout side);
 # a generated non-paper fleet must be serial/parallel equivalent under
@@ -114,7 +123,7 @@ go test -run 'TestCalibration' -count=1 -timeout 10m ./internal/measure
 # byte layout legitimately varies by shard count while the canonical
 # record stream — what analyze reads — is identical, per
 # TestShardedSaveEquivalence.)
-go test -run 'TestPaper|TestEmbeddedScenariosCompile|TestValidate|TestChaosScenarioScale' ./internal/scenario
+go test -run 'TestPaper|TestEmbeddedScenariosCompile|TestValidate|TestChaosScenarioScale|TestParseStrict' ./internal/scenario
 go test -run 'TestGoldenOutput|TestScenarioFlagDefaultEquivalence|TestScenarioGoldens' ./cmd/webfail
 go test -race -run 'TestScenarioSerialParallelEquivalence' -count=1 ./cmd/webfail
 go build -o /tmp/webfail-verify ./cmd/webfail
