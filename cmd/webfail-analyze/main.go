@@ -48,7 +48,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
 	"webfail/internal/core"
@@ -102,7 +101,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	defer sess.Close()
-	sel := parseArtifacts(*artifacts)
+	sel := report.ParseArtifacts(*artifacts)
 	f, err := os.Open(*in)
 	if err != nil {
 		return err
@@ -324,19 +323,4 @@ func scenarioFor(meta measure.DatasetMeta) (*scenario.Spec, error) {
 		name = scenario.PaperDefault
 	}
 	return scenario.ByName(name)
-}
-
-// parseArtifacts splits an -artifacts list into a report selection.
-// "all" maps to the empty selection, which report.Run and
-// report.PassesFor treat as "everything".
-func parseArtifacts(list string) map[string]bool {
-	sel := map[string]bool{}
-	for _, s := range strings.Split(list, ",") {
-		s = strings.TrimSpace(strings.ToLower(s))
-		if s == "" || s == "all" {
-			continue
-		}
-		sel[s] = true
-	}
-	return sel
 }

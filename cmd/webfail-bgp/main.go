@@ -26,6 +26,7 @@ import (
 	"io"
 	"net/netip"
 	"os"
+	"slices"
 	"sort"
 	"time"
 
@@ -77,6 +78,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if detail, err = netip.ParsePrefix(*prefix); err != nil {
 			return fmt.Errorf("-prefix: %w", err)
 		}
+		// The report is keyed by masked prefixes, so a prefix with host
+		// bits set would list no hours.
+		if m := detail.Masked(); m != detail {
+			return fmt.Errorf("-prefix %v has host bits set; use %v", detail, m)
+		}
 	}
 
 	reg := obs.NewRegistry()
@@ -103,6 +109,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	sc := workload.BuildScenario(topo, params)
 
 	prefixes := topo.AllPrefixes()
+	if detail.IsValid() && !slices.Contains(prefixes, detail) {
+		return fmt.Errorf("-prefix %v is not monitored in scenario %q", detail, spec.Name)
+	}
 	events := 0
 	for _, pfx := range prefixes {
 		for _, ep := range sc.Timeline.Episodes(workload.PrefixEntity(pfx)) {

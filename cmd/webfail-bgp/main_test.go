@@ -99,6 +99,8 @@ func TestInputChecks(t *testing.T) {
 		{"-hours", "-3"},
 		{"-hours", "2", "-prefix", "10.0.0.0"},
 		{"-hours", "2", "-prefix", "not-a-prefix"},
+		{"-hours", "2", "-prefix", "10.0.1.7/24"},
+		{"-hours", "2", "-prefix", "10.99.99.0/24"},
 	} {
 		var stdout, stderr bytes.Buffer
 		err := run(args, &stdout, &stderr)

@@ -45,7 +45,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
 	"webfail/internal/core"
@@ -88,6 +87,17 @@ func run(argv []string, stdout io.Writer) error {
 	if err := fs.Parse(argv); err != nil {
 		return err
 	}
+	// Every flag check runs before the first line of output.
+	switch {
+	case *hours <= 0:
+		return fmt.Errorf("-hours must be > 0 (got %d)", *hours)
+	case *nClients < 0:
+		return fmt.Errorf("-clients must be >= 0 (got %d)", *nClients)
+	case *nSites < 0:
+		return fmt.Errorf("-sites must be >= 0 (got %d)", *nSites)
+	case *mode != "fast" && *mode != "packet":
+		return fmt.Errorf("-mode must be fast or packet (got %q)", *mode)
+	}
 
 	reg := obs.NewRegistry()
 	sess, err := obsFlags.Start(component, reg)
@@ -96,12 +106,7 @@ func run(argv []string, stdout io.Writer) error {
 	}
 	defer sess.Close()
 
-	sel := map[string]bool{}
-	for _, s := range strings.Split(*artifacts, ",") {
-		if s = strings.TrimSpace(strings.ToLower(s)); s != "" && s != "all" {
-			sel[s] = true
-		}
-	}
+	sel := report.ParseArtifacts(*artifacts)
 	// Resolve the selection to the analyzer passes its artifacts need
 	// (empty selection = everything); only those accumulate during the
 	// run, in every shard.
@@ -149,6 +154,9 @@ func run(argv []string, stdout io.Writer) error {
 		return nil
 	}
 
+	if *mode == "packet" && workload.ExpectedTransactions(topo, *runSeed, 0, end) > 2_000_000 {
+		return fmt.Errorf("packet mode at this scale would take very long; reduce -hours/-clients/-sites")
+	}
 	shards := measure.EffectiveShards(len(topo.Clients), *parallel)
 	cfg.Trace = obsFlags.Tracer()
 	fmt.Fprintf(stdout, "webfail: %s; %d clients x %d websites over %d hours (%s mode, %d shards)\n",
@@ -222,16 +230,10 @@ func run(argv []string, stdout io.Writer) error {
 
 	started := time.Now()
 	runSpan := reg.Span("run/" + *mode)
-	switch *mode {
-	case "fast":
+	if *mode == "fast" {
 		err = measure.RunParallel(cfg, shards, visit)
-	case "packet":
-		if workload.ExpectedTransactions(topo, *runSeed, 0, end) > 2_000_000 {
-			return fmt.Errorf("packet mode at this scale would take very long; reduce -hours/-clients/-sites")
-		}
+	} else {
 		err = measure.RunPacketParallel(cfg, shards, func(_ int, r *measure.Record) { visit(0, r) })
-	default:
-		return fmt.Errorf("unknown mode %q", *mode)
 	}
 	for _, acc := range accs[1:] {
 		if err == nil {

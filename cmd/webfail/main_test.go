@@ -142,3 +142,26 @@ func TestScenarioGoldens(t *testing.T) {
 		})
 	}
 }
+
+// TestInputChecks requires bad flag values to fail before anything is
+// printed: a non-positive -hours, a negative roster limit (which
+// Spec.Topology would read as "all"), an unknown -mode, and a packet
+// run past the engine's scale limit.
+func TestInputChecks(t *testing.T) {
+	for _, args := range [][]string{
+		{"-hours", "0"},
+		{"-hours", "-5", "-clients", "4", "-sites", "4"},
+		{"-hours", "1", "-mode", "bogus"},
+		{"-hours", "1", "-clients", "-3"},
+		{"-hours", "1", "-sites", "-1"},
+		{"-mode", "packet"},
+	} {
+		var stdout bytes.Buffer
+		if err := run(args, &stdout); err == nil {
+			t.Errorf("%v: no error", args)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: printed %q before failing", args, stdout.String())
+		}
+	}
+}

@@ -55,8 +55,8 @@ type IngestOptions struct {
 // memory is bounded by the source's per-chunk working set regardless of
 // dataset size. Add copies everything it keeps, satisfying the
 // contract. Each shard counts into plain locals and folds in once at
-// completion, so the metrics are shard-count-independent and the
-// ingest loop carries no atomics.
+// completion, so the metrics are shard-count-independent, and it ticks
+// progress through its obs.ShardCounter, which publishes in batches.
 func ConsumeParallelOpts(topo *workload.Topology, start, end simnet.Time, src dataset.RecordSource, opts IngestOptions) (*Analysis, error) {
 	n := len(topo.Clients)
 	shards := measure.EffectiveShards(n, opts.Shards)
@@ -72,19 +72,14 @@ func ConsumeParallelOpts(topo *workload.Topology, start, end simnet.Time, src da
 			defer wg.Done()
 			lo, hi := measure.ShardRange(n, shards, s)
 			sc := prog.Shard(s)
-			var ingested, sinceFlush int64
+			var ingested int64
 			errs[s] = src.Records(lo, hi, func(r *measure.Record) error {
 				accs[s].Add(r)
 				ingested++
-				if sc != nil {
-					if sinceFlush++; sinceFlush >= 8192 {
-						sc.Add(sinceFlush)
-						sinceFlush = 0
-					}
-				}
+				sc.Tick()
 				return nil
 			})
-			sc.Add(sinceFlush)
+			sc.Flush()
 			reg.Counter(ingestCounterName(accs[s])).Add(ingested)
 			if errs[s] == nil {
 				errs[s] = accs[s].checkWindow()

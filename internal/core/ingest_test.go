@@ -1,12 +1,14 @@
 package core
 
 import (
+	"io"
 	"strings"
 	"testing"
 	"time"
 
 	"webfail/internal/httpsim"
 	"webfail/internal/measure"
+	"webfail/internal/obs"
 	"webfail/internal/scenario"
 	"webfail/internal/simnet"
 )
@@ -56,6 +58,32 @@ func TestStoredRecordOutsideWindow(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), "outside the analysis window") {
 				t.Errorf("%s: record at %v: err = %v, want an outside-the-window error", name, at, err)
 			}
+		}
+	}
+}
+
+// TestIngestProgress: ConsumeParallelOpts ticks progress once per stored
+// record, so after ingest the reporter's total equals src.Stored() for
+// any shard count. Every shard holds more records than one progress
+// batch, so both the batches and each shard's final flush count.
+func TestIngestProgress(t *testing.T) {
+	const clients, perClient = 4, 9000
+	topo := scenario.SyntheticTopology(clients, 3)
+	end := simnet.FromHours(12)
+	var src sliceSource
+	for c := int32(0); c < clients; c++ {
+		for i := 0; i < perClient; i++ {
+			at := simnet.Time(0).Add(time.Duration(i) * time.Second)
+			src = append(src, measure.Record{ClientIdx: c, SiteIdx: int32(i % 3), At: at, Conns: 1, StatusCode: 200})
+		}
+	}
+	for _, shards := range []int{1, 3} {
+		prog := obs.NewProgress(io.Discard, "test", "records", 0, shards, time.Hour)
+		if _, err := ConsumeParallelOpts(topo, 0, end, src, IngestOptions{Shards: shards, Progress: prog}); err != nil {
+			t.Fatal(err)
+		}
+		if got := prog.Total(); got != src.Stored() {
+			t.Errorf("shards=%d: progress total = %d, want %d", shards, got, src.Stored())
 		}
 	}
 }

@@ -16,15 +16,16 @@ import (
 // chronic servers, replica rotation, and BGP episodes all exercised — so
 // a reintroduced per-transaction map or slice shows up here before it
 // shows up in a month-scale wall clock. The evaluator runs with its
-// observability counters, per-class latency census, and progress
-// flushing active — and with the tracing hooks compiled in but disabled
+// shard's census (counters, per-class latency and progress ticks)
+// active — and with the tracing hooks compiled in but disabled
 // (ev.tr == nil) — so the gate covers the instrumented hot path and
 // pins the contract that tracing off costs no allocations.
 func TestEvaluateZeroAllocs(t *testing.T) {
 	cfg := smallConfig(t, 20, 0, 6, 7) // all 80 sites: multi-replica + CDN + proxied paths
-	ev := newEvaluator(cfg)
 	prog := obs.NewProgress(io.Discard, "test", "txns", 0, 1, time.Hour)
-	ev.prog = prog.Shard(0)
+	sh := &shard{hi: len(cfg.Topo.Clients), ids: cfg.Scenario.EntityIDs(cfg.Topo)}
+	sh.census.prog = prog.Shard(0)
+	ev := newEvaluator(cfg, sh)
 
 	var txs []workload.Transaction
 	workload.ForEachTransaction(cfg.Topo, cfg.Seed, cfg.Start, cfg.End, func(tx *workload.Transaction) {

@@ -7,7 +7,6 @@ import (
 
 	"webfail/internal/faults"
 	"webfail/internal/httpsim"
-	"webfail/internal/obs"
 	"webfail/internal/simnet"
 	"webfail/internal/workload"
 )
@@ -16,36 +15,16 @@ import (
 // performed transaction (transactions scheduled while the client machine
 // is off are skipped entirely, as an off machine makes no accesses —
 // Section 4.4.4). Records are delivered in per-client time order; visit
-// must not retain the pointer.
+// must not retain the pointer. It is RunParallel on one shard.
 func Run(cfg Config, visit func(*Record)) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	ev := newEvaluator(cfg)
-	ev.prog = cfg.Progress.Shard(0)
-	if cfg.Trace != nil {
-		ev.tr = newTraceShard(cfg.Trace.K(), len(cfg.Topo.Clients))
-	}
-	// One Record reused across transactions: visit must not retain the
-	// pointer, and evaluate fully overwrites it, so the hot loop stays
-	// allocation-free.
-	var rec Record
-	workload.ForEachTransaction(cfg.Topo, cfg.Seed, cfg.Start, cfg.End, func(tx *workload.Transaction) {
-		if ev.evaluate(tx, &rec) {
-			visit(&rec)
-		}
-	})
-	ev.fold(cfg.Metrics)
-	if ev.tr != nil {
-		return cfg.Trace.Merge(ev.tr.sink)
-	}
-	return nil
+	return RunParallel(cfg, 1, func(_ int, r *Record) { visit(r) })
 }
 
 // evaluator holds the per-shard state of fast-mode evaluation. It queries
-// the timeline through the run's shared entity table, and the scratch
-// buffers below are reused across transactions, so evaluate performs zero
-// heap allocations in steady state.
+// the timeline through the run's shared entity table, counts into its
+// shard's census, and reuses the scratch buffers below across
+// transactions, so evaluate performs zero heap allocations in steady
+// state.
 type evaluator struct {
 	cfg  Config
 	topo *workload.Topology
@@ -71,27 +50,16 @@ type evaluator struct {
 	repDownGen []uint64
 	gen        uint64
 
-	// stats are the shard's observability counters, kept as plain
-	// integers in this scratch (the evaluator is single-goroutine) and
-	// folded into the run registry once at shard completion, so
-	// counting costs the hot path neither allocations nor atomics.
-	stats evalStats
-	// prog, when non-nil, receives batched completed-transaction
-	// counts for the live progress reporter.
-	prog       *obs.ShardCounter
-	sinceFlush int64
+	// census is the shard's work count, which the driver folds when
+	// the shard is done. episodes is fast mode's own counter: fault
+	// episodes scanned by prefix-entity queries.
+	census   *census
+	episodes int64
 
-	// lat is the shard's per-failure-class latency census, folded into
-	// the registry with the counters (array updates only — no
-	// allocations, no atomics per transaction).
-	lat latencyScratch
-
-	// tr, when non-nil, collects span-tree exemplars. tracing caches
-	// "tr is non-nil and still has unfilled classes" per transaction so
-	// the recording hooks cost one branch each once the sample is full
-	// — and nothing at all when tracing is off.
-	tr      *traceShard
-	tracing bool
+	// tr, when non-nil, collects span-tree exemplars into the shard's
+	// sink; every recording hook costs one nil check when tracing is
+	// off.
+	tr *traceShard
 	// Per-transaction blame scratch for the tracer: which ground-truth
 	// episode each phase's outcome traces back to.
 	trConnCause traceCause
@@ -99,35 +67,20 @@ type evaluator struct {
 	trHTTPCause traceCause
 }
 
-// evalStats is one shard's deterministic work census.
-type evalStats struct {
-	txns     int64 // transactions performed (client machine on)
-	skipped  int64 // transactions skipped (client machine off)
-	fails    int64 // performed transactions that failed at any stage
-	episodes int64 // fault episodes scanned by prefix-entity queries
-}
-
-// progressFlushEvery batches progress-counter updates: one atomic add
-// per this many scheduled transactions keeps the reporter fresh at a
-// cost indistinguishable from zero.
-const progressFlushEvery = 8192
-
-// newEvaluator builds the evaluator of a one-shard run, resolving the
-// roster itself.
-func newEvaluator(cfg Config) *evaluator {
-	return newShardEvaluator(cfg, cfg.Scenario.EntityIDs(cfg.Topo))
-}
-
-// newShardEvaluator builds one shard's evaluator over the run's entity
-// table, which the shards share read-only.
-func newShardEvaluator(cfg Config, ids *workload.EntityTable) *evaluator {
+// newEvaluator builds one shard's evaluator over the shard's entity
+// table, census and exemplar sink.
+func newEvaluator(cfg Config, sh *shard) *evaluator {
 	topo := cfg.Topo
 	ev := &evaluator{
-		cfg:  cfg,
-		topo: topo,
-		tl:   cfg.Scenario.Timeline,
-		ids:  ids,
-		rngs: make([]*rand.Rand, len(topo.Clients)),
+		cfg:    cfg,
+		topo:   topo,
+		tl:     cfg.Scenario.Timeline,
+		ids:    sh.ids,
+		rngs:   make([]*rand.Rand, len(topo.Clients)),
+		census: &sh.census,
+	}
+	if sh.trace != nil {
+		ev.tr = newTraceShard(sh.trace, len(topo.Clients))
 	}
 	ev.quality = make([]float64, len(topo.Clients))
 	for i := range topo.Clients {
@@ -176,55 +129,23 @@ func pathImpact(ep faults.Episode) float64 {
 	return ep.Severity * 0.5
 }
 
-// evaluate runs one transaction, filling rec and maintaining the
-// shard's observability counters. It reports false when the client
-// machine is off (no access performed).
+// evaluate runs one transaction, filling rec and counting it in the
+// shard's census. It reports false when the client machine is off (no
+// access performed).
 func (ev *evaluator) evaluate(tx *workload.Transaction, rec *Record) bool {
-	ev.tracing = ev.tr != nil && ev.tr.active
 	performed := ev.evaluateTx(tx, rec)
+	c := ev.census
 	if performed {
-		ev.stats.txns++
-		if rec.Failed() {
-			ev.stats.fails++
-		}
 		class := ClassOf(rec)
-		ev.lat.observe(class, fastTxnLatency(rec))
-		if ev.tracing {
+		c.performed(rec, class, fastTxnLatency(rec))
+		if ev.tr != nil {
 			ev.traceFinish(rec, class)
 		}
 	} else {
-		ev.stats.skipped++
+		c.skipped++
 	}
-	// Progress counts scheduled transactions (performed + skipped) to
-	// match workload.ExpectedTransactions, flushed in batches so the
-	// reporter costs one atomic add per progressFlushEvery.
-	if ev.prog != nil {
-		ev.sinceFlush++
-		if ev.sinceFlush >= progressFlushEvery {
-			ev.prog.Add(ev.sinceFlush)
-			ev.sinceFlush = 0
-		}
-	}
+	c.prog.Tick()
 	return performed
-}
-
-// fold flushes the remaining progress batch and adds the shard's
-// counters to the run registry. Called once per shard at completion;
-// the registry counters are atomic, so concurrent shard folds are safe
-// and the summed totals are shard-count-independent.
-func (ev *evaluator) fold(reg *obs.Registry) {
-	if ev.prog != nil && ev.sinceFlush > 0 {
-		ev.prog.Add(ev.sinceFlush)
-		ev.sinceFlush = 0
-	}
-	if reg == nil {
-		return
-	}
-	reg.Counter("measure_txns_total").Add(ev.stats.txns)
-	reg.Counter("measure_txns_skipped_total").Add(ev.stats.skipped)
-	reg.Counter("measure_failures_total").Add(ev.stats.fails)
-	reg.Counter("measure_episodes_scanned_total").Add(ev.stats.episodes)
-	ev.lat.fold(reg)
 }
 
 // evaluateTx evaluates one transaction without touching the counters.
@@ -247,7 +168,7 @@ func (ev *evaluator) evaluateTx(tx *workload.Transaction, rec *Record) bool {
 		Category:  c.Category,
 		Proxied:   c.Proxied,
 	}
-	if ev.tracing {
+	if ev.tr != nil {
 		// Reset the attempt scratch and per-phase causes; every other
 		// span rebuilds from the Record if the transaction is kept.
 		ev.tr.attempts = ev.tr.attempts[:0]
@@ -261,7 +182,7 @@ func (ev *evaluator) evaluateTx(tx *workload.Transaction, rec *Record) bool {
 	// sequence while exposing which end caused the loss.
 	siteHit := hit(rng, siteConn, siteConnOK)
 	connectivityDown := siteHit || hit(rng, cliConn, cliConnOK)
-	if ev.tracing && connectivityDown {
+	if ev.tr != nil && connectivityDown {
 		if siteHit {
 			ev.trConnCause = traceCause{ent: ev.ids.Site[ci], kind: faults.ClientConnectivity}
 		} else {
@@ -314,14 +235,14 @@ func (ev *evaluator) resolveDNS(rng *rand.Rand, ci, si int, at simnet.Time, conn
 	}
 	// LDNS server trouble (site-scoped: co-located clients share it).
 	if ep, ok := tl.ActiveID(ev.ids.Site[ci], faults.LDNSOutage, at); hit(rng, ep, ok) {
-		if ev.tracing {
+		if ev.tr != nil {
 			ev.trDNSCause = traceCause{ent: ev.ids.Site[ci], kind: faults.LDNSOutage}
 		}
 		return DNSLDNSTimeout, stubTimeoutTotal
 	}
 	// Authoritative DNS misconfiguration: definitive error response.
 	if ep, ok := tl.ActiveID(ev.ids.Website[si], faults.AuthDNSMisconfig, at); hit(rng, ep, ok) {
-		if ev.tracing {
+		if ev.tr != nil {
 			ev.trDNSCause = traceCause{ent: ev.ids.Website[si], kind: faults.AuthDNSMisconfig}
 		}
 		return DNSErrorResponse, ev.sampleDNSTime(rng) + 50*time.Millisecond
@@ -329,7 +250,7 @@ func (ev *evaluator) resolveDNS(rng *rand.Rand, ci, si int, at simnet.Time, conn
 	// Authoritative DNS unreachable: the LDNS keeps retrying past the
 	// stub's patience — a non-LDNS timeout.
 	if ep, ok := tl.ActiveID(ev.ids.Website[si], faults.AuthDNSOutage, at); hit(rng, ep, ok) {
-		if ev.tracing {
+		if ev.tr != nil {
 			ev.trDNSCause = traceCause{ent: ev.ids.Website[si], kind: faults.AuthDNSOutage}
 		}
 		return DNSNonLDNSTimeout, stubTimeoutTotal
@@ -337,7 +258,7 @@ func (ev *evaluator) resolveDNS(rng *rand.Rand, ci, si int, at simnet.Time, conn
 	// Transient lookup failures, split toward the LDNS class as in
 	// Table 4's residuals.
 	if rng.Float64() < p.TransientDNSFail {
-		if ev.tracing {
+		if ev.tr != nil {
 			ev.trDNSCause = traceCause{ent: faults.NoEntity, transient: true}
 		}
 		if rng.Float64() < 0.55 {
@@ -358,13 +279,13 @@ func (ev *evaluator) proxyDNSFails(rng *rand.Rand, si int, at simnet.Time) bool 
 	// Only a hard authoritative outage that outlives the proxy cache
 	// TTL is visible; model as a strongly discounted probability.
 	if ep, ok := tl.ActiveID(ev.ids.Website[si], faults.AuthDNSOutage, at); ok {
-		if ev.tracing {
+		if ev.tr != nil {
 			ev.trDNSCause = traceCause{ent: ev.ids.Website[si], kind: faults.AuthDNSOutage}
 		}
 		return rng.Float64() < ep.Severity*0.15
 	}
 	if ep, ok := tl.ActiveID(ev.ids.Website[si], faults.AuthDNSMisconfig, at); ok {
-		if ev.tracing {
+		if ev.tr != nil {
 			ev.trDNSCause = traceCause{ent: ev.ids.Website[si], kind: faults.AuthDNSMisconfig}
 		}
 		return rng.Float64() < ep.Severity*0.15
@@ -465,7 +386,7 @@ func (ev *evaluator) download(rng *rand.Rand, rec *Record, c *workload.ClientNod
 	for _, id := range pfxIDs {
 		// One all-kind scan per prefix feeds both checks.
 		ev.epBuf = tl.ActiveAnyIntoID(id, at, ev.epBuf[:0])
-		ev.stats.episodes += int64(len(ev.epBuf))
+		ev.episodes += int64(len(ev.epBuf))
 		if ep, active := mostSevere(ev.epBuf, faults.BGPInstability); active && rng.Float64() < pathImpact(ep) {
 			if !pathDown {
 				causePath = traceCause{ent: id, kind: faults.BGPInstability}
@@ -512,7 +433,7 @@ func (ev *evaluator) download(rng *rand.Rand, rec *Record, c *workload.ClientNod
 		transientKind = transientKindFor(rng, c.Category)
 	}
 
-	tracing := ev.tracing
+	tracing := ev.tr != nil
 
 	var elapsed time.Duration
 	for try := 0; try < tries; try++ {
@@ -631,7 +552,7 @@ func (ev *evaluator) httpPhase(rng *rand.Rand, rec *Record, w *workload.WebsiteN
 	if ep, ok := ev.tl.ActiveID(ev.ids.Website[rec.SiteIdx], faults.ServerHTTPError, at); hit(rng, ep, ok) {
 		rec.Stage = httpsim.StageHTTP
 		rec.StatusCode = 503
-		if ev.tracing {
+		if ev.tr != nil {
 			ev.trHTTPCause = traceCause{ent: ev.ids.Website[rec.SiteIdx], kind: faults.ServerHTTPError}
 		}
 		return
@@ -639,7 +560,7 @@ func (ev *evaluator) httpPhase(rng *rand.Rand, rec *Record, w *workload.WebsiteN
 	if rng.Float64() < p.TransientHTTPErr {
 		rec.Stage = httpsim.StageHTTP
 		rec.StatusCode = 404
-		if ev.tracing {
+		if ev.tr != nil {
 			ev.trHTTPCause = traceCause{ent: faults.NoEntity, transient: true}
 		}
 		return

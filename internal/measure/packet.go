@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"webfail/internal/dnssim"
@@ -53,10 +52,6 @@ func RunPacket(cfg Config, visit func(*Record)) error {
 // concatenated stream is byte-identical to a serial RunPacket. visit must
 // not retain the Record pointer. shards <= 0 selects GOMAXPROCS.
 func RunPacketParallel(cfg Config, shards int, visit func(shard int, r *Record)) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	shards = EffectiveShards(len(cfg.Topo.Clients), shards)
 	return runPacketSharded(cfg, shards, nil, visit, nil)
 }
 
@@ -112,14 +107,14 @@ func packetShardBounds(topo *workload.Topology, shards int) []int {
 type packetShardResult struct {
 	recs    [][]Record // by shard-local client index, completion order
 	caps    map[string]CaptureResult
-	tracer  *obs.Tracer
 	virtual time.Duration
 }
 
-// runPacketSharded is the single instrumented core behind every packet-mode
-// entry point: it validates capture names, partitions the roster, runs one
-// world per shard, folds the PR 5 observability counters, and emits the
-// buffered records in canonical client-major order.
+// runPacketSharded is the single core behind every packet-mode entry
+// point: it validates the config and capture names, clamps the shard
+// count and partitions the roster at site boundaries, runs one world per
+// shard through the shard driver, and emits the buffered records in
+// canonical client-major order.
 func runPacketSharded(cfg Config, shards int, captureClients []string, visit func(shard int, r *Record), onCapture func(CaptureResult)) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -129,21 +124,15 @@ func runPacketSharded(cfg Config, shards int, captureClients []string, visit fun
 			return fmt.Errorf("measure: capture client %q not in roster", name)
 		}
 	}
-	bounds := packetShardBounds(cfg.Topo, shards)
+	bounds := packetShardBounds(cfg.Topo, EffectiveShards(len(cfg.Topo.Clients), shards))
 	outs := make([]packetShardResult, len(bounds)-1)
-	// One entity table for the run, read-only and shared by the worlds.
-	ids := cfg.Scenario.EntityIDs(cfg.Topo)
 
 	wallStart := time.Now()
-	var wg sync.WaitGroup
-	for s := range outs {
-		wg.Add(1)
-		go func(shard int) {
-			defer wg.Done()
-			outs[shard] = runPacketShard(cfg, ids, shard, bounds[shard], bounds[shard+1], captureClients)
-		}(s)
+	if err := runShards(cfg, bounds, func(sh *shard) {
+		outs[sh.index] = runPacketShard(cfg, sh, captureClients)
+	}); err != nil {
+		return err
 	}
-	wg.Wait()
 
 	if reg := cfg.Metrics; reg != nil {
 		// Virtual-vs-wall speed of the discrete-event simulation: how
@@ -157,20 +146,6 @@ func runPacketSharded(cfg Config, shards int, captureClients []string, visit fun
 		}
 		if wall := time.Since(wallStart); wall > 0 {
 			reg.WallGauge("simnet_virtual_wall_ratio").Set(virtual.Seconds() / wall.Seconds())
-		}
-	}
-
-	// Shard-order tracer merge: the merge keeps the K smallest canonical
-	// (client, ordinal) keys per class, so the folded exemplar set is the
-	// same for any shard count.
-	if cfg.Trace != nil {
-		for i := range outs {
-			if outs[i].tracer == nil {
-				continue
-			}
-			if err := cfg.Trace.Merge(outs[i].tracer); err != nil {
-				return err
-			}
 		}
 	}
 
@@ -194,9 +169,10 @@ func runPacketSharded(cfg Config, shards int, captureClients []string, visit fun
 	return nil
 }
 
-// runPacketShard builds and runs one shard's world over clients [lo, hi).
-func runPacketShard(cfg Config, ids *workload.EntityTable, shard, lo, hi int, captureClients []string) packetShardResult {
-	w := buildWorld(cfg, ids, lo, hi)
+// runPacketShard builds and runs one shard's world over its client
+// range, counting into the shard's census.
+func runPacketShard(cfg Config, sh *shard, captureClients []string) packetShardResult {
+	w := buildWorld(cfg, sh)
 
 	caps := make(map[string]*trace.Capture)
 	for _, name := range captureClients {
@@ -209,19 +185,13 @@ func runPacketShard(cfg Config, ids *workload.EntityTable, shard, lo, hi int, ca
 		}
 	}
 
-	out := packetShardResult{recs: make([][]Record, hi-lo), tracer: w.tracer}
-	var txns, skipped, fails int64
-	var lat latencyScratch
-	prog := cfg.Progress.Shard(shard)
+	out := packetShardResult{recs: make([][]Record, sh.hi-sh.lo)}
+	c := &sh.census
 	record := func(r *Record) {
-		txns++
-		if r.Failed() {
-			fails++
-		}
 		// Packet-mode Elapsed is already end-to-end (wget wall time,
 		// DNS included).
-		lat.observe(ClassOf(r), r.Elapsed)
-		ci := int(r.ClientIdx) - lo
+		c.performed(r, ClassOf(r), r.Elapsed)
+		ci := int(r.ClientIdx) - sh.lo
 		out.recs[ci] = append(out.recs[ci], *r)
 	}
 
@@ -229,26 +199,19 @@ func runPacketShard(cfg Config, ids *workload.EntityTable, shard, lo, hi int, ca
 	// stamps the scheduler's causal context with the client index, and
 	// every event it transitively schedules inherits the stamp — routing
 	// all random draws of the transaction to the client's own stream.
-	workload.ForEachTransactionRange(cfg.Topo, cfg.Seed, cfg.Start, cfg.End, lo, hi, func(tx *workload.Transaction) {
+	workload.ForEachTransactionRange(cfg.Topo, cfg.Seed, cfg.Start, cfg.End, sh.lo, sh.hi, func(tx *workload.Transaction) {
 		cp := *tx
 		w.net.Sched.At(cp.At, func() {
 			w.net.Sched.SetContext(int32(cp.ClientIdx))
 			if !w.runTransaction(&cp, record) {
-				skipped++
+				c.skipped++
 			}
-			prog.Add(1)
+			c.prog.Tick()
 		})
 	})
 	w.net.Sched.Run()
 	out.virtual = w.net.Sched.Now().Sub(cfg.Start)
-
-	if reg := cfg.Metrics; reg != nil {
-		reg.Counter("measure_txns_total").Add(txns)
-		reg.Counter("measure_txns_skipped_total").Add(skipped)
-		reg.Counter("measure_failures_total").Add(fails)
-		reg.Counter("simnet_events_dispatched_total").Add(int64(w.net.Sched.Dispatched()))
-		lat.fold(reg)
-	}
+	cfg.Metrics.Counter("simnet_events_dispatched_total").Add(int64(w.net.Sched.Dispatched()))
 
 	if len(caps) > 0 {
 		out.caps = make(map[string]CaptureResult, len(caps))
@@ -301,7 +264,7 @@ type world struct {
 	// map path instead of hashing a 24-byte netip.Addr.
 	info map[uint32]addrInfo
 
-	// tracer is the shard-local exemplar sink (nil when tracing is off);
+	// tracer is the shard's exemplar sink (nil when tracing is off);
 	// trSeq assigns each client's performed transactions their canonical
 	// per-client ordinal, indexed shard-locally.
 	tracer *obs.Tracer
@@ -316,8 +279,11 @@ type clientHost struct {
 	dig    *dnssim.Dig
 }
 
-func buildWorld(cfg Config, ids *workload.EntityTable, clientLo, clientHi int) *world {
-	topo := cfg.Topo
+// buildWorld builds the world of one shard: the full server side plus
+// the shard's client range, over its entity table and exemplar sink.
+func buildWorld(cfg Config, sh *shard) *world {
+	topo, ids := cfg.Topo, sh.ids
+	clientLo, clientHi := sh.lo, sh.hi
 	w := &world{
 		cfg:      cfg,
 		topo:     topo,
@@ -328,9 +294,9 @@ func buildWorld(cfg Config, ids *workload.EntityTable, clientLo, clientHi int) *
 		clientLo: clientLo,
 		ldns:     make(map[string]*dnssim.LDNS),
 		info:     make(map[uint32]addrInfo),
+		tracer:   sh.trace,
 	}
-	if cfg.Trace != nil {
-		w.tracer = obs.NewTracer(cfg.Trace.K())
+	if w.tracer != nil {
 		w.trSeq = make([]int64, clientHi-clientLo)
 	}
 

@@ -2,8 +2,12 @@ package measure
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"testing"
+	"time"
+
+	"webfail/internal/obs"
 )
 
 // packetRecordDump renders a run's record stream as one canonical string,
@@ -55,6 +59,32 @@ func TestPacketSerialParallelEquivalence(t *testing.T) {
 				t.Errorf("parallel(%d) record stream differs from serial", shards)
 			}
 		})
+	}
+}
+
+// TestPacketProgress: packet shards tick progress once per scheduled
+// transaction, so after the run the reporter's total equals the
+// performed plus skipped transactions the census folded, for any shard
+// count. The fixture schedules fewer transactions than one progress
+// batch, so the total is there only if each shard's census flushes.
+func TestPacketProgress(t *testing.T) {
+	cfg := smallConfig(t, 6, 5, 3, 2005)
+	for _, shards := range []int{1, 3} {
+		icfg := cfg
+		reg := obs.NewRegistry()
+		icfg.Metrics = reg
+		icfg.Progress = obs.NewProgress(io.Discard, "test", "txns", 0, shards, time.Hour)
+		if err := RunPacketParallel(icfg, shards, func(int, *Record) {}); err != nil {
+			t.Fatal(err)
+		}
+		det := reg.Snapshot().Deterministic
+		want := det.Counters["measure_txns_total"] + det.Counters["measure_txns_skipped_total"]
+		if det.Counters["measure_txns_total"] == 0 {
+			t.Fatalf("shards=%d: no transactions performed", shards)
+		}
+		if got := icfg.Progress.Total(); got != want {
+			t.Errorf("shards=%d: progress total = %d, want %d (performed + skipped)", shards, got, want)
+		}
 	}
 }
 

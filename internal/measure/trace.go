@@ -191,7 +191,7 @@ func (c traceCause) describe(names []faults.Entity) string {
 }
 
 // attemptRec is the per-connection-attempt scratch the hot path
-// records while tracing is active — the one phase whose structure is
+// records while tracing is on — the one phase whose structure is
 // not reconstructible from the finished Record (each address in the
 // retry sequence can fail differently). Everything else (root, DNS,
 // proxy, HTTP spans) is rebuilt at materialization time from the
@@ -204,30 +204,26 @@ type attemptRec struct {
 	cause    traceCause
 }
 
-// traceShard is one shard's tracing state: a shard-local sink plus the
-// dense bookkeeping that lets the per-transaction path decide "can this
-// still make the sample?" with array reads. Fast mode delivers
+// traceShard is the fast evaluator's tracing state: the shard's sink
+// plus the dense bookkeeping that lets the per-transaction path decide
+// "can this still make the sample?" with array reads. Fast mode delivers
 // transactions in canonical order, so counts[class] < k is exact;
 // packet mode's event loop completes transactions out of order and
-// goes through the sink's ordered insert instead (see packet.go).
+// goes through the sink's Admit instead (see packet_trace.go).
 type traceShard struct {
-	sink     *obs.Tracer
-	k        int
-	unfilled int  // classes still below k
-	active   bool // unfilled > 0
-	counts   [numTraceClassesInt]int
+	sink   *obs.Tracer
+	k      int
+	counts [numTraceClassesInt]int
 	// seq assigns each performed transaction its per-client ordinal —
 	// the canonical Minor key — indexed by global client index.
 	seq      []int64
 	attempts []attemptRec // per-transaction scratch, reused
 }
 
-func newTraceShard(k, nClients int) *traceShard {
+func newTraceShard(sink *obs.Tracer, nClients int) *traceShard {
 	return &traceShard{
-		sink:     obs.NewTracer(k),
-		k:        k,
-		unfilled: numTraceClassesInt,
-		active:   true,
+		sink:     sink,
+		k:        sink.K(),
 		seq:      make([]int64, nClients),
 		attempts: make([]attemptRec, 0, 16),
 	}
@@ -242,9 +238,9 @@ func (tr *traceShard) attempt(addr netip.Addr, from, to time.Duration, outcome s
 	})
 }
 
-// traceFinish classifies the finished transaction, assigns its canonical
-// ordinal, and keeps it if its class still has room in this shard's
-// sample. Called only while the shard tracer is active.
+// traceFinish assigns the finished transaction its canonical ordinal
+// and keeps it if its class still has room in this shard's sample.
+// Called only when tracing is on.
 func (ev *evaluator) traceFinish(rec *Record, class TraceClass) {
 	tr := ev.tr
 	ci := int(rec.ClientIdx)
@@ -255,12 +251,6 @@ func (ev *evaluator) traceFinish(rec *Record, class TraceClass) {
 	}
 	tr.sink.Add(ev.materializeExemplar(rec, class, seq))
 	tr.counts[class]++
-	if tr.counts[class] == tr.k {
-		tr.unfilled--
-		if tr.unfilled == 0 {
-			tr.active = false
-		}
-	}
 }
 
 func statusText(code int16) string {

@@ -123,6 +123,84 @@ func TestProgressFinalFlush(t *testing.T) {
 	}
 }
 
+// TestShardCounterTick pins Tick's batching: nothing reaches the
+// reporter before a batch fills, exactly one batch does at the
+// boundary, and Flush publishes the remainder once. A nil counter
+// accepts both calls.
+func TestShardCounterTick(t *testing.T) {
+	var c ShardCounter
+	for i := 0; i < tickBatch-1; i++ {
+		c.Tick()
+	}
+	if got := c.Value(); got != 0 {
+		t.Fatalf("after %d ticks Value = %d, want 0 (batch not full)", tickBatch-1, got)
+	}
+	c.Tick()
+	if got := c.Value(); got != tickBatch {
+		t.Fatalf("at the batch boundary Value = %d, want %d", got, tickBatch)
+	}
+	for i := 0; i < 5; i++ {
+		c.Tick()
+	}
+	if got := c.Value(); got != tickBatch {
+		t.Fatalf("5 ticks into the next batch Value = %d, want %d", got, tickBatch)
+	}
+	c.Flush()
+	c.Flush()
+	if got := c.Value(); got != tickBatch+5 {
+		t.Fatalf("after Flush Value = %d, want %d", got, tickBatch+5)
+	}
+
+	var nc *ShardCounter
+	nc.Tick()
+	nc.Flush()
+	if got := nc.Value(); got != 0 {
+		t.Fatalf("nil counter Value = %d, want 0", got)
+	}
+}
+
+// TestShardCounterTickConcurrentReader runs ticking workers against a
+// live reporter and a reading loop; under -race it gates that Tick's
+// worker-only batch never races the reader. The total the reader sees
+// never decreases, and it is exact once every worker has flushed.
+func TestShardCounterTickConcurrentReader(t *testing.T) {
+	const shards, perShard = 3, 2*tickBatch + 17
+	p := NewProgress(io.Discard, "testcmd", "items", shards*perShard, shards, time.Millisecond)
+	p.Start()
+	var wg sync.WaitGroup
+	for s := 0; s < shards; s++ {
+		wg.Add(1)
+		go func(c *ShardCounter) {
+			defer wg.Done()
+			for i := 0; i < perShard; i++ {
+				c.Tick()
+			}
+			c.Flush()
+		}(p.Shard(s))
+	}
+	finished := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(finished)
+	}()
+	for last := int64(0); ; {
+		select {
+		case <-finished:
+			p.Stop()
+			if got := p.Total(); got != shards*perShard {
+				t.Fatalf("Total = %d, want %d", got, shards*perShard)
+			}
+			return
+		default:
+		}
+		got := p.Total()
+		if got < last || got > shards*perShard {
+			t.Fatalf("Total = %d mid-run after %d: want a non-decreasing count <= %d", got, last, shards*perShard)
+		}
+		last = got
+	}
+}
+
 type writerFunc func(p []byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }

@@ -15,14 +15,45 @@ import (
 // (from a nil Progress) accepts updates.
 type ShardCounter struct {
 	n atomic.Int64
-	_ [56]byte
+	// pending holds the Ticks not yet published to n; only the worker
+	// touches it.
+	pending int64
+	_       [48]byte
 }
 
-// Add records n completed items.
+// tickBatch is how many Ticks a counter collects before publishing
+// them with one atomic add: the reporter sees progress every few
+// thousand items, and a hot loop pays a plain increment per item.
+const tickBatch = 8192
+
+// Add records n completed items at once, for callers that count in
+// bulk.
 func (c *ShardCounter) Add(n int64) {
 	if c != nil {
 		c.n.Add(n)
 	}
+}
+
+// Tick records one completed item. Ticks reach the reporter in batches
+// of tickBatch, and Flush publishes the rest, so a worker calls Flush
+// when its shard is done. Only the shard's worker may call Tick and
+// Flush.
+func (c *ShardCounter) Tick() {
+	if c == nil {
+		return
+	}
+	if c.pending++; c.pending >= tickBatch {
+		c.Flush()
+	}
+}
+
+// Flush publishes the Ticks recorded since the last batch.
+func (c *ShardCounter) Flush() {
+	if c == nil || c.pending == 0 {
+		return
+	}
+	c.n.Add(c.pending)
+	c.pending = 0
 }
 
 // Value returns the shard's current count.
@@ -40,11 +71,12 @@ func (c *ShardCounter) Value() int64 {
 // stdout and nothing feeds back into the computation, so enabling
 // progress cannot perturb results.
 //
-// Workers call Shard(i).Add from their own goroutines (hot loops should
-// batch adds — internal/measure flushes every few thousand
-// transactions); Start launches the reporter, Stop emits a final
-// summary line and waits for the reporter to exit. All methods are
-// nil-receiver-safe, so "progress off" is simply a nil *Progress.
+// Workers count on their own shard's counter: Shard(i).Tick per item in
+// hot loops (published in batches of a few thousand, the rest by a
+// final Flush), or Shard(i).Add for bulk counts. Start launches the
+// reporter, Stop emits a final summary line and waits for the reporter
+// to exit. All methods are nil-receiver-safe, so "progress off" is
+// simply a nil *Progress.
 type Progress struct {
 	w         io.Writer
 	component string

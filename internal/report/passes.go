@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 
 	"webfail/internal/core"
 )
@@ -50,6 +51,21 @@ func KnownArtifacts() []string {
 		out[i] = art.name
 	}
 	return out
+}
+
+// ParseArtifacts splits an -artifacts list into a report selection.
+// "all" maps to the empty selection, which Run and PassesFor treat as
+// "everything"; PassesFor rejects unknown names.
+func ParseArtifacts(list string) map[string]bool {
+	sel := map[string]bool{}
+	for _, s := range strings.Split(list, ",") {
+		s = strings.TrimSpace(strings.ToLower(s))
+		if s == "" || s == "all" {
+			continue
+		}
+		sel[s] = true
+	}
+	return sel
 }
 
 // PassesFor resolves a report selection to the analyzer passes its

@@ -6,7 +6,8 @@
 # detector (scoped to the packages exercising the sharded runner, the
 # merge, and the sharded dataset save and ingest — concurrent sinks
 # append their chunks under the writer's mutex — to keep CI time
-# bounded), the
+# bounded; the ingest progress total must equal the stored record count
+# at any shard count), the
 # dataset backward-compatibility gate against the checked-in v3
 # fixture, the golden-stdout gate on webfail-analyze (byte-identity
 # across -parallel values, with and without metrics enabled, and the
@@ -29,7 +30,8 @@
 # Packet-engine gates: the sharded packet runner must produce a record
 # stream byte-identical to the serial engine for every shard count
 # (under the race detector — the workers share nothing but the output
-# buffers), the timer wheel must pass its Stop-cancellation regression
+# buffers) and a progress total equal to its performed plus skipped
+# transactions, the timer wheel must pass its Stop-cancellation regression
 # and reference-order property tests, the pooled event/packet paths
 # must stay at zero steady-state allocations, and fast-vs-packet
 # calibration must hold within the documented tolerances at the
@@ -57,7 +59,7 @@ else
     echo "staticcheck not installed; go vet served as the static-analysis pass"
 fi
 go test ./...
-go test -race -run 'TestSerialParallelEquivalence|TestRunParallelShardClamp|TestMerge|TestShardedSaveEquivalence|TestDatasetV3ParallelStreams' \
+go test -race -run 'TestSerialParallelEquivalence|TestRunParallelShardClamp|TestMerge|TestShardedSaveEquivalence|TestDatasetV3ParallelStreams|TestIngestProgress' \
     ./internal/measure ./internal/core ./internal/dataset
 # Analyzer state gate: every paged grid must hold exactly the cells of
 # a plain map accumulation of the same records (on random rosters whose
@@ -105,17 +107,19 @@ go test -run 'TestTraceShardInvariant|TestPacketTraceShardInvariant|TestTraceExe
     -count=1 ./internal/measure
 go test -run 'TestTraceOutParallelInvariance' -count=1 ./cmd/webfail
 go test -run 'TestForensics|TestTraceOutRequiresForensics' -count=1 ./cmd/webfail-analyze
-go test -race -run 'TestPacketSerialParallelEquivalence|TestPacketParallelShardOrder|TestPacketCaptureUnknownClient' \
+go test -race -run 'TestPacketSerialParallelEquivalence|TestPacketParallelShardOrder|TestPacketCaptureUnknownClient|TestPacketProgress' \
     ./internal/measure
 go test -run 'TestTimerStop|TestWheelMatchesReferenceOrder|TestSchedulerTimerChurnZeroAlloc|TestPacketSendDeliverZeroAlloc|TestPacketPoolRecycles' \
     -count=1 ./internal/simnet
 go test -run 'TestCalibration' -count=1 -timeout 10m ./internal/measure
 # Scenario gates: every checked-in scenario must validate, compile, and
 # complete a short-horizon fast run; a spec key the spec does not define
-# must fail by name (TestParseStrict); the
+# must fail by name (TestParseStrict); FuzzScenario's seed corpus (every
+# checked-in scenario) must parse and compile without a panic; the
 # paper-default spec must compile to the exact hard-coded roster and
 # fault timeline (golden equivalence below re-proves the stdout side);
-# a generated non-paper fleet must be serial/parallel equivalent under
+# webfail's bad flags (-hours <= 0, negative roster limits, an unknown
+# -mode) must fail before any output; a generated non-paper fleet must be serial/parallel equivalent under
 # the race detector; and the 10k-chaos world must run end to end —
 # generate, run, -save, webfail-analyze — with byte-identical analysis
 # output for any -parallel value. (The raw dataset files are not
@@ -123,8 +127,8 @@ go test -run 'TestCalibration' -count=1 -timeout 10m ./internal/measure
 # byte layout legitimately varies by shard count while the canonical
 # record stream — what analyze reads — is identical, per
 # TestShardedSaveEquivalence.)
-go test -run 'TestPaper|TestEmbeddedScenariosCompile|TestValidate|TestChaosScenarioScale|TestParseStrict' ./internal/scenario
-go test -run 'TestGoldenOutput|TestScenarioFlagDefaultEquivalence|TestScenarioGoldens' ./cmd/webfail
+go test -run 'TestPaper|TestEmbeddedScenariosCompile|TestValidate|TestChaosScenarioScale|TestParseStrict|FuzzScenario' ./internal/scenario
+go test -run 'TestGoldenOutput|TestScenarioFlagDefaultEquivalence|TestScenarioGoldens|TestInputChecks' ./cmd/webfail
 go test -race -run 'TestScenarioSerialParallelEquivalence' -count=1 ./cmd/webfail
 go build -o /tmp/webfail-verify ./cmd/webfail
 go build -o /tmp/webfail-analyze-verify ./cmd/webfail-analyze
