@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -209,20 +210,54 @@ func BenchmarkAnalysisMerge(b *testing.B) {
 }
 
 // BenchmarkRunPacketMode measures full protocol-simulation throughput at a
-// reduced scale (6 clients x 6 sites x 2 h).
+// reduced scale (6 clients x 6 sites x 2 h). ns/txn and allocs/txn divide
+// by performed transactions, world build included, so they compare across
+// fixture sizes where ns/op does not.
 func BenchmarkRunPacketMode(b *testing.B) {
 	topo := scenario.PaperScaledTopology(6, 6)
 	end := simnet.FromHours(2)
 	sc := workload.BuildScenario(topo, scenario.PaperParams(fixtureSeed, 0, end))
 	cfg := measure.Config{Topo: topo, Scenario: sc, Seed: 1, Start: 0, End: end}
-	b.ResetTimer()
+	pt := startPerTxn(b)
 	for i := 0; i < b.N; i++ {
 		n := 0
 		if err := measure.RunPacket(cfg, func(*measure.Record) { n++ }); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportMetric(float64(n), "txns/op")
+		pt.txns += n
 	}
+	pt.report()
+}
+
+// perTxn accumulates a packet benchmark's performed transactions so it
+// can report per-transaction time and allocations.
+type perTxn struct {
+	b     *testing.B
+	start runtime.MemStats
+	txns  int
+}
+
+// startPerTxn resets the benchmark timer and snapshots the allocation
+// count.
+func startPerTxn(b *testing.B) *perTxn {
+	pt := &perTxn{b: b}
+	runtime.ReadMemStats(&pt.start)
+	b.ResetTimer()
+	return pt
+}
+
+// report stops the timer and reports ns/txn and allocs/txn over every
+// iteration.
+func (pt *perTxn) report() {
+	pt.b.StopTimer()
+	var end runtime.MemStats
+	runtime.ReadMemStats(&end)
+	if pt.txns == 0 {
+		pt.b.Fatal("no transactions performed")
+	}
+	pt.b.ReportMetric(float64(pt.b.Elapsed().Nanoseconds())/float64(pt.txns), "ns/txn")
+	pt.b.ReportMetric(float64(end.Mallocs-pt.start.Mallocs)/float64(pt.txns), "allocs/txn")
 }
 
 // BenchmarkRunPacketModeParallel measures packet-mode throughput across
@@ -237,14 +272,16 @@ func BenchmarkRunPacketModeParallel(b *testing.B) {
 	end := simnet.FromHours(2)
 	sc := workload.BuildScenario(topo, scenario.PaperParams(fixtureSeed, 0, end))
 	cfg := measure.Config{Topo: topo, Scenario: sc, Seed: 1, Start: 0, End: end}
-	b.ResetTimer()
+	pt := startPerTxn(b)
 	for i := 0; i < b.N; i++ {
 		n := 0
 		if err := measure.RunPacketParallel(cfg, 4, func(_ int, r *measure.Record) { n++ }); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportMetric(float64(n), "txns/op")
+		pt.txns += n
 	}
+	pt.report()
 }
 
 // BenchmarkTable3 regenerates the per-category transaction/connection

@@ -420,3 +420,76 @@ func TestCNAMEAcrossZones(t *testing.T) {
 		t.Fatalf("cross-zone CNAME lookup = %+v", got)
 	}
 }
+
+// TestLDNSInterleavedRecursions sends two stubs' lookups for different
+// names through one LDNS at once, behind a slow authoritative server, so
+// the second query arrives while the first recursion is in flight. Each
+// stub must get back an answer carrying its own query ID and name: the
+// LDNS keeps what it needs of each query in pooled state, never in the
+// decode scratch that the next query overwrites.
+func TestLDNSInterleavedRecursions(t *testing.T) {
+	f := newFixture(t)
+	f.auth.ProcessingDelay = 500 * time.Millisecond
+	mailAddr := netip.MustParseAddr("5.5.5.9")
+	f.auth.zones[0].AddA("mail.example.com", mailAddr, 60)
+	other := f.net.AddHost("client2", netip.MustParseAddr("3.0.0.2"))
+	stub2 := NewStubResolver(other, ldnsAddr)
+	stub2.exch.nextID = 100 // the two stubs' query IDs differ
+
+	type exchange struct{ queries, answers []dnswire.Message }
+	capture := func(h *simnet.Host, ex *exchange) {
+		h.SetCapture(func(_ simnet.Time, dir simnet.Direction, pkt *simnet.Packet) {
+			body, _, ok := udpPayload(pkt)
+			if !ok {
+				return
+			}
+			m, err := dnswire.Decode(body)
+			if err != nil {
+				t.Errorf("%s: undecodable DNS packet: %v", h.Name, err)
+				return
+			}
+			if dir == simnet.Out {
+				ex.queries = append(ex.queries, *m)
+			} else {
+				ex.answers = append(ex.answers, *m)
+			}
+		})
+	}
+	var ex1, ex2 exchange
+	capture(f.client, &ex1)
+	capture(other, &ex2)
+
+	var r1, r2 *Result
+	f.stub.LookupA("www.example.com", func(r Result) { r1 = &r })
+	stub2.LookupA("mail.example.com", func(r Result) { r2 = &r })
+	f.net.Sched.Run()
+
+	if r1 == nil || r1.Kind != ResultOK || len(r1.Addrs) != 2 {
+		t.Errorf("www lookup = %+v", r1)
+	}
+	if r2 == nil || r2.Kind != ResultOK || len(r2.Addrs) != 1 || r2.Addrs[0] != mailAddr {
+		t.Errorf("mail lookup = %+v", r2)
+	}
+	for _, c := range []struct {
+		name string
+		ex   *exchange
+		id   uint16
+	}{{"www.example.com", &ex1, 1}, {"mail.example.com", &ex2, 101}} {
+		if len(c.ex.queries) != 1 || len(c.ex.answers) != 1 {
+			t.Errorf("%s: %d queries and %d answers, want one each", c.name, len(c.ex.queries), len(c.ex.answers))
+			continue
+		}
+		q, a := c.ex.queries[0], c.ex.answers[0]
+		if q.Header.ID != c.id || a.Header.ID != c.id {
+			t.Errorf("%s: query ID %d, answer ID %d, want %d", c.name, q.Header.ID, a.Header.ID, c.id)
+		}
+		if len(a.Questions) != 1 || a.Questions[0].Name != c.name {
+			t.Errorf("%s: answer echoes questions %+v", c.name, a.Questions)
+		}
+		for _, rr := range a.Answers {
+			if rr.Name != c.name {
+				t.Errorf("%s: answer holds a record for %q", c.name, rr.Name)
+			}
+		}
+	}
+}

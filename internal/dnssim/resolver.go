@@ -47,8 +47,15 @@ type LDNS struct {
 	RecursionBudget time.Duration
 
 	exch  *exchanger
-	enc   []byte // recycled response-encoding scratch
 	cache map[string]cacheEntry
+
+	// q and resp are the scratch client query and response; q is valid
+	// only until handle returns.
+	q, resp dnswire.Message
+	dec     dnswire.Decoder
+	enc     dnswire.Encoder
+	// free pools finished clientQuery states.
+	free []*clientQuery
 
 	// Stats observable by tests and the harness.
 	Hits, Misses, Recursions uint64
@@ -95,7 +102,8 @@ func (l *LDNS) recursionBudget() time.Duration {
 
 // handle serves a client query.
 func (l *LDNS) handle(pkt *simnet.Packet) {
-	q, srcPort, ok := decodeQuery(pkt)
+	q := &l.q
+	srcPort, ok := decodeQuery(pkt, &l.dec, q)
 	if !ok {
 		return
 	}
@@ -103,57 +111,82 @@ func (l *LDNS) handle(pkt *simnet.Packet) {
 		return // unreachable LDNS: client times out
 	}
 	name := q.Questions[0].Name
-	src := pkt.Src
 
 	if name == ProbeName {
 		// Responsiveness probe: answered from the root hints without
 		// recursion, mirroring the root-server A-record availability
 		// check of Pang et al. (reference [22] in the paper).
-		resp := dnswire.NewResponse(q, dnswire.RCodeNoError, false)
-		for _, a := range l.RootHints {
-			resp.Answers = append(resp.Answers, dnswire.RR{Name: name, Type: dnswire.TypeA, TTL: 3600, A: a})
-		}
-		replyUDP(l.Host, &l.enc, src, srcPort, resp)
+		l.reply(pkt.Src, srcPort, q, dnswire.RCodeNoError, l.RootHints, 3600)
 		return
 	}
 
 	if e, ok := l.cache[name]; ok && e.expires > l.Host.Now() {
 		l.Hits++
-		resp := dnswire.NewResponse(q, dnswire.RCodeNoError, false)
-		for _, a := range e.addrs {
-			resp.Answers = append(resp.Answers, dnswire.RR{Name: name, Type: dnswire.TypeA, TTL: 30, A: a})
-		}
-		replyUDP(l.Host, &l.enc, src, srcPort, resp)
+		l.reply(pkt.Src, srcPort, q, dnswire.RCodeNoError, e.addrs, 30)
 		return
 	}
 	l.Misses++
 	l.Recursions++
 
+	// The decoded query dies with this handler; recursion keeps what the
+	// answer needs in a pooled clientQuery.
+	var cq *clientQuery
+	if n := len(l.free); n > 0 {
+		cq = l.free[n-1]
+		l.free = l.free[:n-1]
+	} else {
+		cq = &clientQuery{l: l}
+		cq.onDone = cq.done
+	}
+	cq.src, cq.port = pkt.Src, srcPort
+	cq.q.Header = q.Header
+	cq.q.Questions = append(cq.q.Questions[:0], q.Questions...)
 	deadline := l.Host.Now().Add(l.recursionBudget())
-	l.recurseWithRetry(name, deadline, func(addrs []netip.Addr, rcode dnswire.RCode, ok bool) {
-		if l.status() == StatusDown {
-			return
-		}
-		if !ok {
-			// Recursion exhausted its budget; answer SERVFAIL so a
-			// *patient* client eventually sees an error. In
-			// practice the stub's shorter timeout fires first,
-			// which is what makes an unreachable authoritative
-			// server look like a "non-LDNS timeout" at the client.
-			replyUDP(l.Host, &l.enc, src, srcPort, dnswire.NewResponse(q, dnswire.RCodeServFail, false))
-			return
-		}
-		if rcode != dnswire.RCodeNoError {
-			replyUDP(l.Host, &l.enc, src, srcPort, dnswire.NewResponse(q, rcode, false))
-			return
-		}
-		l.cache[name] = cacheEntry{addrs: addrs, expires: l.Host.Now().Add(60 * time.Second)}
-		resp := dnswire.NewResponse(q, dnswire.RCodeNoError, false)
-		for _, a := range addrs {
-			resp.Answers = append(resp.Answers, dnswire.RR{Name: name, Type: dnswire.TypeA, TTL: 30, A: a})
-		}
-		replyUDP(l.Host, &l.enc, src, srcPort, resp)
-	})
+	l.recurseWithRetry(name, deadline, cq.onDone)
+}
+
+// reply answers q with rcode and one A record per address.
+func (l *LDNS) reply(to netip.Addr, toPort uint16, q *dnswire.Message, rcode dnswire.RCode, addrs []netip.Addr, ttl uint32) {
+	resp := &l.resp
+	resp.SetResponse(q, rcode, false)
+	name := q.Questions[0].Name
+	for _, a := range addrs {
+		resp.Answers = append(resp.Answers, dnswire.RR{Name: name, Type: dnswire.TypeA, TTL: ttl, A: a})
+	}
+	replyUDP(l.Host, &l.enc, to, toPort, resp)
+}
+
+// clientQuery is what the LDNS keeps of a client's query while it
+// recurses: where to answer, and the query's header and questions. onDone
+// is the done method value, created once per pooled instance.
+type clientQuery struct {
+	l      *LDNS
+	src    netip.Addr
+	port   uint16
+	q      dnswire.Message
+	onDone func([]netip.Addr, dnswire.RCode, bool)
+}
+
+// done answers the client once recursion concludes, then returns the
+// state to the pool.
+func (cq *clientQuery) done(addrs []netip.Addr, rcode dnswire.RCode, ok bool) {
+	l := cq.l
+	switch {
+	case l.status() == StatusDown:
+	case !ok:
+		// Recursion exhausted its budget; answer SERVFAIL so a
+		// *patient* client eventually sees an error. In practice the
+		// stub's shorter timeout fires first, which is what makes an
+		// unreachable authoritative server look like a "non-LDNS
+		// timeout" at the client.
+		l.reply(cq.src, cq.port, &cq.q, dnswire.RCodeServFail, nil, 0)
+	case rcode != dnswire.RCodeNoError:
+		l.reply(cq.src, cq.port, &cq.q, rcode, nil, 0)
+	default:
+		l.cache[cq.q.Questions[0].Name] = cacheEntry{addrs: addrs, expires: l.Host.Now().Add(60 * time.Second)}
+		l.reply(cq.src, cq.port, &cq.q, dnswire.RCodeNoError, addrs, 30)
+	}
+	l.free = append(l.free, cq)
 }
 
 // recurseWithRetry drives full recursion attempts until one terminates
@@ -195,7 +228,7 @@ func (l *LDNS) recurse(origName, name string, servers []netip.Addr, depth, cname
 			done(nil, resp.Header.RCode, true)
 			return
 		}
-		var addrs []netip.Addr
+		addrs := make([]netip.Addr, 0, len(resp.Answers))
 		var cname string
 		for _, rr := range resp.Answers {
 			switch rr.Type {
@@ -215,21 +248,7 @@ func (l *LDNS) recurse(origName, name string, servers []netip.Addr, depth, cname
 			l.recurse(origName, cname, l.RootHints, depth+1, cnames+1, deadline, done)
 			return
 		}
-		// Referral: gather glue addresses.
-		var next []netip.Addr
-		glue := make(map[string]netip.Addr)
-		for _, rr := range resp.Additional {
-			if rr.Type == dnswire.TypeA {
-				glue[rr.Name] = rr.A
-			}
-		}
-		for _, rr := range resp.Authority {
-			if rr.Type == dnswire.TypeNS {
-				if a, ok := glue[rr.Target]; ok {
-					next = append(next, a)
-				}
-			}
-		}
+		next := referral(resp)
 		if len(next) == 0 {
 			// Lame referral (no usable glue): treat as failure.
 			done(nil, 0, false)
@@ -254,12 +273,31 @@ func (l *LDNS) tryServers(name string, servers []netip.Addr, i int, deadline sim
 		done(nil)
 		return
 	}
-	q := dnswire.NewQuery(0, name, dnswire.TypeA, false)
-	l.exch.query(servers[i], q, timeout, func(resp *dnswire.Message) {
+	l.exch.query(servers[i], name, false, timeout, func(resp *dnswire.Message) {
 		if resp != nil {
 			done(resp)
 			return
 		}
 		l.tryServers(name, servers, i+1, deadline, done)
 	})
+}
+
+// referral returns the glue address of each NS record in resp's Authority
+// section, in order, skipping servers without glue. When several A
+// records in the Additional section name one server, the last one wins.
+// The result is fresh: the caller keeps it across events.
+func referral(resp *dnswire.Message) []netip.Addr {
+	var next []netip.Addr
+	for _, ns := range resp.Authority {
+		if ns.Type != dnswire.TypeNS {
+			continue
+		}
+		for i := len(resp.Additional) - 1; i >= 0; i-- {
+			if rr := &resp.Additional[i]; rr.Type == dnswire.TypeA && rr.Name == ns.Target {
+				next = append(next, rr.A)
+				break
+			}
+		}
+	}
+	return next
 }

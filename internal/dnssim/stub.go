@@ -85,8 +85,7 @@ func (s *StubResolver) attempt(name string, try int, start simnet.Time, done fun
 		done(Result{Kind: ResultTimeout, RTT: s.Host.Now().Sub(start)})
 		return
 	}
-	q := dnswire.NewQuery(0, name, dnswire.TypeA, true)
-	s.exch.query(s.LDNS, q, sched[try], func(resp *dnswire.Message) {
+	s.exch.query(s.LDNS, name, true, sched[try], func(resp *dnswire.Message) {
 		if resp == nil {
 			s.attempt(name, try+1, start, done)
 			return
@@ -96,7 +95,7 @@ func (s *StubResolver) attempt(name string, try int, start simnet.Time, done fun
 			done(Result{Kind: ResultError, RCode: resp.Header.RCode, RTT: rtt})
 			return
 		}
-		var addrs []netip.Addr
+		addrs := make([]netip.Addr, 0, len(resp.Answers))
 		for _, rr := range resp.Answers {
 			if rr.Type == dnswire.TypeA {
 				addrs = append(addrs, rr.A)
@@ -231,8 +230,7 @@ func (d *Dig) Trace(name string, done func(*DigReport)) {
 	// from hints without recursing. Any response proves responsiveness;
 	// this avoids conflating a slow recursion for the (possibly broken)
 	// target name with LDNS unreachability.
-	q := dnswire.NewQuery(0, ProbeName, dnswire.TypeA, true)
-	d.exch.query(d.LDNS, q, d.timeout(), func(resp *dnswire.Message) {
+	d.exch.query(d.LDNS, ProbeName, true, d.timeout(), func(resp *dnswire.Message) {
 		rep.LDNSResponsive = resp != nil
 		// Step 2: walk the hierarchy from the roots.
 		d.walk(rep, name, d.RootHints, 0, 0, func() { done(rep) })
@@ -274,20 +272,7 @@ func (d *Dig) walk(rep *DigReport, name string, servers []netip.Addr, depth, cna
 			d.walk(rep, cname, d.RootHints, depth+1, cnames+1, done)
 			return
 		}
-		glue := make(map[string]netip.Addr)
-		for _, rr := range resp.Additional {
-			if rr.Type == dnswire.TypeA {
-				glue[rr.Name] = rr.A
-			}
-		}
-		var next []netip.Addr
-		for _, rr := range resp.Authority {
-			if rr.Type == dnswire.TypeNS {
-				if a, ok := glue[rr.Target]; ok {
-					next = append(next, a)
-				}
-			}
-		}
+		next := referral(resp)
 		if len(next) == 0 {
 			done()
 			return
@@ -301,9 +286,8 @@ func (d *Dig) trySrv(rep *DigReport, name string, servers []netip.Addr, i int, d
 		done(nil)
 		return
 	}
-	q := dnswire.NewQuery(0, name, dnswire.TypeA, false)
 	srv := servers[i]
-	d.exch.query(srv, q, d.timeout(), func(resp *dnswire.Message) {
+	d.exch.query(srv, name, false, d.timeout(), func(resp *dnswire.Message) {
 		step := DigStep{Server: srv, Responded: resp != nil}
 		if resp != nil {
 			step.RCode = resp.Header.RCode

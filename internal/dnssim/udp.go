@@ -31,7 +31,12 @@ const Port = 53
 type exchanger struct {
 	host   *simnet.Host
 	nextID uint16
-	enc    []byte // recycled query-encoding scratch
+	// q and resp are the scratch query and response: every query is
+	// built in q, and every response decodes into resp, which is valid
+	// only until the query's done callback returns.
+	q, resp dnswire.Message
+	enc     dnswire.Encoder
+	dec     dnswire.Decoder
 	// free pools finished pendingQuery states (with their cached method
 	// closures) so the per-query hot path allocates nothing.
 	free []*pendingQuery
@@ -73,18 +78,12 @@ func (pq *pendingQuery) handlePacket(pkt *simnet.Packet) {
 	if pq.finished {
 		return
 	}
-	var iph netwire.IPv4
-	var uh netwire.UDPHeader
-	transport, err := netwire.DecodeIPv4Into(pkt.Bytes, &iph)
-	if err != nil {
+	body, _, ok := udpPayload(pkt)
+	if !ok {
 		return
 	}
-	body, err := netwire.DecodeUDPInto(transport, &uh)
-	if err != nil {
-		return
-	}
-	m, err := dnswire.Decode(body)
-	if err != nil || !m.Header.Response || m.Header.ID != pq.wantID {
+	m := &pq.e.resp
+	if err := pq.e.dec.Decode(body, m); err != nil || !m.Header.Response || m.Header.ID != pq.wantID {
 		return
 	}
 	if pkt.Src != pq.server {
@@ -95,15 +94,16 @@ func (pq *pendingQuery) handlePacket(pkt *simnet.Packet) {
 
 func (pq *pendingQuery) handleTimeout() { pq.finish(nil) }
 
-// query sends msg to server and calls done exactly once: with the decoded
-// response, or with nil after the timeout. The ephemeral port is released
-// either way. Malformed or mismatched responses are ignored (they cannot
-// complete the query), exactly as a real resolver ignores spoofed noise.
-func (e *exchanger) query(server netip.Addr, q *dnswire.Message, timeout time.Duration, done func(*dnswire.Message)) {
+// query sends an A query for name to server and calls done exactly once:
+// with the decoded response, or with nil after the timeout. The response
+// is the exchanger's scratch message, valid only until done returns. The
+// ephemeral port is released either way. Malformed or mismatched
+// responses are ignored (they cannot complete the query), exactly as a
+// real resolver ignores spoofed noise.
+func (e *exchanger) query(server netip.Addr, name string, recursionDesired bool, timeout time.Duration, done func(*dnswire.Message)) {
 	e.nextID++
-	q.Header.ID = e.nextID
-	payload, err := dnswire.EncodeAppend(e.enc[:0], q)
-	e.enc = payload
+	e.q.SetQuery(e.nextID, name, dnswire.TypeA, recursionDesired)
+	payload, err := e.enc.Encode(&e.q)
 	if err != nil {
 		// Queries are built by this package; an encode failure is a
 		// bug, not a network condition.
@@ -120,7 +120,7 @@ func (e *exchanger) query(server netip.Addr, q *dnswire.Message, timeout time.Du
 		pq.onTimeout = pq.handleTimeout
 	}
 	pq.server = server
-	pq.wantID = q.Header.ID
+	pq.wantID = e.nextID
 	pq.port = e.host.EphemeralPort(simnet.UDP)
 	pq.done = done
 	pq.finished = false
@@ -134,6 +134,7 @@ func (e *exchanger) query(server netip.Addr, q *dnswire.Message, timeout time.Du
 
 // sendUDP wraps a DNS payload in UDP and IPv4 and transmits it through a
 // pooled packet buffer (recycled by the network after delivery or drop).
+// The payload is copied, so the caller may reuse it once sendUDP returns.
 func sendUDP(host *simnet.Host, srcPort uint16, dst netip.Addr, dstPort uint16, payload []byte) {
 	pkt := host.Network().AllocPacket()
 	b, err := netwire.AppendUDPPacket(pkt.Bytes[:0], host.Addr, dst,
@@ -145,34 +146,38 @@ func sendUDP(host *simnet.Host, srcPort uint16, dst netip.Addr, dstPort uint16, 
 	host.Send(pkt)
 }
 
-// replyUDP sends a DNS response back to the source of a received packet.
-// scratch is the caller's recycled encoding buffer (the payload is copied
-// into a pooled packet before this returns).
-func replyUDP(host *simnet.Host, scratch *[]byte, to netip.Addr, toPort uint16, m *dnswire.Message) {
-	payload, err := dnswire.EncodeAppend((*scratch)[:0], m)
-	*scratch = payload
+// replyUDP encodes a DNS response with the caller's encoder and sends it
+// back to the source of a received packet.
+func replyUDP(host *simnet.Host, enc *dnswire.Encoder, to netip.Addr, toPort uint16, m *dnswire.Message) {
+	payload, err := enc.Encode(m)
 	if err != nil {
 		panic("dnssim: response encode: " + err.Error())
 	}
 	sendUDP(host, Port, to, toPort, payload)
 }
 
-// decodeQuery extracts a DNS query and the client's source port from a
-// received packet, returning ok=false for anything malformed.
-func decodeQuery(pkt *simnet.Packet) (q *dnswire.Message, srcPort uint16, ok bool) {
+// udpPayload returns the UDP payload and source port of a received
+// packet, with ok=false for anything malformed.
+func udpPayload(pkt *simnet.Packet) (body []byte, srcPort uint16, ok bool) {
 	var iph netwire.IPv4
 	var uh netwire.UDPHeader
 	transport, err := netwire.DecodeIPv4Into(pkt.Bytes, &iph)
 	if err != nil {
 		return nil, 0, false
 	}
-	body, err := netwire.DecodeUDPInto(transport, &uh)
-	if err != nil {
-		return nil, 0, false
+	body, err = netwire.DecodeUDPInto(transport, &uh)
+	return body, uh.SrcPort, err == nil
+}
+
+// decodeQuery decodes the DNS query in a received packet into q and
+// returns the client's source port, with ok=false for anything malformed.
+func decodeQuery(pkt *simnet.Packet, dec *dnswire.Decoder, q *dnswire.Message) (srcPort uint16, ok bool) {
+	body, srcPort, ok := udpPayload(pkt)
+	if !ok {
+		return 0, false
 	}
-	m, err := dnswire.Decode(body)
-	if err != nil || m.Header.Response || len(m.Questions) == 0 {
-		return nil, 0, false
+	if err := dec.Decode(body, q); err != nil || q.Header.Response || len(q.Questions) == 0 {
+		return 0, false
 	}
-	return m, uh.SrcPort, true
+	return srcPort, true
 }

@@ -2,6 +2,7 @@ package dnssim
 
 import (
 	"net/netip"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -143,7 +144,14 @@ type AuthServer struct {
 	// query history, which keeps sharded packet runs byte-identical to
 	// serial ones (shard boundaries never split a site).
 	rot map[netip.Addr]uint32
-	enc []byte // recycled response-encoding scratch
+
+	// q and resp are the scratch query and response; q is valid only
+	// until handle returns.
+	q, resp dnswire.Message
+	dec     dnswire.Decoder
+	enc     dnswire.Encoder
+	// free pools sent delayedReply records.
+	free []*delayedReply
 }
 
 // NewAuthServer binds an authoritative server to the host's port 53.
@@ -166,7 +174,8 @@ func (s *AuthServer) status() Status {
 }
 
 func (s *AuthServer) handle(pkt *simnet.Packet) {
-	q, srcPort, ok := decodeQuery(pkt)
+	q := &s.q
+	srcPort, ok := decodeQuery(pkt, &s.dec, q)
 	if !ok {
 		return
 	}
@@ -174,25 +183,57 @@ func (s *AuthServer) handle(pkt *simnet.Packet) {
 	case StatusDown:
 		return // silence: client times out
 	case StatusServFail:
-		replyUDP(s.Host, &s.enc, pkt.Src, srcPort, dnswire.NewResponse(q, dnswire.RCodeServFail, false))
+		s.resp.SetResponse(q, dnswire.RCodeServFail, false)
+		replyUDP(s.Host, &s.enc, pkt.Src, srcPort, &s.resp)
 		return
 	case StatusNXDomain:
-		replyUDP(s.Host, &s.enc, pkt.Src, srcPort, dnswire.NewResponse(q, dnswire.RCodeNXDomain, true))
+		s.resp.SetResponse(q, dnswire.RCodeNXDomain, true)
+		replyUDP(s.Host, &s.enc, pkt.Src, srcPort, &s.resp)
 		return
 	}
-	resp := s.answer(q, pkt.Src)
-	src, port := pkt.Src, srcPort
-	s.Host.Network().Sched.After(s.ProcessingDelay, func() {
-		if s.status() == StatusDown {
-			return
-		}
-		replyUDP(s.Host, &s.enc, src, port, resp)
-	})
+	s.answer(q, pkt.Src)
+	payload, err := s.enc.Encode(&s.resp)
+	if err != nil {
+		panic("dnssim: response encode: " + err.Error())
+	}
+	var r *delayedReply
+	if n := len(s.free); n > 0 {
+		r = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		r = &delayedReply{s: s}
+		r.onFire = r.fire
+	}
+	r.to, r.port = pkt.Src, srcPort
+	r.payload = append(r.payload[:0], payload...)
+	s.Host.Network().Sched.After(s.ProcessingDelay, r.onFire)
 }
 
-// answer produces the authoritative response for a well-formed query
-// from src.
-func (s *AuthServer) answer(q *dnswire.Message, src netip.Addr) *dnswire.Message {
+// delayedReply is an encoded answer waiting out the server's processing
+// delay. onFire is the fire method value, created once per pooled
+// instance.
+type delayedReply struct {
+	s       *AuthServer
+	to      netip.Addr
+	port    uint16
+	payload []byte
+	onFire  func()
+}
+
+// fire sends the answer unless the server went down while processing,
+// then returns the record to the pool.
+func (r *delayedReply) fire() {
+	s := r.s
+	if s.status() != StatusDown {
+		sendUDP(s.Host, Port, r.to, r.port, r.payload)
+	}
+	s.free = append(s.free, r)
+}
+
+// answer builds in s.resp the authoritative response for a well-formed
+// query from src.
+func (s *AuthServer) answer(q *dnswire.Message, src netip.Addr) {
+	resp := &s.resp
 	question := q.Questions[0]
 	name := question.Name
 
@@ -207,46 +248,50 @@ func (s *AuthServer) answer(q *dnswire.Message, src netip.Addr) *dnswire.Message
 		}
 	}
 	if zone == nil {
-		return dnswire.NewResponse(q, dnswire.RCodeRefused, false)
+		resp.SetResponse(q, dnswire.RCodeRefused, false)
+		return
 	}
 
-	resp := dnswire.NewResponse(q, dnswire.RCodeNoError, true)
+	resp.SetResponse(q, dnswire.RCodeNoError, true)
 
 	// Follow CNAME chains inside the zone, collecting answers.
 	seen := 0
 	for {
 		rrs, ok := zone.RRs[name]
 		if ok {
+			// An owner's CNAMEs precede its records of the queried
+			// type, which rotate as one set.
 			var cname string
-			var answers []dnswire.RR
 			for _, rr := range rrs {
 				if rr.Type == dnswire.TypeCNAME {
 					cname = rr.Target
 					resp.Answers = append(resp.Answers, rr)
-				} else if rr.Type == question.Type {
-					answers = append(answers, rr)
 				}
 			}
-			if n := len(answers); n > 1 {
+			start := len(resp.Answers)
+			for _, rr := range rrs {
+				if rr.Type != dnswire.TypeCNAME && rr.Type == question.Type {
+					resp.Answers = append(resp.Answers, rr)
+				}
+			}
+			if answers := resp.Answers[start:]; len(answers) > 1 {
 				if s.rot == nil {
 					s.rot = make(map[netip.Addr]uint32)
 				}
 				s.rot[src]++
-				off := int(s.rot[src]) % n
-				answers = append(answers[off:len(answers):len(answers)], answers[:off]...)
+				rotateLeft(answers, int(s.rot[src])%len(answers))
 			}
-			resp.Answers = append(resp.Answers, answers...)
 			if cname != "" && seen < 8 {
 				seen++
 				name = cname
 				if !zone.inZone(name) {
 					// Target outside the zone: the resolver
 					// restarts resolution there.
-					return resp
+					return
 				}
 				continue
 			}
-			return resp
+			return
 		}
 		// No records: referral or NXDOMAIN.
 		if child, d, ok := zone.matchDelegation(name); ok {
@@ -261,9 +306,16 @@ func (s *AuthServer) answer(q *dnswire.Message, src netip.Addr) *dnswire.Message
 					})
 				}
 			}
-			return resp
+			return
 		}
 		resp.Header.RCode = dnswire.RCodeNXDomain
-		return resp
+		return
 	}
+}
+
+// rotateLeft rotates a in place so that a[off] comes first.
+func rotateLeft(a []dnswire.RR, off int) {
+	slices.Reverse(a[:off])
+	slices.Reverse(a[off:])
+	slices.Reverse(a)
 }

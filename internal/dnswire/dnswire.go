@@ -134,12 +134,36 @@ func Canonical(name string) string {
 	return name
 }
 
-// builder serializes a message with name compression. The suffix table is
-// a small slice rather than a map: messages carry a handful of names, and
-// a linear scan beats per-message map allocation and string hashing.
-type builder struct {
+// SetQuery makes m a standard query for (name, typ), reusing m's section
+// storage.
+func (m *Message) SetQuery(id uint16, name string, typ RRType, recursionDesired bool) {
+	m.Header = Header{ID: id, RecursionDesired: recursionDesired}
+	m.Questions = append(m.Questions[:0], Question{Name: Canonical(name), Type: typ})
+	m.Answers, m.Authority, m.Additional = m.Answers[:0], m.Authority[:0], m.Additional[:0]
+}
+
+// SetResponse makes m a response skeleton echoing q's ID, RD bit and
+// questions, reusing m's section storage. m and q must be distinct.
+func (m *Message) SetResponse(q *Message, rcode RCode, authoritative bool) {
+	m.Header = Header{
+		ID:                 q.Header.ID,
+		Response:           true,
+		Authoritative:      authoritative,
+		RecursionDesired:   q.Header.RecursionDesired,
+		RecursionAvailable: true,
+		RCode:              rcode,
+	}
+	m.Questions = append(m.Questions[:0], q.Questions...)
+	m.Answers, m.Authority, m.Additional = m.Answers[:0], m.Authority[:0], m.Additional[:0]
+}
+
+// Encoder serializes messages with name compression into a buffer it
+// owns. The suffix table is a small slice rather than a map: messages
+// carry a handful of names, and a linear scan beats map hashing. Both
+// are reused across messages, so a warm encoder allocates nothing. The
+// zero value is ready to use.
+type Encoder struct {
 	buf     []byte
-	base    int // offset of the message header within buf
 	offsets []nameOffset
 }
 
@@ -149,10 +173,10 @@ type nameOffset struct {
 	off  int
 }
 
-func (b *builder) lookup(name string) (int, bool) {
-	for i := range b.offsets {
-		if b.offsets[i].name == name {
-			return b.offsets[i].off, true
+func (e *Encoder) lookup(name string) (int, bool) {
+	for i := range e.offsets {
+		if e.offsets[i].name == name {
+			return e.offsets[i].off, true
 		}
 	}
 	return 0, false
@@ -160,14 +184,14 @@ func (b *builder) lookup(name string) (int, bool) {
 
 // writeName appends name in wire format, using a compression pointer for
 // the longest previously-written suffix.
-func (b *builder) writeName(name string) error {
+func (e *Encoder) writeName(name string) error {
 	name = Canonical(name)
 	if len(name) > 253 {
 		return ErrNameTooLong
 	}
 	for name != "" {
-		if off, ok := b.lookup(name); ok && off < 0x4000 {
-			b.buf = binary.BigEndian.AppendUint16(b.buf, 0xC000|uint16(off))
+		if off, ok := e.lookup(name); ok && off < 0x4000 {
+			e.buf = binary.BigEndian.AppendUint16(e.buf, 0xC000|uint16(off))
 			return nil
 		}
 		label, rest, _ := strings.Cut(name, ".")
@@ -177,68 +201,57 @@ func (b *builder) writeName(name string) error {
 		if len(label) > 63 {
 			return ErrLabelTooLong
 		}
-		if off := len(b.buf) - b.base; off < 0x4000 {
-			b.offsets = append(b.offsets, nameOffset{name: name, off: off})
+		if off := len(e.buf); off < 0x4000 {
+			e.offsets = append(e.offsets, nameOffset{name: name, off: off})
 		}
-		b.buf = append(b.buf, byte(len(label)))
-		b.buf = append(b.buf, label...)
+		e.buf = append(e.buf, byte(len(label)))
+		e.buf = append(e.buf, label...)
 		name = rest
 	}
-	b.buf = append(b.buf, 0)
+	e.buf = append(e.buf, 0)
 	return nil
 }
 
-func (b *builder) writeRR(rr *RR) error {
-	if err := b.writeName(rr.Name); err != nil {
+func (e *Encoder) writeRR(rr *RR) error {
+	if err := e.writeName(rr.Name); err != nil {
 		return err
 	}
-	b.buf = binary.BigEndian.AppendUint16(b.buf, uint16(rr.Type))
-	b.buf = binary.BigEndian.AppendUint16(b.buf, ClassIN)
-	b.buf = binary.BigEndian.AppendUint32(b.buf, rr.TTL)
-	lenAt := len(b.buf)
-	b.buf = append(b.buf, 0, 0) // rdlength placeholder
+	e.buf = binary.BigEndian.AppendUint16(e.buf, uint16(rr.Type))
+	e.buf = binary.BigEndian.AppendUint16(e.buf, ClassIN)
+	e.buf = binary.BigEndian.AppendUint32(e.buf, rr.TTL)
+	lenAt := len(e.buf)
+	e.buf = append(e.buf, 0, 0) // rdlength placeholder
 	switch rr.Type {
 	case TypeA:
 		if !rr.A.Is4() {
 			return fmt.Errorf("dnswire: A record for %q with non-IPv4 address", rr.Name)
 		}
 		a4 := rr.A.As4()
-		b.buf = append(b.buf, a4[:]...)
+		e.buf = append(e.buf, a4[:]...)
 	case TypeNS, TypeCNAME:
-		if err := b.writeName(rr.Target); err != nil {
+		if err := e.writeName(rr.Target); err != nil {
 			return err
 		}
 	default:
 		return fmt.Errorf("dnswire: cannot encode %v record", rr.Type)
 	}
-	binary.BigEndian.PutUint16(b.buf[lenAt:], uint16(len(b.buf)-lenAt-2))
+	binary.BigEndian.PutUint16(e.buf[lenAt:], uint16(len(e.buf)-lenAt-2))
 	return nil
 }
 
-// Encode serializes the message.
-func Encode(m *Message) ([]byte, error) {
-	return EncodeAppend(nil, m)
-}
-
-// EncodeAppend serializes the message onto dst (which may be nil or a
-// recycled scratch buffer) and returns the extended slice; the message
-// occupies dst[len(dst):] of the result. Compression pointer offsets are
-// relative to the message start, so the prefix content is irrelevant.
-func EncodeAppend(dst []byte, m *Message) ([]byte, error) {
+// Encode serializes m. The result aliases the encoder's buffer and is
+// valid until the next call.
+func (e *Encoder) Encode(m *Message) ([]byte, error) {
 	if len(m.Questions) > 0xffff || len(m.Answers) > 0xffff ||
 		len(m.Authority) > 0xffff || len(m.Additional) > 0xffff {
 		return nil, ErrTooManyRRs
 	}
-	base := len(dst)
-	if cap(dst)-base < 128 {
-		grown := make([]byte, base, base+512)
-		copy(grown, dst)
-		dst = grown
+	if e.buf == nil {
+		e.buf = make([]byte, 0, 512)
 	}
+	e.offsets = e.offsets[:0]
 	var hdr [12]byte
-	var offsets [8]nameOffset
-	b := &builder{buf: append(dst, hdr[:]...), base: base, offsets: offsets[:0]}
-	binary.BigEndian.PutUint16(b.buf[base:], m.Header.ID)
+	binary.BigEndian.PutUint16(hdr[0:], m.Header.ID)
 	var flags uint16
 	if m.Header.Response {
 		flags |= 1 << 15
@@ -257,32 +270,70 @@ func EncodeAppend(dst []byte, m *Message) ([]byte, error) {
 		flags |= 1 << 7
 	}
 	flags |= uint16(m.Header.RCode & 0xf)
-	binary.BigEndian.PutUint16(b.buf[base+2:], flags)
-	binary.BigEndian.PutUint16(b.buf[base+4:], uint16(len(m.Questions)))
-	binary.BigEndian.PutUint16(b.buf[base+6:], uint16(len(m.Answers)))
-	binary.BigEndian.PutUint16(b.buf[base+8:], uint16(len(m.Authority)))
-	binary.BigEndian.PutUint16(b.buf[base+10:], uint16(len(m.Additional)))
+	binary.BigEndian.PutUint16(hdr[2:], flags)
+	binary.BigEndian.PutUint16(hdr[4:], uint16(len(m.Questions)))
+	binary.BigEndian.PutUint16(hdr[6:], uint16(len(m.Answers)))
+	binary.BigEndian.PutUint16(hdr[8:], uint16(len(m.Authority)))
+	binary.BigEndian.PutUint16(hdr[10:], uint16(len(m.Additional)))
+	e.buf = append(e.buf[:0], hdr[:]...)
 
 	for i := range m.Questions {
 		q := &m.Questions[i]
-		if err := b.writeName(q.Name); err != nil {
+		if err := e.writeName(q.Name); err != nil {
 			return nil, err
 		}
-		b.buf = binary.BigEndian.AppendUint16(b.buf, uint16(q.Type))
-		b.buf = binary.BigEndian.AppendUint16(b.buf, ClassIN)
+		e.buf = binary.BigEndian.AppendUint16(e.buf, uint16(q.Type))
+		e.buf = binary.BigEndian.AppendUint16(e.buf, ClassIN)
 	}
-	for _, sec := range [][]RR{m.Answers, m.Authority, m.Additional} {
+	for _, sec := range [...][]RR{m.Answers, m.Authority, m.Additional} {
 		for i := range sec {
-			if err := b.writeRR(&sec[i]); err != nil {
+			if err := e.writeRR(&sec[i]); err != nil {
 				return nil, err
 			}
 		}
 	}
-	return b.buf, nil
+	return e.buf, nil
+}
+
+// Encode serializes the message into a fresh buffer.
+func Encode(m *Message) ([]byte, error) {
+	var e Encoder
+	return e.Encode(m)
+}
+
+// maxNames bounds a Decoder's intern table. A simulated endpoint sees a
+// few names per website it serves or resolves, far below the bound;
+// past it, names decode as fresh strings and the table stops growing, so
+// junk input cannot grow it without limit.
+const maxNames = 4096
+
+// Decoder decodes messages into caller-owned Messages. It interns
+// decoded names in a table keyed by their raw wire bytes, so a name seen
+// before decodes to the same canonical string without allocating. The
+// zero value is ready to use.
+type Decoder struct {
+	names map[string]string
+}
+
+// intern returns the canonical form of the raw decoded name.
+func (d *Decoder) intern(raw []byte) string {
+	if s, ok := d.names[string(raw)]; ok {
+		return s
+	}
+	key := string(raw)
+	s := Canonical(key)
+	if len(d.names) < maxNames {
+		if d.names == nil {
+			d.names = make(map[string]string)
+		}
+		d.names[key] = s
+	}
+	return s
 }
 
 // parser decodes a message, following compression pointers safely.
 type parser struct {
+	d   *Decoder
 	buf []byte
 	pos int
 }
@@ -306,29 +357,22 @@ func (p *parser) uint32() (uint32, error) {
 }
 
 // name reads a (possibly compressed) domain name starting at p.pos,
-// advancing p.pos past its in-place encoding.
+// advancing p.pos past its in-place encoding. The labels accumulate in a
+// stack scratch buffer, and the intern table turns them into the
+// canonical name.
 func (p *parser) name() (string, error) {
-	s, next, err := readName(p.buf, p.pos, 0)
+	var scratch [320]byte
+	raw, next, err := appendName(scratch[:0], p.buf, p.pos, 0)
 	if err != nil {
 		return "", err
 	}
 	p.pos = next
-	return s, nil
+	return p.d.intern(raw), nil
 }
 
-// readName decodes the name at off. It returns the name and the offset just
-// past the name's in-place bytes. depth guards against pointer loops. The
-// labels accumulate in a stack scratch buffer so decoding a name costs one
-// string allocation.
-func readName(buf []byte, off, depth int) (string, int, error) {
-	var scratch [320]byte
-	out, next, err := appendName(scratch[:0], buf, off, depth)
-	if err != nil {
-		return "", 0, err
-	}
-	return string(out), next, nil
-}
-
+// appendName appends the labels of the name at off to out, dot-joined.
+// It returns the extended slice and the offset just past the name's
+// in-place bytes. depth guards against pointer loops.
 func appendName(out, buf []byte, off, depth int) ([]byte, int, error) {
 	if depth > 32 {
 		return nil, 0, ErrPointerLoop
@@ -398,7 +442,7 @@ func (p *parser) rr() (RR, error) {
 	if err != nil {
 		return rr, err
 	}
-	rr.Name = Canonical(name)
+	rr.Name = name
 	t, err := p.uint16()
 	if err != nil {
 		return rr, err
@@ -434,107 +478,95 @@ func (p *parser) rr() (RR, error) {
 		if p.pos != end {
 			return rr, ErrRDataMismatch
 		}
-		rr.Target = Canonical(target)
+		rr.Target = target
 	}
 	p.pos = end
 	return rr, nil
 }
 
-// Decode parses a DNS message.
-func Decode(buf []byte) (*Message, error) {
-	if len(buf) < 12 {
-		return nil, ErrTruncatedMsg
+// reuse returns s emptied with room for n elements, keeping its storage
+// when large enough. The result is never nil, so a message decoded into
+// recycled storage is deeply equal to one decoded fresh.
+func reuse[T any](s []T, n int) []T {
+	if s == nil || cap(s) < n {
+		return make([]T, 0, n)
 	}
-	m := &Message{}
-	m.Header.ID = binary.BigEndian.Uint16(buf[0:])
+	return s[:0]
+}
+
+// Decode parses buf into m, reusing m's section storage. On success every
+// field of m is overwritten; on error m's contents are unspecified. The
+// strings in m are immutable and may be kept, but m's slices are rewritten
+// by the next Decode into m.
+func (d *Decoder) Decode(buf []byte, m *Message) error {
+	if len(buf) < 12 {
+		return ErrTruncatedMsg
+	}
 	flags := binary.BigEndian.Uint16(buf[2:])
-	m.Header.Response = flags&(1<<15) != 0
-	m.Header.Opcode = uint8(flags >> 11 & 0xf)
-	m.Header.Authoritative = flags&(1<<10) != 0
-	m.Header.Truncated = flags&(1<<9) != 0
-	m.Header.RecursionDesired = flags&(1<<8) != 0
-	m.Header.RecursionAvailable = flags&(1<<7) != 0
-	m.Header.RCode = RCode(flags & 0xf)
+	m.Header = Header{
+		ID:                 binary.BigEndian.Uint16(buf[0:]),
+		Response:           flags&(1<<15) != 0,
+		Opcode:             uint8(flags >> 11 & 0xf),
+		Authoritative:      flags&(1<<10) != 0,
+		Truncated:          flags&(1<<9) != 0,
+		RecursionDesired:   flags&(1<<8) != 0,
+		RecursionAvailable: flags&(1<<7) != 0,
+		RCode:              RCode(flags & 0xf),
+	}
 	qd := int(binary.BigEndian.Uint16(buf[4:]))
 	an := int(binary.BigEndian.Uint16(buf[6:]))
 	ns := int(binary.BigEndian.Uint16(buf[8:]))
 	ar := int(binary.BigEndian.Uint16(buf[10:]))
 	if qd+an+ns+ar > 1024 {
-		return nil, ErrTooManyRRs
+		return ErrTooManyRRs
 	}
 
-	p := &parser{buf: buf, pos: 12}
-	if qd > 0 {
-		m.Questions = make([]Question, 0, qd)
-	}
-	if an > 0 {
-		m.Answers = make([]RR, 0, an)
-	}
-	if ns > 0 {
-		m.Authority = make([]RR, 0, ns)
-	}
-	if ar > 0 {
-		m.Additional = make([]RR, 0, ar)
-	}
+	p := parser{d: d, buf: buf, pos: 12}
+	m.Questions = reuse(m.Questions, qd)
 	for i := 0; i < qd; i++ {
 		name, err := p.name()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		t, err := p.uint16()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if _, err := p.uint16(); err != nil { // class
-			return nil, err
+			return err
 		}
-		m.Questions = append(m.Questions, Question{Name: Canonical(name), Type: RRType(t)})
+		m.Questions = append(m.Questions, Question{Name: name, Type: RRType(t)})
 	}
-	for i := 0; i < an; i++ {
+	var err error
+	if m.Answers, err = p.rrs(m.Answers, an); err != nil {
+		return err
+	}
+	if m.Authority, err = p.rrs(m.Authority, ns); err != nil {
+		return err
+	}
+	m.Additional, err = p.rrs(m.Additional, ar)
+	return err
+}
+
+// rrs decodes a section of n records into the reused storage of sec.
+func (p *parser) rrs(sec []RR, n int) ([]RR, error) {
+	sec = reuse(sec, n)
+	for i := 0; i < n; i++ {
 		rr, err := p.rr()
 		if err != nil {
-			return nil, err
+			return sec, err
 		}
-		m.Answers = append(m.Answers, rr)
+		sec = append(sec, rr)
 	}
-	for i := 0; i < ns; i++ {
-		rr, err := p.rr()
-		if err != nil {
-			return nil, err
-		}
-		m.Authority = append(m.Authority, rr)
-	}
-	for i := 0; i < ar; i++ {
-		rr, err := p.rr()
-		if err != nil {
-			return nil, err
-		}
-		m.Additional = append(m.Additional, rr)
+	return sec, nil
+}
+
+// Decode parses a DNS message into a fresh Message.
+func Decode(buf []byte) (*Message, error) {
+	var d Decoder
+	m := new(Message)
+	if err := d.Decode(buf, m); err != nil {
+		return nil, err
 	}
 	return m, nil
-}
-
-// NewQuery builds a standard recursive A-record query.
-func NewQuery(id uint16, name string, typ RRType, recursionDesired bool) *Message {
-	return &Message{
-		Header:    Header{ID: id, RecursionDesired: recursionDesired},
-		Questions: []Question{{Name: Canonical(name), Type: typ}},
-	}
-}
-
-// NewResponse builds a response skeleton echoing the query's ID and
-// question.
-func NewResponse(q *Message, rcode RCode, authoritative bool) *Message {
-	resp := &Message{
-		Header: Header{
-			ID:                 q.Header.ID,
-			Response:           true,
-			Authoritative:      authoritative,
-			RecursionDesired:   q.Header.RecursionDesired,
-			RecursionAvailable: true,
-			RCode:              rcode,
-		},
-	}
-	resp.Questions = append(resp.Questions, q.Questions...)
-	return resp
 }

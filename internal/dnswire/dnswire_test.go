@@ -2,11 +2,25 @@ package dnswire
 
 import (
 	"bytes"
+	"fmt"
 	"net/netip"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
 )
+
+func newQuery(id uint16, name string, typ RRType, recursionDesired bool) *Message {
+	m := new(Message)
+	m.SetQuery(id, name, typ, recursionDesired)
+	return m
+}
+
+func newResponse(q *Message, rcode RCode, authoritative bool) *Message {
+	m := new(Message)
+	m.SetResponse(q, rcode, authoritative)
+	return m
+}
 
 func mustEncode(t *testing.T, m *Message) []byte {
 	t.Helper()
@@ -18,7 +32,7 @@ func mustEncode(t *testing.T, m *Message) []byte {
 }
 
 func TestQueryRoundTrip(t *testing.T) {
-	q := NewQuery(1234, "WWW.Example.COM.", TypeA, true)
+	q := newQuery(1234, "WWW.Example.COM.", TypeA, true)
 	b := mustEncode(t, q)
 	got, err := Decode(b)
 	if err != nil {
@@ -33,8 +47,8 @@ func TestQueryRoundTrip(t *testing.T) {
 }
 
 func TestResponseRoundTrip(t *testing.T) {
-	q := NewQuery(77, "www.sina.com.cn", TypeA, true)
-	resp := NewResponse(q, RCodeNoError, true)
+	q := newQuery(77, "www.sina.com.cn", TypeA, true)
+	resp := newResponse(q, RCodeNoError, true)
 	resp.Answers = append(resp.Answers,
 		RR{Name: "www.sina.com.cn", Type: TypeCNAME, TTL: 300, Target: "sina.cdn.example.net"},
 		RR{Name: "sina.cdn.example.net", Type: TypeA, TTL: 60, A: netip.MustParseAddr("202.108.33.60")},
@@ -66,8 +80,8 @@ func TestResponseRoundTrip(t *testing.T) {
 }
 
 func TestCompressionShrinksAndRoundTrips(t *testing.T) {
-	q := NewQuery(1, "www.example.com", TypeA, false)
-	resp := NewResponse(q, RCodeNoError, true)
+	q := newQuery(1, "www.example.com", TypeA, false)
+	resp := newResponse(q, RCodeNoError, true)
 	for i := 0; i < 8; i++ {
 		resp.Answers = append(resp.Answers, RR{
 			Name: "www.example.com", Type: TypeA, TTL: 60,
@@ -92,8 +106,8 @@ func TestCompressionShrinksAndRoundTrips(t *testing.T) {
 }
 
 func TestCompressionSharedSuffix(t *testing.T) {
-	q := NewQuery(2, "a.example.com", TypeA, false)
-	resp := NewResponse(q, RCodeNoError, true)
+	q := newQuery(2, "a.example.com", TypeA, false)
+	resp := newResponse(q, RCodeNoError, true)
 	resp.Answers = append(resp.Answers,
 		RR{Name: "b.example.com", Type: TypeA, TTL: 1, A: netip.MustParseAddr("1.2.3.4")})
 	got, err := Decode(mustEncode(t, resp))
@@ -107,8 +121,8 @@ func TestCompressionSharedSuffix(t *testing.T) {
 
 func TestRCodes(t *testing.T) {
 	for _, rc := range []RCode{RCodeNoError, RCodeServFail, RCodeNXDomain, RCodeRefused} {
-		q := NewQuery(9, "www.brazzil.com", TypeA, true)
-		resp := NewResponse(q, rc, false)
+		q := newQuery(9, "www.brazzil.com", TypeA, true)
+		resp := newResponse(q, rc, false)
 		got, err := Decode(mustEncode(t, resp))
 		if err != nil {
 			t.Fatal(err)
@@ -132,7 +146,7 @@ func TestRCodeStrings(t *testing.T) {
 }
 
 func TestDecodeTruncated(t *testing.T) {
-	q := NewQuery(5, "www.example.com", TypeA, true)
+	q := newQuery(5, "www.example.com", TypeA, true)
 	b := mustEncode(t, q)
 	for i := 0; i < len(b); i++ {
 		if _, err := Decode(b[:i]); err == nil {
@@ -165,18 +179,18 @@ func TestDecodeForwardPointerRejected(t *testing.T) {
 
 func TestNameLimits(t *testing.T) {
 	long := strings.Repeat("a", 64) + ".com"
-	if _, err := Encode(NewQuery(1, long, TypeA, false)); err == nil {
+	if _, err := Encode(newQuery(1, long, TypeA, false)); err == nil {
 		t.Error("63-octet label limit not enforced")
 	}
 	huge := strings.TrimSuffix(strings.Repeat("abcdefg.", 40), ".")
-	if _, err := Encode(NewQuery(1, huge, TypeA, false)); err == nil {
+	if _, err := Encode(newQuery(1, huge, TypeA, false)); err == nil {
 		t.Error("255-octet name limit not enforced")
 	}
 }
 
 func TestEncodeRejectsBadA(t *testing.T) {
-	q := NewQuery(1, "x.com", TypeA, false)
-	resp := NewResponse(q, RCodeNoError, true)
+	q := newQuery(1, "x.com", TypeA, false)
+	resp := newResponse(q, RCodeNoError, true)
 	resp.Answers = []RR{{Name: "x.com", Type: TypeA, A: netip.MustParseAddr("::1")}}
 	if _, err := Encode(resp); err == nil {
 		t.Error("IPv6 A record accepted")
@@ -208,8 +222,8 @@ func TestRoundTripProperty(t *testing.T) {
 		if name == "" {
 			name = "x.com"
 		}
-		m := NewQuery(id, name, TypeA, true)
-		resp := NewResponse(m, RCode(rcodeRaw&0xf), true)
+		m := newQuery(id, name, TypeA, true)
+		resp := newResponse(m, RCode(rcodeRaw&0xf), true)
 		if len(addrs) > 20 {
 			addrs = addrs[:20]
 		}
@@ -274,10 +288,86 @@ func TestDecodeGarbage(t *testing.T) {
 }
 
 func TestEncodeDeterministic(t *testing.T) {
-	q := NewQuery(42, "www.iitb.ac.in", TypeA, true)
+	q := newQuery(42, "www.iitb.ac.in", TypeA, true)
 	a := mustEncode(t, q)
 	b := mustEncode(t, q)
 	if !bytes.Equal(a, b) {
 		t.Error("encoding not deterministic")
 	}
+}
+
+// referral is a TLD-style referral: no answers, two NS records in the
+// Authority section and their glue in the Additional section.
+func referral() *Message {
+	resp := newResponse(newQuery(7, "www.sina.com.cn", TypeA, false), RCodeNoError, false)
+	resp.Authority = append(resp.Authority,
+		RR{Name: "sina.com.cn", Type: TypeNS, TTL: 86400, Target: "ns1.sina.com.cn"},
+		RR{Name: "sina.com.cn", Type: TypeNS, TTL: 86400, Target: "ns2.sina.com.cn"})
+	resp.Additional = append(resp.Additional,
+		RR{Name: "ns1.sina.com.cn", Type: TypeA, TTL: 86400, A: netip.MustParseAddr("202.108.33.1")},
+		RR{Name: "ns2.sina.com.cn", Type: TypeA, TTL: 86400, A: netip.MustParseAddr("202.108.33.2")})
+	return resp
+}
+
+// TestReferralZeroAllocs pins the steady state of the packet engine's
+// message path: with a warm encoder, message and intern table, encoding
+// and decoding a referral response allocate nothing.
+func TestReferralZeroAllocs(t *testing.T) {
+	resp := referral()
+	var enc Encoder
+	var dec Decoder
+	var m Message
+	wire := mustEncode(t, resp)
+	if _, err := enc.Encode(resp); err != nil {
+		t.Fatal(err)
+	}
+	if err := dec.Decode(wire, &m); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if _, err := enc.Encode(resp); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Encoder.Encode allocates %.1f times per referral, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if err := dec.Decode(wire, &m); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Decoder.Decode allocates %.1f times per referral, want 0", allocs)
+	}
+	if !reflect.DeepEqual(&m, mustDecode(t, wire)) {
+		t.Errorf("warm decode = %+v, want %+v", m, *mustDecode(t, wire))
+	}
+}
+
+// TestInternTableBounded feeds a decoder more distinct junk names than its
+// table holds: the table stops at its bound, and names past it still
+// decode correctly.
+func TestInternTableBounded(t *testing.T) {
+	var dec Decoder
+	var m Message
+	for i := 0; i < maxNames+100; i++ {
+		name := fmt.Sprintf("junk%d.Example.COM", i)
+		if err := dec.Decode(mustEncode(t, newQuery(1, name, TypeA, true)), &m); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := m.Questions[0].Name, Canonical(name); got != want {
+			t.Fatalf("name %d decoded as %q, want %q", i, got, want)
+		}
+	}
+	if len(dec.names) != maxNames {
+		t.Errorf("intern table holds %d names, want its bound %d", len(dec.names), maxNames)
+	}
+}
+
+func mustDecode(t *testing.T, b []byte) *Message {
+	t.Helper()
+	m, err := Decode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }

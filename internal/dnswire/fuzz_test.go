@@ -2,18 +2,20 @@ package dnswire
 
 import (
 	"net/netip"
+	"reflect"
 	"testing"
 )
 
 // FuzzDecode hardens the message parser against adversarial input: no
-// panic, no unbounded allocation, and everything that decodes must
-// re-encode/re-decode consistently where encodable.
+// panic, no unbounded allocation, and a decode into a message that last
+// held a larger one must equal a fresh decode — no stale question or
+// record survives storage reuse.
 func FuzzDecode(f *testing.F) {
 	// Seed corpus: valid messages of each shape plus known edge cases.
-	q := NewQuery(1, "www.example.com", TypeA, true)
+	q := newQuery(1, "www.example.com", TypeA, true)
 	b, _ := Encode(q)
 	f.Add(b)
-	resp := NewResponse(q, RCodeNoError, true)
+	resp := newResponse(q, RCodeNoError, true)
 	resp.Answers = append(resp.Answers,
 		RR{Name: "www.example.com", Type: TypeCNAME, TTL: 60, Target: "cdn.example.net"},
 		RR{Name: "cdn.example.net", Type: TypeA, TTL: 60, A: netip.MustParseAddr("10.0.0.1")},
@@ -25,10 +27,35 @@ func FuzzDecode(f *testing.F) {
 	// Self-pointing name.
 	f.Add(append(append(make([]byte, 12), 0xC0, 12), 0, 1, 0, 1))
 
+	// larger fills every section, so a decode into the message that last
+	// held it shows any stale question or record.
+	larger := newResponse(newQuery(9, "www.example.com", TypeA, true), RCodeNoError, false)
+	larger.Questions = append(larger.Questions, Question{Name: "mail.example.com", Type: TypeA})
+	for i := 0; i < 4; i++ {
+		larger.Answers = append(larger.Answers, RR{Name: "www.example.com", Type: TypeA, TTL: 60, A: netip.AddrFrom4([4]byte{10, 0, 0, byte(i)})})
+		larger.Authority = append(larger.Authority, RR{Name: "example.com", Type: TypeNS, TTL: 60, Target: "ns.example.com"})
+		larger.Additional = append(larger.Additional, RR{Name: "ns.example.com", Type: TypeCNAME, TTL: 60, Target: "cdn.example.net"})
+	}
+	largerWire, err := Encode(larger)
+	if err != nil {
+		f.Fatal(err)
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)
+		var dec Decoder
+		var reused Message
+		if err := dec.Decode(largerWire, &reused); err != nil {
+			t.Fatal(err)
+		}
+		if rerr := dec.Decode(data, &reused); (rerr == nil) != (err == nil) {
+			t.Fatalf("fresh decode error %v, reused decode error %v", err, rerr)
+		}
 		if err != nil {
 			return
+		}
+		if !reflect.DeepEqual(&reused, m) {
+			t.Fatalf("decode into a reused message = %+v, fresh = %+v", reused, *m)
 		}
 		// Decoded names must be canonical and bounded.
 		for _, q := range m.Questions {

@@ -144,24 +144,12 @@ type Client struct {
 	// corporate-network clients did (Section 3.4).
 	NoCache bool
 
-	// respBufs pools response-parser buffers across this client's
-	// sequential requests; nothing retains a response body past the
-	// request's completion callback, so a finished parser's buffer can
-	// be recycled at full capacity.
-	respBufs [][]byte
-}
-
-func (c *Client) grabRespBuf() []byte {
-	if n := len(c.respBufs); n > 0 {
-		b := c.respBufs[n-1]
-		c.respBufs = c.respBufs[:n-1]
-		return b
-	}
-	return make([]byte, 0, 512)
-}
-
-func (c *Client) releaseRespBuf(b []byte) {
-	c.respBufs = append(c.respBufs, b[:0])
+	// free pools finished per-request states. Nothing retains a
+	// response body past the request's completion callback, so a
+	// finished state's parser buffer is recycled at full capacity.
+	free []*request
+	// head is the request-head scratch; Conn.Send copies it.
+	head []byte
 }
 
 // NewClient builds a direct (non-proxied) client.
@@ -311,109 +299,143 @@ type requestOutcome struct {
 	localPort uint16
 }
 
+// request is the in-flight state of one connection-level attempt: one TCP
+// connection and GET against a specific address. Its callbacks are method
+// values created once per pooled instance, so reusing the state reuses
+// them.
+type request struct {
+	c            *Client
+	req          *Request
+	done         func(*requestOutcome)
+	conn         *tcpsim.Conn
+	parser       ResponseParser
+	out          requestOutcome
+	idleTimer    simnet.TimerHandle
+	lastProgress simnet.Time
+	finished     bool
+
+	callbacks tcpsim.Callbacks
+	onIdle    func()
+}
+
 // request performs one TCP connection + GET against a specific address.
 func (c *Client) request(req *Request, to netip.AddrPort, done func(*requestOutcome)) {
-	parser := &ResponseParser{buf: c.grabRespBuf()}
-	out := &requestOutcome{}
-	finished := false
-	var idleTimer simnet.TimerHandle
-	var lastProgress simnet.Time
-	var conn *tcpsim.Conn
-
-	finish := func() {
-		if finished {
-			return
-		}
-		finished = true
-		idleTimer.Stop()
-		if conn != nil {
-			out.localPort = conn.LocalPort()
-		}
-		out.bodyBytes = parser.Partial()
-		if out.kind == ConnOK && out.resp != nil {
-			out.bodyBytes = len(out.resp.Body)
-		}
-		done(out)
-		// done has consumed the response (out.resp.Body aliases the
-		// parser buffer); recycle the buffer for the next request.
-		c.releaseRespBuf(parser.buf)
+	var r *request
+	if n := len(c.free); n > 0 {
+		r = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		r = &request{c: c, parser: ResponseParser{buf: make([]byte, 0, 512)}}
+		r.callbacks = tcpsim.Callbacks{OnConnect: r.handleConnect, OnData: r.handleData, OnClose: r.handleClose}
+		r.onIdle = r.handleIdle
 	}
+	r.req, r.done = req, done
+	r.parser.reset()
+	r.out = requestOutcome{}
+	r.finished = false
+	r.lastProgress = c.now()
+	r.conn = c.Stack.Dial(to, r.callbacks)
+	r.armIdle(c.idleTimeout())
+}
 
-	fail := func(kind ConnFailKind) {
-		out.kind = kind
-		finish()
+// finish reports the outcome once, detaches the connection (whose later
+// events must not reach a reused state) and returns the state to the
+// pool.
+func (r *request) finish() {
+	if r.finished {
+		return
 	}
-
-	sched := c.Stack.Host().Network().Sched
-	var armIdle func(d time.Duration)
-	armIdle = func(d time.Duration) {
-		idleTimer = sched.AfterHandle(d, func() {
-			if finished {
-				return
-			}
-			idle := c.now().Sub(lastProgress)
-			if idle >= c.idleTimeout() {
-				// wget gives up: terminate the connection.
-				conn.Abort()
-				if parser.Partial() > 0 || parser.HeadDone() {
-					fail(PartialResponse)
-				} else {
-					fail(NoResponse)
-				}
-				return
-			}
-			armIdle(c.idleTimeout() - idle)
-		})
+	r.finished = true
+	r.idleTimer.Stop()
+	if r.conn != nil {
+		r.out.localPort = r.conn.LocalPort()
+		r.conn.SetCallbacks(tcpsim.Callbacks{})
 	}
+	r.out.bodyBytes = r.parser.Partial()
+	if r.out.kind == ConnOK && r.out.resp != nil {
+		r.out.bodyBytes = len(r.out.resp.Body)
+	}
+	done := r.done
+	r.done, r.req, r.conn = nil, nil, nil
+	done(&r.out)
+	// done has consumed the response (out.resp.Body aliases the parser
+	// buffer); recycle the state for the next request.
+	r.c.free = append(r.c.free, r)
+}
 
-	lastProgress = c.now()
-	conn = c.Stack.Dial(to, tcpsim.Callbacks{
-		OnConnect: func() {
-			lastProgress = c.now()
-			conn.Send(EncodeRequest(req))
-		},
-		OnData: func(data []byte) {
-			if finished {
-				return
-			}
-			lastProgress = c.now()
-			full, err := parser.Feed(data)
-			if err != nil {
-				conn.Abort()
-				fail(PartialResponse)
-				return
-			}
-			if full {
-				out.kind = ConnOK
-				out.resp = parser.Response()
-				conn.Close()
-				finish()
-			}
-		},
-		OnClose: func(err error) {
-			if finished {
-				return
-			}
-			switch err {
-			case tcpsim.ErrConnTimeout, tcpsim.ErrConnRefused:
-				fail(NoConnection)
-			case nil:
-				// Clean close before the full body: the server
-				// closed early.
-				if parser.Partial() > 0 || parser.HeadDone() {
-					fail(PartialResponse)
-				} else {
-					fail(NoResponse)
-				}
-			default:
-				// Reset mid-stream.
-				if parser.Partial() > 0 || parser.HeadDone() {
-					fail(PartialResponse)
-				} else {
-					fail(NoResponse)
-				}
-			}
-		},
-	})
-	armIdle(c.idleTimeout())
+func (r *request) fail(kind ConnFailKind) {
+	if r.finished {
+		return
+	}
+	r.out.kind = kind
+	r.finish()
+}
+
+// failNoData fails as a partial response if any response bytes arrived,
+// as no response otherwise.
+func (r *request) failNoData() {
+	if r.parser.Partial() > 0 || r.parser.HeadDone() {
+		r.fail(PartialResponse)
+	} else {
+		r.fail(NoResponse)
+	}
+}
+
+func (r *request) armIdle(d time.Duration) {
+	r.idleTimer = r.c.Stack.Host().Network().Sched.AfterHandle(d, r.onIdle)
+}
+
+func (r *request) handleIdle() {
+	if r.finished {
+		return
+	}
+	c := r.c
+	idle := c.now().Sub(r.lastProgress)
+	if idle >= c.idleTimeout() {
+		// wget gives up: terminate the connection.
+		r.conn.Abort()
+		r.failNoData()
+		return
+	}
+	r.armIdle(c.idleTimeout() - idle)
+}
+
+func (r *request) handleConnect() {
+	c := r.c
+	r.lastProgress = c.now()
+	c.head = AppendRequest(c.head[:0], r.req)
+	r.conn.Send(c.head)
+}
+
+func (r *request) handleData(data []byte) {
+	if r.finished {
+		return
+	}
+	r.lastProgress = r.c.now()
+	full, err := r.parser.Feed(data)
+	if err != nil {
+		r.conn.Abort()
+		r.fail(PartialResponse)
+		return
+	}
+	if full {
+		r.out.kind = ConnOK
+		r.out.resp = r.parser.Response()
+		r.conn.Close()
+		r.finish()
+	}
+}
+
+func (r *request) handleClose(err error) {
+	if r.finished {
+		return
+	}
+	switch err {
+	case tcpsim.ErrConnTimeout, tcpsim.ErrConnRefused:
+		r.fail(NoConnection)
+	default:
+		// A clean close before the full body (the server closed
+		// early) or a reset mid-stream.
+		r.failNoData()
+	}
 }

@@ -26,19 +26,30 @@ func FuzzResponseParser(f *testing.F) {
 	})
 }
 
-// FuzzRequestParser covers the server-side request head parser.
+// FuzzRequestParser covers the server-side request head parser: a
+// request parsed into a Request that last held another one must equal
+// the same request parsed fresh.
 func FuzzRequestParser(f *testing.F) {
 	f.Add([]byte("GET / HTTP/1.1\r\nHost: a.example\r\n\r\n"))
 	f.Add([]byte("GET http://a/ HTTP/1.1\r\n\r\n"))
 	f.Add([]byte("\r\n\r\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var p RequestParser
-		req, err := p.Feed(data)
-		if err != nil || req == nil {
+		var req Request
+		done, err := p.Feed(data, &req)
+		if err != nil || !done {
 			return
 		}
 		if req.Method == "" || req.Target == "" {
 			t.Fatalf("parsed request with empty fields: %+v", req)
+		}
+		var p2 RequestParser
+		reused := Request{Method: "HEAD", Target: "/old", Host: "old.example", NoCache: true}
+		if done, err := p2.Feed(data, &reused); err != nil || !done {
+			t.Fatalf("reused parse: done %v, err %v", done, err)
+		}
+		if reused != req {
+			t.Fatalf("parse into a reused request = %+v, fresh = %+v", reused, req)
 		}
 	})
 }

@@ -35,9 +35,8 @@ type Request struct {
 	NoCache bool
 }
 
-// EncodeRequest renders the request on the wire.
-func EncodeRequest(r *Request) []byte {
-	b := make([]byte, 0, 128+len(r.Method)+len(r.Target)+len(r.Host))
+// AppendRequest appends the request's wire form to b.
+func AppendRequest(b []byte, r *Request) []byte {
 	b = append(b, r.Method...)
 	b = append(b, ' ')
 	b = append(b, r.Target...)
@@ -53,7 +52,11 @@ func EncodeRequest(r *Request) []byte {
 
 // ParseRequest parses a complete request head (through the blank line).
 func ParseRequest(head string) (*Request, error) {
-	return parseRequestBytes([]byte(head))
+	r := new(Request)
+	if err := parseRequestInto([]byte(head), r); err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
 // crlf separates head lines.
@@ -79,17 +82,19 @@ func internMethod(m []byte) string {
 	}
 }
 
-func parseRequestBytes(head []byte) (*Request, error) {
+// parseRequestInto parses a request head into r, overwriting every
+// field.
+func parseRequestInto(head []byte, r *Request) error {
 	line, rest := nextLine(head)
 	method, afterMethod, ok1 := bytes.Cut(line, []byte(" "))
 	target, version, ok2 := bytes.Cut(afterMethod, []byte(" "))
 	if !ok1 || !ok2 || !bytes.HasPrefix(version, []byte("HTTP/1.")) {
-		return nil, fmt.Errorf("%w: %q", ErrMalformedRequest, line)
+		return fmt.Errorf("%w: %q", ErrMalformedRequest, line)
 	}
 	if len(method) == 0 || len(target) == 0 {
-		return nil, fmt.Errorf("%w: empty method or target", ErrMalformedRequest)
+		return fmt.Errorf("%w: empty method or target", ErrMalformedRequest)
 	}
-	r := &Request{Method: internMethod(method), Target: string(target)}
+	*r = Request{Method: internMethod(method), Target: string(target)}
 	for len(rest) > 0 {
 		var ln []byte
 		ln, rest = nextLine(rest)
@@ -108,9 +113,9 @@ func parseRequestBytes(head []byte) (*Request, error) {
 		}
 	}
 	if r.Host == "" && !strings.HasPrefix(r.Target, "http://") {
-		return nil, fmt.Errorf("%w: missing Host", ErrMalformedRequest)
+		return fmt.Errorf("%w: missing Host", ErrMalformedRequest)
 	}
-	return r, nil
+	return nil
 }
 
 // asciiEqualFold reports whether b equals lower under ASCII case folding;
@@ -181,10 +186,9 @@ func StatusText(code int) string {
 	}
 }
 
-// EncodeResponseHead renders the response head; the body follows
-// separately so servers can stall mid-body.
-func EncodeResponseHead(r *Response) []byte {
-	b := make([]byte, 0, 128+len(r.Location))
+// AppendResponseHead appends the response head's wire form to b; the
+// body follows separately so servers can stall mid-body.
+func AppendResponseHead(b []byte, r *Response) []byte {
 	b = append(b, "HTTP/1.1 "...)
 	b = strconv.AppendInt(b, int64(r.StatusCode), 10)
 	b = append(b, ' ')
@@ -268,6 +272,9 @@ func (p *ResponseParser) HeadDone() bool { return p.headDone }
 // Response returns the parsed response; valid once Feed reported done.
 func (p *ResponseParser) Response() *Response { return &p.resp }
 
+// reset empties the parser for a new response, keeping its buffer.
+func (p *ResponseParser) reset() { *p = ResponseParser{buf: p.buf[:0]} }
+
 func (p *ResponseParser) parseHead(head []byte) error {
 	line, rest := nextLine(head)
 	version, afterVersion, _ := bytes.Cut(line, []byte(" "))
@@ -320,18 +327,18 @@ type RequestParser struct {
 	buf []byte
 }
 
-// Feed appends bytes; when the head is complete it returns the parsed
-// request (requests in this study have no bodies).
-func (p *RequestParser) Feed(data []byte) (*Request, error) {
+// Feed appends bytes; once the head is complete it parses it into r and
+// reports done (requests in this study have no bodies).
+func (p *RequestParser) Feed(data []byte, r *Request) (done bool, err error) {
 	p.buf = append(p.buf, data...)
 	idx := bytes.Index(p.buf, crlfcrlf)
 	if idx < 0 {
 		if len(p.buf) > 64*1024 {
-			return nil, fmt.Errorf("%w: head too large", ErrMalformedRequest)
+			return false, fmt.Errorf("%w: head too large", ErrMalformedRequest)
 		}
-		return nil, nil
+		return false, nil
 	}
-	return parseRequestBytes(p.buf[:idx])
+	return true, parseRequestInto(p.buf[:idx], r)
 }
 
 // SplitURL splits "http://host/path" into host and path ("/" default).

@@ -9,7 +9,7 @@ import (
 
 func TestRequestRoundTrip(t *testing.T) {
 	req := &Request{Method: "GET", Target: "/index.html", Host: "www.example.com", NoCache: true}
-	b := EncodeRequest(req)
+	b := AppendRequest(nil, req)
 	head, _, ok := strings.Cut(string(b), "\r\n\r\n")
 	if !ok {
 		t.Fatal("no blank line")
@@ -49,7 +49,7 @@ func TestParseRequestRejectsGarbage(t *testing.T) {
 
 func TestResponseParserWhole(t *testing.T) {
 	body := []byte("hello world")
-	head := EncodeResponseHead(&Response{StatusCode: 200, ContentLength: len(body)})
+	head := AppendResponseHead(nil, &Response{StatusCode: 200, ContentLength: len(body)})
 	var p ResponseParser
 	done, err := p.Feed(append(head, body...))
 	if err != nil || !done {
@@ -62,7 +62,7 @@ func TestResponseParserWhole(t *testing.T) {
 
 func TestResponseParserByteAtATime(t *testing.T) {
 	body := []byte("0123456789")
-	full := append(EncodeResponseHead(&Response{StatusCode: 404, ContentLength: len(body)}), body...)
+	full := append(AppendResponseHead(nil, &Response{StatusCode: 404, ContentLength: len(body)}), body...)
 	var p ResponseParser
 	for i, b := range full {
 		done, err := p.Feed([]byte{b})
@@ -80,7 +80,7 @@ func TestResponseParserByteAtATime(t *testing.T) {
 
 func TestResponseParserPartial(t *testing.T) {
 	body := bytes.Repeat([]byte("x"), 100)
-	head := EncodeResponseHead(&Response{StatusCode: 200, ContentLength: len(body)})
+	head := AppendResponseHead(nil, &Response{StatusCode: 200, ContentLength: len(body)})
 	var p ResponseParser
 	done, err := p.Feed(append(head, body[:40]...))
 	if err != nil || done {
@@ -95,7 +95,7 @@ func TestResponseParserPartial(t *testing.T) {
 }
 
 func TestResponseParserRedirect(t *testing.T) {
-	head := EncodeResponseHead(&Response{StatusCode: 302, Location: "http://other.example.com/", ContentLength: 0})
+	head := AppendResponseHead(nil, &Response{StatusCode: 302, Location: "http://other.example.com/", ContentLength: 0})
 	var p ResponseParser
 	done, err := p.Feed(head)
 	if err != nil || !done {
@@ -153,7 +153,7 @@ func TestResponseParserFragmentationProperty(t *testing.T) {
 	// Any segmentation of a valid message parses identically.
 	f := func(cuts []uint8, bodyLen uint16) bool {
 		body := makeBody(int(bodyLen) % 5000)
-		full := append(EncodeResponseHead(&Response{StatusCode: 200, ContentLength: len(body)}), body...)
+		full := append(AppendResponseHead(nil, &Response{StatusCode: 200, ContentLength: len(body)}), body...)
 		var p ResponseParser
 		pos := 0
 		for _, c := range cuts {

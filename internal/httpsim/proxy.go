@@ -31,6 +31,11 @@ type Proxy struct {
 	Failover bool
 
 	dnsCache map[string]proxyCacheEntry
+	// req is the parse target of every client connection's request;
+	// handle copies what outlives it. out is request-head and response
+	// scratch (Conn.Send copies).
+	req Request
+	out []byte
 
 	// Relayed counts successfully relayed responses.
 	Relayed uint64
@@ -74,17 +79,17 @@ func (p *Proxy) accept(client *tcpsim.Conn) {
 			if handled {
 				return
 			}
-			req, err := parser.Feed(data)
+			done, err := parser.Feed(data, &p.req)
 			if err != nil {
 				handled = true
 				p.gatewayError(client, 400)
 				return
 			}
-			if req == nil {
+			if !done {
 				return
 			}
 			handled = true
-			p.handle(client, req)
+			p.handle(client, &p.req)
 		},
 		OnClose: func(error) {},
 	})
@@ -97,6 +102,7 @@ func (p *Proxy) handle(client *tcpsim.Conn, req *Request) {
 		p.gatewayError(client, 400)
 		return
 	}
+	noCache := req.NoCache
 	p.resolve(host, func(addrs []netip.Addr) {
 		if len(addrs) == 0 {
 			p.gatewayError(client, 502)
@@ -105,7 +111,7 @@ func (p *Proxy) handle(client *tcpsim.Conn, req *Request) {
 		if !p.Failover {
 			addrs = addrs[:1]
 		}
-		origin := &Request{Method: "GET", Target: path, Host: host, NoCache: req.NoCache}
+		origin := &Request{Method: "GET", Target: path, Host: host, NoCache: noCache}
 		p.connectOrigin(client, origin, addrs, 0)
 	})
 }
@@ -140,7 +146,8 @@ func (p *Proxy) connectOrigin(client *tcpsim.Conn, origin *Request, addrs []neti
 	oconn = p.Stack.Dial(netip.AddrPortFrom(addrs[i], HTTPPort), tcpsim.Callbacks{
 		OnConnect: func() {
 			started = true
-			oconn.Send(EncodeRequest(origin))
+			p.out = AppendRequest(p.out[:0], origin)
+			oconn.Send(p.out)
 		},
 		OnData: func(data []byte) {
 			// Relay verbatim; the proxy does not reinterpret the
@@ -171,8 +178,10 @@ func (p *Proxy) connectOrigin(client *tcpsim.Conn, origin *Request, addrs []neti
 
 func (p *Proxy) gatewayError(client *tcpsim.Conn, code int) {
 	p.Errors++
-	body := []byte(StatusText(code) + "\n")
-	client.Send(EncodeResponseHead(&Response{StatusCode: code, ContentLength: len(body)}))
-	client.Send(body)
+	text := StatusText(code)
+	p.out = AppendResponseHead(p.out[:0], &Response{StatusCode: code, ContentLength: len(text) + 1})
+	client.Send(p.out)
+	p.out = append(append(p.out[:0], text...), '\n')
+	client.Send(p.out)
 	client.Close()
 }

@@ -2,6 +2,7 @@ package httpsim
 
 import (
 	"fmt"
+	"strconv"
 
 	"webfail/internal/simnet"
 	"webfail/internal/tcpsim"
@@ -86,6 +87,12 @@ type Server struct {
 	// the connection's send buffer, so one body is safely shared across
 	// every request for the same page size.
 	bodies map[int][]byte
+	// req is the parse target of every connection's request; serve
+	// reads it before returning and keeps nothing.
+	req Request
+	// head and errBody are response scratch, safe to reuse for the same
+	// reason as bodies.
+	head, errBody []byte
 }
 
 // NewServer attaches an HTTP server to the TCP stack on port 80.
@@ -119,17 +126,17 @@ func (s *Server) accept(c *tcpsim.Conn) {
 			if handled {
 				return
 			}
-			req, err := parser.Feed(data)
+			done, err := parser.Feed(data, &s.req)
 			if err != nil {
 				handled = true
 				s.respondError(c, 400)
 				return
 			}
-			if req == nil {
+			if !done {
 				return
 			}
 			handled = true
-			s.serve(c, req)
+			s.serve(c, &s.req)
 		},
 		OnClose: func(error) {},
 	})
@@ -164,10 +171,9 @@ func (s *Server) serve(c *tcpsim.Conn, req *Request) {
 		return
 	}
 	if page.RedirectTo != "" {
-		resp := &Response{StatusCode: 302, Location: page.RedirectTo}
 		body := []byte(fmt.Sprintf("<a href=%q>moved</a>\n", page.RedirectTo))
-		resp.ContentLength = len(body)
-		c.Send(EncodeResponseHead(resp))
+		s.head = AppendResponseHead(s.head[:0], &Response{StatusCode: 302, Location: page.RedirectTo, ContentLength: len(body)})
+		c.Send(s.head)
 		c.Send(body)
 		c.Close()
 		s.Served++
@@ -175,7 +181,8 @@ func (s *Server) serve(c *tcpsim.Conn, req *Request) {
 	}
 
 	body := s.body(page.Size)
-	head := EncodeResponseHead(&Response{StatusCode: 200, ContentLength: len(body)})
+	s.head = AppendResponseHead(s.head[:0], &Response{StatusCode: 200, ContentLength: len(body)})
+	head := s.head
 	switch st.Mode {
 	case AppStall:
 		c.Send(head)
@@ -196,9 +203,14 @@ func (s *Server) serve(c *tcpsim.Conn, req *Request) {
 }
 
 func (s *Server) respondError(c *tcpsim.Conn, code int) {
-	body := []byte(fmt.Sprintf("<html>%d %s</html>\n", code, StatusText(code)))
-	resp := &Response{StatusCode: code, ContentLength: len(body)}
-	c.Send(EncodeResponseHead(resp))
+	body := append(s.errBody[:0], "<html>"...)
+	body = strconv.AppendInt(body, int64(code), 10)
+	body = append(body, ' ')
+	body = append(body, StatusText(code)...)
+	body = append(body, "</html>\n"...)
+	s.errBody = body
+	s.head = AppendResponseHead(s.head[:0], &Response{StatusCode: code, ContentLength: len(body)})
+	c.Send(s.head)
 	c.Send(body)
 	c.Close()
 	s.Served++

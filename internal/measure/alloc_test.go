@@ -2,10 +2,13 @@ package measure
 
 import (
 	"io"
+	"runtime"
 	"testing"
 	"time"
 
 	"webfail/internal/obs"
+	"webfail/internal/scenario"
+	"webfail/internal/simnet"
 	"webfail/internal/workload"
 )
 
@@ -48,5 +51,72 @@ func TestEvaluateZeroAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("evaluate allocates %.3f times per transaction, want 0", avg)
+	}
+}
+
+// TestShardEvaluatorRange pins the evaluator's memory to its shard: it
+// holds one RNG stream, quality entry and exemplar ordinal per client of
+// [lo, hi), not per roster client, and each stream is the one a
+// whole-roster evaluator gives that client.
+func TestShardEvaluatorRange(t *testing.T) {
+	cfg := smallConfig(t, 20, 6, 2, 7)
+	ids := cfg.Scenario.EntityIDs(cfg.Topo)
+	n := len(cfg.Topo.Clients)
+	for _, r := range [][2]int{{0, n}, {3, 11}, {n - 1, n}} {
+		lo, hi := r[0], r[1]
+		full := newEvaluator(cfg, &shard{hi: n, ids: ids})
+		ev := newEvaluator(cfg, &shard{lo: lo, hi: hi, ids: ids, trace: obs.NewTracer(2)})
+		if len(ev.rngs) != hi-lo || len(ev.quality) != hi-lo || len(ev.tr.seq) != hi-lo {
+			t.Errorf("shard [%d, %d): %d streams, %d quality entries, %d ordinals, want %d each",
+				lo, hi, len(ev.rngs), len(ev.quality), len(ev.tr.seq), hi-lo)
+			continue
+		}
+		for ci := lo; ci < hi; ci++ {
+			if got, want := ev.rngs[ci-lo].Int63(), full.rngs[ci].Int63(); got != want {
+				t.Errorf("shard [%d, %d): client %d draws %d, whole-roster evaluator %d", lo, hi, ci, got, want)
+			}
+			if ev.quality[ci-lo] != full.quality[ci] {
+				t.Errorf("shard [%d, %d): client %d quality %v, want %v", lo, hi, ci, ev.quality[ci-lo], full.quality[ci])
+			}
+		}
+	}
+}
+
+// maxPacketAllocsPerTxn bounds the packet engine's heap allocations per
+// performed transaction on BenchmarkRunPacketMode's fixture, world build
+// included. The message path (DNS encode/decode, HTTP heads, per-request
+// state) allocates nothing in steady state; what remains is tcpsim's
+// Conn, the DNS resolvers' continuation closures, the resolved address
+// lists and per-transaction records. Measured: 36.6.
+const maxPacketAllocsPerTxn = 38
+
+// TestRunPacketAllocsPerTxn is the allocation-regression gate for the
+// packet engine: after one warm-up run, a RunPacket over the 6 clients x
+// 6 sites x 2 h fixture must stay within maxPacketAllocsPerTxn mallocs per
+// performed transaction.
+func TestRunPacketAllocsPerTxn(t *testing.T) {
+	topo := scenario.PaperScaledTopology(6, 6)
+	end := simnet.FromHours(2)
+	sc := workload.BuildScenario(topo, scenario.PaperParams(2005, 0, end))
+	cfg := Config{Topo: topo, Scenario: sc, Seed: 1, Start: 0, End: end}
+	run := func() int {
+		n := 0
+		if err := RunPacket(cfg, func(*Record) { n++ }); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	txns := run()
+	runtime.ReadMemStats(&after)
+	if txns == 0 {
+		t.Fatal("no transactions performed")
+	}
+	perTxn := float64(after.Mallocs-before.Mallocs) / float64(txns)
+	t.Logf("%d allocations for %d transactions: %.1f per transaction", after.Mallocs-before.Mallocs, txns, perTxn)
+	if perTxn > maxPacketAllocsPerTxn {
+		t.Errorf("RunPacket allocates %.1f times per transaction, want at most %d", perTxn, maxPacketAllocsPerTxn)
 	}
 }

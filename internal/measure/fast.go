@@ -30,8 +30,12 @@ type evaluator struct {
 	topo *workload.Topology
 	tl   *faults.Timeline
 	ids  *workload.EntityTable
-	// One RNG per client so roster scaling does not perturb other
-	// clients' draws.
+	// lo is the shard's first client: the per-client slices below cover
+	// the shard's range [lo, hi) and are indexed by ci - lo.
+	lo int
+	// One RNG per client, seeded from the client's global index, so
+	// roster scaling and shard layout do not perturb other clients'
+	// draws.
 	rngs []*rand.Rand
 
 	// quality is the per-client site-flakiness multiplier; it scales
@@ -67,30 +71,32 @@ type evaluator struct {
 	trHTTPCause traceCause
 }
 
-// newEvaluator builds one shard's evaluator over the shard's entity
-// table, census and exemplar sink.
+// newEvaluator builds one shard's evaluator over the shard's client
+// range, entity table, census and exemplar sink.
 func newEvaluator(cfg Config, sh *shard) *evaluator {
 	topo := cfg.Topo
+	n := sh.hi - sh.lo
 	ev := &evaluator{
-		cfg:    cfg,
-		topo:   topo,
-		tl:     cfg.Scenario.Timeline,
-		ids:    sh.ids,
-		rngs:   make([]*rand.Rand, len(topo.Clients)),
-		census: &sh.census,
+		cfg:     cfg,
+		topo:    topo,
+		tl:      cfg.Scenario.Timeline,
+		ids:     sh.ids,
+		lo:      sh.lo,
+		rngs:    make([]*rand.Rand, n),
+		quality: make([]float64, n),
+		census:  &sh.census,
 	}
 	if sh.trace != nil {
-		ev.tr = newTraceShard(sh.trace, len(topo.Clients))
+		ev.tr = newTraceShard(sh.trace, n)
 	}
-	ev.quality = make([]float64, len(topo.Clients))
-	for i := range topo.Clients {
+	for i := sh.lo; i < sh.hi; i++ {
 		c := &topo.Clients[i]
-		ev.rngs[i] = rand.New(rand.NewSource(cfg.Seed ^ 0x5b5e1ca7 ^ int64(i)*0x100000001b3))
+		ev.rngs[i-sh.lo] = rand.New(rand.NewSource(cfg.Seed ^ 0x5b5e1ca7 ^ int64(i)*0x100000001b3))
 		q := 1.0
 		if f, ok := cfg.Scenario.SiteQuality[c.Site]; ok {
 			q = f
 		}
-		ev.quality[i] = q
+		ev.quality[i-sh.lo] = q
 	}
 	maxRep := 1
 	for j := range topo.Websites {
@@ -153,7 +159,7 @@ func (ev *evaluator) evaluateTx(tx *workload.Transaction, rec *Record) bool {
 	ci, si := tx.ClientIdx, tx.SiteIdx
 	c := &ev.topo.Clients[ci]
 	w := &ev.topo.Websites[si]
-	rng := ev.rngs[ci]
+	rng := ev.rngs[ci-ev.lo]
 	tl := ev.tl
 	at := tx.At
 
@@ -424,7 +430,7 @@ func (ev *evaluator) download(rng *rand.Rand, rec *Record, c *workload.ClientNod
 	// transfer) matching Figure 3's no-response/partial tail.
 	transientConn := false
 	transientKind := httpsim.NoConnection
-	q := ev.quality[rec.ClientIdx]
+	q := ev.quality[int(rec.ClientIdx)-ev.lo]
 	if q > 3 {
 		q = 3
 	}
@@ -519,7 +525,7 @@ func (ev *evaluator) download(rng *rand.Rand, rec *Record, c *workload.ClientNod
 			// baseline loss.
 			pkts := w.IndexSize/1460 + 2
 			rec.DataPkts += int16(pkts)
-			lossQ := ev.quality[rec.ClientIdx]
+			lossQ := ev.quality[int(rec.ClientIdx)-ev.lo]
 			if lossQ > 2.5 {
 				lossQ = 2.5
 			}

@@ -257,6 +257,7 @@ type world struct {
 	rngs    []*rand.Rand
 	ldns    map[string]*dnssim.LDNS // by site
 	servers []*httpsim.Server
+	urls    []string // each website's index URL, by website index
 
 	// info classifies addresses for the path function. The key is the
 	// packed IPv4 address (ipKey): the path function probes this map
@@ -334,8 +335,10 @@ func buildWorld(cfg Config, sh *shard) *world {
 
 	// --- Websites: auth DNS + replica servers (or the CDN pool).
 	cdnNeeded := false
+	w.urls = make([]string, len(topo.Websites))
 	for i := range topo.Websites {
 		site := &topo.Websites[i]
+		w.urls[i] = "http://" + site.Host + "/"
 		dnsAddr[site.AuthDNS] = true
 		authHost := w.net.AddHost("dns."+site.Host, site.AuthDNS)
 		zone := dnssim.NewZone(site.Host)
@@ -655,7 +658,7 @@ func (w *world) runTransaction(tx *workload.Transaction, visit func(*Record)) bo
 	}
 
 	// Step 2: wget.
-	ch.client.Fetch("http://"+site.Host+"/", func(res *httpsim.FetchResult) {
+	ch.client.Fetch(w.urls[tx.SiteIdx], func(res *httpsim.FetchResult) {
 		rec.Stage = res.Stage
 		rec.FailKind = res.FailKind
 		rec.Conns = int16(len(res.Attempts))

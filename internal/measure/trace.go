@@ -215,7 +215,7 @@ type traceShard struct {
 	k      int
 	counts [numTraceClassesInt]int
 	// seq assigns each performed transaction its per-client ordinal —
-	// the canonical Minor key — indexed by global client index.
+	// the canonical Minor key — indexed by shard-local client index.
 	seq      []int64
 	attempts []attemptRec // per-transaction scratch, reused
 }
@@ -243,7 +243,7 @@ func (tr *traceShard) attempt(addr netip.Addr, from, to time.Duration, outcome s
 // Called only when tracing is on.
 func (ev *evaluator) traceFinish(rec *Record, class TraceClass) {
 	tr := ev.tr
-	ci := int(rec.ClientIdx)
+	ci := int(rec.ClientIdx) - ev.lo
 	seq := tr.seq[ci]
 	tr.seq[ci]++
 	if tr.counts[class] >= tr.k {

@@ -35,7 +35,15 @@
 # and reference-order property tests, the pooled event/packet paths
 # must stay at zero steady-state allocations, and fast-vs-packet
 # calibration must hold within the documented tolerances at the
-# minimum calibration scale.
+# minimum calibration scale. The message path has three more gates:
+# RunPacket must stay within its per-transaction allocation bound
+# (TestRunPacketAllocsPerTxn); a warm DNS encoder and decoder must
+# encode and decode a referral without allocating, and the decoder's
+# name table must stop at its bound (TestReferralZeroAllocs,
+# TestInternTableBounded), while FuzzDecode's seed corpus checks that a
+# decode into a reused message equals a fresh one; and two stubs'
+# recursions interleaved through one LDNS must each get their own query
+# ID and name back (TestLDNSInterleavedRecursions).
 #
 # Observability gates: tracing exemplars and latency histograms must be
 # shard-layout-invariant in both engines, forensics replay must work
@@ -111,6 +119,9 @@ go test -race -run 'TestPacketSerialParallelEquivalence|TestPacketParallelShardO
     ./internal/measure
 go test -run 'TestTimerStop|TestWheelMatchesReferenceOrder|TestSchedulerTimerChurnZeroAlloc|TestPacketSendDeliverZeroAlloc|TestPacketPoolRecycles' \
     -count=1 ./internal/simnet
+go test -run 'TestRunPacketAllocsPerTxn' -count=1 ./internal/measure
+go test -run 'TestReferralZeroAllocs|TestInternTableBounded|FuzzDecode' -count=1 ./internal/dnswire
+go test -run 'TestLDNSInterleavedRecursions' -count=1 ./internal/dnssim
 go test -run 'TestCalibration' -count=1 -timeout 10m ./internal/measure
 # Scenario gates: every checked-in scenario must validate, compile, and
 # complete a short-horizon fast run; a spec key the spec does not define
