@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -688,8 +689,8 @@ var datasetFixtureOnce struct {
 	recs []measure.Record
 }
 
-func getDatasetFixture(b *testing.B) ([]measure.Record, measure.DatasetMeta, *workload.Topology, simnet.Time) {
-	b.Helper()
+func getDatasetFixture(tb testing.TB) ([]measure.Record, measure.DatasetMeta, *workload.Topology, simnet.Time) {
+	tb.Helper()
 	f := &datasetFixtureOnce
 	f.Do(func() {
 		f.topo = scenario.PaperTopology()
@@ -713,92 +714,160 @@ func getDatasetFixture(b *testing.B) ([]measure.Record, measure.DatasetMeta, *wo
 	return f.recs, f.meta, f.topo, f.end
 }
 
-// benchDatasetSave streams the fixture's failure records through a
-// writer sink built with opts. The sink holds at most
-// one chunk (DefaultChunkRecords records) at a time — peak memory is
-// bounded by chunk size, not the stored record count, which is the
-// property that lets `webfail -save` stream month-scale datasets.
-func benchDatasetSave(b *testing.B, opts dataset.Options) {
-	recs, meta, _, _ := getDatasetFixture(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var out discardCounter
-		w, err := dataset.NewWriter(&out, meta, opts)
-		if err != nil {
-			b.Fatal(err)
+// saveDataset streams recs through one writer sink into w, the path
+// `webfail -save` takes. The sink holds at most one chunk
+// (DefaultChunkRecords records) at a time — peak memory is bounded by
+// chunk size, not the stored record count, which is the property that
+// lets `webfail -save` stream month-scale datasets.
+func saveDataset(tb testing.TB, w io.Writer, meta measure.DatasetMeta, recs []measure.Record) {
+	tb.Helper()
+	dw, err := dataset.NewWriter(w, meta, dataset.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sink := dw.NewSink()
+	for j := range recs {
+		if err := sink.Append(&recs[j]); err != nil {
+			tb.Fatal(err)
 		}
-		sink := w.NewSink()
-		for j := range recs {
-			if err := sink.Append(&recs[j]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := sink.Close(); err != nil {
-			b.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(out))
-		b.ReportMetric(float64(len(recs)), "records/op")
+	}
+	if err := sink.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	if err := dw.Close(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// loadDataset opens a saved dataset and ConsumeParallelOpts it across
+// shards client-range workers (<= 0 selects GOMAXPROCS); each worker
+// reads only its overlapping chunks, decoding through reused buffers.
+// Ingest runs only the totals and traffic passes, which hold no grid,
+// so a load tracks record I/O rather than the cost of constructing
+// analyzer grids.
+func loadDataset(tb testing.TB, data []byte, topo *workload.Topology, end simnet.Time, shards, want int) {
+	tb.Helper()
+	src, err := dataset.Open(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	a, err := core.ConsumeParallelOpts(topo, 0, end, src, core.IngestOptions{
+		Shards: shards,
+		Passes: []core.PassName{core.PassTotals, core.PassTraffic},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if a.TotalTxns() != int64(want) {
+		tb.Fatalf("ingested %d records, want %d", a.TotalTxns(), want)
 	}
 }
 
 // BenchmarkDatasetSave measures the save path: columnar chunks that the
 // sink encodes, compresses and appends itself.
-func BenchmarkDatasetSave(b *testing.B) { benchDatasetSave(b, dataset.Options{}) }
+func BenchmarkDatasetSave(b *testing.B) {
+	recs, meta, _, _ := getDatasetFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var out discardCounter
+		saveDataset(b, &out, meta, recs)
+		b.SetBytes(int64(out))
+		b.ReportMetric(float64(len(recs)), "records/op")
+	}
+}
 
-// benchDatasetLoadParallel measures the sharded ingest path end to end:
-// open a dataset written with opts and ConsumeParallelOpts it
-// across GOMAXPROCS client-range shards (each worker reads only its
-// overlapping chunks, decoding through reused buffers). Ingest runs
-// only the totals and traffic passes, which hold no grid, so the bench
-// tracks record I/O rather than the cost of constructing analyzer grids.
-func benchDatasetLoadParallel(b *testing.B, opts dataset.Options) {
+// BenchmarkDatasetLoadParallel measures the sharded load path end to
+// end at one shard per GOMAXPROCS: each ingest shard reads, inflates
+// and decodes its chunks inline.
+func BenchmarkDatasetLoadParallel(b *testing.B) {
 	recs, meta, topo, end := getDatasetFixture(b)
 	var buf bytes.Buffer
-	w, err := dataset.NewWriter(&buf, meta, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sink := w.NewSink()
-	for j := range recs {
-		if err := sink.Append(&recs[j]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := sink.Close(); err != nil {
-		b.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		b.Fatal(err)
-	}
+	saveDataset(b, &buf, meta, recs)
 	data := buf.Bytes()
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		src, err := dataset.Open(bytes.NewReader(data), int64(len(data)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		a, err := core.ConsumeParallelOpts(topo, 0, end, src, core.IngestOptions{
-			Passes: []core.PassName{core.PassTotals, core.PassTraffic},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if a.TotalTxns() != int64(len(recs)) {
-			b.Fatalf("ingested %d records, want %d", a.TotalTxns(), len(recs))
-		}
+		loadDataset(b, data, topo, end, 0, len(recs))
 		b.ReportMetric(float64(len(recs)), "records/op")
 	}
 }
 
-// BenchmarkDatasetLoadParallel measures the load path: each ingest
-// shard reads, inflates and decodes its chunks inline.
-func BenchmarkDatasetLoadParallel(b *testing.B) { benchDatasetLoadParallel(b, dataset.Options{}) }
+// TestDatasetHeapBudget is the allocation-regression gate for the
+// dataset layer: a save of the 24 h fixture (24,484 failure records) and
+// its load at a fixed shard count must stay within their bounds on
+// allocations and allocated bytes per operation. The comments give the
+// measurement (heapCostPerOp, linux/amd64, Go 1.24). Allocation counts
+// repeat exactly, and the fixture fills only three chunks, so each
+// allocation bound sits 2 above its measurement: one more allocation per
+// chunk written or read fails. Byte bounds sit at most 10% above theirs.
+// A load's cost grows with its shard count: each shard builds its own
+// accumulator and takes its own decode scratch, and two shards read four
+// chunks between them.
+func TestDatasetHeapBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what code allocates")
+	}
+	recs, meta, topo, end := getDatasetFixture(t)
+	var buf bytes.Buffer
+	saveDataset(t, &buf, meta, recs)
+	data := buf.Bytes()
+	cases := []struct {
+		name                string
+		maxAllocs, maxBytes uint64
+		op                  func(t *testing.T)
+	}{
+		{"save", 108, 3_530_000, func(t *testing.T) { // 106, 3,217,673 B
+			var out discardCounter
+			saveDataset(t, &out, meta, recs)
+		}},
+		{"load-1-shard", 395, 247_000, func(t *testing.T) { // 393, 224,851 B
+			loadDataset(t, data, topo, end, 1, len(recs))
+		}},
+		{"load-2-shards", 503, 476_000, func(t *testing.T) { // 501, 433,225 B
+			loadDataset(t, data, topo, end, 2, len(recs))
+		}},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			allocs, allocated := heapCostPerOp(5, func() { tc.op(t) })
+			t.Logf("%d allocations, %d bytes per operation", allocs, allocated)
+			if allocs > tc.maxAllocs {
+				t.Errorf("%d allocations per operation, want at most %d", allocs, tc.maxAllocs)
+			}
+			if allocated > tc.maxBytes {
+				t.Errorf("%d bytes allocated per operation, want at most %d", allocated, tc.maxBytes)
+			}
+		})
+	}
+}
+
+// raceEnabled is set under the race detector (race_test.go), which
+// changes what code allocates: sync.Pool drops items at random under it.
+var raceEnabled bool
+
+// heapCostPerOp runs op once to warm its scratch and pools, then runs
+// it runs more times and returns the mean allocations and allocated
+// bytes per run. Like testing.AllocsPerRun it holds GOMAXPROCS at 1 and
+// truncates the means. The dataset reader takes its decode scratch from
+// a sync.Pool, whose caches are per P and emptied by a collection, so
+// the collector stays off while op runs: the cost is then the same on
+// every run.
+func heapCostPerOp(runs int, op func()) (allocs, allocated uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	op()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		op()
+	}
+	runtime.ReadMemStats(&after)
+	n := uint64(runs)
+	return (after.Mallocs - before.Mallocs) / n, (after.TotalAlloc - before.TotalAlloc) / n
+}
 
 // BenchmarkAnalyzeSelective measures the ingest cost of the analyzer
 // pass architecture: the same record stream is fed through an

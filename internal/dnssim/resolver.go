@@ -8,16 +8,16 @@ import (
 	"webfail/internal/simnet"
 )
 
-// Timing defaults for the recursive resolver. Per-upstream-query timeout is
+// Timing of the recursive resolver. Per-upstream-query timeout is
 // short and retried across the candidate name servers; the overall
 // recursion budget is generous, so when authoritative servers are
 // unreachable the *client* gives up before the LDNS does — producing the
 // paper's "non-LDNS timeout" signature (responsive LDNS, lookup times out).
 const (
-	defaultUpstreamTimeout = 2 * time.Second
-	defaultRecursionBudget = 30 * time.Second
-	maxReferrals           = 16
-	maxCNAMEChain          = 8
+	upstreamTimeout = 2 * time.Second
+	recursionBudget = 30 * time.Second
+	maxReferrals    = 16
+	maxCNAMEChain   = 8
 )
 
 // ProbeName is the root-server name used to test LDNS responsiveness
@@ -40,11 +40,6 @@ type LDNS struct {
 
 	// RootHints are the root server addresses recursion starts from.
 	RootHints []netip.Addr
-
-	// UpstreamTimeout and RecursionBudget override the defaults when
-	// non-zero.
-	UpstreamTimeout time.Duration
-	RecursionBudget time.Duration
 
 	exch  *exchanger
 	cache map[string]cacheEntry
@@ -84,20 +79,6 @@ func (l *LDNS) status() Status {
 		return StatusUp
 	}
 	return l.Status(l.Host.Now())
-}
-
-func (l *LDNS) upstreamTimeout() time.Duration {
-	if l.UpstreamTimeout > 0 {
-		return l.UpstreamTimeout
-	}
-	return defaultUpstreamTimeout
-}
-
-func (l *LDNS) recursionBudget() time.Duration {
-	if l.RecursionBudget > 0 {
-		return l.RecursionBudget
-	}
-	return defaultRecursionBudget
 }
 
 // handle serves a client query.
@@ -141,7 +122,7 @@ func (l *LDNS) handle(pkt *simnet.Packet) {
 	cq.src, cq.port = pkt.Src, srcPort
 	cq.q.Header = q.Header
 	cq.q.Questions = append(cq.q.Questions[:0], q.Questions...)
-	deadline := l.Host.Now().Add(l.recursionBudget())
+	deadline := l.Host.Now().Add(recursionBudget)
 	l.recurseWithRetry(name, deadline, cq.onDone)
 }
 
@@ -265,7 +246,7 @@ func (l *LDNS) tryServers(name string, servers []netip.Addr, i int, deadline sim
 		done(nil)
 		return
 	}
-	timeout := l.upstreamTimeout()
+	timeout := upstreamTimeout
 	if remaining := deadline.Sub(l.Host.Now()); remaining < timeout {
 		timeout = remaining
 	}

@@ -45,17 +45,14 @@ type Result struct {
 	RTT time.Duration
 }
 
-// DefaultRetrySchedule mirrors a typical 2005-era stub resolver
-// (res_send with three tries): per-attempt timeouts summing to ~11 s.
-var DefaultRetrySchedule = []time.Duration{3 * time.Second, 3 * time.Second, 5 * time.Second}
+// retrySchedule mirrors a typical 2005-era stub resolver (res_send with
+// three tries): per-attempt timeouts summing to ~11 s.
+var retrySchedule = [...]time.Duration{3 * time.Second, 3 * time.Second, 5 * time.Second}
 
 // StubResolver is the client-side resolver talking to one LDNS.
 type StubResolver struct {
 	Host *simnet.Host
 	LDNS netip.Addr
-	// RetrySchedule lists per-attempt timeouts; nil means
-	// DefaultRetrySchedule.
-	RetrySchedule []time.Duration
 
 	exch *exchanger
 }
@@ -63,13 +60,6 @@ type StubResolver struct {
 // NewStubResolver creates a stub resolver on host pointing at the LDNS.
 func NewStubResolver(host *simnet.Host, ldns netip.Addr) *StubResolver {
 	return &StubResolver{Host: host, LDNS: ldns, exch: newExchanger(host)}
-}
-
-func (s *StubResolver) schedule() []time.Duration {
-	if len(s.RetrySchedule) > 0 {
-		return s.RetrySchedule
-	}
-	return DefaultRetrySchedule
 }
 
 // LookupA resolves name via the LDNS, retrying per the schedule, and calls
@@ -80,12 +70,11 @@ func (s *StubResolver) LookupA(name string, done func(Result)) {
 }
 
 func (s *StubResolver) attempt(name string, try int, start simnet.Time, done func(Result)) {
-	sched := s.schedule()
-	if try >= len(sched) {
+	if try >= len(retrySchedule) {
 		done(Result{Kind: ResultTimeout, RTT: s.Host.Now().Sub(start)})
 		return
 	}
-	s.exch.query(s.LDNS, name, true, sched[try], func(resp *dnswire.Message) {
+	s.exch.query(s.LDNS, name, true, retrySchedule[try], func(resp *dnswire.Message) {
 		if resp == nil {
 			s.attempt(name, try+1, start, done)
 			return
@@ -197,14 +186,15 @@ func (r *DigReport) Classify() FailureClass {
 	return ClassLDNSTimeout
 }
 
+// digTimeout is Dig's per-query timeout.
+const digTimeout = 3 * time.Second
+
 // Dig performs iterative resolution for diagnosis: first a direct LDNS
 // probe, then a walk down from the root servers.
 type Dig struct {
 	Host      *simnet.Host
 	LDNS      netip.Addr
 	RootHints []netip.Addr
-	// Timeout is the per-query timeout (default 3 s).
-	Timeout time.Duration
 
 	exch *exchanger
 }
@@ -212,13 +202,6 @@ type Dig struct {
 // NewDig creates an iterative tracer.
 func NewDig(host *simnet.Host, ldns netip.Addr, rootHints []netip.Addr) *Dig {
 	return &Dig{Host: host, LDNS: ldns, RootHints: rootHints, exch: newExchanger(host)}
-}
-
-func (d *Dig) timeout() time.Duration {
-	if d.Timeout > 0 {
-		return d.Timeout
-	}
-	return 3 * time.Second
 }
 
 // Trace resolves name iteratively and calls done exactly once with the
@@ -230,7 +213,7 @@ func (d *Dig) Trace(name string, done func(*DigReport)) {
 	// from hints without recursing. Any response proves responsiveness;
 	// this avoids conflating a slow recursion for the (possibly broken)
 	// target name with LDNS unreachability.
-	d.exch.query(d.LDNS, ProbeName, true, d.timeout(), func(resp *dnswire.Message) {
+	d.exch.query(d.LDNS, ProbeName, true, digTimeout, func(resp *dnswire.Message) {
 		rep.LDNSResponsive = resp != nil
 		// Step 2: walk the hierarchy from the roots.
 		d.walk(rep, name, d.RootHints, 0, 0, func() { done(rep) })
@@ -287,7 +270,7 @@ func (d *Dig) trySrv(rep *DigReport, name string, servers []netip.Addr, i int, d
 		return
 	}
 	srv := servers[i]
-	d.exch.query(srv, name, false, d.timeout(), func(resp *dnswire.Message) {
+	d.exch.query(srv, name, false, digTimeout, func(resp *dnswire.Message) {
 		step := DigStep{Server: srv, Responded: resp != nil}
 		if resp != nil {
 			step.RCode = resp.Header.RCode

@@ -118,6 +118,14 @@ type FetchResult struct {
 	ReplicaIP netip.Addr
 }
 
+const (
+	// maxRedirects bounds redirect chains.
+	maxRedirects = 5
+	// tries is the number of full TCP attempts per URL before giving up
+	// (wget-style retry).
+	tries = 2
+)
+
 // Client is the wget-like downloader.
 type Client struct {
 	Stack    *tcpsim.Stack
@@ -135,11 +143,6 @@ type Client struct {
 	// IdleTimeout aborts a download whose connection makes no progress
 	// for this long (paper: 60 s). Zero means the default.
 	IdleTimeout time.Duration
-	// MaxRedirects bounds redirect chains (default 5).
-	MaxRedirects int
-	// Tries is the number of full TCP attempts per URL before giving up
-	// (wget-style retry; default 2).
-	Tries int
 	// NoCache sets Cache-Control: no-cache on requests, as the
 	// corporate-network clients did (Section 3.4).
 	NoCache bool
@@ -162,20 +165,6 @@ func (c *Client) idleTimeout() time.Duration {
 		return c.IdleTimeout
 	}
 	return 60 * time.Second
-}
-
-func (c *Client) maxRedirects() int {
-	if c.MaxRedirects > 0 {
-		return c.MaxRedirects
-	}
-	return 5
-}
-
-func (c *Client) tries() int {
-	if c.Tries > 0 {
-		return c.Tries
-	}
-	return 2
 }
 
 func (c *Client) now() simnet.Time { return c.Stack.Host().Now() }
@@ -238,7 +227,7 @@ func (c *Client) afterDNS(res *FetchResult, host, path string, redirects int, fi
 // until the budget is spent.
 func (c *Client) tryAddrs(res *FetchResult, req *Request, addrs []netip.Addr, port uint16, i, try, redirects int, finish func()) {
 	if i >= len(addrs) {
-		if try < c.tries() {
+		if try < tries {
 			c.tryAddrs(res, req, addrs, port, 0, try+1, redirects, finish)
 			return
 		}
@@ -278,7 +267,7 @@ func (c *Client) handleResponse(res *FetchResult, req *Request, resp *Response, 
 		res.FailKind = ConnOK
 		finish()
 	case (resp.StatusCode == 301 || resp.StatusCode == 302) && resp.Location != "":
-		if redirects+1 > c.maxRedirects() {
+		if redirects+1 > maxRedirects {
 			res.Stage = StageHTTP
 			finish()
 			return

@@ -2,6 +2,7 @@ package httpsim
 
 import (
 	"net/netip"
+	"strings"
 	"testing"
 	"time"
 
@@ -381,6 +382,74 @@ func TestProxyGatewayErrorOnDNSFailure(t *testing.T) {
 	if r.OK || r.StatusCode != 502 {
 		t.Fatalf("result = %+v, want 502", r)
 	}
+}
+
+// rawExchange opens a connection from the client host to dst, sends
+// each part one simulated second after the previous one (so a head
+// spans several segments), closes the connection if closeEarly is set,
+// and returns every byte that came back.
+func rawExchange(w *world, dst netip.AddrPort, closeEarly bool, parts ...string) string {
+	var got []byte
+	c := w.cliStack.Dial(dst, tcpsim.Callbacks{OnData: func(d []byte) { got = append(got, d...) }})
+	for _, part := range parts {
+		c.Send([]byte(part))
+		w.net.Sched.RunUntil(w.net.Sched.Now().Add(time.Second))
+	}
+	if closeEarly {
+		c.Close()
+	}
+	w.net.Sched.Run()
+	return string(got)
+}
+
+// TestRequestReaderReuse drives the server's and the proxy's pooled
+// request readers through a malformed head (answered 400 by the
+// endpoint's own error writer), a head split across segments, and a
+// connection that closes before its head is complete; each endpoint
+// then serves a last request with the one reader it pooled.
+func TestRequestReaderReuse(t *testing.T) {
+	w := newWorld(t, 21)
+	for _, ep := range []struct {
+		name    string
+		dst     netip.AddrPort
+		target  string
+		readers *readerPool
+		errors  func() uint64
+	}{
+		{"server", netip.AddrPortFrom(wSrv1, HTTPPort), "/", &w.srv1.readers, func() uint64 { return w.srv1.Served }},
+		{"proxy", netip.AddrPortFrom(wProxy, ProxyPort), "http://www.example.com/", &w.proxy.readers, func() uint64 { return w.proxy.Errors }},
+	} {
+		before := ep.errors()
+		if got := rawExchange(w, ep.dst, false, "BAD\r\n\r\n"); !strings.HasPrefix(got, "HTTP/1.1 400 ") {
+			t.Errorf("%s: malformed head answered %q, want a 400", ep.name, got)
+		}
+		if n := ep.errors() - before; n != 1 {
+			t.Errorf("%s: malformed head counted %d times by the endpoint's error writer, want 1", ep.name, n)
+		}
+		if len(ep.readers.free) != 1 {
+			t.Fatalf("%s: %d pooled readers after one connection, want 1", ep.name, len(ep.readers.free))
+		}
+		reader := ep.readers.free[0]
+		head := "GET " + ep.target + " HTTP/1.1\r\nHost: www.example.com\r\n\r\n"
+		if got := rawExchange(w, ep.dst, false, head[:10], head[10:]); !strings.HasPrefix(got, "HTTP/1.1 200 ") {
+			t.Errorf("%s: split head answered %q, want a 200", ep.name, firstLine(got))
+		}
+		if got := rawExchange(w, ep.dst, true, head[:10]); got != "" {
+			t.Errorf("%s: incomplete head answered %q, want nothing", ep.name, firstLine(got))
+		}
+		if got := rawExchange(w, ep.dst, false, head); !strings.HasPrefix(got, "HTTP/1.1 200 ") {
+			t.Errorf("%s: last head answered %q, want a 200", ep.name, firstLine(got))
+		}
+		if n := len(ep.readers.free); n != 1 || ep.readers.free[0] != reader {
+			t.Errorf("%s: %d pooled readers after sequential connections, want the first one alone", ep.name, n)
+		}
+	}
+}
+
+// firstLine returns s up to its first CRLF.
+func firstLine(s string) string {
+	line, _, _ := strings.Cut(s, "\r\n")
+	return line
 }
 
 func TestIdleTimeoutTiming(t *testing.T) {

@@ -31,11 +31,11 @@ type Proxy struct {
 	Failover bool
 
 	dnsCache map[string]proxyCacheEntry
-	// req is the parse target of every client connection's request;
-	// handle copies what outlives it. out is request-head and response
-	// scratch (Conn.Send copies).
-	req Request
-	out []byte
+	// readers reads each client connection's request head; handle
+	// copies what outlives the parsed request. out is request-head and
+	// response scratch (Conn.Send copies).
+	readers readerPool
+	out     []byte
 
 	// Relayed counts successfully relayed responses.
 	Relayed uint64
@@ -55,7 +55,8 @@ func NewProxy(stack *tcpsim.Stack, resolver *dnssim.StubResolver) *Proxy {
 		Resolver: resolver,
 		dnsCache: make(map[string]proxyCacheEntry),
 	}
-	err := stack.Listen(ProxyPort, &tcpsim.Listener{Accept: p.accept})
+	p.readers = readerPool{serve: p.handle, reject: p.gatewayError}
+	err := stack.Listen(ProxyPort, &tcpsim.Listener{Accept: p.readers.accept})
 	if err != nil {
 		panic("httpsim: proxy listen: " + err.Error())
 	}
@@ -70,30 +71,6 @@ func (p *Proxy) cacheTTL() time.Duration {
 }
 
 func (p *Proxy) now() simnet.Time { return p.Stack.Host().Now() }
-
-func (p *Proxy) accept(client *tcpsim.Conn) {
-	parser := &RequestParser{}
-	handled := false
-	client.SetCallbacks(tcpsim.Callbacks{
-		OnData: func(data []byte) {
-			if handled {
-				return
-			}
-			done, err := parser.Feed(data, &p.req)
-			if err != nil {
-				handled = true
-				p.gatewayError(client, 400)
-				return
-			}
-			if !done {
-				return
-			}
-			handled = true
-			p.handle(client, &p.req)
-		},
-		OnClose: func(error) {},
-	})
-}
 
 // handle resolves and relays one proxied request.
 func (p *Proxy) handle(client *tcpsim.Conn, req *Request) {

@@ -87,9 +87,9 @@ type Server struct {
 	// the connection's send buffer, so one body is safely shared across
 	// every request for the same page size.
 	bodies map[int][]byte
-	// req is the parse target of every connection's request; serve
-	// reads it before returning and keeps nothing.
-	req Request
+	// readers reads each connection's request head; serve reads the
+	// parsed request before returning and keeps nothing.
+	readers readerPool
 	// head and errBody are response scratch, safe to reuse for the same
 	// reason as bodies.
 	head, errBody []byte
@@ -98,8 +98,9 @@ type Server struct {
 // NewServer attaches an HTTP server to the TCP stack on port 80.
 func NewServer(stack *tcpsim.Stack) *Server {
 	s := &Server{Stack: stack, Pages: map[string]Page{"/": {Path: "/", Size: 10240}}}
+	s.readers = readerPool{serve: s.serve, reject: s.respondError}
 	err := stack.Listen(HTTPPort, &tcpsim.Listener{
-		Accept: s.accept,
+		Accept: s.readers.accept,
 	})
 	if err != nil {
 		panic("httpsim: server listen: " + err.Error())
@@ -117,29 +118,67 @@ func (s *Server) appStatus() AppStatus {
 	return s.Status(s.Stack.Host().Now())
 }
 
-// accept wires the request parser onto a fresh connection.
-func (s *Server) accept(c *tcpsim.Conn) {
-	parser := &RequestParser{}
-	handled := false
-	c.SetCallbacks(tcpsim.Callbacks{
-		OnData: func(data []byte) {
-			if handled {
-				return
-			}
-			done, err := parser.Feed(data, &s.req)
-			if err != nil {
-				handled = true
-				s.respondError(c, 400)
-				return
-			}
-			if !done {
-				return
-			}
-			handled = true
-			s.serve(c, &s.req)
-		},
-		OnClose: func(error) {},
-	})
+// readerPool reads request heads off an endpoint's accepted
+// connections, handing each complete head to serve and answering a
+// malformed one through reject, the endpoint's own error writer. It
+// pools its readers; every head is parsed into req, which serve must
+// finish with before it returns.
+type readerPool struct {
+	serve  func(*tcpsim.Conn, *Request)
+	reject func(c *tcpsim.Conn, code int)
+	req    Request
+	free   []*requestReader
+}
+
+// requestReader is one connection's head reader. Its callbacks are
+// method values created once per pooled instance, so reusing the reader
+// reuses them.
+type requestReader struct {
+	pool      *readerPool
+	conn      *tcpsim.Conn
+	parser    RequestParser
+	callbacks tcpsim.Callbacks
+}
+
+// accept wires a pooled reader onto a fresh connection.
+func (p *readerPool) accept(c *tcpsim.Conn) {
+	var r *requestReader
+	if n := len(p.free); n > 0 {
+		r = p.free[n-1]
+		p.free = p.free[:n-1]
+	} else {
+		r = &requestReader{pool: p}
+		r.callbacks = tcpsim.Callbacks{OnData: r.handleData, OnClose: r.handleClose}
+	}
+	r.conn = c
+	r.parser.buf = r.parser.buf[:0]
+	c.SetCallbacks(r.callbacks)
+}
+
+func (r *requestReader) handleData(data []byte) {
+	p, c := r.pool, r.conn
+	done, err := r.parser.Feed(data, &p.req)
+	if err == nil && !done {
+		return
+	}
+	r.release()
+	if err != nil {
+		p.reject(c, 400)
+		return
+	}
+	p.serve(c, &p.req)
+}
+
+// handleClose releases the reader of a connection that closed before
+// its request head was complete.
+func (r *requestReader) handleClose(error) { r.release() }
+
+// release detaches the reader from its connection, whose later events
+// must not reach a reused reader, and returns it to the pool.
+func (r *requestReader) release() {
+	r.conn.SetCallbacks(tcpsim.Callbacks{})
+	r.conn = nil
+	r.pool.free = append(r.pool.free, r)
 }
 
 // serve produces the response according to the current application mode.

@@ -133,7 +133,7 @@ func (c *Conn) sendSYN(try int) {
 		if c.state != stateSYNSent {
 			return
 		}
-		if try+1 >= c.stack.synRetries() {
+		if try+1 >= synRetries {
 			c.teardown(ErrConnTimeout)
 			return
 		}
@@ -224,7 +224,7 @@ func (c *Conn) teardown(err error) {
 	// stragglers; aborted connections do not (an RST already told the
 	// peer everything).
 	if err == nil {
-		c.stack.timeWait[c.key] = c.stack.host.Now().Add(2 * time.Minute)
+		c.stack.enterTimeWait(c.key)
 	}
 	if !c.closedDone {
 		c.closedDone = true

@@ -75,11 +75,21 @@ const (
 	maxRTO = 60 * time.Second
 )
 
-// DefaultSYNRetries is the number of SYN (re)transmissions before the
-// connect fails: initial + 2 retries at 3 s and 6 s, i.e. failure is
-// declared ~21 s after the first SYN — Windows XP semantics, matching the
-// study's wget clients' observed behaviour.
-const DefaultSYNRetries = 3
+// synRetries is the number of SYN (re)transmissions before the connect
+// fails: initial + 2 retries at 3 s and 6 s, i.e. failure is declared
+// ~21 s after the first SYN — Windows XP semantics, matching the study's
+// wget clients' observed behaviour.
+const synRetries = 3
+
+// timeWaitPeriod is how long a cleanly closed connection's tuple stays
+// in TIME_WAIT (~2*MSL).
+const timeWaitPeriod = 2 * time.Minute
+
+// tombstone is one queued TIME_WAIT deadline.
+type tombstone struct {
+	key   connKey
+	until simnet.Time
+}
 
 // Callbacks receives connection events. All callbacks are optional.
 type Callbacks struct {
@@ -127,12 +137,14 @@ type Stack struct {
 	// simultaneous close) are absorbed silently instead of drawing an
 	// RST — the role of TIME_WAIT in real TCP.
 	timeWait map[connKey]simnet.Time
-	isnSeed  uint32
+	// twQueue[twHead:] lists the tombstones in the order teardown added
+	// them, which is deadline order, so enterTimeWait finds the expired
+	// ones at its head.
+	twQueue []tombstone
+	twHead  int
+	isnSeed uint32
 	// sendBufs pools connection send-buffer arrays (see Conn.growSndBuf).
 	sendBufs [][]byte
-
-	// SYNRetries overrides DefaultSYNRetries when > 0.
-	SYNRetries int
 
 	// Counters for tests and the harness.
 	Accepted, Dialed, Resets uint64
@@ -193,12 +205,29 @@ func (s *Stack) Listen(port uint16, l *Listener) error {
 	return nil
 }
 
-// synRetries returns the configured handshake attempt count.
-func (s *Stack) synRetries() int {
-	if s.SYNRetries > 0 {
-		return s.SYNRetries
+// enterTimeWait tombstones key for timeWaitPeriod. It first drops every
+// tombstone whose deadline has passed, which absorbs nothing and so
+// changes no behaviour; a queued deadline that no longer matches the
+// map's (handle removed the key, or a later close re-armed it) is
+// skipped.
+func (s *Stack) enterTimeWait(key connKey) {
+	now := s.host.Now()
+	for s.twHead < len(s.twQueue) && s.twQueue[s.twHead].until <= now {
+		t := s.twQueue[s.twHead]
+		if until, ok := s.timeWait[t.key]; ok && until == t.until {
+			delete(s.timeWait, t.key)
+		}
+		s.twHead++
 	}
-	return DefaultSYNRetries
+	// Compact once the dropped head is at least half the queue, so the
+	// array is reused and each entry is copied O(1) times.
+	if s.twHead > 0 && 2*s.twHead >= len(s.twQueue) {
+		n := copy(s.twQueue, s.twQueue[s.twHead:])
+		s.twQueue, s.twHead = s.twQueue[:n], 0
+	}
+	until := now.Add(timeWaitPeriod)
+	s.timeWait[key] = until
+	s.twQueue = append(s.twQueue, tombstone{key: key, until: until})
 }
 
 // nextISN produces per-connection initial sequence numbers.

@@ -267,3 +267,32 @@ func TestTransferIntegrityProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestTimeWaitExpires closes a connection every minute for three
+// simulated hours: each stack must then hold only the tombstones still
+// inside their 2-minute window (at most three, one minute apart), not
+// one per connection it ever closed.
+func TestTimeWaitExpires(t *testing.T) {
+	h := newHarness(40)
+	h.echoServer(t, 80)
+	const conns = 180
+	for i := 0; i < conns; i++ {
+		h.net.Sched.At(simnet.Time(time.Duration(i)*time.Minute), func() {
+			c := h.cli.Dial(netip.AddrPortFrom(srvAddr, 80), Callbacks{})
+			c.Send([]byte("ping"))
+			c.Close()
+		})
+	}
+	h.net.Sched.Run()
+	if h.cli.Dialed != conns || h.srv.Accepted != conns {
+		t.Fatalf("dialed %d, accepted %d, want %d each", h.cli.Dialed, h.srv.Accepted, conns)
+	}
+	for _, side := range []struct {
+		name string
+		s    *Stack
+	}{{"client", h.cli}, {"server", h.srv}} {
+		if n, q := len(side.s.timeWait), len(side.s.twQueue)-side.s.twHead; n > 3 || q > 3 {
+			t.Errorf("%s: %d tombstones, %d queued after %d clean closes, want at most 3 each", side.name, n, q, conns)
+		}
+	}
+}

@@ -200,27 +200,3 @@ func SortedFlows(m map[Flow]*FlowStats) []*FlowStats {
 	sort.Slice(out, func(i, j int) bool { return out[i].Flow.String() < out[j].Flow.String() })
 	return out
 }
-
-// Summary aggregates a capture's TCP connections by class.
-type Summary struct {
-	Total          int
-	ByClass        map[ConnClass]int
-	TotalRetrans   int
-	TotalDataPkts  int
-	OverallLossEst float64
-}
-
-// Summarize computes the class histogram and overall loss estimate.
-func Summarize(flows map[Flow]*FlowStats) *Summary {
-	sum := &Summary{ByClass: make(map[ConnClass]int)}
-	for _, s := range flows {
-		sum.Total++
-		sum.ByClass[s.Classify()]++
-		sum.TotalRetrans += s.ClientRetransmits + s.ServerRetransmits
-		sum.TotalDataPkts += s.ClientPackets + s.ServerPackets
-	}
-	if sum.TotalDataPkts > 0 {
-		sum.OverallLossEst = float64(sum.TotalRetrans) / float64(sum.TotalDataPkts)
-	}
-	return sum
-}

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"testing"
 
 	"webfail/internal/simnet"
@@ -23,23 +22,5 @@ func FuzzNewPacket(f *testing.F) {
 		if p.ErrorLayer() == nil && p.IPv4() == nil {
 			t.Fatal("no error and no IPv4 layer")
 		}
-	})
-}
-
-// FuzzReadCapture hardens the capture file reader.
-func FuzzReadCapture(f *testing.F) {
-	cap := &Capture{}
-	cap.records = []rawRecord{{at: 1, dir: simnet.Out, data: make([]byte, 28)}}
-	var buf bytes.Buffer
-	_, _ = cap.WriteTo(&buf)
-	f.Add(buf.Bytes())
-	f.Add([]byte("SIMCAP01"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := ReadCapture(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		_ = c.Packets() // decoding stored packets never panics
 	})
 }

@@ -1,22 +1,21 @@
 // Package trace implements packet capture and analysis for the simulated
-// measurement stack: a gopacket-style layered decoder over the raw bytes
-// that simnet hosts exchange, per-flow TCP statistics, and the
+// measurement stack: an in-memory tap that keeps copies of a host's
+// packets, a gopacket-style layered decoder over the raw bytes that
+// simnet hosts exchange, per-flow TCP statistics, and the
 // post-processing the paper applies to its tcpdump/windump traces
 // (Section 3.5): determining the cause of a connection failure (no
 // connection / no response / partial response) and inferring packet loss
 // from retransmissions.
 //
 // The decoding API follows the gopacket idiom: a Packet is decoded into a
-// stack of Layers which can be fetched by LayerType; Flow and Endpoint
-// values are comparable and usable as map keys; and a DecodingParser
-// provides the allocation-free fast path for bulk analysis.
+// stack of Layers which can be fetched by LayerType, and Flow and
+// Endpoint values are comparable and usable as map keys.
+// measure.RunPacketWithCapture taps the monitored clients and hands back
+// AnalyzeTCP's per-flow statistics.
 package trace
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
 	"net/netip"
 
 	"webfail/internal/netwire"
@@ -216,53 +215,6 @@ func (p *Packet) TransportFlow() (Flow, bool) {
 	return Flow{}, false
 }
 
-// DecodingParser is the allocation-free fast path, decoding into
-// preallocated header structs (the gopacket DecodingLayerParser idiom).
-// Not safe for concurrent use; create one per goroutine.
-type DecodingParser struct {
-	IPv4    netwire.IPv4
-	TCP     netwire.TCPHeader
-	UDP     netwire.UDPHeader
-	Payload []byte
-}
-
-// Decode parses data, filling the preallocated structs and appending the
-// decoded layer types to dst (which is returned re-sliced).
-func (d *DecodingParser) Decode(data []byte, dst []LayerType) ([]LayerType, error) {
-	dst = dst[:0]
-	iph, transport, err := netwire.DecodeIPv4(data)
-	if err != nil {
-		return dst, err
-	}
-	d.IPv4 = *iph
-	dst = append(dst, LayerTypeIPv4)
-	switch iph.Protocol {
-	case uint8(simnet.TCP):
-		th, payload, err := netwire.DecodeTCP(transport, iph.Src, iph.Dst)
-		if err != nil {
-			return dst, err
-		}
-		d.TCP = *th
-		dst = append(dst, LayerTypeTCP)
-		d.Payload = payload
-		if len(payload) > 0 {
-			dst = append(dst, LayerTypePayload)
-		}
-	case uint8(simnet.UDP):
-		uh, payload, err := netwire.DecodeUDP(transport, iph.Src, iph.Dst)
-		if err != nil {
-			return dst, err
-		}
-		d.UDP = *uh
-		dst = append(dst, LayerTypeUDP)
-		d.Payload = payload
-		if len(payload) > 0 {
-			dst = append(dst, LayerTypePayload)
-		}
-	}
-	return dst, nil
-}
-
 // rawRecord is one captured packet before decoding.
 type rawRecord struct {
 	at   simnet.Time
@@ -273,13 +225,7 @@ type rawRecord struct {
 // Capture is a tcpdump-style packet tap storing copies of every packet a
 // host sends or receives.
 type Capture struct {
-	// MaxPackets bounds memory; 0 means unbounded. When the bound is
-	// hit, the oldest packets are discarded (ring behaviour).
-	MaxPackets int
-
 	records []rawRecord
-	// Dropped counts records discarded due to MaxPackets.
-	Dropped int
 }
 
 // Attach installs the capture on a host. Only one capture can be attached
@@ -289,19 +235,8 @@ func (c *Capture) Attach(h *simnet.Host) {
 		data := make([]byte, len(pkt.Bytes))
 		copy(data, pkt.Bytes)
 		c.records = append(c.records, rawRecord{at: now, dir: dir, data: data})
-		if c.MaxPackets > 0 && len(c.records) > c.MaxPackets {
-			over := len(c.records) - c.MaxPackets
-			c.records = append(c.records[:0:0], c.records[over:]...)
-			c.Dropped += over
-		}
 	})
 }
-
-// Len reports the number of stored packets.
-func (c *Capture) Len() int { return len(c.records) }
-
-// Reset discards all stored packets, keeping the tap attached.
-func (c *Capture) Reset() { c.records = c.records[:0] }
 
 // Packets decodes and returns all captured packets.
 func (c *Capture) Packets() []*Packet {
@@ -310,73 +245,4 @@ func (c *Capture) Packets() []*Packet {
 		out = append(out, NewPacket(r.at, r.dir, r.data))
 	}
 	return out
-}
-
-// File format for stored captures: a small custom framing (not libpcap —
-// timestamps are simulated and link layer is absent).
-var captureMagic = [8]byte{'S', 'I', 'M', 'C', 'A', 'P', '0', '1'}
-
-// ErrBadCaptureFile reports an unrecognized capture stream.
-var ErrBadCaptureFile = errors.New("trace: bad capture file")
-
-// WriteTo serializes the capture.
-func (c *Capture) WriteTo(w io.Writer) (int64, error) {
-	var n int64
-	m, err := w.Write(captureMagic[:])
-	n += int64(m)
-	if err != nil {
-		return n, err
-	}
-	var hdr [13]byte
-	for _, r := range c.records {
-		binary.BigEndian.PutUint64(hdr[0:], uint64(r.at))
-		hdr[8] = byte(r.dir)
-		binary.BigEndian.PutUint32(hdr[9:], uint32(len(r.data)))
-		m, err = w.Write(hdr[:])
-		n += int64(m)
-		if err != nil {
-			return n, err
-		}
-		m, err = w.Write(r.data)
-		n += int64(m)
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
-}
-
-// ReadCapture deserializes a capture stream.
-func ReadCapture(r io.Reader) (*Capture, error) {
-	var magic [8]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadCaptureFile, err)
-	}
-	if magic != captureMagic {
-		return nil, ErrBadCaptureFile
-	}
-	c := &Capture{}
-	var hdr [13]byte
-	for {
-		_, err := io.ReadFull(r, hdr[:])
-		if err == io.EOF {
-			return c, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadCaptureFile, err)
-		}
-		length := binary.BigEndian.Uint32(hdr[9:])
-		if length > 1<<20 {
-			return nil, fmt.Errorf("%w: oversized record", ErrBadCaptureFile)
-		}
-		data := make([]byte, length)
-		if _, err := io.ReadFull(r, data); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadCaptureFile, err)
-		}
-		c.records = append(c.records, rawRecord{
-			at:   simnet.Time(binary.BigEndian.Uint64(hdr[0:])),
-			dir:  simnet.Direction(hdr[8]),
-			data: data,
-		})
-	}
 }

@@ -23,9 +23,12 @@
 # (TestValidateAttributionMatchesReference), the observability
 # registry under the race detector
 # (concurrent updates from many goroutines), and the
-# allocation-regression gate on the fast-mode hot path (evaluate must
+# allocation-regression gates: the fast-mode hot path (evaluate must
 # stay at zero heap allocations per transaction, with its metrics
-# counters and progress flushing active).
+# counters and progress flushing active), the analyzer's Add (zero per
+# record with every pass selected) and the dataset layer (a save and a
+# one- and two-shard load of the 24 h fixture within their allocation
+# and allocated-byte bounds).
 #
 # Packet-engine gates: the sharded packet runner must produce a record
 # stream byte-identical to the serial engine for every shard count
@@ -33,9 +36,11 @@
 # buffers) and a progress total equal to its performed plus skipped
 # transactions, the timer wheel must pass its Stop-cancellation regression
 # and reference-order property tests, the pooled event/packet paths
-# must stay at zero steady-state allocations, and fast-vs-packet
-# calibration must hold within the documented tolerances at the
-# minimum calibration scale. The message path has three more gates:
+# must stay at zero steady-state allocations, the allocation gate's
+# fixture must perform exactly its pinned transactions, failures and
+# scheduler events at one and three shards (TestRunPacketWork), and
+# fast-vs-packet calibration must hold within the documented tolerances
+# at the minimum calibration scale. The message path has three more gates:
 # RunPacket must stay within its per-transaction allocation bound
 # (TestRunPacketAllocsPerTxn); a warm DNS encoder and decoder must
 # encode and decode a referral without allocating, and the decoder's
@@ -47,9 +52,8 @@
 #
 # Observability gates: tracing exemplars and latency histograms must be
 # shard-layout-invariant in both engines, forensics replay must work
-# from a dataset, staticcheck runs when installed (go vet is the
-# offline fallback), and WEBFAIL_BENCH_GATE=1 opts into the
-# bench-regression comparison against the committed baseline.
+# from a dataset, and staticcheck runs when installed (go vet is the
+# offline fallback).
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -99,6 +103,8 @@ go test -run 'TestGolden|TestOutOfRosterRecord|TestTopFlagBounds' ./cmd/webfail-
 go test -race -run 'TestSelectiveMatchesFull|TestArtifactPassRegistry' ./internal/report
 go test -race -count=1 ./internal/obs
 go test -run 'TestEvaluateZeroAllocs' -count=1 ./internal/measure
+go test -run 'TestAddZeroAllocs' -count=1 ./internal/core
+go test -run 'TestDatasetHeapBudget' -count=1 .
 # Fault-entity table gate: every handle the engines and the ground-truth
 # join index must equal a Timeline.Lookup of the entity's spelled name,
 # on every shipped scenario and on a timeline swapped in after the
@@ -119,7 +125,7 @@ go test -race -run 'TestPacketSerialParallelEquivalence|TestPacketParallelShardO
     ./internal/measure
 go test -run 'TestTimerStop|TestWheelMatchesReferenceOrder|TestSchedulerTimerChurnZeroAlloc|TestPacketSendDeliverZeroAlloc|TestPacketPoolRecycles' \
     -count=1 ./internal/simnet
-go test -run 'TestRunPacketAllocsPerTxn' -count=1 ./internal/measure
+go test -run 'TestRunPacketAllocsPerTxn|TestRunPacketWork' -count=1 ./internal/measure
 go test -run 'TestReferralZeroAllocs|TestInternTableBounded|FuzzDecode' -count=1 ./internal/dnswire
 go test -run 'TestLDNSInterleavedRecursions' -count=1 ./internal/dnssim
 go test -run 'TestCalibration' -count=1 -timeout 10m ./internal/measure
@@ -156,13 +162,3 @@ done
 /tmp/webfail-analyze-verify -in /tmp/chaos_p4.ds -artifacts all > /tmp/chaos_p4.out
 cmp /tmp/chaos_p1.out /tmp/chaos_p4.out
 rm -f /tmp/webfail-verify /tmp/webfail-analyze-verify /tmp/chaos_p1.ds /tmp/chaos_p4.ds /tmp/chaos_p1.out /tmp/chaos_p4.out
-# Opt-in bench-regression gate: WEBFAIL_BENCH_GATE=1 takes a fresh
-# benchmark snapshot at the baseline's GOMAXPROCS and fails if it
-# regresses beyond tolerance against the latest committed BENCH_*.json
-# (see scripts/bench.sh -compare).
-# Off by default: benchmark runs add minutes and wall-time deltas on
-# shared boxes are noisy, so this gates release branches, not every
-# edit loop.
-if [ "${WEBFAIL_BENCH_GATE:-0}" = "1" ]; then
-    ./scripts/bench.sh -compare
-fi
