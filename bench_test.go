@@ -17,6 +17,7 @@ import (
 	"io"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -818,14 +819,14 @@ func TestDatasetHeapBudget(t *testing.T) {
 		maxAllocs, maxBytes uint64
 		op                  func(t *testing.T)
 	}{
-		{"save", 108, 3_530_000, func(t *testing.T) { // 106, 3,217,673 B
+		{"save", 108, 3_530_000, func(t *testing.T) { // 106, 3,217,680 B
 			var out discardCounter
 			saveDataset(t, &out, meta, recs)
 		}},
-		{"load-1-shard", 395, 247_000, func(t *testing.T) { // 393, 224,851 B
+		{"load-1-shard", 395, 247_000, func(t *testing.T) { // 393, 224,832 B
 			loadDataset(t, data, topo, end, 1, len(recs))
 		}},
-		{"load-2-shards", 503, 476_000, func(t *testing.T) { // 501, 433,225 B
+		{"load-2-shards", 503, 476_000, func(t *testing.T) { // 501, 433,216 B
 			loadDataset(t, data, topo, end, 2, len(recs))
 		}},
 	}
@@ -849,24 +850,33 @@ func TestDatasetHeapBudget(t *testing.T) {
 var raceEnabled bool
 
 // heapCostPerOp runs op once to warm its scratch and pools, then runs
-// it runs more times and returns the mean allocations and allocated
-// bytes per run. Like testing.AllocsPerRun it holds GOMAXPROCS at 1 and
-// truncates the means. The dataset reader takes its decode scratch from
-// a sync.Pool, whose caches are per P and emptied by a collection, so
-// the collector stays off while op runs: the cost is then the same on
+// it runs more times and returns the median of those runs' allocations
+// and of their allocated bytes. Like testing.AllocsPerRun it holds
+// GOMAXPROCS at 1. The dataset reader takes its decode scratch from a
+// sync.Pool, whose caches are per P and emptied by a collection, so the
+// collector stays off while op runs. The pool then grows to as many
+// scratches as there are overlapping Records calls, and at GOMAXPROCS 1
+// whether a load's shards overlap depends on when the runtime preempts
+// them: one run can pay for a scratch that every later run reuses. The
+// median leaves that run out, where a mean would spread its cost over
 // every run.
 func heapCostPerOp(runs int, op func()) (allocs, allocated uint64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	op()
+	counts := make([]uint64, runs)
+	sizes := make([]uint64, runs)
 	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
+		runtime.ReadMemStats(&before)
 		op()
+		runtime.ReadMemStats(&after)
+		counts[i] = after.Mallocs - before.Mallocs
+		sizes[i] = after.TotalAlloc - before.TotalAlloc
 	}
-	runtime.ReadMemStats(&after)
-	n := uint64(runs)
-	return (after.Mallocs - before.Mallocs) / n, (after.TotalAlloc - before.TotalAlloc) / n
+	slices.Sort(counts)
+	slices.Sort(sizes)
+	return counts[runs/2], sizes[runs/2]
 }
 
 // BenchmarkAnalyzeSelective measures the ingest cost of the analyzer

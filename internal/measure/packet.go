@@ -170,7 +170,13 @@ func runPacketSharded(cfg Config, shards int, captureClients []string, visit fun
 }
 
 // runPacketShard builds and runs one shard's world over its client
-// range, counting into the shard's census.
+// range, counting into the shard's census. The shard's transactions
+// feed the simulation as an input stream sorted by start time; the sort
+// is stable, so transactions that start at the same instant keep the
+// workload's client-major order. Scheduler.RunBefore runs every event
+// due before a transaction's instant, so the transaction starts ahead of
+// every event queued for that instant. Records, exemplars and goldens
+// depend on that order.
 func runPacketShard(cfg Config, sh *shard, captureClients []string) packetShardResult {
 	w := buildWorld(cfg, sh)
 
@@ -195,23 +201,29 @@ func runPacketShard(cfg Config, sh *shard, captureClients []string) packetShardR
 		out.recs[ci] = append(out.recs[ci], *r)
 	}
 
-	// Schedule every transaction as a simulation event. The root event
-	// stamps the scheduler's causal context with the client index, and
-	// every event it transitively schedules inherits the stamp — routing
-	// all random draws of the transaction to the client's own stream.
+	var txns []workload.Transaction
 	workload.ForEachTransactionRange(cfg.Topo, cfg.Seed, cfg.Start, cfg.End, sh.lo, sh.hi, func(tx *workload.Transaction) {
-		cp := *tx
-		w.net.Sched.At(cp.At, func() {
-			w.net.Sched.SetContext(int32(cp.ClientIdx))
-			if !w.runTransaction(&cp, record) {
-				c.skipped++
-			}
-			c.prog.Tick()
-		})
+		txns = append(txns, *tx)
 	})
-	w.net.Sched.Run()
-	out.virtual = w.net.Sched.Now().Sub(cfg.Start)
-	cfg.Metrics.Counter("simnet_events_dispatched_total").Add(int64(w.net.Sched.Dispatched()))
+	sort.SliceStable(txns, func(i, j int) bool { return txns[i].At < txns[j].At })
+	sched := w.net.Sched
+	for i := range txns {
+		tx := &txns[i]
+		sched.RunBefore(tx.At)
+		// Every event the transaction transitively schedules inherits
+		// the client's causal context, which routes all of its random
+		// draws to the client's own stream.
+		sched.SetContext(int32(tx.ClientIdx))
+		if !w.runTransaction(tx, record) {
+			c.skipped++
+		}
+		c.prog.Tick()
+	}
+	sched.Run()
+	out.virtual = sched.Now().Sub(cfg.Start)
+	// A transaction start is a step of the simulation too: it counts as
+	// one dispatched event.
+	cfg.Metrics.Counter("simnet_events_dispatched_total").Add(int64(sched.Dispatched()) + int64(len(txns)))
 
 	if len(caps) > 0 {
 		out.caps = make(map[string]CaptureResult, len(caps))

@@ -34,14 +34,17 @@
 # stream byte-identical to the serial engine for every shard count
 # (under the race detector — the workers share nothing but the output
 # buffers) and a progress total equal to its performed plus skipped
-# transactions, the timer wheel must pass its Stop-cancellation regression
-# and reference-order property tests, the pooled event/packet paths
-# must stay at zero steady-state allocations, the allocation gate's
-# fixture must perform exactly its pinned transactions, failures and
-# scheduler events at one and three shards (TestRunPacketWork), and
-# fast-vs-packet calibration must hold within the documented tolerances
-# at the minimum calibration scale. The message path has three more gates:
-# RunPacket must stay within its per-transaction allocation bound
+# transactions, the scheduler's heap must pass its Stop-cancellation
+# regression and reference-order property tests (the input-stream case,
+# which feeds inputs through RunBefore as the packet runner feeds its
+# transactions, runs by name and must report PASS), the pooled
+# event/packet paths must stay at zero steady-state allocations, the
+# allocation gate's fixture must perform exactly its pinned transactions,
+# failures and scheduler events at one and three shards
+# (TestRunPacketWork), and fast-vs-packet calibration must hold within
+# the documented tolerances at the minimum calibration scale. The
+# message path has three more gates: RunPacket must stay within its
+# per-transaction allocation bound
 # (TestRunPacketAllocsPerTxn); a warm DNS encoder and decoder must
 # encode and decode a referral without allocating, and the decoder's
 # name table must stop at its bound (TestReferralZeroAllocs,
@@ -123,8 +126,10 @@ go test -run 'TestTraceOutParallelInvariance' -count=1 ./cmd/webfail
 go test -run 'TestForensics|TestTraceOutRequiresForensics' -count=1 ./cmd/webfail-analyze
 go test -race -run 'TestPacketSerialParallelEquivalence|TestPacketParallelShardOrder|TestPacketCaptureUnknownClient|TestPacketProgress' \
     ./internal/measure
-go test -run 'TestTimerStop|TestWheelMatchesReferenceOrder|TestSchedulerTimerChurnZeroAlloc|TestPacketSendDeliverZeroAlloc|TestPacketPoolRecycles' \
+go test -run 'TestTimerStop|TestSchedulerMatchesReferenceOrder|TestSchedulerTimerChurnZeroAlloc|TestPacketSendDeliverZeroAlloc|TestPacketPoolRecycles' \
     -count=1 ./internal/simnet
+go test -run 'TestSchedulerMatchesReferenceOrder/input-stream' -count=1 -v ./internal/simnet \
+    | grep -- '--- PASS: TestSchedulerMatchesReferenceOrder/input-stream'
 go test -run 'TestRunPacketAllocsPerTxn|TestRunPacketWork' -count=1 ./internal/measure
 go test -run 'TestReferralZeroAllocs|TestInternTableBounded|FuzzDecode' -count=1 ./internal/dnswire
 go test -run 'TestLDNSInterleavedRecursions' -count=1 ./internal/dnssim
