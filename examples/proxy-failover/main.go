@@ -68,11 +68,11 @@ func main() {
 	directHost := net.AddHost("direct", directAddr)
 	direct := httpsim.NewClient(tcpsim.NewStack(directHost), dnssim.NewStubResolver(directHost, ldnsAddr))
 
-	// Proxy + proxied client. The proxy's DNS cache is short here so the
-	// pinned replica rotates with the outages.
+	// Proxy + proxied client. The proxy keeps a resolved name for 10
+	// minutes, half the outage rotation, so the replica it pins changes
+	// as the outages rotate.
 	proxyHost := net.AddHost("proxy", proxyAddr)
 	prx := httpsim.NewProxy(tcpsim.NewStack(proxyHost), dnssim.NewStubResolver(proxyHost, ldnsAddr))
-	prx.DNSCacheTTL = 10 * time.Minute
 	proxiedHost := net.AddHost("proxied", proxiedAddr)
 	proxied := &httpsim.Client{
 		Stack:    tcpsim.NewStack(proxiedHost),

@@ -108,21 +108,22 @@ func main() {
 			fs.ClientRetransmits+fs.ServerRetransmits, 100*fs.LossRate())
 	}
 
-	// Show a few decoded packets via the layered (gopacket-style) API.
+	// Show a few decoded packets: each carries its IPv4 header, its TCP
+	// or UDP header and its payload.
 	fmt.Println("\nfirst packets on the wire:")
 	for i, pkt := range cap.Packets() {
 		if i >= 6 {
 			break
 		}
-		switch {
-		case pkt.TCP() != nil:
-			ip, tcp := pkt.IPv4(), pkt.TCP()
+		switch ip := pkt.IPv4; {
+		case pkt.TCP != nil:
+			tcp := pkt.TCP
 			fmt.Printf("  %8v %-3v %v:%d -> %v:%d [%s] len=%d\n", pkt.Time, pkt.Dir,
-				ip.Src, tcp.SrcPort, ip.Dst, tcp.DstPort, netwire.FlagString(tcp.Flags), len(pkt.Payload()))
-		case pkt.UDP() != nil:
-			ip, udp := pkt.IPv4(), pkt.UDP()
+				ip.Src, tcp.SrcPort, ip.Dst, tcp.DstPort, netwire.FlagString(tcp.Flags), len(pkt.Payload))
+		case pkt.UDP != nil:
+			udp := pkt.UDP
 			fmt.Printf("  %8v %-3v %v:%d -> %v:%d DNS len=%d\n", pkt.Time, pkt.Dir,
-				ip.Src, udp.SrcPort, ip.Dst, udp.DstPort, len(pkt.Payload()))
+				ip.Src, udp.SrcPort, ip.Dst, udp.DstPort, len(pkt.Payload))
 		}
 	}
 }

@@ -422,14 +422,13 @@ func TestCNAMEAcrossZones(t *testing.T) {
 }
 
 // TestLDNSInterleavedRecursions sends two stubs' lookups for different
-// names through one LDNS at once, behind a slow authoritative server, so
-// the second query arrives while the first recursion is in flight. Each
-// stub must get back an answer carrying its own query ID and name: the
-// LDNS keeps what it needs of each query in pooled state, never in the
-// decode scratch that the next query overwrites.
+// names through one LDNS at the same instant, so the second query
+// arrives while the first recursion is in flight. Each stub must get back
+// an answer carrying its own query ID and name: the LDNS keeps what it
+// needs of each query in pooled state, never in the decode scratch that
+// the next query overwrites.
 func TestLDNSInterleavedRecursions(t *testing.T) {
 	f := newFixture(t)
-	f.auth.ProcessingDelay = 500 * time.Millisecond
 	mailAddr := netip.MustParseAddr("5.5.5.9")
 	f.auth.zones[0].AddA("mail.example.com", mailAddr, 60)
 	other := f.net.AddHost("client2", netip.MustParseAddr("3.0.0.2"))
@@ -491,5 +490,87 @@ func TestLDNSInterleavedRecursions(t *testing.T) {
 				t.Errorf("%s: answer holds a record for %q", c.name, rr.Name)
 			}
 		}
+	}
+}
+
+// TestWalkLimits drives the hierarchy walk into each way it gives up
+// without a definitive answer: a CNAME loop across two zones (stopped by
+// the referral limit after five restarts from the roots), a CNAME loop
+// the root server answers itself (stopped by the CNAME limit after nine
+// restarts), a delegation back to the server that made it (stopped by
+// the referral limit) and an NS record without glue (a lame referral).
+// Through the stub the lookup times out after the whole retry schedule
+// while the LDNS keeps re-walking; dig gives up after the same queries
+// the LDNS made and blames a remote server.
+func TestWalkLimits(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		setup func(f *fixture)
+		query string
+		steps int
+	}{
+		{"cname-loop", func(f *fixture) {
+			other := NewZone("other.com")
+			other.AddCNAME("loop.other.com", "loop.example.com", 60)
+			f.auth.AddZone(other)
+			f.auth.zones[0].AddCNAME("loop.example.com", "loop.other.com", 60)
+			f.tld.zones[0].Delegate("other.com", map[string]netip.Addr{"ns1.other.com": authAddr})
+		}, "loop.example.com", 17},
+		{"root-cname-loop", func(f *fixture) {
+			f.root.zones[0].AddCNAME("loop", "loop2", 60)
+			f.root.zones[0].AddCNAME("loop2", "loop", 60)
+		}, "loop", 9},
+		{"delegation-loop", func(f *fixture) {
+			f.tld.zones[0].Delegate("loop.com", map[string]netip.Addr{"ns.loop.com": tldAddr})
+		}, "www.loop.com", 17},
+		{"no-glue", func(f *fixture) {
+			f.auth.zones[0].Children["sub.example.com"] = Delegation{NSNames: []string{"ns.elsewhere.org"}}
+		}, "www.sub.example.com", 3},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			f := newFixture(t)
+			c.setup(f)
+			if r := f.lookup(t, c.query); r.Kind != ResultTimeout || r.RTT != 11*time.Second {
+				t.Errorf("lookup = %+v, want a timeout after 11s", r)
+			}
+			rep := f.trace(t, c.query)
+			if rep.Completed || len(rep.Steps) != c.steps {
+				t.Errorf("dig completed %v after %d steps, want false after %d: %+v", rep.Completed, len(rep.Steps), c.steps, rep.Steps)
+			}
+			if got := rep.Classify(); got != ClassNonLDNSTimeout {
+				t.Errorf("classify = %v, want non-ldns-timeout", got)
+			}
+		})
+	}
+}
+
+// maxLookupAllocs bounds the heap allocations of one stub lookup that the
+// LDNS recurses root → TLD → auth for: the answer slices the LDNS caches
+// and the stub returns, and the stub's per-try closure. The walk itself,
+// its referral buffer and its continuations are pooled with the LDNS's
+// client-query state.
+const maxLookupAllocs = 3
+
+// TestLDNSRecursionAllocs is the allocation gate of the LDNS's recursion:
+// with the cache flushed before every run, a stub lookup makes the LDNS
+// walk the whole hierarchy.
+func TestLDNSRecursionAllocs(t *testing.T) {
+	f := newFixture(t)
+	var got Result
+	done := func(r Result) { got = r }
+	lookup := func() {
+		f.ldns.FlushCache()
+		f.stub.LookupA("www.example.com", done)
+		f.net.Sched.Run()
+	}
+	lookup()
+	recursions := f.ldns.Recursions
+	allocs := testing.AllocsPerRun(50, lookup)
+	if got.Kind != ResultOK || f.ldns.Recursions-recursions != 51 {
+		t.Fatalf("lookup = %+v after %d recursions, want ok after 51", got, f.ldns.Recursions-recursions)
+	}
+	t.Logf("%.1f allocations per lookup", allocs)
+	if allocs > maxLookupAllocs {
+		t.Errorf("a recursed lookup allocates %.1f times, want at most %d", allocs, maxLookupAllocs)
 	}
 }

@@ -1,6 +1,7 @@
 package dnssim
 
 import (
+	"math"
 	"net/netip"
 	"time"
 
@@ -13,9 +14,13 @@ import (
 // recursion budget is generous, so when authoritative servers are
 // unreachable the *client* gives up before the LDNS does — producing the
 // paper's "non-LDNS timeout" signature (responsive LDNS, lookup times out).
+// A walk that gives up is walked again after retryPause while the budget
+// lasts, as a real resolver re-walks the hierarchy while its client is
+// still waiting rather than failing on the first unresponsive server set.
 const (
 	upstreamTimeout = 2 * time.Second
 	recursionBudget = 30 * time.Second
+	retryPause      = time.Second
 	maxReferrals    = 16
 	maxCNAMEChain   = 8
 )
@@ -117,13 +122,15 @@ func (l *LDNS) handle(pkt *simnet.Packet) {
 		l.free = l.free[:n-1]
 	} else {
 		cq = &clientQuery{l: l}
-		cq.onDone = cq.done
+		cq.walk.init(l.exch, upstreamTimeout, cq.walked)
+		cq.onRetry = cq.rewalk
 	}
 	cq.src, cq.port = pkt.Src, srcPort
 	cq.q.Header = q.Header
 	cq.q.Questions = append(cq.q.Questions[:0], q.Questions...)
-	deadline := l.Host.Now().Add(recursionBudget)
-	l.recurseWithRetry(name, deadline, cq.onDone)
+	cq.walk.roots = l.RootHints
+	cq.walk.deadline = l.Host.Now().Add(recursionBudget)
+	cq.walk.start(name)
 }
 
 // reply answers q with rcode and one A record per address.
@@ -138,147 +145,193 @@ func (l *LDNS) reply(to netip.Addr, toPort uint16, q *dnswire.Message, rcode dns
 }
 
 // clientQuery is what the LDNS keeps of a client's query while it
-// recurses: where to answer, and the query's header and questions. onDone
-// is the done method value, created once per pooled instance.
+// recurses: where to answer, the query's header and questions, and the
+// walk resolving it. onRetry is the rewalk method value, created once per
+// pooled instance like the walk's own continuations.
 type clientQuery struct {
-	l      *LDNS
-	src    netip.Addr
-	port   uint16
-	q      dnswire.Message
-	onDone func([]netip.Addr, dnswire.RCode, bool)
+	l       *LDNS
+	src     netip.Addr
+	port    uint16
+	q       dnswire.Message
+	walk    walk
+	onRetry func()
 }
 
-// done answers the client once recursion concludes, then returns the
-// state to the pool.
-func (cq *clientQuery) done(addrs []netip.Addr, rcode dnswire.RCode, ok bool) {
-	l := cq.l
+// walked answers the client once a walk ends with an answer or an error
+// rcode, or once a walk that gave up leaves no time in the recursion
+// budget for another, then returns the state to the pool.
+func (cq *clientQuery) walked() {
+	l, w := cq.l, &cq.walk
+	if !w.ok && l.Host.Now().Add(retryPause) < w.deadline {
+		l.Host.Network().Sched.After(retryPause, cq.onRetry)
+		return
+	}
 	switch {
 	case l.status() == StatusDown:
-	case !ok:
+	case !w.ok:
 		// Recursion exhausted its budget; answer SERVFAIL so a
 		// *patient* client eventually sees an error. In practice the
 		// stub's shorter timeout fires first, which is what makes an
 		// unreachable authoritative server look like a "non-LDNS
 		// timeout" at the client.
 		l.reply(cq.src, cq.port, &cq.q, dnswire.RCodeServFail, nil, 0)
-	case rcode != dnswire.RCodeNoError:
-		l.reply(cq.src, cq.port, &cq.q, rcode, nil, 0)
+	case w.rcode != dnswire.RCodeNoError:
+		l.reply(cq.src, cq.port, &cq.q, w.rcode, nil, 0)
 	default:
-		l.cache[cq.q.Questions[0].Name] = cacheEntry{addrs: addrs, expires: l.Host.Now().Add(60 * time.Second)}
-		l.reply(cq.src, cq.port, &cq.q, dnswire.RCodeNoError, addrs, 30)
+		l.cache[cq.q.Questions[0].Name] = cacheEntry{addrs: w.addrs, expires: l.Host.Now().Add(60 * time.Second)}
+		l.reply(cq.src, cq.port, &cq.q, dnswire.RCodeNoError, w.addrs, 30)
 	}
 	l.free = append(l.free, cq)
 }
 
-// recurseWithRetry drives full recursion attempts until one terminates
-// definitively (answer or error rcode) or the budget deadline passes. A
-// real resolver similarly re-walks the hierarchy while its client is still
-// waiting rather than failing on the first unresponsive server set.
-func (l *LDNS) recurseWithRetry(name string, deadline simnet.Time, done func([]netip.Addr, dnswire.RCode, bool)) {
-	l.recurse(name, name, l.RootHints, 0, 0, deadline, func(addrs []netip.Addr, rcode dnswire.RCode, ok bool) {
-		if ok {
-			done(addrs, rcode, true)
-			return
-		}
-		const retryPause = time.Second
-		if l.Host.Now().Add(retryPause) >= deadline {
-			done(nil, 0, false)
-			return
-		}
-		l.Host.Network().Sched.After(retryPause, func() {
-			l.recurseWithRetry(name, deadline, done)
-		})
-	})
+// rewalk walks the client's name again from the roots.
+func (cq *clientQuery) rewalk() { cq.walk.start(cq.q.Questions[0].Name) }
+
+// noDeadline is the deadline of a walk that only its per-query timeouts
+// and its limits end.
+const noDeadline = simnet.Time(math.MaxInt64)
+
+// walk is one iterative resolution from the root servers down. The LDNS
+// recurses with it and dig traces with it, so the dig that
+// sub-classifies a failed lookup asks the servers the LDNS asked, in the
+// same order, under the same limits. A walk asks a server set in order
+// until one responds. It ends on an error rcode or an A answer, restarts
+// from the roots on a CNAME and descends to a referral's glue. It gives
+// up when a whole server set stays silent, at its deadline, on a
+// referral without glue, and past maxReferrals descents or maxCNAMEChain
+// restarts (a restart counts as a descent too).
+type walk struct {
+	exch    *exchanger
+	roots   []netip.Addr
+	timeout time.Duration
+	// deadline caps every query's timeout and ends the walk once
+	// passed.
+	deadline simnet.Time
+	// steps, when non-nil, gets one DigStep per query.
+	steps *[]DigStep
+	// done is called once the walk ends. ok reports an answer (addrs,
+	// fresh, so the caller may keep it) or an error rcode; it is false
+	// when the walk gave up.
+	done  func()
+	addrs []netip.Addr
+	rcode dnswire.RCode
+	ok    bool
+
+	name string
+	// servers is the set being asked and servers[next] the server to
+	// ask next: the roots, or glue, the buffer referrals are read into.
+	servers, glue []netip.Addr
+	next          int
+	depth, cnames int
+	// onResp is the handle method value, created once per walk.
+	onResp func(*dnswire.Message)
 }
 
-// recurse iteratively resolves name starting from the servers list,
-// following referrals and CNAMEs. done is called exactly once with either
-// (addrs, NOERROR, true), (nil, errorRCode, true), or (nil, 0, false) when
-// the budget or referral depth is exhausted.
-func (l *LDNS) recurse(origName, name string, servers []netip.Addr, depth, cnames int, deadline simnet.Time, done func([]netip.Addr, dnswire.RCode, bool)) {
-	if depth > maxReferrals || cnames > maxCNAMEChain || len(servers) == 0 {
-		done(nil, 0, false)
+// init prepares a walk that queries through exch with the given
+// per-query timeout and calls done when it ends.
+func (w *walk) init(exch *exchanger, timeout time.Duration, done func()) {
+	w.exch, w.timeout, w.done = exch, timeout, done
+	w.onResp = w.handle
+}
+
+// start walks name from the roots.
+func (w *walk) start(name string) {
+	w.addrs, w.rcode, w.ok = nil, 0, false
+	w.depth, w.cnames = 0, 0
+	w.descend(name, w.roots)
+}
+
+// descend asks servers for name, unless the walk is past its limits.
+func (w *walk) descend(name string, servers []netip.Addr) {
+	if w.depth > maxReferrals || w.cnames > maxCNAMEChain {
+		w.done()
 		return
 	}
-	l.tryServers(name, servers, 0, deadline, func(resp *dnswire.Message) {
-		if resp == nil {
-			done(nil, 0, false)
-			return
+	w.name, w.servers, w.next = name, servers, 0
+	w.ask()
+}
+
+// ask queries the next server of the set, unless none is left (a
+// referral without glue leaves none to begin with) or the deadline has
+// passed.
+func (w *walk) ask() {
+	timeout := min(w.timeout, w.deadline.Sub(w.exch.host.Now()))
+	if w.next >= len(w.servers) || timeout <= 0 {
+		w.done()
+		return
+	}
+	w.exch.query(w.servers[w.next], w.name, false, timeout, w.onResp)
+}
+
+// handle takes the response of the server asked last, or nil when it
+// timed out.
+func (w *walk) handle(resp *dnswire.Message) {
+	srv := w.servers[w.next]
+	w.next++
+	if w.steps != nil {
+		step := DigStep{Server: srv, Responded: resp != nil}
+		if resp != nil {
+			step.RCode = resp.Header.RCode
+			step.Referral = len(resp.Authority) > 0 && len(resp.Answers) == 0
+			step.Answered = len(resp.Answers) > 0
 		}
-		if resp.Header.RCode != dnswire.RCodeNoError {
-			done(nil, resp.Header.RCode, true)
-			return
+		*w.steps = append(*w.steps, step)
+	}
+	if resp == nil {
+		w.ask()
+		return
+	}
+	if resp.Header.RCode != dnswire.RCodeNoError {
+		w.rcode, w.ok = resp.Header.RCode, true
+		w.done()
+		return
+	}
+	var cname string
+	n := 0
+	for _, rr := range resp.Answers {
+		switch rr.Type {
+		case dnswire.TypeA:
+			n++
+		case dnswire.TypeCNAME:
+			cname = rr.Target
 		}
-		addrs := make([]netip.Addr, 0, len(resp.Answers))
-		var cname string
+	}
+	if n > 0 {
+		w.addrs = make([]netip.Addr, 0, n)
 		for _, rr := range resp.Answers {
-			switch rr.Type {
-			case dnswire.TypeA:
-				addrs = append(addrs, rr.A)
-			case dnswire.TypeCNAME:
-				cname = rr.Target
+			if rr.Type == dnswire.TypeA {
+				w.addrs = append(w.addrs, rr.A)
 			}
 		}
-		if len(addrs) > 0 {
-			done(addrs, dnswire.RCodeNoError, true)
-			return
-		}
-		if cname != "" {
-			// Restart resolution for the CNAME target from the
-			// roots.
-			l.recurse(origName, cname, l.RootHints, depth+1, cnames+1, deadline, done)
-			return
-		}
-		next := referral(resp)
-		if len(next) == 0 {
-			// Lame referral (no usable glue): treat as failure.
-			done(nil, 0, false)
-			return
-		}
-		l.recurse(origName, name, next, depth+1, cnames, deadline, done)
-	})
-}
-
-// tryServers queries servers[i:] in order until one responds or all time
-// out or the deadline passes.
-func (l *LDNS) tryServers(name string, servers []netip.Addr, i int, deadline simnet.Time, done func(*dnswire.Message)) {
-	if i >= len(servers) || l.Host.Now() >= deadline {
-		done(nil)
+		w.ok = true
+		w.done()
 		return
 	}
-	timeout := upstreamTimeout
-	if remaining := deadline.Sub(l.Host.Now()); remaining < timeout {
-		timeout = remaining
-	}
-	if timeout <= 0 {
-		done(nil)
+	w.depth++
+	if cname != "" {
+		w.cnames++
+		w.descend(cname, w.roots)
 		return
 	}
-	l.exch.query(servers[i], name, false, timeout, func(resp *dnswire.Message) {
-		if resp != nil {
-			done(resp)
-			return
-		}
-		l.tryServers(name, servers, i+1, deadline, done)
-	})
+	w.glue = appendReferral(w.glue[:0], resp)
+	w.descend(w.name, w.glue)
 }
 
-// referral returns the glue address of each NS record in resp's Authority
-// section, in order, skipping servers without glue. When several A
-// records in the Additional section name one server, the last one wins.
-// The result is fresh: the caller keeps it across events.
-func referral(resp *dnswire.Message) []netip.Addr {
-	var next []netip.Addr
+// appendReferral appends to dst the glue address of each NS record in
+// resp's Authority section, in order, skipping servers without glue.
+// When several A records in the Additional section name one server, the
+// last one wins.
+func appendReferral(dst []netip.Addr, resp *dnswire.Message) []netip.Addr {
 	for _, ns := range resp.Authority {
 		if ns.Type != dnswire.TypeNS {
 			continue
 		}
 		for i := len(resp.Additional) - 1; i >= 0; i-- {
 			if rr := &resp.Additional[i]; rr.Type == dnswire.TypeA && rr.Name == ns.Target {
-				next = append(next, rr.A)
+				dst = append(dst, rr.A)
 				break
 			}
 		}
 	}
-	return next
+	return dst
 }

@@ -190,7 +190,8 @@ func (r *DigReport) Classify() FailureClass {
 const digTimeout = 3 * time.Second
 
 // Dig performs iterative resolution for diagnosis: first a direct LDNS
-// probe, then a walk down from the root servers.
+// probe, then a walk down from the root servers — the walk the LDNS
+// recurses with, recording one DigStep per query.
 type Dig struct {
 	Host      *simnet.Host
 	LDNS      netip.Addr
@@ -209,6 +210,11 @@ func NewDig(host *simnet.Host, ldns netip.Addr, rootHints []netip.Addr) *Dig {
 func (d *Dig) Trace(name string, done func(*DigReport)) {
 	name = dnswire.Canonical(name)
 	rep := &DigReport{Name: name}
+	w := &walk{roots: d.RootHints, deadline: noDeadline, steps: &rep.Steps}
+	w.init(d.exch, digTimeout, func() {
+		rep.Addrs, rep.RCode, rep.Completed = w.addrs, w.rcode, w.ok
+		done(rep)
+	})
 	// Step 1: probe the LDNS with a root-server A query it can answer
 	// from hints without recursing. Any response proves responsiveness;
 	// this avoids conflating a slow recursion for the (possibly broken)
@@ -216,72 +222,6 @@ func (d *Dig) Trace(name string, done func(*DigReport)) {
 	d.exch.query(d.LDNS, ProbeName, true, digTimeout, func(resp *dnswire.Message) {
 		rep.LDNSResponsive = resp != nil
 		// Step 2: walk the hierarchy from the roots.
-		d.walk(rep, name, d.RootHints, 0, 0, func() { done(rep) })
-	})
-}
-
-// walk queries the given servers for name, following referrals and CNAMEs.
-func (d *Dig) walk(rep *DigReport, name string, servers []netip.Addr, depth, cnames int, done func()) {
-	if depth > maxReferrals || cnames > maxCNAMEChain || len(servers) == 0 {
-		done()
-		return
-	}
-	d.trySrv(rep, name, servers, 0, func(resp *dnswire.Message) {
-		if resp == nil {
-			done()
-			return
-		}
-		if resp.Header.RCode != dnswire.RCodeNoError {
-			rep.Completed = true
-			rep.RCode = resp.Header.RCode
-			done()
-			return
-		}
-		var cname string
-		for _, rr := range resp.Answers {
-			switch rr.Type {
-			case dnswire.TypeA:
-				rep.Addrs = append(rep.Addrs, rr.A)
-			case dnswire.TypeCNAME:
-				cname = rr.Target
-			}
-		}
-		if len(rep.Addrs) > 0 {
-			rep.Completed = true
-			done()
-			return
-		}
-		if cname != "" {
-			d.walk(rep, cname, d.RootHints, depth+1, cnames+1, done)
-			return
-		}
-		next := referral(resp)
-		if len(next) == 0 {
-			done()
-			return
-		}
-		d.walk(rep, name, next, depth+1, cnames, done)
-	})
-}
-
-func (d *Dig) trySrv(rep *DigReport, name string, servers []netip.Addr, i int, done func(*dnswire.Message)) {
-	if i >= len(servers) {
-		done(nil)
-		return
-	}
-	srv := servers[i]
-	d.exch.query(srv, name, false, digTimeout, func(resp *dnswire.Message) {
-		step := DigStep{Server: srv, Responded: resp != nil}
-		if resp != nil {
-			step.RCode = resp.Header.RCode
-			step.Referral = len(resp.Authority) > 0 && len(resp.Answers) == 0
-			step.Answered = len(resp.Answers) > 0
-		}
-		rep.Steps = append(rep.Steps, step)
-		if resp != nil {
-			done(resp)
-			return
-		}
-		d.trySrv(rep, name, servers, i+1, done)
+		w.start(name)
 	})
 }

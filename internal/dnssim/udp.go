@@ -2,7 +2,9 @@
 // servers arranged in a root → TLD → zone hierarchy, a caching recursive
 // local DNS server (LDNS), a client stub resolver, and a dig-style
 // iterative tracer — all exchanging real RFC 1035 messages over simulated
-// UDP.
+// UDP. The LDNS and the tracer resolve through one hierarchy walk, so
+// the dig that sub-classifies a failed lookup asks the servers the LDNS
+// asked, in the same order and under the same limits.
 //
 // The failure behaviours of each component are driven by externally
 // supplied status functions, so the fault-injection layer can make an LDNS

@@ -125,6 +125,10 @@ func (z *Zone) matchDelegation(name string) (string, Delegation, bool) {
 	return "", Delegation{}, false
 }
 
+// processingDelay models an authoritative server's think time before a
+// response.
+const processingDelay = 500 * time.Microsecond
+
 // AuthServer is an authoritative DNS server attached to a simnet host. It
 // may serve several zones (as real TLD operators do).
 type AuthServer struct {
@@ -132,8 +136,6 @@ type AuthServer struct {
 	Status StatusFunc
 
 	zones []*Zone
-	// ProcessingDelay models server think time before a response.
-	ProcessingDelay time.Duration
 
 	// rot drives round-robin rotation of multi-A answers, the standard
 	// BIND behaviour that spreads load across replicas (and the reason
@@ -156,7 +158,7 @@ type AuthServer struct {
 
 // NewAuthServer binds an authoritative server to the host's port 53.
 func NewAuthServer(host *simnet.Host, zones ...*Zone) *AuthServer {
-	s := &AuthServer{Host: host, zones: zones, ProcessingDelay: 500 * time.Microsecond}
+	s := &AuthServer{Host: host, zones: zones}
 	if err := host.Bind(simnet.UDP, Port, s.handle); err != nil {
 		panic("dnssim: auth server bind: " + err.Error())
 	}
@@ -206,7 +208,7 @@ func (s *AuthServer) handle(pkt *simnet.Packet) {
 	}
 	r.to, r.port = pkt.Src, srcPort
 	r.payload = append(r.payload[:0], payload...)
-	s.Host.Network().Sched.After(s.ProcessingDelay, r.onFire)
+	s.Host.Network().Sched.After(processingDelay, r.onFire)
 }
 
 // delayedReply is an encoded answer waiting out the server's processing

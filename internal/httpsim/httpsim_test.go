@@ -497,7 +497,6 @@ func TestStageAndKindStrings(t *testing.T) {
 
 func TestProxyDNSCacheExpires(t *testing.T) {
 	w := newWorld(t, 30)
-	w.proxy.DNSCacheTTL = 5 * time.Minute
 	// Warm the cache.
 	if r := w.fetch(t, w.prxClient, "http://www.example.com/"); !r.OK {
 		t.Fatal("warmup failed")
@@ -505,7 +504,7 @@ func TestProxyDNSCacheExpires(t *testing.T) {
 	// Break the hierarchy, advance past the proxy TTL: the proxy must
 	// re-resolve, fail, and answer 502.
 	w.auth.Status = func(simnet.Time) dnssim.Status { return dnssim.StatusDown }
-	w.net.Sched.RunUntil(simnet.Time(10 * time.Minute))
+	w.net.Sched.RunUntil(simnet.Time(11 * time.Minute))
 	r := w.fetch(t, w.prxClient, "http://www.example.com/")
 	if r.OK || r.StatusCode != 502 {
 		t.Fatalf("result = %+v, want 502 after proxy cache expiry", r)

@@ -12,6 +12,9 @@ import (
 // ProxyPort is the forward-proxy port.
 const ProxyPort = 8080
 
+// proxyDNSCacheTTL is how long the proxy keeps a resolved name.
+const proxyDNSCacheTTL = 10 * time.Minute
+
 // Proxy is an ISA-style forward web proxy (Section 4.7): it resolves
 // origin names itself (with a cache the client cannot flush), connects to
 // the FIRST resolved address only — no failover across a multi-A-record
@@ -21,9 +24,6 @@ const ProxyPort = 8080
 type Proxy struct {
 	Stack    *tcpsim.Stack
 	Resolver *dnssim.StubResolver
-
-	// DNSCacheTTL controls the proxy-side name cache (default 10 min).
-	DNSCacheTTL time.Duration
 
 	// Failover, when true, lets the proxy try subsequent addresses like
 	// wget does. The paper's proxies do not; this switch exists for the
@@ -63,13 +63,6 @@ func NewProxy(stack *tcpsim.Stack, resolver *dnssim.StubResolver) *Proxy {
 	return p
 }
 
-func (p *Proxy) cacheTTL() time.Duration {
-	if p.DNSCacheTTL > 0 {
-		return p.DNSCacheTTL
-	}
-	return 10 * time.Minute
-}
-
 func (p *Proxy) now() simnet.Time { return p.Stack.Host().Now() }
 
 // handle resolves and relays one proxied request.
@@ -106,7 +99,7 @@ func (p *Proxy) resolve(host string, done func([]netip.Addr)) {
 			done(nil)
 			return
 		}
-		p.dnsCache[host] = proxyCacheEntry{addrs: r.Addrs, expires: p.now().Add(p.cacheTTL())}
+		p.dnsCache[host] = proxyCacheEntry{addrs: r.Addrs, expires: p.now().Add(proxyDNSCacheTTL)}
 		done(r.Addrs)
 	})
 }

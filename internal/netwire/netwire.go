@@ -3,10 +3,15 @@
 //
 // The layouts are the real RFC 791/793/768 layouts (fixed 20-byte IPv4
 // header without options, 20-byte TCP header without options, 8-byte UDP
-// header) so that captured traces are honest byte strings and the trace
-// package can implement a gopacket-style layered decoder over them. Header
-// checksums are computed and verified with the standard Internet one's
-// complement sum.
+// header) so that captured traces are honest byte strings. Each header
+// has one encoder, one decoder and one checksum check: AppendTCPPacket
+// and AppendUDPPacket write a whole packet, both checksums filled in with
+// the standard Internet one's complement sum; DecodeIPv4Into,
+// DecodeTCPInto and DecodeUDPInto read one header each without
+// allocating and without verifying its checksum, which the simulator's
+// stacks trust; and CheckIPv4, CheckTCP and CheckUDP verify the
+// checksums where the bytes are not trusted, as the trace package's
+// capture decoder does.
 package netwire
 
 import (
@@ -21,6 +26,12 @@ const (
 	IPv4HeaderLen = 20
 	TCPHeaderLen  = 20
 	UDPHeaderLen  = 8
+)
+
+// IPv4 protocol numbers.
+const (
+	protoTCP = 6
+	protoUDP = 17
 )
 
 // Errors returned by decoders.
@@ -118,236 +129,76 @@ func foldSum(sum uint64) uint16 {
 	return ^uint16(sum)
 }
 
-// EncodeIPv4 appends a 20-byte IPv4 header followed by payload to dst and
-// returns the extended slice. TotalLen is computed; the header checksum is
-// filled in.
-func EncodeIPv4(dst []byte, h *IPv4, payload []byte) ([]byte, error) {
-	if !h.Src.Is4() || !h.Dst.Is4() {
-		return dst, fmt.Errorf("%w: src=%v dst=%v", ErrBadVersion, h.Src, h.Dst)
-	}
-	total := IPv4HeaderLen + len(payload)
-	if total > 0xffff {
-		return dst, fmt.Errorf("netwire: packet too large (%d bytes)", total)
-	}
-	off := len(dst)
-	dst = append(dst, make([]byte, IPv4HeaderLen)...)
-	b := dst[off:]
-	b[0] = 0x45 // version 4, IHL 5
-	b[1] = h.TOS
-	binary.BigEndian.PutUint16(b[2:], uint16(total))
-	binary.BigEndian.PutUint16(b[4:], h.ID)
-	// no fragmentation: flags/fragment offset zero
-	ttl := h.TTL
-	if ttl == 0 {
-		ttl = 64
-	}
-	b[8] = ttl
-	b[9] = h.Protocol
-	src4 := h.Src.As4()
-	dst4 := h.Dst.As4()
-	copy(b[12:16], src4[:])
-	copy(b[16:20], dst4[:])
-	binary.BigEndian.PutUint16(b[10:], checksum(b[:IPv4HeaderLen]))
-	return append(dst, payload...), nil
-}
-
-// DecodeIPv4 parses the IPv4 header at the front of b, verifying version,
-// header length, and checksum. It returns the header and the payload bytes
-// (sliced, not copied).
-func DecodeIPv4(b []byte) (*IPv4, []byte, error) {
-	if len(b) < IPv4HeaderLen {
-		return nil, nil, ErrTruncated
-	}
-	if b[0]>>4 != 4 {
-		return nil, nil, ErrBadVersion
-	}
-	if b[0]&0x0f != 5 {
-		return nil, nil, ErrBadIHL
-	}
-	if checksum(b[:IPv4HeaderLen]) != 0 {
-		return nil, nil, fmt.Errorf("%w (IPv4 header)", ErrBadChecksum)
-	}
-	total := int(binary.BigEndian.Uint16(b[2:]))
-	if total < IPv4HeaderLen || total > len(b) {
-		return nil, nil, ErrTruncated
-	}
-	h := &IPv4{
-		TOS:      b[1],
-		TotalLen: uint16(total),
-		ID:       binary.BigEndian.Uint16(b[4:]),
-		TTL:      b[8],
-		Protocol: b[9],
-		Src:      netip.AddrFrom4([4]byte(b[12:16])),
-		Dst:      netip.AddrFrom4([4]byte(b[16:20])),
-	}
-	return h, b[IPv4HeaderLen:total], nil
-}
-
-// EncodeTCP appends a 20-byte TCP header followed by payload to dst. The
-// checksum covers the pseudo-header, TCP header, and payload as in RFC 793.
-func EncodeTCP(dst []byte, h *TCPHeader, src, dstAddr netip.Addr, payload []byte) ([]byte, error) {
-	if !src.Is4() || !dstAddr.Is4() {
-		return dst, ErrBadVersion
-	}
-	off := len(dst)
-	dst = append(dst, make([]byte, TCPHeaderLen)...)
-	b := dst[off:]
-	binary.BigEndian.PutUint16(b[0:], h.SrcPort)
-	binary.BigEndian.PutUint16(b[2:], h.DstPort)
-	binary.BigEndian.PutUint32(b[4:], h.Seq)
-	binary.BigEndian.PutUint32(b[8:], h.Ack)
-	b[12] = 5 << 4 // data offset: 5 words
-	b[13] = h.Flags
-	binary.BigEndian.PutUint16(b[14:], h.Window)
-	dst = append(dst, payload...)
-	seg := dst[off:]
-	binary.BigEndian.PutUint16(seg[16:], pseudoChecksum(src, dstAddr, uint8(6), seg))
-	return dst, nil
-}
-
-// DecodeTCP parses a TCP header from the transport payload of an IPv4
-// packet, verifying the checksum against the pseudo-header. Returns the
-// header and the TCP payload (sliced).
-func DecodeTCP(b []byte, src, dst netip.Addr) (*TCPHeader, []byte, error) {
-	if len(b) < TCPHeaderLen {
-		return nil, nil, ErrTruncated
-	}
-	dataOff := int(b[12]>>4) * 4
-	if dataOff < TCPHeaderLen || dataOff > len(b) {
-		return nil, nil, ErrTruncated
-	}
-	if pseudoChecksum(src, dst, 6, b) != 0 {
-		return nil, nil, fmt.Errorf("%w (TCP segment)", ErrBadChecksum)
-	}
-	h := &TCPHeader{
-		SrcPort: binary.BigEndian.Uint16(b[0:]),
-		DstPort: binary.BigEndian.Uint16(b[2:]),
-		Seq:     binary.BigEndian.Uint32(b[4:]),
-		Ack:     binary.BigEndian.Uint32(b[8:]),
-		Flags:   b[13],
-		Window:  binary.BigEndian.Uint16(b[14:]),
-	}
-	return h, b[dataOff:], nil
-}
-
-// EncodeUDP appends an 8-byte UDP header followed by payload to dst.
-func EncodeUDP(dst []byte, h *UDPHeader, src, dstAddr netip.Addr, payload []byte) ([]byte, error) {
-	if !src.Is4() || !dstAddr.Is4() {
-		return dst, ErrBadVersion
-	}
-	length := UDPHeaderLen + len(payload)
-	if length > 0xffff {
-		return dst, fmt.Errorf("netwire: UDP datagram too large (%d bytes)", length)
-	}
-	off := len(dst)
-	dst = append(dst, make([]byte, UDPHeaderLen)...)
-	b := dst[off:]
-	binary.BigEndian.PutUint16(b[0:], h.SrcPort)
-	binary.BigEndian.PutUint16(b[2:], h.DstPort)
-	binary.BigEndian.PutUint16(b[4:], uint16(length))
-	dst = append(dst, payload...)
-	dgram := dst[off:]
-	binary.BigEndian.PutUint16(dgram[6:], pseudoChecksum(src, dstAddr, 17, dgram))
-	return dst, nil
-}
-
-// DecodeUDP parses a UDP header from the transport payload of an IPv4
-// packet, verifying checksum and length.
-func DecodeUDP(b []byte, src, dst netip.Addr) (*UDPHeader, []byte, error) {
-	if len(b) < UDPHeaderLen {
-		return nil, nil, ErrTruncated
-	}
-	length := int(binary.BigEndian.Uint16(b[4:]))
-	if length < UDPHeaderLen || length > len(b) {
-		return nil, nil, ErrTruncated
-	}
-	if pseudoChecksum(src, dst, 17, b[:length]) != 0 {
-		return nil, nil, fmt.Errorf("%w (UDP datagram)", ErrBadChecksum)
-	}
-	h := &UDPHeader{
-		SrcPort: binary.BigEndian.Uint16(b[0:]),
-		DstPort: binary.BigEndian.Uint16(b[2:]),
-		Length:  uint16(length),
-	}
-	return h, b[UDPHeaderLen:length], nil
-}
-
-// AppendTCPPacket appends a complete IPv4+TCP packet (both headers plus
-// payload, checksums filled in) to dst in one pass — the hot-path encoder
-// behind the simulator's pooled packet buffers, equivalent to
-// EncodeTCP followed by EncodeIPv4 but without the intermediate segment
-// allocation.
+// AppendTCPPacket appends to dst an IPv4 packet carrying a TCP segment
+// with header h and payload, checksums filled in, and returns the
+// extended slice.
 func AppendTCPPacket(dst []byte, src, dstAddr netip.Addr, h *TCPHeader, payload []byte) ([]byte, error) {
-	if !src.Is4() || !dstAddr.Is4() {
-		return dst, ErrBadVersion
+	dst, t, err := appendIPv4(dst, src, dstAddr, protoTCP, TCPHeaderLen, payload)
+	if err != nil {
+		return dst, err
 	}
-	total := IPv4HeaderLen + TCPHeaderLen + len(payload)
-	if total > 0xffff {
-		return dst, fmt.Errorf("netwire: packet too large (%d bytes)", total)
-	}
-	off := len(dst)
-	dst = append(dst, make([]byte, IPv4HeaderLen+TCPHeaderLen)...)
-	dst = append(dst, payload...)
-	b := dst[off:]
-	encodeIPv4Header(b, src, dstAddr, 6, total)
-	t := b[IPv4HeaderLen:]
 	binary.BigEndian.PutUint16(t[0:], h.SrcPort)
 	binary.BigEndian.PutUint16(t[2:], h.DstPort)
 	binary.BigEndian.PutUint32(t[4:], h.Seq)
 	binary.BigEndian.PutUint32(t[8:], h.Ack)
-	t[12] = 5 << 4
+	t[12] = 5 << 4 // data offset: 5 words
 	t[13] = h.Flags
 	binary.BigEndian.PutUint16(t[14:], h.Window)
-	binary.BigEndian.PutUint16(t[16:], pseudoChecksum(src, dstAddr, 6, t))
+	binary.BigEndian.PutUint16(t[16:], pseudoChecksum(src, dstAddr, protoTCP, t))
 	return dst, nil
 }
 
-// AppendUDPPacket appends a complete IPv4+UDP packet to dst in one pass;
-// the UDP counterpart of AppendTCPPacket.
+// AppendUDPPacket appends to dst an IPv4 packet carrying a UDP datagram
+// with the ports of h and payload, checksums filled in, and returns the
+// extended slice.
 func AppendUDPPacket(dst []byte, src, dstAddr netip.Addr, h *UDPHeader, payload []byte) ([]byte, error) {
-	if !src.Is4() || !dstAddr.Is4() {
-		return dst, ErrBadVersion
+	dst, t, err := appendIPv4(dst, src, dstAddr, protoUDP, UDPHeaderLen, payload)
+	if err != nil {
+		return dst, err
 	}
-	total := IPv4HeaderLen + UDPHeaderLen + len(payload)
-	if total > 0xffff {
-		return dst, fmt.Errorf("netwire: packet too large (%d bytes)", total)
-	}
-	off := len(dst)
-	dst = append(dst, make([]byte, IPv4HeaderLen+UDPHeaderLen)...)
-	dst = append(dst, payload...)
-	b := dst[off:]
-	encodeIPv4Header(b, src, dstAddr, 17, total)
-	t := b[IPv4HeaderLen:]
 	binary.BigEndian.PutUint16(t[0:], h.SrcPort)
 	binary.BigEndian.PutUint16(t[2:], h.DstPort)
-	binary.BigEndian.PutUint16(t[4:], uint16(UDPHeaderLen+len(payload)))
-	binary.BigEndian.PutUint16(t[6:], pseudoChecksum(src, dstAddr, 17, t))
+	binary.BigEndian.PutUint16(t[4:], uint16(len(t)))
+	binary.BigEndian.PutUint16(t[6:], pseudoChecksum(src, dstAddr, protoUDP, t))
 	return dst, nil
 }
 
-// encodeIPv4Header fills the 20-byte header at the front of b with the
-// default TOS/ID/TTL the simulator emits everywhere.
-func encodeIPv4Header(b []byte, src, dst netip.Addr, proto uint8, total int) {
+// appendIPv4 appends to dst an IPv4 header, a zeroed transport header of
+// hdrLen bytes and payload, and returns the extended slice and its
+// transport part. The IPv4 header carries TOS 0, ID 0, no fragmentation
+// and TTL 64, as every packet the simulator sends does.
+func appendIPv4(dst []byte, src, dstAddr netip.Addr, proto uint8, hdrLen int, payload []byte) ([]byte, []byte, error) {
+	if !src.Is4() || !dstAddr.Is4() {
+		return dst, nil, ErrBadVersion
+	}
+	total := IPv4HeaderLen + hdrLen + len(payload)
+	if total > 0xffff {
+		return dst, nil, fmt.Errorf("netwire: packet too large (%d bytes)", total)
+	}
+	// Appending a slice of a stack array, not a variable-length make,
+	// keeps the headers off the heap in every build mode: the race
+	// detector's instrumentation turns off the compiler's in-place
+	// append of make.
+	var zeros [IPv4HeaderLen + TCPHeaderLen]byte
+	off := len(dst)
+	dst = append(dst, zeros[:IPv4HeaderLen+hdrLen]...)
+	dst = append(dst, payload...)
+	b := dst[off:]
 	b[0] = 0x45 // version 4, IHL 5
-	b[1] = 0
 	binary.BigEndian.PutUint16(b[2:], uint16(total))
-	binary.BigEndian.PutUint16(b[4:], 0)
-	b[6], b[7] = 0, 0
 	b[8] = 64
 	b[9] = proto
-	src4 := src.As4()
-	dst4 := dst.As4()
+	src4, dst4 := src.As4(), dstAddr.As4()
 	copy(b[12:16], src4[:])
 	copy(b[16:20], dst4[:])
-	b[10], b[11] = 0, 0
 	binary.BigEndian.PutUint16(b[10:], checksum(b[:IPv4HeaderLen]))
+	return dst, b[IPv4HeaderLen:], nil
 }
 
 // DecodeIPv4Into parses the IPv4 header at the front of b into h without
-// allocating and without verifying the header checksum — the simulator's
-// protocol stacks trust their own encoders (which always emit valid
-// checksums; the trace package's layered decoder still verifies). Returns
-// the payload bytes (sliced, not copied).
+// allocating, and returns the payload (sliced, not copied). It does not
+// verify the header checksum: the simulator's protocol stacks trust
+// their own encoder, and a capture decoder calls CheckIPv4.
 func DecodeIPv4Into(b []byte, h *IPv4) ([]byte, error) {
 	if len(b) < IPv4HeaderLen {
 		return nil, ErrTruncated
@@ -372,8 +223,9 @@ func DecodeIPv4Into(b []byte, h *IPv4) ([]byte, error) {
 	return b[IPv4HeaderLen:total], nil
 }
 
-// DecodeTCPInto parses a TCP header into h without allocating or
-// verifying the checksum; see DecodeIPv4Into. Returns the TCP payload.
+// DecodeTCPInto parses the TCP header at the front of an IPv4 payload
+// into h without allocating, and returns the TCP payload. Like
+// DecodeIPv4Into it does not verify the checksum; CheckTCP does.
 func DecodeTCPInto(b []byte, h *TCPHeader) ([]byte, error) {
 	if len(b) < TCPHeaderLen {
 		return nil, ErrTruncated
@@ -391,8 +243,9 @@ func DecodeTCPInto(b []byte, h *TCPHeader) ([]byte, error) {
 	return b[dataOff:], nil
 }
 
-// DecodeUDPInto parses a UDP header into h without allocating or
-// verifying the checksum; see DecodeIPv4Into. Returns the UDP payload.
+// DecodeUDPInto parses the UDP header at the front of an IPv4 payload
+// into h without allocating, and returns the UDP payload. Like
+// DecodeIPv4Into it does not verify the checksum; CheckUDP does.
 func DecodeUDPInto(b []byte, h *UDPHeader) ([]byte, error) {
 	if len(b) < UDPHeaderLen {
 		return nil, ErrTruncated
@@ -405,6 +258,35 @@ func DecodeUDPInto(b []byte, h *UDPHeader) ([]byte, error) {
 	h.DstPort = binary.BigEndian.Uint16(b[2:])
 	h.Length = uint16(length)
 	return b[UDPHeaderLen:length], nil
+}
+
+// CheckIPv4 verifies the checksum of the IPv4 header at the front of b.
+func CheckIPv4(b []byte) error {
+	if len(b) < IPv4HeaderLen {
+		return ErrTruncated
+	}
+	if checksum(b[:IPv4HeaderLen]) != 0 {
+		return fmt.Errorf("%w (IPv4 header)", ErrBadChecksum)
+	}
+	return nil
+}
+
+// CheckTCP verifies the checksum of TCP segment seg (header and
+// payload) sent from src to dst.
+func CheckTCP(seg []byte, src, dst netip.Addr) error {
+	if pseudoChecksum(src, dst, protoTCP, seg) != 0 {
+		return fmt.Errorf("%w (TCP segment)", ErrBadChecksum)
+	}
+	return nil
+}
+
+// CheckUDP verifies the checksum of UDP datagram dgram (header and
+// payload, as long as its header's Length) sent from src to dst.
+func CheckUDP(dgram []byte, src, dst netip.Addr) error {
+	if pseudoChecksum(src, dst, protoUDP, dgram) != 0 {
+		return fmt.Errorf("%w (UDP datagram)", ErrBadChecksum)
+	}
+	return nil
 }
 
 // pseudoChecksum computes the transport checksum over the IPv4

@@ -12,92 +12,129 @@ var (
 	addrB = netip.AddrFrom4([4]byte{192, 168, 1, 2})
 )
 
+// decodeTCP decodes an IPv4 packet carrying TCP through the decoders the
+// simulator uses, verifying both checksums.
+func decodeTCP(pkt []byte) (IPv4, TCPHeader, []byte, error) {
+	var ip IPv4
+	var h TCPHeader
+	seg, err := DecodeIPv4Into(pkt, &ip)
+	if err == nil {
+		err = CheckIPv4(pkt)
+	}
+	if err != nil {
+		return ip, h, nil, err
+	}
+	payload, err := DecodeTCPInto(seg, &h)
+	if err == nil {
+		err = CheckTCP(seg, ip.Src, ip.Dst)
+	}
+	return ip, h, payload, err
+}
+
+// decodeUDP is decodeTCP's UDP counterpart.
+func decodeUDP(pkt []byte) (IPv4, UDPHeader, []byte, error) {
+	var ip IPv4
+	var h UDPHeader
+	dgram, err := DecodeIPv4Into(pkt, &ip)
+	if err == nil {
+		err = CheckIPv4(pkt)
+	}
+	if err != nil {
+		return ip, h, nil, err
+	}
+	payload, err := DecodeUDPInto(dgram, &h)
+	if err == nil {
+		err = CheckUDP(dgram[:h.Length], ip.Src, ip.Dst)
+	}
+	return ip, h, payload, err
+}
+
 func TestIPv4RoundTrip(t *testing.T) {
 	payload := []byte("hello, internet")
-	h := &IPv4{TOS: 0x10, ID: 4242, TTL: 60, Protocol: 6, Src: addrA, Dst: addrB}
-	pkt, err := EncodeIPv4(nil, h, payload)
+	pkt, err := AppendUDPPacket(nil, addrA, addrB, &UDPHeader{SrcPort: 1, DstPort: 2}, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pkt) != IPv4HeaderLen+len(payload) {
+	if len(pkt) != IPv4HeaderLen+UDPHeaderLen+len(payload) {
 		t.Fatalf("encoded length = %d", len(pkt))
 	}
-	got, body, err := DecodeIPv4(pkt)
+	var got IPv4
+	body, err := DecodeIPv4Into(pkt, &got)
+	if err == nil {
+		err = CheckIPv4(pkt)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Src != addrA || got.Dst != addrB || got.Protocol != 6 || got.ID != 4242 || got.TTL != 60 {
-		t.Errorf("decoded header = %+v", got)
+	// Every packet the simulator sends carries TOS 0, ID 0 and TTL 64.
+	want := IPv4{TotalLen: uint16(len(pkt)), TTL: 64, Protocol: 17, Src: addrA, Dst: addrB}
+	if got != want {
+		t.Errorf("decoded header = %+v, want %+v", got, want)
 	}
-	if !bytes.Equal(body, payload) {
+	if !bytes.Equal(body, pkt[IPv4HeaderLen:]) {
 		t.Errorf("payload mismatch: %q", body)
 	}
 }
 
-func TestIPv4DefaultTTL(t *testing.T) {
-	pkt, err := EncodeIPv4(nil, &IPv4{Protocol: 17, Src: addrA, Dst: addrB}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, _, err := DecodeIPv4(pkt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.TTL != 64 {
-		t.Errorf("default TTL = %d, want 64", h.TTL)
-	}
-}
-
 func TestIPv4Corruption(t *testing.T) {
-	pkt, err := EncodeIPv4(nil, &IPv4{Protocol: 6, Src: addrA, Dst: addrB}, []byte("x"))
+	pkt, err := AppendTCPPacket(nil, addrA, addrB, &TCPHeader{SrcPort: 1, DstPort: 2}, []byte("x"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < IPv4HeaderLen; i++ {
 		bad := append([]byte(nil), pkt...)
 		bad[i] ^= 0xff
-		if _, _, err := DecodeIPv4(bad); err == nil {
-			// Flipping TOS byte alone still fails checksum; every
-			// single-byte corruption in the header must be caught.
+		var h IPv4
+		if _, err := DecodeIPv4Into(bad, &h); err == nil && CheckIPv4(bad) == nil {
+			// Every single-byte corruption in the header is either
+			// malformed or fails the checksum.
 			t.Errorf("corruption at byte %d not detected", i)
 		}
 	}
 }
 
 func TestIPv4Truncated(t *testing.T) {
-	pkt, _ := EncodeIPv4(nil, &IPv4{Protocol: 6, Src: addrA, Dst: addrB}, []byte("abcdef"))
-	if _, _, err := DecodeIPv4(pkt[:10]); err == nil {
+	pkt, _ := AppendUDPPacket(nil, addrA, addrB, &UDPHeader{SrcPort: 1, DstPort: 2}, []byte("abcdef"))
+	var h IPv4
+	if _, err := DecodeIPv4Into(pkt[:10], &h); err == nil {
 		t.Error("short header accepted")
 	}
-	if _, _, err := DecodeIPv4(pkt[:22]); err == nil {
+	if CheckIPv4(pkt[:10]) == nil {
+		t.Error("short header passed the checksum check")
+	}
+	if _, err := DecodeIPv4Into(pkt[:30], &h); err == nil {
 		t.Error("truncated payload accepted")
 	}
 }
 
 func TestIPv4RejectsNonIPv4(t *testing.T) {
 	v6 := netip.MustParseAddr("2001:db8::1")
-	if _, err := EncodeIPv4(nil, &IPv4{Src: v6, Dst: addrB}, nil); err == nil {
-		t.Error("encoding with IPv6 source accepted")
+	if _, err := AppendUDPPacket(nil, v6, addrB, &UDPHeader{}, nil); err == nil {
+		t.Error("UDP encoding with IPv6 source accepted")
+	}
+	if _, err := AppendTCPPacket(nil, addrA, v6, &TCPHeader{}, nil); err == nil {
+		t.Error("TCP encoding with IPv6 destination accepted")
 	}
 	bad := make([]byte, IPv4HeaderLen)
 	bad[0] = 0x65 // version 6
-	if _, _, err := DecodeIPv4(bad); err == nil {
+	var h IPv4
+	if _, err := DecodeIPv4Into(bad, &h); err == nil {
 		t.Error("version 6 accepted")
 	}
 }
 
 func TestTCPRoundTrip(t *testing.T) {
 	payload := []byte("GET / HTTP/1.1\r\n\r\n")
-	h := &TCPHeader{SrcPort: 49152, DstPort: 80, Seq: 1000, Ack: 2000, Flags: FlagPSH | FlagACK, Window: 65535}
-	seg, err := EncodeTCP(nil, h, addrA, addrB, payload)
+	h := TCPHeader{SrcPort: 49152, DstPort: 80, Seq: 1000, Ack: 2000, Flags: FlagPSH | FlagACK, Window: 65535}
+	pkt, err := AppendTCPPacket(nil, addrA, addrB, &h, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, body, err := DecodeTCP(seg, addrA, addrB)
+	_, got, body, err := decodeTCP(pkt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *got != *h {
+	if got != h {
 		t.Errorf("decoded = %+v, want %+v", got, h)
 	}
 	if !bytes.Equal(body, payload) {
@@ -106,26 +143,30 @@ func TestTCPRoundTrip(t *testing.T) {
 }
 
 func TestTCPChecksumBindsAddresses(t *testing.T) {
-	seg, err := EncodeTCP(nil, &TCPHeader{SrcPort: 1, DstPort: 2, Flags: FlagSYN}, addrA, addrB, nil)
+	pkt, err := AppendTCPPacket(nil, addrA, addrB, &TCPHeader{SrcPort: 1, DstPort: 2, Flags: FlagSYN}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Decoding against the wrong pseudo-header addresses must fail: this
-	// is what catches misrouted segments in the simulator. (Note that
-	// merely *swapping* src and dst preserves the checksum — the one's
-	// complement sum is commutative — exactly as with real TCP.)
+	// Checking against the wrong pseudo-header addresses must fail: this
+	// is what catches misrouted segments. (Note that merely *swapping*
+	// src and dst preserves the checksum — the one's complement sum is
+	// commutative — exactly as with real TCP.)
 	other := netip.AddrFrom4([4]byte{172, 16, 0, 9})
-	if _, _, err := DecodeTCP(seg, addrA, other); err == nil {
+	seg := pkt[IPv4HeaderLen:]
+	if CheckTCP(seg, addrA, addrB) != nil {
+		t.Fatal("segment rejected with its own addresses")
+	}
+	if CheckTCP(seg, addrA, other) == nil {
 		t.Error("segment accepted with wrong destination address")
 	}
 }
 
 func TestTCPCorruption(t *testing.T) {
-	seg, _ := EncodeTCP(nil, &TCPHeader{SrcPort: 5, DstPort: 6, Seq: 9}, addrA, addrB, []byte("data"))
-	for i := range seg {
-		bad := append([]byte(nil), seg...)
+	pkt, _ := AppendTCPPacket(nil, addrA, addrB, &TCPHeader{SrcPort: 5, DstPort: 6, Seq: 9}, []byte("data"))
+	for i := IPv4HeaderLen; i < len(pkt); i++ {
+		bad := append([]byte(nil), pkt...)
 		bad[i] ^= 0x01
-		if _, _, err := DecodeTCP(bad, addrA, addrB); err == nil {
+		if _, _, _, err := decodeTCP(bad); err == nil {
 			t.Errorf("corruption at byte %d not detected", i)
 		}
 	}
@@ -133,12 +174,11 @@ func TestTCPCorruption(t *testing.T) {
 
 func TestUDPRoundTrip(t *testing.T) {
 	payload := bytes.Repeat([]byte{0xab}, 100)
-	h := &UDPHeader{SrcPort: 53000, DstPort: 53}
-	dgram, err := EncodeUDP(nil, h, addrA, addrB, payload)
+	pkt, err := AppendUDPPacket(nil, addrA, addrB, &UDPHeader{SrcPort: 53000, DstPort: 53}, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, body, err := DecodeUDP(dgram, addrA, addrB)
+	_, got, body, err := decodeUDP(pkt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,32 +191,29 @@ func TestUDPRoundTrip(t *testing.T) {
 }
 
 func TestUDPTruncated(t *testing.T) {
-	dgram, _ := EncodeUDP(nil, &UDPHeader{SrcPort: 1, DstPort: 2}, addrA, addrB, []byte("hello"))
-	if _, _, err := DecodeUDP(dgram[:4], addrA, addrB); err == nil {
+	pkt, _ := AppendUDPPacket(nil, addrA, addrB, &UDPHeader{SrcPort: 1, DstPort: 2}, []byte("hello"))
+	dgram := pkt[IPv4HeaderLen:]
+	var h UDPHeader
+	if _, err := DecodeUDPInto(dgram[:4], &h); err == nil {
 		t.Error("short UDP header accepted")
 	}
-	if _, _, err := DecodeUDP(dgram[:len(dgram)-1], addrA, addrB); err == nil {
+	if _, err := DecodeUDPInto(dgram[:len(dgram)-1], &h); err == nil {
 		t.Error("truncated UDP payload accepted")
 	}
 }
 
 func TestFullStackEncode(t *testing.T) {
 	// TCP inside IPv4, then decode both layers.
-	tcpSeg, err := EncodeTCP(nil, &TCPHeader{SrcPort: 40000, DstPort: 80, Seq: 7, Flags: FlagSYN, Window: 8192}, addrA, addrB, nil)
+	pkt, err := AppendTCPPacket(nil, addrA, addrB, &TCPHeader{SrcPort: 40000, DstPort: 80, Seq: 7, Flags: FlagSYN, Window: 8192}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkt, err := EncodeIPv4(nil, &IPv4{Protocol: 6, Src: addrA, Dst: addrB}, tcpSeg)
+	iph, tcph, _, err := decodeTCP(pkt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	iph, transport, err := DecodeIPv4(pkt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tcph, _, err := DecodeTCP(transport, iph.Src, iph.Dst)
-	if err != nil {
-		t.Fatal(err)
+	if iph.Protocol != 6 || iph.Src != addrA || iph.Dst != addrB {
+		t.Errorf("decoded IPv4 = %+v", iph)
 	}
 	if tcph.Flags != FlagSYN || tcph.DstPort != 80 {
 		t.Errorf("decoded TCP = %+v", tcph)
@@ -204,16 +241,13 @@ func TestFlagString(t *testing.T) {
 
 func TestTCPRoundTripProperty(t *testing.T) {
 	f := func(srcPort, dstPort uint16, seq, ack uint32, flags uint8, window uint16, payload []byte) bool {
-		h := &TCPHeader{SrcPort: srcPort, DstPort: dstPort, Seq: seq, Ack: ack, Flags: flags & 0x1f, Window: window}
-		seg, err := EncodeTCP(nil, h, addrA, addrB, payload)
+		h := TCPHeader{SrcPort: srcPort, DstPort: dstPort, Seq: seq, Ack: ack, Flags: flags & 0x1f, Window: window}
+		pkt, err := AppendTCPPacket(nil, addrA, addrB, &h, payload)
 		if err != nil {
 			return false
 		}
-		got, body, err := DecodeTCP(seg, addrA, addrB)
-		if err != nil {
-			return false
-		}
-		return *got == *h && bytes.Equal(body, payload)
+		_, got, body, err := decodeTCP(pkt)
+		return err == nil && got == h && bytes.Equal(body, payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -225,15 +259,12 @@ func TestUDPRoundTripProperty(t *testing.T) {
 		if len(payload) > 60000 {
 			payload = payload[:60000]
 		}
-		dgram, err := EncodeUDP(nil, &UDPHeader{SrcPort: srcPort, DstPort: dstPort}, addrA, addrB, payload)
+		pkt, err := AppendUDPPacket(nil, addrA, addrB, &UDPHeader{SrcPort: srcPort, DstPort: dstPort}, payload)
 		if err != nil {
 			return false
 		}
-		got, body, err := DecodeUDP(dgram, addrA, addrB)
-		if err != nil {
-			return false
-		}
-		return got.SrcPort == srcPort && got.DstPort == dstPort && bytes.Equal(body, payload)
+		_, got, body, err := decodeUDP(pkt)
+		return err == nil && got.SrcPort == srcPort && got.DstPort == dstPort && bytes.Equal(body, payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -242,14 +273,14 @@ func TestUDPRoundTripProperty(t *testing.T) {
 
 func TestEncodeAppendsToDst(t *testing.T) {
 	prefix := []byte{1, 2, 3}
-	out, err := EncodeIPv4(prefix, &IPv4{Protocol: 17, Src: addrA, Dst: addrB}, []byte("p"))
+	out, err := AppendUDPPacket(prefix, addrA, addrB, &UDPHeader{SrcPort: 1, DstPort: 2}, []byte("p"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(out[:3], prefix) {
 		t.Error("prefix clobbered")
 	}
-	if _, _, err := DecodeIPv4(out[3:]); err != nil {
+	if _, _, _, err := decodeUDP(out[3:]); err != nil {
 		t.Errorf("appended encoding not decodable: %v", err)
 	}
 }

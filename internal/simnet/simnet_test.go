@@ -18,11 +18,7 @@ var (
 // udpPacket builds a valid simulated UDP packet between two addresses.
 func udpPacket(t *testing.T, src, dst netip.Addr, srcPort, dstPort uint16, payload []byte) *Packet {
 	t.Helper()
-	dgram, err := netwire.EncodeUDP(nil, &netwire.UDPHeader{SrcPort: srcPort, DstPort: dstPort}, src, dst, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := netwire.EncodeIPv4(nil, &netwire.IPv4{Protocol: uint8(UDP), Src: src, Dst: dst}, dgram)
+	b, err := netwire.AppendUDPPacket(nil, src, dst, &netwire.UDPHeader{SrcPort: srcPort, DstPort: dstPort}, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,12 +165,17 @@ func TestNetworkDelivery(t *testing.T) {
 	var got []byte
 	var at Time
 	if err := b.Bind(UDP, 53, func(pkt *Packet) {
-		_, transport, err := netwire.DecodeIPv4(pkt.Bytes)
+		var ip netwire.IPv4
+		var uh netwire.UDPHeader
+		transport, err := netwire.DecodeIPv4Into(pkt.Bytes, &ip)
 		if err != nil {
 			t.Errorf("decode: %v", err)
 			return
 		}
-		_, payload, err := netwire.DecodeUDP(transport, pkt.Src, pkt.Dst)
+		payload, err := netwire.DecodeUDPInto(transport, &uh)
+		if err == nil {
+			err = netwire.CheckUDP(transport, pkt.Src, pkt.Dst)
+		}
 		if err != nil {
 			t.Errorf("udp decode: %v", err)
 			return
@@ -282,8 +283,7 @@ func TestWildcardHandler(t *testing.T) {
 	_ = b.Bind(TCP, 80, func(*Packet) { specific++ })
 	_ = b.Bind(TCP, 0, func(*Packet) { wildcard++ })
 	send := func(port uint16) {
-		seg, _ := netwire.EncodeTCP(nil, &netwire.TCPHeader{SrcPort: 5, DstPort: port, Flags: netwire.FlagSYN}, addrA, addrB, nil)
-		bts, _ := netwire.EncodeIPv4(nil, &netwire.IPv4{Protocol: uint8(TCP), Src: addrA, Dst: addrB}, seg)
+		bts, _ := netwire.AppendTCPPacket(nil, addrA, addrB, &netwire.TCPHeader{SrcPort: 5, DstPort: port, Flags: netwire.FlagSYN}, nil)
 		a.Send(&Packet{Src: addrA, Dst: addrB, Proto: TCP, Bytes: bts})
 	}
 	send(80)
@@ -357,8 +357,7 @@ func TestDeterminism(t *testing.T) {
 			return PathState{Latency: 5 * time.Millisecond, Loss: 0.3}
 		})
 		for i := 0; i < 500; i++ {
-			dgram, _ := netwire.EncodeUDP(nil, &netwire.UDPHeader{SrcPort: 1, DstPort: 7}, addrA, addrB, nil)
-			bts, _ := netwire.EncodeIPv4(nil, &netwire.IPv4{Protocol: uint8(UDP), Src: addrA, Dst: addrB}, dgram)
+			bts, _ := netwire.AppendUDPPacket(nil, addrA, addrB, &netwire.UDPHeader{SrcPort: 1, DstPort: 7}, nil)
 			a.Send(&Packet{Src: addrA, Dst: addrB, Proto: UDP, Bytes: bts})
 		}
 		n.Sched.Run()

@@ -107,14 +107,11 @@ func (s *FlowStats) LossRate() float64 {
 func AnalyzeTCP(packets []*Packet) map[Flow]*FlowStats {
 	flows := make(map[Flow]*FlowStats)
 	for _, p := range packets {
-		tcp := p.TCP()
+		tcp := p.TCP
 		if tcp == nil {
 			continue
 		}
-		f, ok := p.TransportFlow()
-		if !ok {
-			continue
-		}
+		f, _ := p.TransportFlow()
 
 		// Determine the canonical (client→server) flow for this
 		// packet. A pure SYN defines the client side.
@@ -137,7 +134,7 @@ func AnalyzeTCP(packets []*Packet) map[Flow]*FlowStats {
 		}
 
 		fromClient := f == s.Flow
-		payload := p.Payload()
+		payload := p.Payload
 		flags := tcp.Flags
 
 		switch {

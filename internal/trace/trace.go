@@ -1,17 +1,16 @@
 // Package trace implements packet capture and analysis for the simulated
 // measurement stack: an in-memory tap that keeps copies of a host's
-// packets, a gopacket-style layered decoder over the raw bytes that
-// simnet hosts exchange, per-flow TCP statistics, and the
-// post-processing the paper applies to its tcpdump/windump traces
-// (Section 3.5): determining the cause of a connection failure (no
-// connection / no response / partial response) and inferring packet loss
-// from retransmissions.
+// packets, a decoder of the raw bytes that simnet hosts exchange, per-flow
+// TCP statistics, and the post-processing the paper applies to its
+// tcpdump/windump traces (Section 3.5): determining the cause of a
+// connection failure (no connection / no response / partial response)
+// and inferring packet loss from retransmissions.
 //
-// The decoding API follows the gopacket idiom: a Packet is decoded into a
-// stack of Layers which can be fetched by LayerType, and Flow and
-// Endpoint values are comparable and usable as map keys.
-// measure.RunPacketWithCapture taps the monitored clients and hands back
-// AnalyzeTCP's per-flow statistics.
+// NewPacket decodes a captured packet through netwire's decoders and
+// checksum checks into a flat Packet: its IPv4 header, its TCP or UDP
+// header, its payload and the decode error. Flow and Endpoint values are
+// comparable and usable as map keys. measure.RunPacketWithCapture taps
+// the monitored clients and hands back AnalyzeTCP's per-flow statistics.
 package trace
 
 import (
@@ -22,157 +21,63 @@ import (
 	"webfail/internal/simnet"
 )
 
-// LayerType identifies a protocol layer within a decoded packet.
-type LayerType uint8
-
-// Layer types known to the decoder.
-const (
-	LayerTypeIPv4 LayerType = iota + 1
-	LayerTypeTCP
-	LayerTypeUDP
-	LayerTypePayload
-)
-
-func (t LayerType) String() string {
-	switch t {
-	case LayerTypeIPv4:
-		return "IPv4"
-	case LayerTypeTCP:
-		return "TCP"
-	case LayerTypeUDP:
-		return "UDP"
-	case LayerTypePayload:
-		return "Payload"
-	default:
-		return fmt.Sprintf("LayerType(%d)", uint8(t))
-	}
-}
-
-// Layer is one decoded protocol layer.
-type Layer interface {
-	LayerType() LayerType
-}
-
-// IPv4Layer wraps the decoded IPv4 header.
-type IPv4Layer struct{ netwire.IPv4 }
-
-// LayerType implements Layer.
-func (*IPv4Layer) LayerType() LayerType { return LayerTypeIPv4 }
-
-// TCPLayer wraps the decoded TCP header.
-type TCPLayer struct{ netwire.TCPHeader }
-
-// LayerType implements Layer.
-func (*TCPLayer) LayerType() LayerType { return LayerTypeTCP }
-
-// UDPLayer wraps the decoded UDP header.
-type UDPLayer struct{ netwire.UDPHeader }
-
-// LayerType implements Layer.
-func (*UDPLayer) LayerType() LayerType { return LayerTypeUDP }
-
-// PayloadLayer holds the application bytes.
-type PayloadLayer struct{ Data []byte }
-
-// LayerType implements Layer.
-func (*PayloadLayer) LayerType() LayerType { return LayerTypePayload }
-
-// Packet is one captured, decoded packet.
+// Packet is one captured packet, decoded. Decoding stops at the first
+// header that fails to parse or verify, keeps the headers outside it and
+// records why in Err.
 type Packet struct {
 	Time simnet.Time
 	Dir  simnet.Direction
 
-	layers []Layer
-	err    error
+	// IPv4 is the network header, nil when it did not decode.
+	IPv4 *netwire.IPv4
+	// TCP and UDP are the transport header: at most one is set, the one
+	// IPv4.Protocol names, once it decoded.
+	TCP *netwire.TCPHeader
+	UDP *netwire.UDPHeader
+	// Payload is what follows the last header decoded: the application
+	// bytes, or the whole IPv4 payload of another protocol. It is nil
+	// when empty or when decoding failed.
+	Payload []byte
+	// Err is the decode error, nil when every header decoded.
+	Err error
 }
 
-// NewPacket decodes raw bytes (starting at the IPv4 header) into a layered
-// packet. Decoding failures do not return an error here — like gopacket,
-// successfully decoded outer layers are kept and the failure is exposed
-// via ErrorLayer.
+// NewPacket decodes raw bytes, starting at the IPv4 header, verifying
+// every checksum.
 func NewPacket(at simnet.Time, dir simnet.Direction, data []byte) *Packet {
 	p := &Packet{Time: at, Dir: dir}
-	iph, transport, err := netwire.DecodeIPv4(data)
-	if err != nil {
-		p.err = err
+	var ip netwire.IPv4
+	transport, err := netwire.DecodeIPv4Into(data, &ip)
+	if err == nil {
+		err = netwire.CheckIPv4(data)
+	}
+	if p.Err = err; err != nil {
 		return p
 	}
-	p.layers = append(p.layers, &IPv4Layer{*iph})
-	switch iph.Protocol {
+	p.IPv4 = &ip
+	payload := transport
+	switch ip.Protocol {
 	case uint8(simnet.TCP):
-		th, payload, err := netwire.DecodeTCP(transport, iph.Src, iph.Dst)
-		if err != nil {
-			p.err = err
-			return p
+		var h netwire.TCPHeader
+		if payload, err = netwire.DecodeTCPInto(transport, &h); err == nil {
+			err = netwire.CheckTCP(transport, ip.Src, ip.Dst)
 		}
-		p.layers = append(p.layers, &TCPLayer{*th})
-		if len(payload) > 0 {
-			p.layers = append(p.layers, &PayloadLayer{Data: payload})
+		if err == nil {
+			p.TCP = &h
 		}
 	case uint8(simnet.UDP):
-		uh, payload, err := netwire.DecodeUDP(transport, iph.Src, iph.Dst)
-		if err != nil {
-			p.err = err
-			return p
+		var h netwire.UDPHeader
+		if payload, err = netwire.DecodeUDPInto(transport, &h); err == nil {
+			err = netwire.CheckUDP(transport[:h.Length], ip.Src, ip.Dst)
 		}
-		p.layers = append(p.layers, &UDPLayer{*uh})
-		if len(payload) > 0 {
-			p.layers = append(p.layers, &PayloadLayer{Data: payload})
+		if err == nil {
+			p.UDP = &h
 		}
-	default:
-		if len(transport) > 0 {
-			p.layers = append(p.layers, &PayloadLayer{Data: transport})
-		}
+	}
+	if p.Err = err; err == nil && len(payload) > 0 {
+		p.Payload = payload
 	}
 	return p
-}
-
-// Layer returns the first layer of the given type, or nil.
-func (p *Packet) Layer(t LayerType) Layer {
-	for _, l := range p.layers {
-		if l.LayerType() == t {
-			return l
-		}
-	}
-	return nil
-}
-
-// Layers returns all decoded layers in order.
-func (p *Packet) Layers() []Layer { return p.layers }
-
-// ErrorLayer returns the decode error, if any layer failed to parse.
-func (p *Packet) ErrorLayer() error { return p.err }
-
-// IPv4 is a convenience accessor.
-func (p *Packet) IPv4() *IPv4Layer {
-	if l, ok := p.Layer(LayerTypeIPv4).(*IPv4Layer); ok {
-		return l
-	}
-	return nil
-}
-
-// TCP is a convenience accessor.
-func (p *Packet) TCP() *TCPLayer {
-	if l, ok := p.Layer(LayerTypeTCP).(*TCPLayer); ok {
-		return l
-	}
-	return nil
-}
-
-// UDP is a convenience accessor.
-func (p *Packet) UDP() *UDPLayer {
-	if l, ok := p.Layer(LayerTypeUDP).(*UDPLayer); ok {
-		return l
-	}
-	return nil
-}
-
-// Payload returns the application bytes, or nil.
-func (p *Packet) Payload() []byte {
-	if l, ok := p.Layer(LayerTypePayload).(*PayloadLayer); ok {
-		return l.Data
-	}
-	return nil
 }
 
 // Endpoint is a hashable (address, port) pair, usable as a map key.
@@ -196,23 +101,16 @@ func (f Flow) String() string { return f.Src.String() + "->" + f.Dst.String() }
 // TransportFlow extracts the transport-layer flow of a packet; ok is false
 // for non-TCP/UDP or undecodable packets.
 func (p *Packet) TransportFlow() (Flow, bool) {
-	ip := p.IPv4()
-	if ip == nil {
+	var src, dst uint16
+	switch {
+	case p.TCP != nil:
+		src, dst = p.TCP.SrcPort, p.TCP.DstPort
+	case p.UDP != nil:
+		src, dst = p.UDP.SrcPort, p.UDP.DstPort
+	default:
 		return Flow{}, false
 	}
-	if tcp := p.TCP(); tcp != nil {
-		return Flow{
-			Src: Endpoint{Addr: ip.Src, Port: tcp.SrcPort},
-			Dst: Endpoint{Addr: ip.Dst, Port: tcp.DstPort},
-		}, true
-	}
-	if udp := p.UDP(); udp != nil {
-		return Flow{
-			Src: Endpoint{Addr: ip.Src, Port: udp.SrcPort},
-			Dst: Endpoint{Addr: ip.Dst, Port: udp.DstPort},
-		}, true
-	}
-	return Flow{}, false
+	return Flow{Src: Endpoint{Addr: p.IPv4.Src, Port: src}, Dst: Endpoint{Addr: p.IPv4.Dst, Port: dst}}, true
 }
 
 // rawRecord is one captured packet before decoding.

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"net/netip"
 	"testing"
 
@@ -16,11 +17,7 @@ var (
 
 func tcpPacket(t *testing.T, src, dst netip.Addr, h *netwire.TCPHeader, payload []byte) []byte {
 	t.Helper()
-	seg, err := netwire.EncodeTCP(nil, h, src, dst, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := netwire.EncodeIPv4(nil, &netwire.IPv4{Protocol: 6, Src: src, Dst: dst}, seg)
+	b, err := netwire.AppendTCPPacket(nil, src, dst, h, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,11 +26,7 @@ func tcpPacket(t *testing.T, src, dst netip.Addr, h *netwire.TCPHeader, payload 
 
 func udpPacket(t *testing.T, src, dst netip.Addr, h *netwire.UDPHeader, payload []byte) []byte {
 	t.Helper()
-	dgram, err := netwire.EncodeUDP(nil, h, src, dst, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := netwire.EncodeIPv4(nil, &netwire.IPv4{Protocol: 17, Src: src, Dst: dst}, dgram)
+	b, err := netwire.AppendUDPPacket(nil, src, dst, h, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,19 +34,20 @@ func udpPacket(t *testing.T, src, dst netip.Addr, h *netwire.UDPHeader, payload 
 }
 
 func TestNewPacketTCP(t *testing.T) {
-	data := tcpPacket(t, tA, tB, &netwire.TCPHeader{SrcPort: 40000, DstPort: 80, Seq: 1, Flags: netwire.FlagPSH | netwire.FlagACK}, []byte("GET /"))
+	h := netwire.TCPHeader{SrcPort: 40000, DstPort: 80, Seq: 1, Flags: netwire.FlagPSH | netwire.FlagACK}
+	data := tcpPacket(t, tA, tB, &h, []byte("GET /"))
 	p := NewPacket(0, simnet.Out, data)
-	if p.ErrorLayer() != nil {
-		t.Fatal(p.ErrorLayer())
+	if p.Err != nil {
+		t.Fatal(p.Err)
 	}
-	if p.IPv4() == nil || p.TCP() == nil || p.UDP() != nil {
-		t.Fatal("layer accessors wrong")
+	if p.IPv4 == nil || p.TCP == nil || p.UDP != nil {
+		t.Fatal("decoded headers wrong")
 	}
-	if string(p.Payload()) != "GET /" {
-		t.Errorf("payload = %q", p.Payload())
+	if *p.TCP != h {
+		t.Errorf("TCP header = %+v, want %+v", *p.TCP, h)
 	}
-	if len(p.Layers()) != 3 {
-		t.Errorf("layers = %d", len(p.Layers()))
+	if string(p.Payload) != "GET /" {
+		t.Errorf("payload = %q", p.Payload)
 	}
 	f, ok := p.TransportFlow()
 	if !ok || f.Src != (Endpoint{tA, 40000}) || f.Dst != (Endpoint{tB, 80}) {
@@ -67,8 +61,8 @@ func TestNewPacketTCP(t *testing.T) {
 func TestNewPacketUDP(t *testing.T) {
 	data := udpPacket(t, tA, tB, &netwire.UDPHeader{SrcPort: 5353, DstPort: 53}, []byte("q"))
 	p := NewPacket(0, simnet.In, data)
-	if p.UDP() == nil || p.TCP() != nil {
-		t.Fatal("layer accessors wrong")
+	if p.Err != nil || p.UDP == nil || p.TCP != nil || string(p.Payload) != "q" {
+		t.Fatalf("decoded %+v", p)
 	}
 	f, ok := p.TransportFlow()
 	if !ok || f.Dst.Port != 53 {
@@ -78,11 +72,11 @@ func TestNewPacketUDP(t *testing.T) {
 
 func TestNewPacketGarbage(t *testing.T) {
 	p := NewPacket(0, simnet.In, []byte{1, 2, 3})
-	if p.ErrorLayer() == nil {
+	if p.Err == nil {
 		t.Error("garbage decoded without error")
 	}
-	if p.IPv4() != nil {
-		t.Error("layer present despite error")
+	if p.IPv4 != nil {
+		t.Error("header present despite error")
 	}
 	if _, ok := p.TransportFlow(); ok {
 		t.Error("flow from garbage")
@@ -90,17 +84,21 @@ func TestNewPacketGarbage(t *testing.T) {
 }
 
 func TestNewPacketBadTransport(t *testing.T) {
-	// Valid IPv4, corrupt TCP: outer layer kept, error exposed.
-	data := tcpPacket(t, tA, tB, &netwire.TCPHeader{SrcPort: 1, DstPort: 2, Flags: netwire.FlagSYN}, nil)
-	data[len(data)-1] ^= 0xff
-	// Fix the IPv4 checksum scope: corruption is in the TCP part only,
-	// so IPv4 still decodes.
-	p := NewPacket(0, simnet.In, data)
-	if p.IPv4() == nil {
-		t.Fatal("IPv4 layer should survive")
-	}
-	if p.ErrorLayer() == nil {
-		t.Error("TCP corruption not reported")
+	// Valid IPv4, corrupt TCP: the IPv4 header is kept, the error
+	// exposed. The corruption is in the TCP part only, outside the IPv4
+	// checksum's scope.
+	for _, data := range [][]byte{
+		tcpPacket(t, tA, tB, &netwire.TCPHeader{SrcPort: 1, DstPort: 2, Flags: netwire.FlagSYN}, []byte("x")),
+		udpPacket(t, tA, tB, &netwire.UDPHeader{SrcPort: 1, DstPort: 2}, []byte("x")),
+	} {
+		data[len(data)-1] ^= 0xff
+		p := NewPacket(0, simnet.In, data)
+		if p.IPv4 == nil {
+			t.Fatalf("protocol %d: IPv4 header should survive", data[9])
+		}
+		if !errors.Is(p.Err, netwire.ErrBadChecksum) || p.TCP != nil || p.UDP != nil || p.Payload != nil {
+			t.Errorf("protocol %d: corrupt transport decoded as %+v", data[9], p)
+		}
 	}
 }
 
@@ -291,16 +289,13 @@ func TestCaptureAttach(t *testing.T) {
 		t.Fatalf("captured %d packets, want 8", len(pkts))
 	}
 	for i, p := range pkts {
-		if p.Dir != simnet.Out || p.UDP() == nil || p.Payload()[0] != byte(i) {
-			t.Errorf("packet %d: dir %v, payload %v", i, p.Dir, p.Payload())
+		if p.Dir != simnet.Out || p.UDP == nil || p.Payload[0] != byte(i) {
+			t.Errorf("packet %d: dir %v, payload %v", i, p.Dir, p.Payload)
 		}
 	}
 }
 
-func TestLayerTypeStrings(t *testing.T) {
-	if LayerTypeIPv4.String() != "IPv4" || LayerTypeTCP.String() != "TCP" || LayerTypeUDP.String() != "UDP" {
-		t.Error("layer type strings")
-	}
+func TestConnClassStrings(t *testing.T) {
 	if ConnNoConnection.String() != "no-connection" || ConnComplete.String() != "complete" {
 		t.Error("class strings")
 	}

@@ -51,7 +51,13 @@
 # TestInternTableBounded), while FuzzDecode's seed corpus checks that a
 # decode into a reused message equals a fresh one; and two stubs'
 # recursions interleaved through one LDNS must each get their own query
-# ID and name back (TestLDNSInterleavedRecursions).
+# ID and name back (TestLDNSInterleavedRecursions). The LDNS and dig
+# share one hierarchy walk: CNAME loops (across zones, and at the root),
+# a delegation back to the same server and an NS record without glue
+# must each end the stub's lookup in its 11 s timeout and dig's trace,
+# incomplete, after a pinned number of queries (TestWalkLimits), and a
+# lookup the LDNS recurses for must stay within its allocation bound
+# (TestLDNSRecursionAllocs).
 #
 # Observability gates: tracing exemplars and latency histograms must be
 # shard-layout-invariant in both engines, forensics replay must work
@@ -132,7 +138,7 @@ go test -run 'TestSchedulerMatchesReferenceOrder/input-stream' -count=1 -v ./int
     | grep -- '--- PASS: TestSchedulerMatchesReferenceOrder/input-stream'
 go test -run 'TestRunPacketAllocsPerTxn|TestRunPacketWork' -count=1 ./internal/measure
 go test -run 'TestReferralZeroAllocs|TestInternTableBounded|FuzzDecode' -count=1 ./internal/dnswire
-go test -run 'TestLDNSInterleavedRecursions' -count=1 ./internal/dnssim
+go test -run 'TestLDNSInterleavedRecursions|TestWalkLimits|TestLDNSRecursionAllocs' -count=1 ./internal/dnssim
 go test -run 'TestCalibration' -count=1 -timeout 10m ./internal/measure
 # Scenario gates: every checked-in scenario must validate, compile, and
 # complete a short-horizon fast run; a spec key the spec does not define
