@@ -802,8 +802,9 @@ func BenchmarkDatasetLoadParallel(b *testing.B) {
 // measurement (heapCostPerOp, linux/amd64, Go 1.24). Allocation counts
 // repeat exactly, and the fixture fills only three chunks, so each
 // allocation bound sits 2 above its measurement: one more allocation per
-// chunk written or read fails. Byte bounds sit at most 10% above theirs.
-// A load's cost grows with its shard count: each shard builds its own
+// chunk written or read fails. Byte bounds sit at most 10% above theirs:
+// a save takes its sink's gzip writer from a pool, and a fresh writer per
+// sink (a 650 KB compressor) fails the save case. A load's cost grows with its shard count: each shard builds its own
 // accumulator and takes its own decode scratch, and two shards read four
 // chunks between them.
 func TestDatasetHeapBudget(t *testing.T) {
@@ -819,7 +820,7 @@ func TestDatasetHeapBudget(t *testing.T) {
 		maxAllocs, maxBytes uint64
 		op                  func(t *testing.T)
 	}{
-		{"save", 108, 3_530_000, func(t *testing.T) { // 106, 3,217,680 B
+		{"save", 95, 2_730_000, func(t *testing.T) { // 93, 2,484,464 B
 			var out discardCounter
 			saveDataset(t, &out, meta, recs)
 		}},

@@ -87,8 +87,9 @@ func main() {
 				down = rep2
 			}
 			net.Sched.At(outageAt, func() {
-				net.SetPathFunc(func(src, dst netip.Addr, now simnet.Time) simnet.PathState {
-					if dst == down || src == down {
+				downHost := net.Host(down)
+				net.SetPathFunc(func(src, dst *simnet.Host, now simnet.Time) simnet.PathState {
+					if dst == downHost || src == downHost {
 						return simnet.PathState{Latency: 40 * time.Millisecond, Down: true}
 					}
 					return simnet.PathState{Latency: 40 * time.Millisecond}

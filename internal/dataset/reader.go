@@ -160,6 +160,15 @@ type readScratch struct {
 // chunk.
 var scratchPool = sync.Pool{New: func() any { return new(readScratch) }}
 
+// chunkWriterPool recycles the sinks' chunk gzip writers. Even at
+// chunkLevel a gzip writer carries a full flate compressor, about 650 KB
+// of hash tables that stored blocks never read; Reset keeps it, so a
+// save builds one per concurrent sink at most, not one per sink.
+var chunkWriterPool = sync.Pool{New: func() any {
+	zw, _ := gzip.NewWriterLevel(nil, chunkLevel) // a valid level: no error
+	return zw
+}}
+
 // Records streams the records of every chunk overlapping [lo, hi) in
 // canonical order, filtering records to the range. Each chunk is read,
 // inflated and decoded inline, one at a time. Chunks outside the range

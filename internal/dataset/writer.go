@@ -285,10 +285,9 @@ func (s *Sink) flush() {
 
 	s.zbuf.Reset()
 	if s.zw == nil {
-		s.zw, _ = gzip.NewWriterLevel(&s.zbuf, chunkLevel) // a valid level: no error
-	} else {
-		s.zw.Reset(&s.zbuf)
+		s.zw = chunkWriterPool.Get().(*gzip.Writer)
 	}
+	s.zw.Reset(&s.zbuf)
 	if _, err := s.zw.Write(s.payload); err != nil {
 		s.err = fmt.Errorf("dataset: compress chunk: %w", err)
 		return
@@ -314,6 +313,10 @@ func (s *Sink) Close() error {
 	}
 	s.closed = true
 	s.flush()
+	if s.zw != nil {
+		chunkWriterPool.Put(s.zw)
+		s.zw = nil
+	}
 	s.w.mu.Lock()
 	s.w.meta.Transactions += s.txns
 	s.w.meta.Failures += s.fails

@@ -290,7 +290,7 @@ func TestStubRetriesThroughTransientLoss(t *testing.T) {
 	f := newFixture(t)
 	// Drop everything for the first 2 seconds; the stub's retry at 3 s
 	// should then succeed.
-	f.net.SetPathFunc(func(src, dst netip.Addr, now simnet.Time) simnet.PathState {
+	f.net.SetPathFunc(func(src, dst *simnet.Host, now simnet.Time) simnet.PathState {
 		if now < simnet.Time(2*time.Second) {
 			return simnet.PathState{Latency: time.Millisecond, Down: true}
 		}

@@ -144,8 +144,9 @@ type AuthServer struct {
 	// resolver sees its own strict rotation: the rotation a client's
 	// lookup observes then depends only on that client's site's own
 	// query history, which keeps sharded packet runs byte-identical to
-	// serial ones (shard boundaries never split a site).
-	rot map[netip.Addr]uint32
+	// serial ones (shard boundaries never split a site). The key is the
+	// source's packed IPv4 address (simnet.AddrKey).
+	rot map[uint32]uint32
 
 	// q and resp are the scratch query and response; q is valid only
 	// until handle returns.
@@ -278,10 +279,11 @@ func (s *AuthServer) answer(q *dnswire.Message, src netip.Addr) {
 			}
 			if answers := resp.Answers[start:]; len(answers) > 1 {
 				if s.rot == nil {
-					s.rot = make(map[netip.Addr]uint32)
+					s.rot = make(map[uint32]uint32)
 				}
-				s.rot[src]++
-				rotateLeft(answers, int(s.rot[src])%len(answers))
+				k := simnet.AddrKey(src)
+				s.rot[k]++
+				rotateLeft(answers, int(s.rot[k])%len(answers))
 			}
 			if cname != "" && seen < 8 {
 				seen++

@@ -287,8 +287,9 @@ func TestFetchRetrySucceedsAfterTransientOutage(t *testing.T) {
 	// Actually the first address fails at 21s, second at 42s; to keep
 	// the test fast use a path outage that ends at 2s so the first
 	// SYN retransmission (3s) succeeds.
-	w.net.SetPathFunc(func(src, dst netip.Addr, now simnet.Time) simnet.PathState {
-		if (dst == wSrv1 || src == wSrv1) && now < simnet.Time(2*time.Second) {
+	srv1 := w.net.Host(wSrv1)
+	w.net.SetPathFunc(func(src, dst *simnet.Host, now simnet.Time) simnet.PathState {
+		if (dst == srv1 || src == srv1) && now < simnet.Time(2*time.Second) {
 			return simnet.PathState{Latency: 5 * time.Millisecond, Down: true}
 		}
 		return simnet.PathState{Latency: 5 * time.Millisecond}
@@ -519,7 +520,7 @@ func TestClientIdleTimeoutResetByProgress(t *testing.T) {
 	w.client.IdleTimeout = 2 * time.Second
 	// Stretch the transfer: high latency path -> multi-RTT download
 	// whose inter-arrival gaps stay under the idle limit.
-	w.net.SetPathFunc(func(src, dst netip.Addr, now simnet.Time) simnet.PathState {
+	w.net.SetPathFunc(func(src, dst *simnet.Host, now simnet.Time) simnet.PathState {
 		return simnet.PathState{Latency: 400 * time.Millisecond}
 	})
 	r := w.fetch(t, w.client, "http://www.example.com/")

@@ -86,15 +86,15 @@ func TestShardEvaluatorRange(t *testing.T) {
 // performed transaction on BenchmarkRunPacketMode's fixture, world build
 // included. The message path (DNS encode/decode, HTTP heads, per-request
 // and per-connection reader state) and the LDNS's hierarchy walk
-// allocate nothing in steady state. What remains per transaction: two
-// tcpsim Conns with their RTO method values and the SYN (5); httpsim's
-// FetchResult, its continuation closures and the parsed request (7); the
-// stub's per-try closure and the address lists the LDNS caches and the
-// stub returns (3); the Record and its Fetch callback (2); and, spread
-// over the run, the world build, interned DNS names and record slices
-// (about 4). Measured: 21.4, so one more allocation per transaction
-// fails.
-const maxPacketAllocsPerTxn = 22
+// allocate nothing in steady state, and the world pools each
+// transaction's Record and completion callbacks. What remains per
+// transaction: two tcpsim Conns with their RTO method values and the SYN
+// (5); httpsim's FetchResult, its continuation closures and the parsed
+// request (7); the stub's per-try closure and the address lists the LDNS
+// caches and the stub returns (3); and, spread over the run, the world
+// build, interned DNS names and record slices (about 4). Measured: 19.4,
+// so one more allocation per transaction fails.
+const maxPacketAllocsPerTxn = 20
 
 // packetBudgetConfig is the packet-engine gates' fixture, the 6 clients
 // x 6 sites x 2 h paper-default run of BenchmarkRunPacketMode.

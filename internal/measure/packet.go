@@ -193,7 +193,7 @@ func runPacketShard(cfg Config, sh *shard, captureClients []string) packetShardR
 
 	out := packetShardResult{recs: make([][]Record, sh.hi-sh.lo)}
 	c := &sh.census
-	record := func(r *Record) {
+	w.visit = func(r *Record) {
 		// Packet-mode Elapsed is already end-to-end (wget wall time,
 		// DNS included).
 		c.performed(r, ClassOf(r), r.Elapsed)
@@ -214,7 +214,7 @@ func runPacketShard(cfg Config, sh *shard, captureClients []string) packetShardR
 		// the client's causal context, which routes all of its random
 		// draws to the client's own stream.
 		sched.SetContext(int32(tx.ClientIdx))
-		if !w.runTransaction(tx, record) {
+		if !w.runTransaction(tx) {
 			c.skipped++
 		}
 		c.prog.Tick()
@@ -240,10 +240,11 @@ func runPacketShard(cfg Config, sh *shard, captureClients []string) packetShardR
 	return out
 }
 
-// addrInfo is the fault-entity view of one simulated address, taken from
-// the run's entity table at world-build time so the per-packet path
-// function performs two map probes and a handful of array-indexed
-// ActiveID queries — no string building, no string hashing.
+// addrInfo is the fault-entity view of one simulated host, taken from
+// the run's entity table when the world adds the host, so the per-packet
+// path function reads both ends by host ID and makes a handful of
+// array-indexed ActiveID queries: no map probe, no string building, no
+// string hashing.
 type addrInfo struct {
 	siteEnt faults.EntityID // the client site of a client-side addr
 	pfxEnt  faults.EntityID // the prefix covering the addr
@@ -271,11 +272,14 @@ type world struct {
 	servers []*httpsim.Server
 	urls    []string // each website's index URL, by website index
 
-	// info classifies addresses for the path function. The key is the
-	// packed IPv4 address (ipKey): the path function probes this map
-	// twice per packet, and a 4-byte key takes the runtime's fast 32-bit
-	// map path instead of hashing a 24-byte netip.Addr.
-	info map[uint32]addrInfo
+	// info classifies the world's hosts for the path function, indexed
+	// by simnet.Host.ID (every host is added through addHost).
+	info []addrInfo
+
+	// visit receives each performed transaction's record; txnFree pools
+	// the state of finished transactions.
+	visit   func(*Record)
+	txnFree []*txn
 
 	// tracer is the shard's exemplar sink (nil when tracing is off);
 	// trSeq assigns each client's performed transactions their canonical
@@ -306,30 +310,25 @@ func buildWorld(cfg Config, sh *shard) *world {
 		rng:      rand.New(rand.NewSource(cfg.Seed ^ 0x11ddcc)),
 		clientLo: clientLo,
 		ldns:     make(map[string]*dnssim.LDNS),
-		info:     make(map[uint32]addrInfo),
 		tracer:   sh.trace,
 	}
 	if w.tracer != nil {
 		w.trSeq = make([]int64, clientHi-clientLo)
 	}
 
-	// Build-time address classification, compiled into w.info at the end.
-	addrClient := make(map[netip.Addr]int) // client-side addrs -> a client of the site
-	addrWWW := make(map[netip.Addr]int32)  // server-side addrs -> website index
-	addrPfx := make(map[netip.Addr]faults.EntityID)
-	// dnsAddr marks DNS infrastructure (LDNS, authoritative, root/TLD):
+	// Each host's fault-entity view is recorded as the host is added.
+	// DNS infrastructure (LDNS, authoritative, root/TLD) is marked isDNS:
 	// prefix-scoped data-path faults (BGPInstability, PathOutage on a
 	// prefix entity) exempt DNS traffic, mirroring the fast-mode
 	// semantics that routing events hit the data path while resolution
 	// uses distinct infrastructure (Section 4.1.3).
-	dnsAddr := make(map[netip.Addr]bool)
-	dnsAddr[topo.RootDNS] = true
-	dnsAddr[topo.TLDDNS] = true
+	dnsInfo := missingInfo
+	dnsInfo.isDNS = true
 
 	// --- DNS hierarchy: root + one TLD server per TLD + per-site auth.
-	rootHost := w.net.AddHost("root-dns", topo.RootDNS)
+	rootHost := w.addHost("root-dns", topo.RootDNS, dnsInfo)
 	rootZone := dnssim.NewZone("")
-	tldHost := w.net.AddHost("tld-dns", topo.TLDDNS)
+	tldHost := w.addHost("tld-dns", topo.TLDDNS, dnsInfo)
 	tldServer := dnssim.NewAuthServer(tldHost)
 	tldZones := map[string]*dnssim.Zone{}
 	for i := range topo.Websites {
@@ -351,8 +350,12 @@ func buildWorld(cfg Config, sh *shard) *world {
 	for i := range topo.Websites {
 		site := &topo.Websites[i]
 		w.urls[i] = "http://" + site.Host + "/"
-		dnsAddr[site.AuthDNS] = true
-		authHost := w.net.AddHost("dns."+site.Host, site.AuthDNS)
+		authInfo := dnsInfo
+		authInfo.wwwIdx = int32(i)
+		if len(site.Prefixes) > 0 {
+			authInfo.pfxEnt = ids.Prefixes[i][0]
+		}
+		authHost := w.addHost("dns."+site.Host, site.AuthDNS, authInfo)
 		zone := dnssim.NewZone(site.Host)
 		if len(site.ReplicaAddrs) == 0 {
 			cdnNeeded = true
@@ -368,7 +371,10 @@ func buildWorld(cfg Config, sh *shard) *world {
 		auth.Status = w.authStatus(wwwID)
 
 		for k, a := range site.ReplicaAddrs {
-			host := w.net.AddHost(site.Host+"-r"+strconv.Itoa(k), a)
+			repInfo := missingInfo
+			repInfo.wwwIdx = int32(i)
+			repInfo.pfxEnt = ids.ReplicaPrefix[i][k]
+			host := w.addHost(site.Host+"-r"+strconv.Itoa(k), a, repInfo)
 			stack := tcpsim.NewStack(host)
 			stack.Status = w.serverStatus(wwwID, ids.Replica[i][k])
 			srv := httpsim.NewServer(stack)
@@ -376,17 +382,11 @@ func buildWorld(cfg Config, sh *shard) *world {
 			srv.Pages["/"] = httpsim.Page{Path: "/", Size: site.IndexSize}
 			srv.Status = w.appStatus(wwwID)
 			w.servers = append(w.servers, srv)
-			addrWWW[a] = int32(i)
-			addrPfx[a] = ids.ReplicaPrefix[i][k]
-		}
-		addrWWW[site.AuthDNS] = int32(i)
-		if len(site.Prefixes) > 0 {
-			addrPfx[site.AuthDNS] = ids.Prefixes[i][0]
 		}
 	}
 	if cdnNeeded {
 		for k, a := range topo.CDNPool {
-			host := w.net.AddHost("cdn-"+strconv.Itoa(k), a)
+			host := w.addHost("cdn-"+strconv.Itoa(k), a, missingInfo)
 			stack := tcpsim.NewStack(host)
 			srv := httpsim.NewServer(stack)
 			srv.Pages["/"] = httpsim.Page{Path: "/", Size: 10240}
@@ -400,27 +400,32 @@ func buildWorld(cfg Config, sh *shard) *world {
 	for gi := clientLo; gi < clientHi; gi++ {
 		node := &topo.Clients[gi]
 		w.rngs[gi-clientLo] = rand.New(rand.NewSource(cfg.Seed ^ 0x11ddcc ^ (int64(gi)+1)*0x100000001b3))
+		// The site's LDNS and proxy are classified under the client
+		// whose turn adds them: the site's first client, and its first
+		// proxied client.
+		siteInfo := missingInfo
+		siteInfo.siteEnt = ids.Site[gi]
+		siteInfo.client = int32(gi)
 		if _, ok := w.ldns[node.Site]; !ok {
-			ldnsHost := w.net.AddHost("ldns."+node.Site, node.LDNS)
+			ldnsInfo := siteInfo
+			ldnsInfo.isDNS = true
+			ldnsHost := w.addHost("ldns."+node.Site, node.LDNS, ldnsInfo)
 			l := dnssim.NewLDNS(ldnsHost, []netip.Addr{topo.RootDNS})
 			l.Status = w.ldnsStatus(ids.Site[gi])
 			w.ldns[node.Site] = l
-			addrClient[node.LDNS] = gi
-			dnsAddr[node.LDNS] = true
 		}
+		siteInfo.pfxEnt = ids.ClientPrefix[gi]
 		if node.Proxied {
 			if _, ok := proxies[node.Site]; !ok {
-				prxHost := w.net.AddHost("proxy."+node.Site, node.Proxy)
+				prxHost := w.addHost("proxy."+node.Site, node.Proxy, siteInfo)
 				prxStack := tcpsim.NewStack(prxHost)
 				resolver := dnssim.NewStubResolver(prxHost, node.LDNS)
 				httpsim.NewProxy(prxStack, resolver)
 				proxies[node.Site] = netip.AddrPortFrom(node.Proxy, httpsim.ProxyPort)
-				addrClient[node.Proxy] = gi
-				addrPfx[node.Proxy] = ids.ClientPrefix[gi]
 			}
 		}
 
-		host := w.net.AddHost(node.Name, node.Addr)
+		host := w.addHost(node.Name, node.Addr, siteInfo)
 		stack := tcpsim.NewStack(host)
 		resolver := dnssim.NewStubResolver(host, node.LDNS)
 		cli := httpsim.NewClient(stack, resolver)
@@ -435,33 +440,6 @@ func buildWorld(cfg Config, sh *shard) *world {
 			client: cli,
 			dig:    dnssim.NewDig(host, node.LDNS, []netip.Addr{topo.RootDNS}),
 		})
-		addrClient[node.Addr] = gi
-		addrPfx[node.Addr] = ids.ClientPrefix[gi]
-	}
-
-	// --- Compile the per-address fault-entity view from the entity table.
-	touch := func(a netip.Addr, f func(*addrInfo)) {
-		inf, ok := w.info[ipKey(a)]
-		if !ok {
-			inf = missingInfo
-		}
-		f(&inf)
-		w.info[ipKey(a)] = inf
-	}
-	for a, ci := range addrClient {
-		touch(a, func(inf *addrInfo) {
-			inf.siteEnt = ids.Site[ci]
-			inf.client = int32(ci)
-		})
-	}
-	for a, wi := range addrWWW {
-		touch(a, func(inf *addrInfo) { inf.wwwIdx = wi })
-	}
-	for a, id := range addrPfx {
-		touch(a, func(inf *addrInfo) { inf.pfxEnt = id })
-	}
-	for a := range dnsAddr {
-		touch(a, func(inf *addrInfo) { inf.isDNS = true })
 	}
 
 	w.net.RNGFor = func(ctx int32) *rand.Rand {
@@ -472,6 +450,15 @@ func buildWorld(cfg Config, sh *shard) *world {
 	}
 	w.net.SetPathFunc(w.pathState)
 	return w
+}
+
+// addHost adds a host to the world's network and records its fault-entity
+// view at the host's ID: hosts are numbered in the order they are added,
+// and every host of the world is added here.
+func (w *world) addHost(name string, addr netip.Addr, inf addrInfo) *simnet.Host {
+	h := w.net.AddHost(name, addr)
+	w.info = append(w.info, inf)
+	return h
 }
 
 // ctxRNG returns the RNG stream of the client whose transaction is being
@@ -546,32 +533,28 @@ func (w *world) appStatus(id faults.EntityID) httpsim.AppStatusFunc {
 	}
 }
 
-// missingInfo is the lookup result for an unclassified address.
+// missingInfo is the fault-entity view of a host no fault names (a CDN
+// node) and of a destination no host holds.
 var missingInfo = addrInfo{siteEnt: faults.NoEntity, pfxEnt: faults.NoEntity, client: -1, wwwIdx: -1}
 
-// ipKey packs an address into the 4-byte info-table key. The simulated
-// topology is IPv4-only; As16 keeps the helper total for 4-in-6 forms.
-func ipKey(a netip.Addr) uint32 {
-	b := a.As16()
-	return uint32(b[12])<<24 | uint32(b[13])<<16 | uint32(b[14])<<8 | uint32(b[15])
-}
+// pathLatency is the one-way propagation delay. Packet mode uses a
+// uniform 20 ms (a mid-continental path); failure behaviour, not absolute
+// performance, is what this mode validates.
+const pathLatency = 20 * time.Millisecond
 
 // pathState resolves path conditions from the fault timeline: client-site
 // connectivity episodes cut the site off, BGP instability degrades a
 // prefix, and permanent pair blocks filter a (client site, website) pair.
 // This is the hottest packet-mode function — it runs once per packet — so
-// it works entirely off the interned addrInfo table: no Entity strings are
-// built and every timeline query is an array-indexed ActiveID.
-func (w *world) pathState(src, dst netip.Addr, now simnet.Time) simnet.PathState {
-	st := simnet.PathState{Latency: w.latency(src, dst), Loss: 0.002}
+// it works entirely off the addrInfo slice, read at both hosts' IDs: no
+// map probe, no Entity strings built, and every timeline query is an
+// array-indexed ActiveID.
+func (w *world) pathState(src, dst *simnet.Host, now simnet.Time) simnet.PathState {
+	st := simnet.PathState{Latency: pathLatency, Loss: 0.002}
 
-	si, ok := w.info[ipKey(src)]
-	if !ok {
-		si = missingInfo
-	}
-	di, ok := w.info[ipKey(dst)]
-	if !ok {
-		di = missingInfo
+	si, di := &w.info[src.ID], &missingInfo
+	if dst != nil {
+		di = &w.info[dst.ID]
 	}
 	// Prefix-scoped data-path faults exempt DNS traffic (both modes treat
 	// routing events as data-path phenomena); hoisted out of the
@@ -586,7 +569,7 @@ func (w *world) pathState(src, dst netip.Addr, now simnet.Time) simnet.PathState
 		}
 	}
 
-	for _, inf := range [2]addrInfo{si, di} {
+	for _, inf := range [2]*addrInfo{si, di} {
 		if inf.siteEnt != faults.NoEntity {
 			// Intra-site traffic (client to its own LDNS/proxy)
 			// is not affected by *WAN* connectivity faults unless
@@ -637,19 +620,39 @@ func (w *world) pathState(src, dst netip.Addr, now simnet.Time) simnet.PathState
 	return st
 }
 
-// latency is the one-way propagation delay. Packet mode uses a uniform
-// 20 ms (a mid-continental path); failure behaviour, not absolute
-// performance, is what this mode validates.
-func (w *world) latency(netip.Addr, netip.Addr) time.Duration {
-	return 20 * time.Millisecond
+// txn is one transaction in flight, pooled on the world: a client can
+// have several in flight when a failing fetch outlives its next start.
+// Its completion callbacks are method values made once per pooled
+// instance, so a transaction allocates neither its Record nor a closure.
+type txn struct {
+	w        *world
+	ch       *clientHost
+	site     *workload.WebsiteNode
+	rec      Record
+	res      *httpsim.FetchResult
+	digStart simnet.Time
+	onFetch  func(*httpsim.FetchResult)
+	onDig    func(*dnssim.DigReport)
+}
+
+// newTxn takes a transaction state from the pool, or makes one.
+func (w *world) newTxn() *txn {
+	if n := len(w.txnFree); n > 0 {
+		t := w.txnFree[n-1]
+		w.txnFree = w.txnFree[:n-1]
+		return t
+	}
+	t := &txn{w: w}
+	t.onFetch = t.fetched
+	t.onDig = t.digged
+	return t
 }
 
 // runTransaction performs one download following the Section 3.4 steps.
 // It reports false when the client machine is off (no access performed).
-func (w *world) runTransaction(tx *workload.Transaction, visit func(*Record)) bool {
+func (w *world) runTransaction(tx *workload.Transaction) bool {
 	ch := w.clients[tx.ClientIdx-w.clientLo]
 	node := ch.node
-	site := &w.topo.Websites[tx.SiteIdx]
 
 	// Machine off: no access at all.
 	if _, off := w.tl.ActiveID(w.ids.Client[tx.ClientIdx], faults.ClientMachineOff, tx.At); off {
@@ -661,7 +664,9 @@ func (w *world) runTransaction(tx *workload.Transaction, visit func(*Record)) bo
 		l.FlushCache()
 	}
 
-	rec := &Record{
+	t := w.newTxn()
+	t.ch, t.site = ch, &w.topo.Websites[tx.SiteIdx]
+	t.rec = Record{
 		ClientIdx: int32(tx.ClientIdx),
 		SiteIdx:   int32(tx.SiteIdx),
 		At:        tx.At,
@@ -670,59 +675,70 @@ func (w *world) runTransaction(tx *workload.Transaction, visit func(*Record)) bo
 	}
 
 	// Step 2: wget.
-	ch.client.Fetch(w.urls[tx.SiteIdx], func(res *httpsim.FetchResult) {
-		rec.Stage = res.Stage
-		rec.FailKind = res.FailKind
-		rec.Conns = int16(len(res.Attempts))
-		rec.StatusCode = int16(res.StatusCode)
-		rec.Bytes = int32(res.Bytes)
-		rec.Redirects = int8(res.Redirects)
-		rec.ReplicaIP = res.ReplicaIP
-		rec.Elapsed = res.Elapsed
-		rec.DNSTime = res.DNS.RTT
-
-		switch {
-		case node.Proxied:
-			rec.DNS = DNSMasked
-			if w.tracer != nil {
-				w.traceTxn(ch, site, rec, res, 0)
-			}
-			visit(rec)
-		case res.Stage == httpsim.StageDNS:
-			// Step 3: iterative dig to sub-classify the DNS
-			// failure, exactly as the paper's post-processing
-			// does.
-			digStart := w.net.Sched.Now()
-			ch.dig.Trace(site.Host, func(rep *dnssim.DigReport) {
-				switch rep.Classify() {
-				case dnssim.ClassLDNSTimeout:
-					rec.DNS = DNSLDNSTimeout
-				case dnssim.ClassErrorResponse:
-					rec.DNS = DNSErrorResponse
-				case dnssim.ClassNonLDNSTimeout:
-					rec.DNS = DNSNonLDNSTimeout
-				default:
-					// dig succeeded where wget failed —
-					// transient; attribute by wget's
-					// observation.
-					if res.DNS.Kind == dnssim.ResultError {
-						rec.DNS = DNSErrorResponse
-					} else {
-						rec.DNS = DNSLDNSTimeout
-					}
-				}
-				if w.tracer != nil {
-					w.traceTxn(ch, site, rec, res, w.net.Sched.Now().Sub(digStart))
-				}
-				visit(rec)
-			})
-		default:
-			rec.DNS = DNSOK
-			if w.tracer != nil {
-				w.traceTxn(ch, site, rec, res, 0)
-			}
-			visit(rec)
-		}
-	})
+	ch.client.Fetch(w.urls[tx.SiteIdx], t.onFetch)
 	return true
+}
+
+// fetched completes wget's step of the transaction.
+func (t *txn) fetched(res *httpsim.FetchResult) {
+	rec := &t.rec
+	t.res = res
+	rec.Stage = res.Stage
+	rec.FailKind = res.FailKind
+	rec.Conns = int16(len(res.Attempts))
+	rec.StatusCode = int16(res.StatusCode)
+	rec.Bytes = int32(res.Bytes)
+	rec.Redirects = int8(res.Redirects)
+	rec.ReplicaIP = res.ReplicaIP
+	rec.Elapsed = res.Elapsed
+	rec.DNSTime = res.DNS.RTT
+
+	switch {
+	case rec.Proxied:
+		rec.DNS = DNSMasked
+		t.finish(0)
+	case res.Stage == httpsim.StageDNS:
+		// Step 3: iterative dig to sub-classify the DNS failure,
+		// exactly as the paper's post-processing does.
+		t.digStart = t.w.net.Sched.Now()
+		t.ch.dig.Trace(t.site.Host, t.onDig)
+	default:
+		rec.DNS = DNSOK
+		t.finish(0)
+	}
+}
+
+// digged completes the dig step of a transaction whose wget failed in
+// DNS.
+func (t *txn) digged(rep *dnssim.DigReport) {
+	rec := &t.rec
+	switch rep.Classify() {
+	case dnssim.ClassLDNSTimeout:
+		rec.DNS = DNSLDNSTimeout
+	case dnssim.ClassErrorResponse:
+		rec.DNS = DNSErrorResponse
+	case dnssim.ClassNonLDNSTimeout:
+		rec.DNS = DNSNonLDNSTimeout
+	default:
+		// dig succeeded where wget failed — transient; attribute by
+		// wget's observation.
+		if t.res.DNS.Kind == dnssim.ResultError {
+			rec.DNS = DNSErrorResponse
+		} else {
+			rec.DNS = DNSLDNSTimeout
+		}
+	}
+	t.finish(t.w.net.Sched.Now().Sub(t.digStart))
+}
+
+// finish traces the transaction, hands its record to the shard (which
+// copies it) and returns t to the pool.
+func (t *txn) finish(digDur time.Duration) {
+	w := t.w
+	if w.tracer != nil {
+		w.traceTxn(t.ch, t.site, &t.rec, t.res, digDur)
+	}
+	w.visit(&t.rec)
+	t.ch, t.site, t.res = nil, nil, nil
+	w.txnFree = append(w.txnFree, t)
 }

@@ -2,6 +2,7 @@ package netwire
 
 import (
 	"bytes"
+	"math/rand"
 	"net/netip"
 	"testing"
 	"testing/quick"
@@ -282,5 +283,71 @@ func TestEncodeAppendsToDst(t *testing.T) {
 	}
 	if _, _, _, err := decodeUDP(out[3:]); err != nil {
 		t.Errorf("appended encoding not decodable: %v", err)
+	}
+}
+
+// refChecksum is RFC 1071's plain algorithm: add the data as big-endian
+// 16-bit words (an odd last byte padded with a zero), fold the carries
+// back in, complement.
+func refChecksum(b []byte) uint16 {
+	var sum uint32
+	for i := 0; i+1 < len(b); i += 2 {
+		sum += uint32(b[i])<<8 | uint32(b[i+1])
+		sum = sum&0xffff + sum>>16
+	}
+	if len(b)%2 == 1 {
+		sum += uint32(b[len(b)-1]) << 8
+		sum = sum&0xffff + sum>>16
+	}
+	return ^uint16(sum)
+}
+
+// TestChecksumMatchesReference holds the word-wide sum to refChecksum,
+// alone and behind an IPv4 pseudo-header, over random lengths (odd ones
+// included), start offsets that misalign the words, and runs of 0xFF
+// that make the 64-bit additions carry. The round-trip tests cannot
+// catch a wrong sum, because the Check functions share it.
+func TestChecksumMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1071))
+	buf := make([]byte, 3000+8)
+	for i := 0; i < 3000; i++ {
+		n, off := rng.Intn(3001), rng.Intn(8)
+		if i < 8 {
+			n, off = 3000, i // the longest run of 0xFF, at every offset
+		}
+		b := buf[off : off+n]
+		for j := range b {
+			b[j] = byte(rng.Intn(256))
+		}
+		switch {
+		case i < 8:
+			for j := range b {
+				b[j] = 0xff
+			}
+		case i%2 == 0:
+			for j := 0; j < len(b); {
+				run := rng.Intn(64)
+				for ; run > 0 && j < len(b); run-- {
+					b[j] = 0xff
+					j++
+				}
+				j += rng.Intn(8)
+			}
+		}
+		if got, want := checksum(b), refChecksum(b); got != want {
+			t.Fatalf("checksum of %d bytes at offset %d = %#04x, want %#04x", n, off, got, want)
+		}
+
+		src := netip.AddrFrom4([4]byte{byte(rng.Intn(256)), byte(rng.Intn(256)), 0xff, 0xff})
+		dst := netip.AddrFrom4([4]byte{0xff, 0xff, byte(rng.Intn(256)), byte(rng.Intn(256))})
+		proto := uint8(protoTCP)
+		if rng.Intn(2) == 0 {
+			proto = protoUDP
+		}
+		s4, d4 := src.As4(), dst.As4()
+		pseudo := append(append(append([]byte(nil), s4[:]...), d4[:]...), 0, proto, byte(n>>8), byte(n))
+		if got, want := pseudoChecksum(src, dst, proto, b), refChecksum(append(pseudo, b...)); got != want {
+			t.Fatalf("pseudo-header checksum of %d bytes at offset %d = %#04x, want %#04x", n, off, got, want)
+		}
 	}
 }

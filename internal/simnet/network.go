@@ -56,10 +56,13 @@ type PathState struct {
 	Down    bool          // hard outage: every packet dropped
 }
 
-// PathFunc resolves the path condition for a (src, dst) pair at time now.
-// Implementations must be deterministic in their inputs; randomness belongs
-// to the Network's seeded RNG, which applies Loss.
-type PathFunc func(src, dst netip.Addr, now Time) PathState
+// PathFunc resolves the path condition from host src to host dst at time
+// now. dst is nil when no host holds the packet's destination address; the
+// network drops such a packet after consulting the model, so the model's
+// verdict and the loss draw happen for every packet sent. Implementations
+// must be deterministic in their inputs; randomness belongs to the
+// Network's seeded RNG, which applies Loss.
+type PathFunc func(src, dst *Host, now Time) PathState
 
 // Handler consumes a packet delivered to a bound (proto, port).
 type Handler func(pkt *Packet)
@@ -95,7 +98,7 @@ type Network struct {
 	Sched *Scheduler
 	rng   *rand.Rand
 	path  PathFunc
-	hosts map[netip.Addr]*Host
+	hosts map[uint32]*Host // by packed IPv4 address (AddrKey)
 	pool  []*Packet
 
 	// RNGFor, when set, selects the loss-draw RNG by the scheduler's
@@ -114,7 +117,7 @@ func NewNetwork(seed int64) *Network {
 	return &Network{
 		Sched: &Scheduler{},
 		rng:   rand.New(rand.NewSource(seed)),
-		hosts: make(map[netip.Addr]*Host),
+		hosts: make(map[uint32]*Host),
 	}
 }
 
@@ -123,33 +126,42 @@ func NewNetwork(seed int64) *Network {
 func (n *Network) SetPathFunc(f PathFunc) { n.path = f }
 
 // Host returns the host bound to addr, or nil.
-func (n *Network) Host(addr netip.Addr) *Host { return n.hosts[addr] }
-
-// AddHost registers a new host at addr. It panics when the address is
-// already taken or invalid, since topologies are static configuration.
-func (n *Network) AddHost(name string, addr netip.Addr) *Host {
-	if !addr.IsValid() {
-		panic("simnet: invalid host address")
+func (n *Network) Host(addr netip.Addr) *Host {
+	if !addr.Is4() {
+		return nil
 	}
-	if _, dup := n.hosts[addr]; dup {
+	return n.hosts[AddrKey(addr)]
+}
+
+// AddrKey packs an IPv4 address into a 4-byte map key, so a per-packet
+// lookup by address hashes 4 bytes instead of a 24-byte netip.Addr. It
+// panics on an address that is not IPv4; every host address is IPv4.
+func AddrKey(a netip.Addr) uint32 {
+	b := a.As4()
+	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
+}
+
+// AddHost registers a new host at addr; its ID is the number of hosts
+// added before it. It panics when the address is already taken or is not
+// IPv4 (the only family the wire format encodes), since topologies are
+// static configuration.
+func (n *Network) AddHost(name string, addr netip.Addr) *Host {
+	if !addr.Is4() {
+		panic(fmt.Sprintf("simnet: host address %v is not IPv4", addr))
+	}
+	k := AddrKey(addr)
+	if _, dup := n.hosts[k]; dup {
 		panic(fmt.Sprintf("simnet: duplicate host address %v", addr))
 	}
 	h := &Host{
 		Name:     name,
 		Addr:     addr,
+		ID:       len(n.hosts),
 		net:      n,
-		handlers: make(map[bindKey]Handler),
+		handlers: make(map[uint32]Handler),
 	}
-	n.hosts[addr] = h
+	n.hosts[k] = h
 	return h
-}
-
-// pathState resolves path conditions, falling back to DefaultPath.
-func (n *Network) pathState(src, dst netip.Addr) PathState {
-	if n.path == nil {
-		return DefaultPath
-	}
-	return n.path(src, dst, n.Sched.Now())
 }
 
 // AllocPacket returns a packet from the network's buffer pool with empty
@@ -173,17 +185,17 @@ func (n *Network) freePacket(p *Packet) {
 	}
 }
 
-// send injects a packet from a host into the network. Delivery (or drop) is
-// decided immediately; delivery is scheduled after the path latency.
+// send injects a packet from a host into the network. The destination
+// host is looked up once, and the path model sees both ends. Delivery (or
+// drop) is decided immediately; delivery is scheduled after the path
+// latency.
 func (n *Network) send(from *Host, pkt *Packet) {
-	ps := n.pathState(pkt.Src, pkt.Dst)
-	if ps.Down || (ps.Loss > 0 && n.lossRNG().Float64() < ps.Loss) {
-		n.Dropped++
-		n.freePacket(pkt)
-		return
+	dst := n.Host(pkt.Dst)
+	ps := DefaultPath
+	if n.path != nil {
+		ps = n.path(from, dst, n.Sched.Now())
 	}
-	dst := n.hosts[pkt.Dst]
-	if dst == nil {
+	if ps.Down || (ps.Loss > 0 && n.lossRNG().Float64() < ps.Loss) || dst == nil {
 		n.Dropped++
 		n.freePacket(pkt)
 		return
@@ -209,20 +221,22 @@ func (h *Host) receive(pkt *Packet) {
 	h.net.freePacket(pkt)
 }
 
-// bindKey identifies a transport endpoint on a host.
-type bindKey struct {
-	proto Proto
-	port  uint16
-}
+// bindKey packs a transport endpoint (proto, port) into a 4-byte
+// binding-table key.
+func bindKey(proto Proto, port uint16) uint32 { return uint32(proto)<<16 | uint32(port) }
 
 // Host is a simulated end system with transport bindings and optional
 // packet capture.
 type Host struct {
 	Name string
 	Addr netip.Addr
+	// ID is the host's dense index in its network: hosts are numbered
+	// 0, 1, 2, … in AddHost order, so a path model can keep per-host
+	// state in a slice.
+	ID int
 
 	net      *Network
-	handlers map[bindKey]Handler
+	handlers map[uint32]Handler
 	capture  CaptureFunc
 	nextPort uint16
 }
@@ -236,7 +250,7 @@ func (h *Host) Now() Time { return h.net.Sched.Now() }
 // Bind registers a handler for (proto, port). Binding an occupied port
 // returns an error; protocol stacks own their port spaces.
 func (h *Host) Bind(proto Proto, port uint16, fn Handler) error {
-	k := bindKey{proto, port}
+	k := bindKey(proto, port)
 	if _, dup := h.handlers[k]; dup {
 		return fmt.Errorf("simnet: %s port %d already bound on %s", proto, port, h.Name)
 	}
@@ -246,7 +260,7 @@ func (h *Host) Bind(proto Proto, port uint16, fn Handler) error {
 
 // Unbind releases a (proto, port) binding. Unbinding a free port is a no-op.
 func (h *Host) Unbind(proto Proto, port uint16) {
-	delete(h.handlers, bindKey{proto, port})
+	delete(h.handlers, bindKey(proto, port))
 }
 
 // EphemeralPort allocates a fresh high port for client connections. The
@@ -263,7 +277,7 @@ func (h *Host) EphemeralPort(proto Proto) uint16 {
 		if h.nextPort > hi || h.nextPort == 0 {
 			h.nextPort = lo
 		}
-		if _, used := h.handlers[bindKey{proto, p}]; !used {
+		if _, used := h.handlers[bindKey(proto, p)]; !used {
 			return p
 		}
 	}
@@ -297,13 +311,13 @@ func (h *Host) deliver(pkt *Packet) {
 	if !ok {
 		return
 	}
-	if fn := h.handlers[bindKey{pkt.Proto, port}]; fn != nil {
+	if fn := h.handlers[bindKey(pkt.Proto, port)]; fn != nil {
 		fn(pkt)
 		return
 	}
 	// Wildcard handler on port 0 receives all traffic for the protocol
 	// that no specific binding claimed (used by the TCP demultiplexer).
-	if fn := h.handlers[bindKey{pkt.Proto, 0}]; fn != nil {
+	if fn := h.handlers[bindKey(pkt.Proto, 0)]; fn != nil {
 		fn(pkt)
 	}
 }

@@ -198,19 +198,31 @@ func TestNetworkDelivery(t *testing.T) {
 	}
 }
 
+// TestNetworkPathDown also pins what the path model is given: the
+// sending and the receiving host, numbered by their AddHost order.
 func TestNetworkPathDown(t *testing.T) {
 	n := NewNetwork(1)
 	a := n.AddHost("a", addrA)
 	b := n.AddHost("b", addrB)
+	if a.ID != 0 || b.ID != 1 {
+		t.Fatalf("host IDs %d, %d; want 0, 1", a.ID, b.ID)
+	}
 	received := 0
+	_ = a.Bind(UDP, 53, func(*Packet) { received++ })
 	_ = b.Bind(UDP, 53, func(*Packet) { received++ })
-	n.SetPathFunc(func(src, dst netip.Addr, now Time) PathState {
+	var seen [][2]*Host
+	n.SetPathFunc(func(src, dst *Host, now Time) PathState {
+		seen = append(seen, [2]*Host{src, dst})
 		return PathState{Latency: time.Millisecond, Down: true}
 	})
 	a.Send(udpPacket(t, addrA, addrB, 1, 53, nil))
+	b.Send(udpPacket(t, addrB, addrA, 1, 53, nil))
 	n.Sched.Run()
-	if received != 0 || n.Dropped != 1 {
+	if received != 0 || n.Dropped != 2 {
 		t.Errorf("received=%d dropped=%d", received, n.Dropped)
+	}
+	if len(seen) != 2 || seen[0] != [2]*Host{a, b} || seen[1] != [2]*Host{b, a} {
+		t.Errorf("path model saw %v, want [a b] then [b a]", seen)
 	}
 }
 
@@ -220,7 +232,7 @@ func TestNetworkLoss(t *testing.T) {
 	b := n.AddHost("b", addrB)
 	received := 0
 	_ = b.Bind(UDP, 9, func(*Packet) { received++ })
-	n.SetPathFunc(func(src, dst netip.Addr, now Time) PathState {
+	n.SetPathFunc(func(src, dst *Host, now Time) PathState {
 		return PathState{Latency: time.Millisecond, Loss: 0.5}
 	})
 	const total = 2000
@@ -236,25 +248,45 @@ func TestNetworkLoss(t *testing.T) {
 	}
 }
 
+// TestNetworkUnknownHost: a packet to an address no host holds is
+// dropped, and the path model is still consulted for it, with a nil dst,
+// so the model's draws keep their order.
 func TestNetworkUnknownHost(t *testing.T) {
 	n := NewNetwork(1)
 	a := n.AddHost("a", addrA)
+	calls := 0
+	n.SetPathFunc(func(src, dst *Host, now Time) PathState {
+		calls++
+		if src != a || dst != nil {
+			t.Errorf("path model saw src %v, dst %v; want a, nil", src, dst)
+		}
+		return PathState{Latency: time.Millisecond}
+	})
 	a.Send(udpPacket(t, addrA, addrC, 1, 9, nil))
 	n.Sched.Run()
-	if n.Dropped != 1 {
-		t.Errorf("dropped = %d, want 1", n.Dropped)
+	if calls != 1 {
+		t.Errorf("path model consulted %d times, want 1", calls)
+	}
+	if n.Dropped != 1 || n.Delivered != 0 {
+		t.Errorf("dropped = %d, delivered = %d; want 1, 0", n.Dropped, n.Delivered)
 	}
 }
 
+// TestHostDuplicateAddressPanics: AddHost refuses a taken address and
+// one that is not IPv4, which the wire format cannot encode.
 func TestHostDuplicateAddressPanics(t *testing.T) {
 	n := NewNetwork(1)
 	n.AddHost("a", addrA)
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate AddHost did not panic")
-		}
-	}()
-	n.AddHost("a2", addrA)
+	for _, addr := range []netip.Addr{addrA, netip.MustParseAddr("2001:db8::1"), netip.MustParseAddr("::ffff:10.0.0.9")} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AddHost(%v) did not panic", addr)
+				}
+			}()
+			n.AddHost("a2", addr)
+		}()
+	}
 }
 
 func TestBindConflict(t *testing.T) {
@@ -279,9 +311,12 @@ func TestWildcardHandler(t *testing.T) {
 	n := NewNetwork(1)
 	a := n.AddHost("a", addrA)
 	b := n.AddHost("b", addrB)
-	specific, wildcard := 0, 0
+	specific, wildcard, udp := 0, 0, 0
 	_ = b.Bind(TCP, 80, func(*Packet) { specific++ })
 	_ = b.Bind(TCP, 0, func(*Packet) { wildcard++ })
+	// A UDP binding on the port the second segment targets must not
+	// catch it: a binding is keyed by protocol and port together.
+	_ = b.Bind(UDP, 8080, func(*Packet) { udp++ })
 	send := func(port uint16) {
 		bts, _ := netwire.AppendTCPPacket(nil, addrA, addrB, &netwire.TCPHeader{SrcPort: 5, DstPort: port, Flags: netwire.FlagSYN}, nil)
 		a.Send(&Packet{Src: addrA, Dst: addrB, Proto: TCP, Bytes: bts})
@@ -289,8 +324,8 @@ func TestWildcardHandler(t *testing.T) {
 	send(80)
 	send(8080)
 	n.Sched.Run()
-	if specific != 1 || wildcard != 1 {
-		t.Errorf("specific=%d wildcard=%d, want 1/1", specific, wildcard)
+	if specific != 1 || wildcard != 1 || udp != 0 {
+		t.Errorf("specific=%d wildcard=%d udp=%d, want 1/1/0", specific, wildcard, udp)
 	}
 }
 
@@ -353,7 +388,7 @@ func TestDeterminism(t *testing.T) {
 		a := n.AddHost("a", addrA)
 		b := n.AddHost("b", addrB)
 		_ = b.Bind(UDP, 7, func(*Packet) {})
-		n.SetPathFunc(func(src, dst netip.Addr, now Time) PathState {
+		n.SetPathFunc(func(src, dst *Host, now Time) PathState {
 			return PathState{Latency: 5 * time.Millisecond, Loss: 0.3}
 		})
 		for i := 0; i < 500; i++ {

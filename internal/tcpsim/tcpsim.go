@@ -110,9 +110,7 @@ type Callbacks struct {
 type connKey uint64
 
 func packKey(localPort uint16, remote netip.Addr, remotePort uint16) connKey {
-	a := remote.As4()
-	ip := uint64(a[0])<<24 | uint64(a[1])<<16 | uint64(a[2])<<8 | uint64(a[3])
-	return connKey(uint64(localPort)<<48 | ip<<16 | uint64(remotePort))
+	return connKey(uint64(localPort)<<48 | uint64(simnet.AddrKey(remote))<<16 | uint64(remotePort))
 }
 
 // Listener accepts inbound connections on a port.

@@ -176,7 +176,7 @@ func TestAdaptiveRTONoSpuriousRetransmitOnLongRTT(t *testing.T) {
 	// would retransmit every data segment spuriously; the RFC 6298
 	// estimator (seeded by the handshake sample) must not.
 	h := newHarness(40)
-	h.net.SetPathFunc(func(src, dst netip.Addr, now simnet.Time) simnet.PathState {
+	h.net.SetPathFunc(func(src, dst *simnet.Host, now simnet.Time) simnet.PathState {
 		return simnet.PathState{Latency: 1200 * time.Millisecond}
 	})
 	payload := bytes.Repeat([]byte("r"), 30*1024)
@@ -212,7 +212,7 @@ func TestAdaptiveRTONoSpuriousRetransmitOnLongRTT(t *testing.T) {
 func TestAdaptiveRTOStillRecoversLoss(t *testing.T) {
 	// The estimator must not break loss recovery.
 	h := newHarness(41)
-	h.net.SetPathFunc(func(src, dst netip.Addr, now simnet.Time) simnet.PathState {
+	h.net.SetPathFunc(func(src, dst *simnet.Host, now simnet.Time) simnet.PathState {
 		return simnet.PathState{Latency: 300 * time.Millisecond, Loss: 0.08}
 	})
 	payload := bytes.Repeat([]byte("z"), 60*1024)
@@ -243,7 +243,7 @@ func TestTransferIntegrityProperty(t *testing.T) {
 		loss := float64(rng%4) * 0.04 // 0, 4, 8, 12%
 		latency := time.Duration(10+rng%7*37) * time.Millisecond
 		size := int(1 + rng%5*31*1024)
-		h.net.SetPathFunc(func(src, dst netip.Addr, now simnet.Time) simnet.PathState {
+		h.net.SetPathFunc(func(src, dst *simnet.Host, now simnet.Time) simnet.PathState {
 			return simnet.PathState{Latency: latency, Loss: loss}
 		})
 		payload := bytes.Repeat([]byte{byte(seed)}, size)

@@ -106,7 +106,7 @@ func TestLargeTransfer(t *testing.T) {
 
 func TestLargeTransferWithLoss(t *testing.T) {
 	h := newHarness(3)
-	h.net.SetPathFunc(func(src, dst netip.Addr, now simnet.Time) simnet.PathState {
+	h.net.SetPathFunc(func(src, dst *simnet.Host, now simnet.Time) simnet.PathState {
 		return simnet.PathState{Latency: 20 * time.Millisecond, Loss: 0.05}
 	})
 	payload := bytes.Repeat([]byte("x"), 100*1024)
@@ -204,7 +204,7 @@ func TestConnectTimeoutHostDown(t *testing.T) {
 func TestConnectTimeoutPathDown(t *testing.T) {
 	h := newHarness(8)
 	h.echoServer(t, 80)
-	h.net.SetPathFunc(func(src, dst netip.Addr, now simnet.Time) simnet.PathState {
+	h.net.SetPathFunc(func(src, dst *simnet.Host, now simnet.Time) simnet.PathState {
 		return simnet.PathState{Latency: time.Millisecond, Down: true}
 	})
 	var closeErr error
@@ -222,7 +222,7 @@ func TestConnectSucceedsAfterTransientOutage(t *testing.T) {
 	h.echoServer(t, 80)
 	// Path down for the first 4 seconds; the 3s SYN retry lands at 3s
 	// (still down), the 9s retry succeeds.
-	h.net.SetPathFunc(func(src, dst netip.Addr, now simnet.Time) simnet.PathState {
+	h.net.SetPathFunc(func(src, dst *simnet.Host, now simnet.Time) simnet.PathState {
 		if now < simnet.Time(4*time.Second) {
 			return simnet.PathState{Latency: time.Millisecond, Down: true}
 		}
@@ -328,7 +328,7 @@ func TestSilentPeerNoResponse(t *testing.T) {
 
 func TestRetransmitCountedUnderLoss(t *testing.T) {
 	h := newHarness(13)
-	h.net.SetPathFunc(func(src, dst netip.Addr, now simnet.Time) simnet.PathState {
+	h.net.SetPathFunc(func(src, dst *simnet.Host, now simnet.Time) simnet.PathState {
 		return simnet.PathState{Latency: 10 * time.Millisecond, Loss: 0.15}
 	})
 	payload := bytes.Repeat([]byte("q"), 64*1024)
@@ -427,7 +427,7 @@ func TestSimultaneousConnections(t *testing.T) {
 func TestDeterministicUnderLoss(t *testing.T) {
 	run := func() (int, int) {
 		h := newHarness(42)
-		h.net.SetPathFunc(func(src, dst netip.Addr, now simnet.Time) simnet.PathState {
+		h.net.SetPathFunc(func(src, dst *simnet.Host, now simnet.Time) simnet.PathState {
 			return simnet.PathState{Latency: 15 * time.Millisecond, Loss: 0.1}
 		})
 		payload := bytes.Repeat([]byte("d"), 32*1024)

@@ -57,7 +57,18 @@
 # must each end the stub's lookup in its 11 s timeout and dig's trace,
 # incomplete, after a pinned number of queries (TestWalkLimits), and a
 # lookup the LDNS recurses for must stay within its allocation bound
-# (TestLDNSRecursionAllocs).
+# (TestLDNSRecursionAllocs). The per-packet path resolves each endpoint
+# once: the network looks the destination host up once, in a table keyed
+# by the packed IPv4 address, and hands the sending and receiving hosts
+# to the path model, which reads its per-host fault view by host ID. The
+# path model must see both hosts with their AddHost-order IDs, and a nil
+# destination (the packet still counted as dropped) for an address no
+# host holds; a UDP binding must not catch a TCP segment to its port;
+# AddHost must refuse a duplicate or non-IPv4 address
+# (TestNetworkPathDown, TestNetworkUnknownHost, TestWildcardHandler,
+# TestHostDuplicateAddressPanics); and the word-wide Internet checksum
+# must equal a plain 16-bit RFC 1071 sum over random lengths, offsets
+# and carry-heavy runs of 0xFF (TestChecksumMatchesReference).
 #
 # Observability gates: tracing exemplars and latency histograms must be
 # shard-layout-invariant in both engines, forensics replay must work
@@ -136,6 +147,9 @@ go test -run 'TestTimerStop|TestSchedulerMatchesReferenceOrder|TestSchedulerTime
     -count=1 ./internal/simnet
 go test -run 'TestSchedulerMatchesReferenceOrder/input-stream' -count=1 -v ./internal/simnet \
     | grep -- '--- PASS: TestSchedulerMatchesReferenceOrder/input-stream'
+go test -run 'TestNetworkPathDown|TestNetworkUnknownHost|TestWildcardHandler|TestHostDuplicateAddressPanics' \
+    -count=1 ./internal/simnet
+go test -run 'TestChecksumMatchesReference' -count=1 ./internal/netwire
 go test -run 'TestRunPacketAllocsPerTxn|TestRunPacketWork' -count=1 ./internal/measure
 go test -run 'TestReferralZeroAllocs|TestInternTableBounded|FuzzDecode' -count=1 ./internal/dnswire
 go test -run 'TestLDNSInterleavedRecursions|TestWalkLimits|TestLDNSRecursionAllocs' -count=1 ./internal/dnssim
