@@ -245,10 +245,6 @@ func (a *Analysis) TotalTxns() int64 { return a.totals.txns }
 // TotalFails returns the grand failure count.
 func (a *Analysis) TotalFails() int64 { return a.totals.fails }
 
-// Failures returns the retained failure records in canonical
-// (client-major, per-client time-ordered) order.
-func (a *Analysis) Failures() []FailureRec { return a.mustFailures().recs }
-
 // String summarizes the accumulated run.
 func (a *Analysis) String() string {
 	return fmt.Sprintf("analysis: %d txns, %d failures (%.2f%%) over %d hours",

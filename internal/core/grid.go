@@ -73,9 +73,11 @@ func (g *grid[C]) forEach(fn func(i int, c *C)) {
 	}
 }
 
-// mergeGrid folds src into dst cell-wise with add, copying the pages dst
-// lacks. Cell-wise addition commutes, so shard merges stay
-// order-independent, and the merged pages are the union of the shards'.
+// mergeGrid folds src into dst cell-wise with add and consumes src: the
+// pages dst lacks move over, leaving src without them, so neither grid
+// can write into the other's cells afterwards. Cell-wise addition
+// commutes, so shard merges stay order-independent, and the merged pages
+// are the union of the shards'.
 func mergeGrid[C any](dst, src *grid[C], add func(d, s *C)) error {
 	if dst.n != src.n {
 		return fmt.Errorf("core: merge of mismatched grids (%d vs %d cells)", dst.n, src.n)
@@ -86,8 +88,7 @@ func mergeGrid[C any](dst, src *grid[C], add func(d, s *C)) error {
 		}
 		dp := dst.pages[k]
 		if dp == nil {
-			cp := *sp
-			dst.pages[k] = &cp
+			dst.pages[k], src.pages[k] = sp, nil
 			continue
 		}
 		for j := range sp {

@@ -26,9 +26,10 @@
 # allocation-regression gates: the fast-mode hot path (evaluate must
 # stay at zero heap allocations per transaction, with its metrics
 # counters and progress flushing active), the analyzer's Add (zero per
-# record with every pass selected) and the dataset layer (a save and a
-# one- and two-shard load of the 24 h fixture within their allocation
-# and allocated-byte bounds).
+# record with every pass selected) and the dataset layer (a save, a
+# one- and two-shard load of the 24 h fixture, and a two-shard
+# every-pass analyze of it with Table 5's attribution, within their
+# allocation and allocated-byte bounds).
 #
 # Packet-engine gates: the sharded packet runner must produce a record
 # stream byte-identical to the serial engine for every shard count
@@ -96,7 +97,9 @@ go test -race -run 'TestSerialParallelEquivalence|TestRunParallelShardClamp|Test
 # Analyzer state gate: every paged grid must hold exactly the cells of
 # a plain map accumulation of the same records (on random rosters whose
 # geometries end mid-page), merged artifacts must be identical for any
-# shard count and merge order, a shard accumulator must allocate no
+# shard count and merge order (a merge consumes its source, so the
+# TestMerge line above also runs TestMergeThenAdd: the destination must
+# stay exact while both accumulators keep adding), a shard accumulator must allocate no
 # page outside its client range, the bounded top-k listings must equal
 # their complete counterparts and the webfail-analyze summary listings
 # the map-and-sort reference (TestTopFailingMatchesReference), both
@@ -105,8 +108,11 @@ go test -race -run 'TestSerialParallelEquivalence|TestRunParallelShardClamp|Test
 # tests — all under the race detector.
 # TestValidateAttributionMatchesReference holds the ID-based
 # ground-truth join to its string-keyed reference on every shipped
-# scenario and keeps its allocations independent of the failure count.
-go test -race -run 'TestGridMatchesReference|TestMergeOrderIndependence|TestShardLocalPages|TestTopFailingPairsMatchesFull|TestTopFailingMatchesReference|TestStoredRecordOutsideWindow|TestRandomPairSimilarityBounded|TestPairCellInt64|TestHourSet|TestTopK|TestValidateAttributionMatchesReference' \
+# scenario and keeps its allocations independent of the failure count;
+# TestAttributeMatchesReference holds Table 5's attribution and the
+# permanent-pair shares, read from the block-built failure list, to the
+# map-excluding, append-grown reference on every shipped scenario.
+go test -race -run 'TestGridMatchesReference|TestMergeOrderIndependence|TestShardLocalPages|TestTopFailingPairsMatchesFull|TestTopFailingMatchesReference|TestStoredRecordOutsideWindow|TestRandomPairSimilarityBounded|TestPairCellInt64|TestHourSet|TestTopK|TestValidateAttributionMatchesReference|TestAttributeMatchesReference' \
     -count=1 ./internal/core
 # Dataset format gates: the checked-in v3 fixture must keep opening
 # (backward compatibility), the columnar codec must round-trip and
@@ -155,7 +161,9 @@ go test -run 'TestReferralZeroAllocs|TestInternTableBounded|FuzzDecode' -count=1
 go test -run 'TestLDNSInterleavedRecursions|TestWalkLimits|TestLDNSRecursionAllocs' -count=1 ./internal/dnssim
 go test -run 'TestCalibration' -count=1 -timeout 10m ./internal/measure
 # Scenario gates: every checked-in scenario must validate, compile, and
-# complete a short-horizon fast run; a spec key the spec does not define
+# complete a short-horizon fast run; its roster must give no two clients
+# one address and every replica address to one website alone
+# (TestRosterAddressesDistinct); a spec key the spec does not define
 # must fail by name (TestParseStrict); FuzzScenario's seed corpus (every
 # checked-in scenario) must parse and compile without a panic; the
 # paper-default spec must compile to the exact hard-coded roster and
@@ -169,7 +177,7 @@ go test -run 'TestCalibration' -count=1 -timeout 10m ./internal/measure
 # byte layout legitimately varies by shard count while the canonical
 # record stream — what analyze reads — is identical, per
 # TestShardedSaveEquivalence.)
-go test -run 'TestPaper|TestEmbeddedScenariosCompile|TestValidate|TestChaosScenarioScale|TestParseStrict|FuzzScenario' ./internal/scenario
+go test -run 'TestPaper|TestEmbeddedScenariosCompile|TestRosterAddressesDistinct|TestValidate|TestChaosScenarioScale|TestParseStrict|FuzzScenario' ./internal/scenario
 go test -run 'TestGoldenOutput|TestScenarioFlagDefaultEquivalence|TestScenarioGoldens|TestInputChecks' ./cmd/webfail
 go test -race -run 'TestScenarioSerialParallelEquivalence' -count=1 ./cmd/webfail
 go build -o /tmp/webfail-verify ./cmd/webfail
