@@ -445,9 +445,8 @@ func BenchmarkTable7(b *testing.B) {
 	var co, rnd core.SimilarityTable
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sims := f.a.CoLocatedSimilarity(f.at)
-		co = core.Tabulate(sims)
-		rnd = core.Tabulate(f.a.RandomPairSimilarity(f.at, fixtureSeed, len(sims)))
+		co, _ = f.a.CoLocatedSimilarityTop(f.at, 0)
+		rnd = f.a.RandomPairSimilarity(f.at, fixtureSeed, co.Pairs)
 	}
 	b.StopTimer()
 	b.Logf("Table7 co-located: %d/%d/%d/%d/%d (paper 2/6/10/10/7)", co.Over75, co.Band50to75, co.Band25to50, co.Under25, co.Zero)
@@ -460,13 +459,10 @@ func BenchmarkTable8(b *testing.B) {
 	var sims []core.PairSimilarity
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sims = f.a.CoLocatedSimilarity(f.at)
+		_, sims = f.a.CoLocatedSimilarityTop(f.at, 4)
 	}
 	b.StopTimer()
-	for i, p := range sims {
-		if i >= 4 {
-			break
-		}
+	for _, p := range sims {
 		b.Logf("Table8 %s/%s union=%d sim=%.1f%% (paper: intel 387 at 98.2%%)", p.A, p.B, p.UnionSize, 100*p.Similarity)
 	}
 }
@@ -816,11 +812,11 @@ func BenchmarkDatasetLoadParallel(b *testing.B) {
 // sink (a 650 KB compressor) fails the save case. A load's cost grows with its shard count: each shard builds its own
 // accumulator and takes its own decode scratch, and two shards read four
 // chunks between them. The analyze case ingests with every pass at two
-// shards and runs Table 5's attribution; its byte bound sits 87 KB above
+// shards and runs Table 5's attribution; its byte bound sits 84 KB above
 // the measurement, under one more copy of the 24,484-record failure list
-// (490 KB). Its count is the one that does not repeat: in some runs the
+// (392 KB). Its count is the one that does not repeat: in some runs the
 // exclusion maps, whose growth follows the runtime's random hash seed,
-// take a table fewer (4,577 or 4,578 allocations and 37 KB less), and no
+// take a table fewer (4,561 or 4,562 allocations and 37 KB less), and no
 // run has read more than the measurement.
 func TestDatasetHeapBudget(t *testing.T) {
 	if raceEnabled {
@@ -845,7 +841,7 @@ func TestDatasetHeapBudget(t *testing.T) {
 		{"load-2-shards", 503, 476_000, func(t *testing.T) { // 501, 433,216 B
 			loadDataset(t, data, topo, end, 2, len(recs), loadPasses)
 		}},
-		{"analyze-2-shards", 4_583, 2_000_000, func(t *testing.T) { // 4,581, 1,912,656 B
+		{"analyze-2-shards", 4_567, 1_650_000, func(t *testing.T) { // 4,565, 1,566,400 B
 			a := loadDataset(t, data, topo, end, 2, len(recs), nil)
 			a.Attribute(0.05, a.PermanentPairs(0.9))
 		}},

@@ -31,11 +31,8 @@ func main() {
 	pairs := a.PermanentPairs(0.9)
 	at := a.Attribute(0.05, pairs)
 
-	sims := a.CoLocatedSimilarity(at)
-	rnd := a.RandomPairSimilarity(at, 17, len(sims))
-
-	co := core.Tabulate(sims)
-	rd := core.Tabulate(rnd)
+	co, top := a.CoLocatedSimilarityTop(at, 6)
+	rd := a.RandomPairSimilarity(at, 17, co.Pairs)
 	fmt.Printf("similarity of client-side failure episodes over one week (%d pairs each)\n\n", co.Pairs)
 	fmt.Printf("%-22s %10s %8s\n", "band", "co-located", "random")
 	fmt.Printf("%-22s %10d %8d\n", "> 75%", co.Over75, rd.Over75)
@@ -45,10 +42,7 @@ func main() {
 	fmt.Printf("%-22s %10d %8d\n", "0", co.Zero, rd.Zero)
 
 	fmt.Println("\nmost active co-located pairs (Table 8 style):")
-	for i, p := range sims {
-		if i >= 6 {
-			break
-		}
+	for _, p := range top {
 		fmt.Printf("  %-62s union=%3d similarity=%.1f%%\n", p.A+" / "+p.B, p.UnionSize, 100*p.Similarity)
 	}
 	fmt.Println("\npaper: over half of the co-located pairs shared >=25% of their")

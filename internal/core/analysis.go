@@ -35,14 +35,13 @@ import (
 )
 
 // FailureRec is the compact retained form of a failed transaction, the
-// input to the attribution pass.
+// input to the attribution pass: 16 bytes, holding only what the
+// failure-list readers use.
 type FailureRec struct {
 	Client int32
 	Site   int32
 	Hour   int32 // hour index relative to the analysis window
 	Stage  httpsim.Stage
-	DNS    measure.DNSOutcome
-	Kind   httpsim.ConnFailKind
 	Conns  int16
 }
 

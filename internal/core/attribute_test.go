@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -9,18 +10,24 @@ import (
 	"webfail/internal/scenario"
 )
 
+// taggedFailure is a classified failure with its blame.
+type taggedFailure struct {
+	FailureRec
+	Blame Blame
+}
+
 // attributeRef is the attribution Attribute replaced: it reads the
-// failure list as one slice, grows Tags by append and counts blames in
-// the Counts map. It is kept as the reference the block-scanning,
-// exactly sized Attribute must equal.
-func attributeRef(a *Analysis, f float64, exclude []PermanentPair) *Attribution {
+// failure list as one slice, excludes pairs through a map it builds,
+// grows the list of classified failures with their blames by append and
+// counts blames as it goes. It is kept as the reference that Attribute
+// and the per-failure blames of Attribution.walk must equal.
+func attributeRef(a *Analysis, f float64, exclude []PermanentPair) (*Attribution, []taggedFailure) {
 	excl := make(map[[2]int32]bool, len(exclude))
 	for _, p := range exclude {
 		excl[[2]int32{int32(p.Client), int32(p.Site)}] = true
 	}
 	at := &Attribution{
 		F:                  f,
-		Counts:             make(map[Blame]int64),
 		ClientEpisodeHours: make([]HourSet, a.nClients),
 		ServerEpisodeHours: make([]HourSet, a.nSites),
 	}
@@ -53,6 +60,7 @@ func attributeRef(a *Analysis, f float64, exclude []PermanentPair) *Attribution 
 	}
 	flag(at.ClientEpisodeHours, &a.grids.client, adjClient)
 	flag(at.ServerEpisodeHours, &a.grids.server, adjServer)
+	var tags []taggedFailure
 	for _, fr := range fails {
 		if fr.Stage != httpsim.StageTCP || excl[[2]int32{fr.Client, fr.Site}] {
 			continue
@@ -72,9 +80,19 @@ func attributeRef(a *Analysis, f float64, exclude []PermanentPair) *Attribution 
 		}
 		at.Counts[b]++
 		at.Total++
-		at.Tags = append(at.Tags, TaggedFailure{FailureRec: fr, Blame: b})
+		tags = append(tags, taggedFailure{FailureRec: fr, Blame: b})
 	}
-	return at
+	return at, tags
+}
+
+// walkTags lists the failures at classifies over a's failure list, with
+// their blames, in walk order.
+func walkTags(a *Analysis, at *Attribution) []taggedFailure {
+	var out []taggedFailure
+	at.walk(a.fails, func(fr *FailureRec, b Blame) {
+		out = append(out, taggedFailure{FailureRec: *fr, Blame: b})
+	})
+	return out
 }
 
 // permanentPairShareRef is PermanentPairShare over the failure list as
@@ -106,11 +124,12 @@ func permanentPairShareRef(a *Analysis, pairs []PermanentPair) (connShare, txnSh
 }
 
 // TestAttributeMatchesReference requires Attribute to produce exactly
-// the reference's Attribution — counts, total, every tag in order and
-// both episode sets — and PermanentPairShare the reference's shares, on
-// every shipped scenario cut to 400 clients x 80 sites x 6 h, at both
-// thresholds Table 5 uses, with the detected permanent pairs excluded
-// and with none.
+// the reference's attribution — threshold, counts, total and both
+// episode sets — and its walk every classified failure with the
+// reference's blame, in list order, and PermanentPairShare the
+// reference's shares, on every shipped scenario cut to 400 clients x 80
+// sites x 6 h, at both thresholds Table 5 uses, with the detected
+// permanent pairs excluded and with none.
 func TestAttributeMatchesReference(t *testing.T) {
 	excludedSome := false
 	for _, name := range scenario.Names() {
@@ -120,13 +139,22 @@ func TestAttributeMatchesReference(t *testing.T) {
 			excludedSome = excludedSome || len(detected) > 0
 			for _, pairs := range [][]PermanentPair{detected, nil} {
 				for _, f := range []float64{0.05, 0.10} {
-					got, want := a.Attribute(f, pairs), attributeRef(a, f, pairs)
+					got := a.Attribute(f, pairs)
+					want, wantTags := attributeRef(a, f, pairs)
 					if want.Total == 0 {
 						t.Fatalf("f=%v, %d excluded pairs: no classified failures", f, len(pairs))
 					}
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("f=%v, %d excluded pairs: counts %v total %d, reference counts %v total %d",
-							f, len(pairs), got.Counts, got.Total, want.Counts, want.Total)
+					if got.F != want.F || got.Counts != want.Counts || got.Total != want.Total {
+						t.Errorf("f=%v, %d excluded pairs: F %v counts %v total %d, reference F %v counts %v total %d",
+							f, len(pairs), got.F, got.Counts, got.Total, want.F, want.Counts, want.Total)
+					}
+					if !reflect.DeepEqual(got.ClientEpisodeHours, want.ClientEpisodeHours) ||
+						!reflect.DeepEqual(got.ServerEpisodeHours, want.ServerEpisodeHours) {
+						t.Errorf("f=%v, %d excluded pairs: episode sets differ from the reference", f, len(pairs))
+					}
+					if gotTags := walkTags(a, got); !slices.Equal(gotTags, wantTags) {
+						t.Errorf("f=%v, %d excluded pairs: walk classified %d failures, reference %d, or blamed one differently",
+							f, len(pairs), len(gotTags), len(wantTags))
 					}
 				}
 				gotConn, gotTxn := a.PermanentPairShare(pairs)

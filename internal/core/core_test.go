@@ -221,7 +221,7 @@ func TestAttributionServerSide(t *testing.T) {
 func checkSpread(t *testing.T, a *Analysis, at *Attribution) {
 	t.Helper()
 	affected := map[string]map[int32]bool{}
-	for _, tf := range at.Tags {
+	for _, tf := range walkTags(a, at) {
 		if tf.Blame != BlameServer && tf.Blame != BlameBoth {
 			continue
 		}
@@ -421,24 +421,22 @@ func TestSimilarity(t *testing.T) {
 		}
 	}
 	at := a.Attribute(0.05, nil)
-	sims := a.CoLocatedSimilarity(at)
-	if len(sims) != 35 {
-		t.Fatalf("pairs = %d, want 35", len(sims))
+	table, sims := a.CoLocatedSimilarityTop(at, 35)
+	if table.Pairs != 35 || len(sims) != 35 {
+		t.Fatalf("pairs = %d, listed %d, want 35", table.Pairs, len(sims))
 	}
 	// The Intel pair tops the list with perfect similarity.
 	top := sims[0]
 	if top.Similarity != 1.0 || top.UnionSize != 3 {
 		t.Errorf("top pair = %+v", top)
 	}
-	table := Tabulate(sims)
 	if table.Over75 != 1 {
 		t.Errorf("table = %+v, want exactly one >75%% pair", table)
 	}
-	rnd := a.RandomPairSimilarity(at, 42, 35)
-	if len(rnd) != 35 {
-		t.Fatalf("random pairs = %d", len(rnd))
+	rt := a.RandomPairSimilarity(at, 42, 35)
+	if rt.Pairs != 35 {
+		t.Fatalf("random pairs = %d", rt.Pairs)
 	}
-	rt := Tabulate(rnd)
 	if rt.Zero < 30 {
 		t.Errorf("random pairs mostly zero expected, got %+v", rt)
 	}

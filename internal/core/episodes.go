@@ -108,8 +108,8 @@ func (a *Analysis) PermanentPairs(threshold float64) []PermanentPair {
 }
 
 // pairKeys returns pairs as a set keyed by (client, site): the exclusion
-// test of Attribute, excludedCells and PermanentPairShare, sized by the
-// pairs, never by clients × sites.
+// test of an Attribution, excludedCells and PermanentPairShare, sized by
+// the pairs, never by clients × sites.
 func pairKeys(pairs []PermanentPair) map[[2]int32]bool {
 	m := make(map[[2]int32]bool, len(pairs))
 	for _, p := range pairs {
@@ -155,6 +155,9 @@ const (
 	BlameBoth
 )
 
+// numBlames sizes the arrays indexed by Blame.
+const numBlames = int(BlameBoth) + 1
+
 func (b Blame) String() string {
 	switch b {
 	case BlameServer:
@@ -168,19 +171,19 @@ func (b Blame) String() string {
 	}
 }
 
-// Attribution is the result of the blame-attribution pass.
+// Attribution is the result of the blame-attribution pass: what decides
+// each failure's blame, not the blamed failures themselves. The
+// analyses that read per-failure blame (ServerEpisodeStats,
+// ClientServerSpecific, ValidateAttribution) re-derive it from the
+// failure list of the analysis that built the attribution, so an
+// Attribution is valid until that analysis changes.
 type Attribution struct {
 	F float64
 	// Counts per blame category, over TCP connection failures (the
 	// paper's Section 4.4 applies the procedure to TCP failures, with
-	// permanent pairs excluded).
-	Counts map[Blame]int64
+	// permanent pairs excluded), indexed by Blame.
+	Counts [numBlames]int64
 	Total  int64
-
-	// Per-failure blame, in failure-list order, for the failures that
-	// were classified (TCP failures outside excluded pairs). Used by
-	// the spread and proxy analyses.
-	Tags []TaggedFailure
 
 	// Episode sets for reuse: ClientEpisodeHours[c] and
 	// ServerEpisodeHours[s] hold the hour indices flagged abnormal, as
@@ -189,12 +192,10 @@ type Attribution struct {
 	// no episodes hold the zero HourSet, on which Has is always false.
 	ClientEpisodeHours []HourSet
 	ServerEpisodeHours []HourSet
-}
 
-// TaggedFailure pairs a failure with its attribution.
-type TaggedFailure struct {
-	FailureRec
-	Blame Blame
+	// excl is the set of excluded (client, site) pairs the attribution
+	// was built with.
+	excl map[[2]int32]bool
 }
 
 // Share returns a blame category's fraction of classified failures.
@@ -205,6 +206,29 @@ func (at *Attribution) Share(b Blame) float64 {
 	return float64(at.Counts[b]) / float64(at.Total)
 }
 
+// walk calls fn on every failure the attribution classifies — a TCP
+// failure outside the excluded pairs — with its blame, in failure-list
+// order.
+func (at *Attribution) walk(fails *failuresPass, fn func(fr *FailureRec, b Blame)) {
+	fails.forEach(func(fr *FailureRec) {
+		if fr.Stage != httpsim.StageTCP || at.excl[[2]int32{fr.Client, fr.Site}] {
+			return
+		}
+		cFlag := at.ClientEpisodeHours[fr.Client].Has(int(fr.Hour))
+		sFlag := at.ServerEpisodeHours[fr.Site].Has(int(fr.Hour))
+		switch {
+		case cFlag && sFlag:
+			fn(fr, BlameBoth)
+		case sFlag:
+			fn(fr, BlameServer)
+		case cFlag:
+			fn(fr, BlameClient)
+		default:
+			fn(fr, BlameOther)
+		}
+	})
+}
+
 // Attribute runs the blame-attribution procedure of Section 4.4.1/4.4.4
 // at threshold f: a failed access is ascribed to the server when the
 // server's aggregate failure rate in that hour is abnormally high (>= f),
@@ -212,13 +236,11 @@ func (at *Attribution) Share(b Blame) float64 {
 // "other" when neither. Pairs in exclude (the permanent pairs of
 // Section 4.4.2) are left out entirely.
 func (a *Analysis) Attribute(f float64, exclude []PermanentPair) *Attribution {
-	excl := pairKeys(exclude)
-
 	at := &Attribution{
 		F:                  f,
-		Counts:             make(map[Blame]int64),
 		ClientEpisodeHours: make([]HourSet, a.nClients),
 		ServerEpisodeHours: make([]HourSet, a.nSites),
+		excl:               pairKeys(exclude),
 	}
 
 	// Identify failure episodes per entity-hour, scanning allocated
@@ -228,9 +250,9 @@ func (a *Analysis) Attribute(f float64, exclude []PermanentPair) *Attribution {
 	// Excluded pairs' traffic is removed from the rates so a
 	// permanently-blocked pair does not manufacture fake episodes for
 	// its endpoints. The hour bitsets double as the classification
-	// lookup below.
+	// lookup of walk.
 	g := a.mustGrids()
-	exclCell := a.excludedCells(excl)
+	exclCell := a.excludedCells(at.excl)
 	flagEpisodes := func(sets []HourSet, gr *grid[gridCell], adjs map[int]gridCell) {
 		gr.forEach(func(i int, cell *gridCell) {
 			adj := adjs[i]
@@ -248,49 +270,10 @@ func (a *Analysis) Attribute(f float64, exclude []PermanentPair) *Attribution {
 	flagEpisodes(at.ClientEpisodeHours, &g.client, exclCell.client)
 	flagEpisodes(at.ServerEpisodeHours, &g.server, exclCell.server)
 
-	// Classify each TCP connection failure, counting them first so Tags
-	// is allocated once at its final size.
-	fails := a.mustFailures()
-	classified := func(fr *FailureRec) bool {
-		return fr.Stage == httpsim.StageTCP && !excl[[2]int32{fr.Client, fr.Site}]
-	}
-	n := 0
-	fails.forEach(func(fr *FailureRec) {
-		if classified(fr) {
-			n++
-		}
+	at.walk(a.mustFailures(), func(_ *FailureRec, b Blame) {
+		at.Counts[b]++
+		at.Total++
 	})
-	if n == 0 {
-		return at
-	}
-	at.Tags = make([]TaggedFailure, 0, n)
-	var counts [numBlames]int64
-	fails.forEach(func(fr *FailureRec) {
-		if !classified(fr) {
-			return
-		}
-		cFlag := at.ClientEpisodeHours[fr.Client].Has(int(fr.Hour))
-		sFlag := at.ServerEpisodeHours[fr.Site].Has(int(fr.Hour))
-		var b Blame
-		switch {
-		case cFlag && sFlag:
-			b = BlameBoth
-		case sFlag:
-			b = BlameServer
-		case cFlag:
-			b = BlameClient
-		default:
-			b = BlameOther
-		}
-		counts[b]++
-		at.Tags = append(at.Tags, TaggedFailure{FailureRec: *fr, Blame: b})
-	})
-	for b, c := range counts {
-		if c > 0 {
-			at.Counts[Blame(b)] = c
-		}
-	}
-	at.Total = int64(n)
 	return at
 }
 
@@ -356,13 +339,12 @@ func (a *Analysis) ServerEpisodeStats(at *Attribution) []ServerEpisodeStat {
 	words := (a.nClients + 63) / 64
 	affected := make([]uint64, a.nSites*words)
 	row := func(s int) HourSet { return HourSet{bits: affected[s*words : (s+1)*words]} }
-	for _, tf := range at.Tags {
-		if tf.Blame != BlameServer && tf.Blame != BlameBoth {
-			continue
+	at.walk(a.mustFailures(), func(fr *FailureRec, b Blame) {
+		if b == BlameServer || b == BlameBoth {
+			r := row(int(fr.Site))
+			r.Add(int(fr.Client))
 		}
-		r := row(int(tf.Site))
-		r.Add(int(tf.Client))
-	}
+	})
 
 	var out []ServerEpisodeStat
 	for s := 0; s < a.nSites; s++ {
@@ -456,14 +438,11 @@ func (a *Analysis) ClientServerSpecific(at *Attribution) PairSpecificResult {
 		h    int32
 	}
 	counts := make(map[cell]int64)
-	var otherTotal int64
-	for _, tf := range at.Tags {
-		if tf.Blame != BlameOther {
-			continue
+	at.walk(a.mustFailures(), func(fr *FailureRec, b Blame) {
+		if b == BlameOther {
+			counts[cell{fr.Client, fr.Site, fr.Hour}]++
 		}
-		otherTotal++
-		counts[cell{tf.Client, tf.Site, tf.Hour}]++
-	}
+	})
 	var res PairSpecificResult
 	for k, n := range counts {
 		expected := a.Topo.Clients[k.c].RoundsPerHour * float64(a.binNS) / float64(3600_000_000_000)
@@ -477,8 +456,8 @@ func (a *Analysis) ClientServerSpecific(at *Attribution) PairSpecificResult {
 			res.Failures += n
 		}
 	}
-	if otherTotal > 0 {
-		res.ShareOfOther = float64(res.Failures) / float64(otherTotal)
+	if other := at.Counts[BlameOther]; other > 0 {
+		res.ShareOfOther = float64(res.Failures) / float64(other)
 	}
 	return res
 }

@@ -1,7 +1,5 @@
 package core
 
-import "fmt"
-
 // Every analyzer grid is a page table over its roster geometry, with
 // pages of pageCells cells allocated on first touch. At paper scale
 // every page is touched, so a grid is the flat array plus one index.
@@ -77,11 +75,10 @@ func (g *grid[C]) forEach(fn func(i int, c *C)) {
 // pages dst lacks move over, leaving src without them, so neither grid
 // can write into the other's cells afterwards. Cell-wise addition
 // commutes, so shard merges stay order-independent, and the merged pages
-// are the union of the shards'.
-func mergeGrid[C any](dst, src *grid[C], add func(d, s *C)) error {
-	if dst.n != src.n {
-		return fmt.Errorf("core: merge of mismatched grids (%d vs %d cells)", dst.n, src.n)
-	}
+// are the union of the shards'. Both grids must have one geometry, which
+// Analysis.Merge guarantees by checking rosters, window and replica
+// index first.
+func mergeGrid[C any](dst, src *grid[C], add func(d, s *C)) {
 	for k, sp := range src.pages {
 		if sp == nil {
 			continue
@@ -95,7 +92,6 @@ func mergeGrid[C any](dst, src *grid[C], add func(d, s *C)) error {
 			add(&dp[j], &sp[j])
 		}
 	}
-	return nil
 }
 
 // rowTotals reduces a grid of rows x rowLen cells to one summed cell

@@ -129,7 +129,7 @@ type stateFingerprint struct {
 	Q90                  float64
 	Pairs                []PermanentPair
 	ConnShare, TxnShare  float64
-	Counts               map[Blame]int64
+	Counts               [numBlames]int64
 	Total                int64
 	ClientEp, ServerEp   [][]int
 	SES                  []ServerEpisodeStat
@@ -137,7 +137,7 @@ type stateFingerprint struct {
 	CoLoc                []PairSimilarity
 	Table                SimilarityTable
 	Top                  []PairSimilarity
-	Rand                 []PairSimilarity
+	Rand                 SimilarityTable
 	Census               ReplicaCensus
 	Split                ReplicaFailureSplit
 	Loss                 float64
@@ -169,6 +169,7 @@ func fingerprint(a *Analysis) stateFingerprint {
 	fp.Q90 = a.ClientFailureRateQuantile(0.9)
 	fp.Pairs = a.PermanentPairs(0.9)
 	fp.ConnShare, fp.TxnShare = a.PermanentPairShare(fp.Pairs)
+	const all = 1 << 20 // past every listing's length
 	at := a.Attribute(0.5, fp.Pairs)
 	fp.Counts, fp.Total = at.Counts, at.Total
 	for _, hs := range at.ClientEpisodeHours {
@@ -179,9 +180,9 @@ func fingerprint(a *Analysis) stateFingerprint {
 	}
 	fp.SES = a.ServerEpisodeStats(at)
 	fp.AtLeastOne, fp.Multiple = a.ServersWithEpisodes(at)
-	fp.CoLoc = a.CoLocatedSimilarity(at)
+	_, fp.CoLoc = a.CoLocatedSimilarityTop(at, all)
 	fp.Table, fp.Top = a.CoLocatedSimilarityTop(at, 8)
-	fp.Rand = a.RandomPairSimilarity(at, 42, len(fp.CoLoc))
+	fp.Rand = a.RandomPairSimilarity(at, 42, fp.Table.Pairs)
 	fp.Census = a.ReplicaCensusDefault()
 	fp.Split = a.ReplicaAnalysis(at, fp.Census)
 	loss, err := a.LossCorrelation()
@@ -193,7 +194,6 @@ func fingerprint(a *Analysis) stateFingerprint {
 	for _, st := range []httpsim.Stage{httpsim.StageDNS, httpsim.StageTCP, httpsim.StageHTTP} {
 		fp.StageFails = append(fp.StageFails, a.StageFailures(st))
 	}
-	const all = 1 << 20 // past every listing's length
 	fp.WorstClients = a.TopFailingClients(all)
 	fp.WorstSites = a.TopFailingSites(all)
 	fp.WorstHours = a.WorstHours(all)
@@ -475,12 +475,12 @@ func TestRandomPairSimilarityBounded(t *testing.T) {
 		ClientEpisodeHours: make([]HourSet, len(topo.Clients)),
 		ServerEpisodeHours: make([]HourSet, len(topo.Websites)),
 	}
-	done := make(chan []PairSimilarity, 1)
+	done := make(chan SimilarityTable, 1)
 	go func() { done <- a.RandomPairSimilarity(at, 1, 10) }()
 	select {
 	case out := <-done:
-		if len(out) != 0 {
-			t.Errorf("got %d pairs from an all-co-located roster, want 0", len(out))
+		if out.Pairs != 0 {
+			t.Errorf("got %d pairs from an all-co-located roster, want 0", out.Pairs)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("RandomPairSimilarity did not terminate on an all-co-located roster")
@@ -492,8 +492,8 @@ func TestRandomPairSimilarityBounded(t *testing.T) {
 		ClientEpisodeHours: make([]HourSet, len(topo2.Clients)),
 		ServerEpisodeHours: make([]HourSet, len(topo2.Websites)),
 	}
-	if out := a2.RandomPairSimilarity(at2, 1, 5); len(out) != 5 {
-		t.Errorf("mixed roster: got %d pairs, want 5", len(out))
+	if out := a2.RandomPairSimilarity(at2, 1, 5); out.Pairs != 5 {
+		t.Errorf("mixed roster: got %d pairs, want 5", out.Pairs)
 	}
 }
 
@@ -514,9 +514,7 @@ func TestPairCellInt64(t *testing.T) {
 	q := newPairsPass(1, 1)
 	qc := q.cells.mut(0)
 	qc.Txns = math.MaxInt32
-	if err := p.merge(q); err != nil {
-		t.Fatal(err)
-	}
+	p.merge(q)
 	if want := int64(math.MaxInt32)*2 + 1; cell.Txns != want {
 		t.Errorf("merged pair txns = %d, want %d", cell.Txns, want)
 	}

@@ -45,26 +45,27 @@ func (a *Analysis) Merge(other *Analysis) error {
 			len(a.replicas.replicaAddrs), len(other.replicas.replicaAddrs))
 	}
 	// The pass sets are equal, so each typed handle is set on both sides
-	// or on neither. Passes merge in canonical order, stopping at the
-	// first error.
-	err := a.totals.merge(other.totals)
-	if err == nil && a.traffic != nil {
-		err = a.traffic.merge(other.traffic)
+	// or on neither, and every grid's geometry follows from the rosters,
+	// the window and the replica index checked above, so no pass merge
+	// can fail.
+	a.totals.merge(other.totals)
+	if a.traffic != nil {
+		a.traffic.merge(other.traffic)
 	}
-	if err == nil && a.grids != nil {
-		err = a.grids.merge(other.grids)
+	if a.grids != nil {
+		a.grids.merge(other.grids)
 	}
-	if err == nil && a.fails != nil {
-		err = a.fails.merge(other.fails)
+	if a.fails != nil {
+		a.fails.merge(other.fails)
 	}
-	if err == nil && a.pairs != nil {
-		err = a.pairs.merge(other.pairs)
+	if a.pairs != nil {
+		a.pairs.merge(other.pairs)
 	}
-	if err == nil && a.replicas != nil {
-		err = a.replicas.merge(other.replicas)
+	if a.replicas != nil {
+		a.replicas.merge(other.replicas)
 	}
-	if err == nil && a.conns != nil {
-		err = a.conns.merge(other.conns)
+	if a.conns != nil {
+		a.conns.merge(other.conns)
 	}
-	return err
+	return nil
 }

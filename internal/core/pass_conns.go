@@ -62,9 +62,7 @@ func (p *connsPass) consume(r *measure.Record, hour int) {
 // merge adds cells; streak maxima are exact only when the two passes
 // saw disjoint client sets, as RunParallel's client-sharded workers
 // guarantee (see Analysis.Merge).
-func (p *connsPass) merge(q *connsPass) error {
-	if err := mergeGrid(&p.client, &q.client, addConnCell); err != nil {
-		return err
-	}
-	return mergeGrid(&p.server, &q.server, addConnCell)
+func (p *connsPass) merge(q *connsPass) {
+	mergeGrid(&p.client, &q.client, addConnCell)
+	mergeGrid(&p.server, &q.server, addConnCell)
 }

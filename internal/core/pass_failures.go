@@ -2,7 +2,7 @@ package core
 
 import "webfail/internal/measure"
 
-// failBlockRecs is the capacity of one failure-list block (80 KB of
+// failBlockRecs is the capacity of one failure-list block (64 KB of
 // FailureRecs): large enough that the block index stays small at 10⁶
 // failures, small enough that a shard's partly filled last block wastes
 // little.
@@ -31,8 +31,6 @@ func (p *failuresPass) consume(r *measure.Record, hour int) {
 		Site:   r.SiteIdx,
 		Hour:   int32(hour),
 		Stage:  r.Stage,
-		DNS:    r.DNS,
-		Kind:   r.FailKind,
 		Conns:  r.Conns,
 	})
 }
@@ -59,7 +57,7 @@ func (p *failuresPass) forEach(fn func(fr *FailureRec)) {
 
 // merge appends q's records after p's, filling p's blocks, so the merged
 // list keeps the serial layout.
-func (p *failuresPass) merge(q *failuresPass) error {
+func (p *failuresPass) merge(q *failuresPass) {
 	for _, blk := range q.blocks {
 		for len(blk) > 0 {
 			last := p.room()
@@ -68,5 +66,4 @@ func (p *failuresPass) merge(q *failuresPass) error {
 			blk = blk[k:]
 		}
 	}
-	return nil
 }

@@ -41,9 +41,7 @@ func (p *gridsPass) consume(r *measure.Record, hour int) {
 	}
 }
 
-func (p *gridsPass) merge(q *gridsPass) error {
-	if err := mergeGrid(&p.client, &q.client, addGridCell); err != nil {
-		return err
-	}
-	return mergeGrid(&p.server, &q.server, addGridCell)
+func (p *gridsPass) merge(q *gridsPass) {
+	mergeGrid(&p.client, &q.client, addGridCell)
+	mergeGrid(&p.server, &q.server, addGridCell)
 }

@@ -40,6 +40,6 @@ func (p *pairsPass) consume(r *measure.Record) {
 	}
 }
 
-func (p *pairsPass) merge(q *pairsPass) error {
-	return mergeGrid(&p.cells, &q.cells, addPairCell)
+func (p *pairsPass) merge(q *pairsPass) {
+	mergeGrid(&p.cells, &q.cells, addPairCell)
 }

@@ -18,7 +18,6 @@ type replicasPass struct {
 	hours int
 
 	replicaAddrs  []netip.Addr
-	replicaSite   []int32        // replica -> site index
 	replicaBySite [][]int32      // site -> replica indexes, topology order
 	replicaHours  grid[gridCell] // [replica*hours + h]
 	replicaConns  []int64        // total connections per replica (for the 10% rule)
@@ -35,7 +34,6 @@ func newReplicasPass(topo *workload.Topology, hours int) *replicasPass {
 		for _, ra := range topo.Websites[j].ReplicaAddrs {
 			ri := len(p.replicaAddrs)
 			p.replicaAddrs = append(p.replicaAddrs, ra)
-			p.replicaSite = append(p.replicaSite, int32(j))
 			p.replicaBySite[j] = append(p.replicaBySite[j], int32(ri))
 		}
 	}
@@ -62,15 +60,12 @@ func (p *replicasPass) consume(r *measure.Record, hour int) {
 
 // merge relies on Analysis.Merge having checked that both replica
 // indexes have the same length.
-func (p *replicasPass) merge(q *replicasPass) error {
-	if err := mergeGrid(&p.replicaHours, &q.replicaHours, addGridCell); err != nil {
-		return err
-	}
+func (p *replicasPass) merge(q *replicasPass) {
+	mergeGrid(&p.replicaHours, &q.replicaHours, addGridCell)
 	for i, v := range q.replicaConns {
 		p.replicaConns[i] += v
 	}
 	for i, v := range q.siteConns {
 		p.siteConns[i] += v
 	}
-	return nil
 }

@@ -17,8 +17,7 @@ func (p *totalsPass) consume(r *measure.Record) {
 	}
 }
 
-func (p *totalsPass) merge(q *totalsPass) error {
+func (p *totalsPass) merge(q *totalsPass) {
 	p.txns += q.txns
 	p.fails += q.fails
-	return nil
 }

@@ -114,7 +114,7 @@ func mergeBanks(dst, src *[256]*enumCounts) {
 	}
 }
 
-func (p *trafficPass) merge(q *trafficPass) error {
+func (p *trafficPass) merge(q *trafficPass) {
 	p.catTxns.addAll(&q.catTxns)
 	p.catFails.addAll(&q.catFails)
 	p.catConns.addAll(&q.catConns)
@@ -139,5 +139,4 @@ func (p *trafficPass) merge(q *trafficPass) error {
 	for i, n := range q.clientRetrans {
 		p.clientRetrans[i] += n
 	}
-	return nil
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"sort"
 
 	"webfail/internal/workload"
 )
@@ -24,7 +23,9 @@ type SimilarityTable struct {
 	Over75, Band50to75, Band25to50, Under25, Zero int
 }
 
-func bandCount(t *SimilarityTable, sim float64) {
+// add counts one pair of similarity sim.
+func (t *SimilarityTable) add(sim float64) {
+	t.Pairs++
 	switch {
 	case sim > 0.75:
 		t.Over75++
@@ -62,59 +63,22 @@ func simBetter(a, b PairSimilarity) bool {
 	return a.B < b.B
 }
 
-// CoLocatedSimilarity computes per-pair similarity of client-side failure
-// episodes for the topology's co-located pairs (Table 8's detail rows)
-// using an attribution's episode sets.
-func (a *Analysis) CoLocatedSimilarity(at *Attribution) []PairSimilarity {
-	out := a.coLocated(at, nil)
-	sort.Slice(out, func(i, j int) bool { return simBetter(out[i], out[j]) })
-	return out
-}
-
-// CoLocatedSimilarityTop streams the co-located pairs once, producing
-// the full Table 7 histogram plus the k highest-ranked pairs (by the
-// same total order CoLocatedSimilarity sorts by) with O(k) retention —
-// the bounded-memory rendering of Table 8 for rosters whose co-located
-// pair list would not fit. The selection order is total, so the top
-// list equals CoLocatedSimilarity truncated to k, row for row.
+// CoLocatedSimilarityTop computes the similarity of client-side failure
+// episodes, under an attribution's episode sets, for each of the
+// topology's co-located pairs in one streaming pass: the full Table 7
+// histogram plus Table 8's k highest-ranked pairs, sorted best first by
+// simBetter. It retains O(k) pairs, so rosters whose co-located pair
+// list would not fit render in bounded memory; the order is total, so
+// the top list equals a sort of every pair truncated to k, row for row.
 func (a *Analysis) CoLocatedSimilarityTop(at *Attribution, k int) (SimilarityTable, []PairSimilarity) {
 	var t SimilarityTable
 	top := newTopK[PairSimilarity](k, func(x, y PairSimilarity) bool { return simBetter(y, x) })
-	a.coLocated(at, func(ps PairSimilarity) {
-		t.Pairs++
-		bandCount(&t, ps.Similarity)
-		top.push(ps)
+	a.Topo.EachCoLocatedPair(func(i, j int) {
+		union, sim := episodeSimilarity(at.ClientEpisodeHours[i], at.ClientEpisodeHours[j])
+		t.add(sim)
+		top.push(PairSimilarity{A: a.Topo.Clients[i].Name, B: a.Topo.Clients[j].Name, UnionSize: union, Similarity: sim})
 	})
 	return t, top.sorted()
-}
-
-// coLocated visits each co-located pair's similarity once, in topology
-// pair order. When visit retains nothing, the returned slice holds
-// every pair (the CoLocatedSimilarity path); CoLocatedSimilarityTop
-// passes a visit that folds into bounded state instead.
-func (a *Analysis) coLocated(at *Attribution, visit func(PairSimilarity)) []PairSimilarity {
-	nameIdx := make(map[string]int, a.nClients)
-	for i := range a.Topo.Clients {
-		nameIdx[a.Topo.Clients[i].Name] = i
-	}
-	pairs := a.Topo.CoLocatedPairs()
-	var out []PairSimilarity
-	retainAll := visit == nil
-	for _, p := range pairs {
-		ia, ok1 := nameIdx[p[0]]
-		ib, ok2 := nameIdx[p[1]]
-		if !ok1 || !ok2 {
-			continue
-		}
-		union, sim := episodeSimilarity(at.ClientEpisodeHours[ia], at.ClientEpisodeHours[ib])
-		ps := PairSimilarity{A: p[0], B: p[1], UnionSize: union, Similarity: sim}
-		if retainAll {
-			out = append(out, ps)
-		} else {
-			visit(ps)
-		}
-	}
-	return out
 }
 
 // randomPairMaxDraws bounds RandomPairSimilarity's rejection sampling:
@@ -125,11 +89,12 @@ func (a *Analysis) coLocated(at *Attribution, visit func(PairSimilarity)) []Pair
 // orders of magnitude of headroom and never triggers.
 func randomPairMaxDraws(n int) int { return 128*n + 256 }
 
-// RandomPairSimilarity computes the control: the same measure over
-// randomly paired clients (same count as the co-located set, CN excluded
-// to match), seeded for reproducibility. The result may hold fewer than
-// n pairs if the draw bound is hit first (see randomPairMaxDraws).
-func (a *Analysis) RandomPairSimilarity(at *Attribution, seed int64, n int) []PairSimilarity {
+// RandomPairSimilarity computes the control: the Table 7 histogram of
+// the same measure over randomly paired clients (same count as the
+// co-located set, CN excluded to match), seeded for reproducibility.
+// The table may count fewer than n pairs if the draw bound is hit first
+// (see randomPairMaxDraws).
+func (a *Analysis) RandomPairSimilarity(at *Attribution, seed int64, n int) SimilarityTable {
 	rng := rand.New(rand.NewSource(seed))
 	var eligible []int
 	for i := range a.Topo.Clients {
@@ -137,27 +102,15 @@ func (a *Analysis) RandomPairSimilarity(at *Attribution, seed int64, n int) []Pa
 			eligible = append(eligible, i)
 		}
 	}
-	out := make([]PairSimilarity, 0, n)
-	for draws := 0; len(out) < n && len(eligible) >= 2 && draws < randomPairMaxDraws(n); draws++ {
+	var t SimilarityTable
+	for draws := 0; t.Pairs < n && len(eligible) >= 2 && draws < randomPairMaxDraws(n); draws++ {
 		i := eligible[rng.Intn(len(eligible))]
 		j := eligible[rng.Intn(len(eligible))]
 		if i == j || a.Topo.Clients[i].Site == a.Topo.Clients[j].Site {
 			continue
 		}
-		union, sim := episodeSimilarity(at.ClientEpisodeHours[i], at.ClientEpisodeHours[j])
-		out = append(out, PairSimilarity{
-			A: a.Topo.Clients[i].Name, B: a.Topo.Clients[j].Name,
-			UnionSize: union, Similarity: sim,
-		})
-	}
-	return out
-}
-
-// Tabulate reduces pair similarities to the Table 7 histogram.
-func Tabulate(pairs []PairSimilarity) SimilarityTable {
-	t := SimilarityTable{Pairs: len(pairs)}
-	for _, p := range pairs {
-		bandCount(&t, p.Similarity)
+		_, sim := episodeSimilarity(at.ClientEpisodeHours[i], at.ClientEpisodeHours[j])
+		t.add(sim)
 	}
 	return t
 }

@@ -61,20 +61,21 @@ func (a *Analysis) ValidateAttribution(at *Attribution, sc *workload.Scenario) *
 	serverMemo := make([]uint8, a.nSites*a.Hours)
 
 	var conf [numBlames][numBlames]int64
-	for _, tf := range at.Tags {
+	var total int64
+	at.walk(a.mustFailures(), func(fr *FailureRec, b Blame) {
 		// Bin midpoint as representative instant.
-		atTime := binMid(a, int(tf.Hour))
+		atTime := binMid(a, int(fr.Hour))
 
-		memo := &serverMemo[int(tf.Site)*a.Hours+int(tf.Hour)]
+		memo := &serverMemo[int(fr.Site)*a.Hours+int(fr.Hour)]
 		if *memo == 0 {
 			*memo = 1
-			if serverActive(int(tf.Site), atTime) {
+			if serverActive(int(fr.Site), atTime) {
 				*memo = 2
 			}
 		}
 		serverTruth := *memo == 2
 
-		c := tf.Client
+		c := fr.Client
 		clientTruth := activeAnyKind(tl, ids.Site[c], atTime, faults.ClientConnectivity, faults.LDNSOutage) ||
 			activeAnyKind(tl, ids.Client[c], atTime, faults.ClientConnectivity) ||
 			activeAnyKind(tl, ids.ClientPrefix[c], atTime, faults.BGPInstability, faults.PathOutage)
@@ -90,10 +91,11 @@ func (a *Analysis) ValidateAttribution(at *Attribution, sc *workload.Scenario) *
 		default:
 			truth = BlameOther
 		}
-		conf[tf.Blame][truth]++
-	}
+		conf[b][truth]++
+		total++
+	})
 
-	rep := &GroundTruthReport{Confusion: map[Blame]map[Blame]int64{}, Total: int64(len(at.Tags))}
+	rep := &GroundTruthReport{Confusion: map[Blame]map[Blame]int64{}, Total: total}
 	for attr, row := range conf {
 		for truth, n := range row {
 			if n == 0 {
@@ -109,9 +111,6 @@ func (a *Analysis) ValidateAttribution(at *Attribution, sc *workload.Scenario) *
 	rep.ClientPrecision, rep.ClientRecall = precisionRecall(&conf, BlameClient)
 	return rep
 }
-
-// numBlames sizes the confusion matrix ValidateAttribution counts in.
-const numBlames = int(BlameBoth) + 1
 
 // precisionRecall scores blame b against a confusion matrix, treating
 // "both" as agreeing with either side: precision is the share of b (or

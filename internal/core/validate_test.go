@@ -14,13 +14,13 @@ import (
 
 // validateAttributionRef is the string-keyed ground-truth join that
 // ValidateAttribution replaced: it builds each entity name and looks it
-// up for every classified failure. It is kept as the reference the
-// ID-based join must equal.
-func validateAttributionRef(a *Analysis, at *Attribution, sc *workload.Scenario) *GroundTruthReport {
+// up for every classified failure in tags. It is kept as the reference
+// the ID-based join must equal.
+func validateAttributionRef(a *Analysis, tags []taggedFailure, sc *workload.Scenario) *GroundTruthReport {
 	rep := &GroundTruthReport{Confusion: map[Blame]map[Blame]int64{}}
 	tl := sc.Timeline
 
-	for _, tf := range at.Tags {
+	for _, tf := range tags {
 		c := &a.Topo.Clients[tf.Client]
 		w := &a.Topo.Websites[tf.Site]
 		// Bin midpoint as representative instant.
@@ -179,9 +179,9 @@ func TestValidateAttributionMatchesReference(t *testing.T) {
 			a, sc := scenarioAnalysis(t, r.scenario, r.clients, r.sites, r.hours, r.bin)
 			pairs := a.PermanentPairs(0.9)
 			for _, f := range []float64{0.05, 0.10} {
-				at := a.Attribute(f, pairs)
-				got := a.ValidateAttribution(at, sc)
-				want := validateAttributionRef(a, at, sc)
+				got := a.ValidateAttribution(a.Attribute(f, pairs), sc)
+				_, tags := attributeRef(a, f, pairs)
+				want := validateAttributionRef(a, tags, sc)
 				if got.Total == 0 {
 					t.Fatalf("f=%v: no classified failures to join", f)
 				}
@@ -193,15 +193,25 @@ func TestValidateAttributionMatchesReference(t *testing.T) {
 	}
 
 	t.Run("allocs independent of failures", func(t *testing.T) {
+		// doubled holds the same records twice over: the merge of two
+		// identical accumulators. Joined under the one attribution, its
+		// failure list yields every classified failure of a twice.
 		a, sc := scenarioAnalysis(t, "paper-default", 0, 0, 6, time.Hour)
+		doubled, _ := scenarioAnalysis(t, "paper-default", 0, 0, 6, time.Hour)
+		twin, _ := scenarioAnalysis(t, "paper-default", 0, 0, 6, time.Hour)
+		if err := doubled.Merge(twin); err != nil {
+			t.Fatal(err)
+		}
 		at := a.Attribute(0.05, a.PermanentPairs(0.9))
-		doubled := *at
-		doubled.Tags = append(append([]TaggedFailure(nil), at.Tags...), at.Tags...)
+		onceRep, twiceRep := a.ValidateAttribution(at, sc), doubled.ValidateAttribution(at, sc)
+		if onceRep.Total == 0 || twiceRep.Total != 2*onceRep.Total {
+			t.Fatalf("joined %d failures once and %d over the doubled list; want twice as many", onceRep.Total, twiceRep.Total)
+		}
 		once := testing.AllocsPerRun(5, func() { a.ValidateAttribution(at, sc) })
-		twice := testing.AllocsPerRun(5, func() { a.ValidateAttribution(&doubled, sc) })
+		twice := testing.AllocsPerRun(5, func() { doubled.ValidateAttribution(at, sc) })
 		if once != twice {
 			t.Errorf("ValidateAttribution allocated %.0f times over %d failures and %.0f over %d; want no per-failure allocation",
-				once, len(at.Tags), twice, len(doubled.Tags))
+				once, onceRep.Total, twice, twiceRep.Total)
 		}
 	})
 }

@@ -239,7 +239,7 @@ func (r *Reporter) tables78(show7, show8 bool) {
 	co, top := r.A.CoLocatedSimilarityTop(at, table8Rows)
 	if show7 {
 		r.header("Table 7: co-located vs random pair similarity")
-		rnd := core.Tabulate(r.A.RandomPairSimilarity(at, r.Seed, co.Pairs))
+		rnd := r.A.RandomPairSimilarity(at, r.Seed, co.Pairs)
 		fmt.Fprintf(r.W, "%-22s %9s %9s\n", "", "co-located", "random")
 		rows := []struct {
 			name   string

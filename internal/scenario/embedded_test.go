@@ -75,23 +75,33 @@ func TestRosterAddressesDistinct(t *testing.T) {
 				endpoints[c.Proxy] = true
 			}
 		}
-		replicas := map[netip.Addr]string{}
-		for i := range topo.Websites {
-			w := &topo.Websites[i]
-			for _, ra := range w.ReplicaAddrs {
-				if other, dup := replicas[ra]; dup {
-					t.Errorf("%s: replica address %v belongs to %s and %s", name, ra, other, w.Host)
-				}
-				replicas[ra] = w.Host
-				if endpoints[ra] {
-					t.Errorf("%s: %s replica address %v is also a client-side address", name, w.Host, ra)
-				}
+		replicas := replicaOwners(t, name, topo)
+		for ra, host := range replicas {
+			if endpoints[ra] {
+				t.Errorf("%s: %s replica address %v is also a client-side address", name, host, ra)
 			}
 		}
 		if len(replicas) == 0 {
 			t.Errorf("%s: no replica addresses", name)
 		}
 	}
+}
+
+// replicaOwners maps each of topo's replica addresses to its website,
+// failing t for an address two websites share.
+func replicaOwners(t *testing.T, name string, topo *workload.Topology) map[netip.Addr]string {
+	t.Helper()
+	owners := map[netip.Addr]string{}
+	for i := range topo.Websites {
+		w := &topo.Websites[i]
+		for _, ra := range w.ReplicaAddrs {
+			if other, dup := owners[ra]; dup {
+				t.Errorf("%s: replica address %v belongs to %s and %s", name, ra, other, w.Host)
+			}
+			owners[ra] = w.Host
+		}
+	}
+	return owners
 }
 
 // TestChaosScenarioScale pins the 10k-chaos contract: at least 10k

@@ -199,13 +199,14 @@ func TestPaperWebsiteRoster(t *testing.T) {
 
 func TestPaperCoLocatedPairs(t *testing.T) {
 	topo := PaperTopology()
-	pairs := topo.CoLocatedPairs()
+	var pairs [][2]int
+	topo.EachCoLocatedPair(func(i, j int) { pairs = append(pairs, [2]int{i, j}) })
 	// Section 4.4.6: 35 pairs (33 PL + 2 BB); CN clients excluded.
 	if len(pairs) != 35 {
 		t.Fatalf("co-located pairs = %d, want 35", len(pairs))
 	}
 	for _, p := range pairs {
-		a, b := topo.ClientByName(p[0]), topo.ClientByName(p[1])
+		a, b := &topo.Clients[p[0]], &topo.Clients[p[1]]
 		if a.Site != b.Site {
 			t.Errorf("pair %v not co-located", p)
 		}

@@ -379,6 +379,10 @@ func checkRoster(cs []workload.Client, ws []workload.Website, s *Spec) error {
 			return fmt.Errorf("websites: spread-replica site %q at index %d exceeds the second-/24 capacity (%d)",
 				w.Host, j, workload.MaxSpreadWebsites)
 		}
+		if k := j + workload.SpreadOffset; w.SpreadReplicas && w.Replicas > 1 && k < len(ws) {
+			return fmt.Errorf("websites: spread-replica site %q at index %d would put its later replicas in the /24 of %q at index %d",
+				w.Host, j, ws[k].Host, k)
+		}
 	}
 	return nil
 }

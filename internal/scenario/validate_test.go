@@ -156,6 +156,15 @@ func TestValidateRejects(t *testing.T) {
 		{"duplicate-host", func(s *Spec) {
 			s.Websites[0].List[1].Host = "www.a.example"
 		}, "duplicate host \"www.a.example\""},
+		{"spread-replicas-in-another-websites-prefix", func(s *Spec) {
+			// Website 0's second /24 is the first /24 of website
+			// SpreadOffset, the 2,049th.
+			list := []WebsiteEntry{{Host: "www.w0.example", Group: "US-MISC", Region: "us-west", Replicas: 2, SpreadReplicas: true}}
+			for j := 1; j <= workload.SpreadOffset; j++ {
+				list = append(list, WebsiteEntry{Host: fmt.Sprintf("www.w%d.example", j), Group: "US-MISC", Region: "us-west", Replicas: 2})
+			}
+			s.Websites = []WebsiteBlock{{List: list}}
+		}, "spread-replica site \"www.w0.example\" at index 0 would put its later replicas in the /24 of \"www.w2048.example\" at index 2048"},
 		{"two-block-kinds", func(s *Spec) {
 			s.Clients[0].Members = []ClientMember{
 				{Name: "m", Site: "t", Region: "us-west", Category: "BB", RoundsPerHour: 1},
@@ -271,6 +280,7 @@ func TestValidatedSpecsCompile(t *testing.T) {
 		if len(topo.Clients) != f.Count {
 			t.Fatalf("v=%d: compiled %d clients, want %d", v, len(topo.Clients), f.Count)
 		}
+		replicaOwners(t, s.Name, topo)
 		if _, err := s.Params(int64(v), 0, simnet.FromHours(1)); err != nil {
 			t.Fatalf("v=%d: validated spec failed to compile params: %v", v, err)
 		}

@@ -64,14 +64,17 @@ type Topology struct {
 // site /24. Website numbers fill 172.16.0.0/12 upward from 172.16.0.0
 // (240 x 256 /24s before the first octet overflows); replicas occupy
 // .80 upward, and SpreadReplicas sites claim a second /24 at hi+8 —
-// which only exists for the first 232 x 256 website numbers. Scenario
-// validation enforces these before compiling a roster.
+// which only exists for the first 232 x 256 website numbers, and is the
+// first /24 of website number j+SpreadOffset, so a roster holding that
+// website cannot spread website j. Scenario validation enforces these
+// before compiling a roster.
 const (
 	MaxClientSites    = 65536
 	MaxClientsPerSite = 246 // hosts .10 through .255
 	MaxWebsites       = 240 * 256
-	MaxSpreadWebsites = 232 * 256 // second /24 at hi+8 must fit under 255
-	MaxReplicas       = 176       // replicas .80 through .255
+	SpreadOffset      = 8 * 256                    // website j's second /24 is website j+SpreadOffset's first
+	MaxSpreadWebsites = MaxWebsites - SpreadOffset // second /24 at hi+8 must fit under 255
+	MaxReplicas       = 176                        // replicas .80 through .255
 )
 
 // NewRosterTopology assigns addresses to an arbitrary roster, in roster
@@ -142,13 +145,13 @@ func buildTopology(cs []Client, ws []Website) *Topology {
 			if w.SpreadReplicas && k > 0 {
 				// Later replicas on a second /24 (distinct
 				// prefix — the rarer "spread" case of §4.5).
-				b = [4]byte{172, hi + 8, lo, 0}
+				b = [4]byte{172, hi + SpreadOffset/256, lo, 0}
 			}
 			b[3] = byte(80 + k)
 			node.ReplicaAddrs = append(node.ReplicaAddrs, netip.AddrFrom4(b))
 		}
 		if w.SpreadReplicas && w.Replicas > 1 {
-			node.Prefixes = append(node.Prefixes, netip.PrefixFrom(netip.AddrFrom4([4]byte{172, hi + 8, lo, 0}), 24))
+			node.Prefixes = append(node.Prefixes, netip.PrefixFrom(netip.AddrFrom4([4]byte{172, hi + SpreadOffset/256, lo, 0}), 24))
 		}
 		t.siteIndex[w.Host] = len(t.Websites)
 		t.Websites = append(t.Websites, node)
@@ -202,35 +205,36 @@ func (t *Topology) AllPrefixes() []netip.Prefix {
 	return out
 }
 
-// CoLocatedPairs returns all unordered pairs of clients sharing a site —
-// the 35 pairs of Section 4.4.6 (33 PL + 2 BB) when built from the full
-// roster. CN clients are excluded as in the paper (their proxies confound
-// client-side attribution).
-func (t *Topology) CoLocatedPairs() [][2]string {
-	// Sites are visited in roster order (not map order) so the pair list
-	// is deterministic run to run.
-	bySite := make(map[string][]string)
-	var siteOrder []string
+// EachCoLocatedPair calls fn(i, j) for every unordered pair of client
+// indexes i < j whose clients share a site — the 35 pairs of Section
+// 4.4.6 (33 PL + 2 BB) when built from the full roster. CN clients are
+// excluded as in the paper (their proxies confound client-side
+// attribution). Sites are visited in the roster order of their first
+// client, and each site's pairs in roster order, so the visit order is
+// deterministic run to run.
+func (t *Topology) EachCoLocatedPair(fn func(i, j int)) {
+	siteOf := make(map[string]int)
+	var bySite [][]int
 	for i := range t.Clients {
 		c := &t.Clients[i]
 		if c.Category == CN {
 			continue
 		}
-		if _, ok := bySite[c.Site]; !ok {
-			siteOrder = append(siteOrder, c.Site)
+		s, ok := siteOf[c.Site]
+		if !ok {
+			s = len(bySite)
+			siteOf[c.Site] = s
+			bySite = append(bySite, nil)
 		}
-		bySite[c.Site] = append(bySite[c.Site], c.Name)
+		bySite[s] = append(bySite[s], i)
 	}
-	var out [][2]string
-	for _, site := range siteOrder {
-		names := bySite[site]
-		for i := 0; i < len(names); i++ {
-			for j := i + 1; j < len(names); j++ {
-				out = append(out, [2]string{names[i], names[j]})
+	for _, members := range bySite {
+		for x, i := range members {
+			for _, j := range members[x+1:] {
+				fn(i, j)
 			}
 		}
 	}
-	return out
 }
 
 // String summarizes the topology.

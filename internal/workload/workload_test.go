@@ -155,14 +155,18 @@ func TestTopologyAddressing(t *testing.T) {
 func TestCoLocatedPairs(t *testing.T) {
 	cs, ws := testRoster()
 	topo := NewRosterTopology(cs, ws)
-	pairs := topo.CoLocatedPairs()
+	var pairs [][2]int
+	topo.EachCoLocatedPair(func(i, j int) { pairs = append(pairs, [2]int{i, j}) })
 	// alpha.edu contributes 1 PL pair, home.one 1 BB pair; the CN site is
 	// excluded (proxies confound client-side attribution).
 	if len(pairs) != 2 {
 		t.Fatalf("co-located pairs = %v, want 2", pairs)
 	}
 	for _, p := range pairs {
-		a, b := topo.ClientByName(p[0]), topo.ClientByName(p[1])
+		a, b := &topo.Clients[p[0]], &topo.Clients[p[1]]
+		if p[0] >= p[1] {
+			t.Errorf("pair %v not in roster order", p)
+		}
 		if a.Site != b.Site {
 			t.Errorf("pair %v not co-located", p)
 		}

@@ -79,6 +79,12 @@ set -eux
 
 cd "$(dirname "$0")/.."
 
+# The CLI binaries, datasets and outputs the end-to-end checks write go
+# to one private directory, removed on exit, so concurrent runs on one
+# host do not overwrite each other's files.
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
 test -z "$(gofmt -l .)"
 go build ./...
 go vet ./...
@@ -109,10 +115,14 @@ go test -race -run 'TestSerialParallelEquivalence|TestRunParallelShardClamp|Test
 # TestValidateAttributionMatchesReference holds the ID-based
 # ground-truth join to its string-keyed reference on every shipped
 # scenario and keeps its allocations independent of the failure count;
-# TestAttributeMatchesReference holds Table 5's attribution and the
-# permanent-pair shares, read from the block-built failure list, to the
-# map-excluding, append-grown reference on every shipped scenario.
-go test -race -run 'TestGridMatchesReference|TestMergeOrderIndependence|TestShardLocalPages|TestTopFailingPairsMatchesFull|TestTopFailingMatchesReference|TestStoredRecordOutsideWindow|TestRandomPairSimilarityBounded|TestPairCellInt64|TestHourSet|TestTopK|TestValidateAttributionMatchesReference|TestAttributeMatchesReference' \
+# TestAttributeMatchesReference holds Table 5's attribution, each
+# classified failure's blame and the permanent-pair shares, read from
+# the block-built failure list, to the map-excluding, append-grown
+# reference on every shipped scenario; TestSimilarityMatchesReference
+# holds the streamed Tables 7-8 (histogram and top-k rows) and the
+# random-pair table to a reference that lists and fully sorts every
+# pair.
+go test -race -run 'TestGridMatchesReference|TestMergeOrderIndependence|TestShardLocalPages|TestTopFailingPairsMatchesFull|TestTopFailingMatchesReference|TestStoredRecordOutsideWindow|TestRandomPairSimilarityBounded|TestPairCellInt64|TestHourSet|TestTopK|TestValidateAttributionMatchesReference|TestAttributeMatchesReference|TestSimilarityMatchesReference' \
     -count=1 ./internal/core
 # Dataset format gates: the checked-in v3 fixture must keep opening
 # (backward compatibility), the columnar codec must round-trip and
@@ -163,7 +173,10 @@ go test -run 'TestCalibration' -count=1 -timeout 10m ./internal/measure
 # Scenario gates: every checked-in scenario must validate, compile, and
 # complete a short-horizon fast run; its roster must give no two clients
 # one address and every replica address to one website alone
-# (TestRosterAddressesDistinct); a spec key the spec does not define
+# (TestRosterAddressesDistinct); a roster whose spread website would put
+# its later replicas in another website's /24 must fail validation, and
+# every generated spec that validates must compile to distinct replica
+# addresses (TestValidate); a spec key the spec does not define
 # must fail by name (TestParseStrict); FuzzScenario's seed corpus (every
 # checked-in scenario) must parse and compile without a panic; the
 # paper-default spec must compile to the exact hard-coded roster and
@@ -180,18 +193,17 @@ go test -run 'TestCalibration' -count=1 -timeout 10m ./internal/measure
 go test -run 'TestPaper|TestEmbeddedScenariosCompile|TestRosterAddressesDistinct|TestValidate|TestChaosScenarioScale|TestParseStrict|FuzzScenario' ./internal/scenario
 go test -run 'TestGoldenOutput|TestScenarioFlagDefaultEquivalence|TestScenarioGoldens|TestInputChecks' ./cmd/webfail
 go test -race -run 'TestScenarioSerialParallelEquivalence' -count=1 ./cmd/webfail
-go build -o /tmp/webfail-verify ./cmd/webfail
-go build -o /tmp/webfail-analyze-verify ./cmd/webfail-analyze
+go build -o "$tmp/webfail" ./cmd/webfail
+go build -o "$tmp/webfail-analyze" ./cmd/webfail-analyze
 for sc in paper-default 10k-chaos cascading-outage cdn-flap; do
-    /tmp/webfail-verify -scenario "$sc" -hours 1 -artifacts headlines > /dev/null
+    "$tmp/webfail" -scenario "$sc" -hours 1 -artifacts headlines > /dev/null
 done
 # A serial and a 4-shard save of the same run: the comparison proves
 # analysis byte-identity across shard counts at 10k-chaos scale.
-/tmp/webfail-verify -scenario 10k-chaos -hours 1 -parallel 1 \
-    -artifacts headlines -save /tmp/chaos_p1.ds > /dev/null
-/tmp/webfail-verify -scenario 10k-chaos -hours 1 -parallel 4 \
-    -artifacts headlines -save /tmp/chaos_p4.ds > /dev/null
-/tmp/webfail-analyze-verify -in /tmp/chaos_p1.ds -artifacts all > /tmp/chaos_p1.out
-/tmp/webfail-analyze-verify -in /tmp/chaos_p4.ds -artifacts all > /tmp/chaos_p4.out
-cmp /tmp/chaos_p1.out /tmp/chaos_p4.out
-rm -f /tmp/webfail-verify /tmp/webfail-analyze-verify /tmp/chaos_p1.ds /tmp/chaos_p4.ds /tmp/chaos_p1.out /tmp/chaos_p4.out
+"$tmp/webfail" -scenario 10k-chaos -hours 1 -parallel 1 \
+    -artifacts headlines -save "$tmp/chaos_p1.ds" > /dev/null
+"$tmp/webfail" -scenario 10k-chaos -hours 1 -parallel 4 \
+    -artifacts headlines -save "$tmp/chaos_p4.ds" > /dev/null
+"$tmp/webfail-analyze" -in "$tmp/chaos_p1.ds" -artifacts all > "$tmp/chaos_p1.out"
+"$tmp/webfail-analyze" -in "$tmp/chaos_p4.ds" -artifacts all > "$tmp/chaos_p4.out"
+cmp "$tmp/chaos_p1.out" "$tmp/chaos_p4.out"
