@@ -144,7 +144,7 @@ func precisionRecall(conf *[numBlames][numBlames]int64, b Blame) (precision, rec
 // the interned entity id.
 func activeAnyKind(tl *faults.Timeline, id faults.EntityID, at simnet.Time, kinds ...faults.Kind) bool {
 	for _, k := range kinds {
-		if _, ok := tl.ActiveID(id, k, at); ok {
+		if tl.ActiveID(id, k, at) != nil {
 			return true
 		}
 	}

@@ -30,7 +30,7 @@ func validateAttributionRef(a *Analysis, tags []taggedFailure, sc *workload.Scen
 			faults.ServerOutage, faults.ServerOverload)
 		if !serverTruth {
 			for _, ra := range w.ReplicaAddrs {
-				if _, ok := tl.ActiveID(tl.Lookup(faults.Entity("replica:"+ra.String())), faults.ServerOutage, atTime); ok {
+				if tl.ActiveID(tl.Lookup(faults.Entity("replica:"+ra.String())), faults.ServerOutage, atTime) != nil {
 					serverTruth = true
 					break
 				}
@@ -121,7 +121,7 @@ func refRecallOf(rep *GroundTruthReport, b Blame, truthTotal int64) float64 {
 func refActiveAnyKind(tl *faults.Timeline, e faults.Entity, at simnet.Time, kinds ...faults.Kind) bool {
 	id := tl.Lookup(e)
 	for _, k := range kinds {
-		if _, ok := tl.ActiveID(id, k, at); ok {
+		if tl.ActiveID(id, k, at) != nil {
 			return true
 		}
 	}

@@ -211,6 +211,9 @@ func TestIndexChunkMismatch(t *testing.T) {
 		"Lo above Hi":    func(x *index) { x.Chunks[1].Lo = x.Chunks[1].Hi + 1 },
 		"Hi past roster": func(x *index) { x.Chunks[2].Hi = int32(x.Meta.Clients) },
 		"roster shrunk":  func(x *index) { x.Meta.Clients = int(x.Chunks[len(x.Chunks)-1].Hi) },
+		// A raw length no deflate stream of the chunk's length can
+		// inflate to would size the read buffer from a corrupt entry.
+		"raw past deflate's ratio": func(x *index) { x.Chunks[0].Raw = x.Chunks[0].Length*maxDeflateRatio + 1 },
 	} {
 		data := rewriteIndex(t, buf.Bytes(), tamper)
 		if _, err := Open(bytes.NewReader(data), int64(len(data))); err == nil {

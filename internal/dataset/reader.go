@@ -81,8 +81,8 @@ func Open(r io.ReaderAt, size int64, opts ...OpenOption) (RecordSource, error) {
 		if c.Offset < int64(len(magicV3)) || c.Length <= 0 || c.Offset+c.Length > idxOff || c.Count < 0 {
 			return nil, fmt.Errorf("dataset: corrupt chunk entry (offset=%d length=%d count=%d)", c.Offset, c.Length, c.Count)
 		}
-		if c.Raw <= 0 || c.Raw > maxChunkRawBytes {
-			return nil, fmt.Errorf("dataset: corrupt chunk entry (raw=%d)", c.Raw)
+		if c.Raw <= 0 || c.Raw > maxChunkRawBytes || c.Raw > c.Length*maxDeflateRatio {
+			return nil, fmt.Errorf("dataset: corrupt chunk entry (raw=%d, length=%d)", c.Raw, c.Length)
 		}
 		// Ranged reads skip chunks by [Lo, Hi], so a range outside the
 		// roster would silently drop records from sharded ingests.
@@ -133,6 +133,12 @@ type reader struct {
 // maxChunkRawBytes bounds the pre-compression chunk size the reader
 // will buffer, so a corrupt index entry cannot drive a huge allocation.
 const maxChunkRawBytes = 1 << 30
+
+// maxDeflateRatio is the most deflate can expand its input (a 258-byte
+// match in one bit is 1032:1). A chunk claiming a larger raw length is
+// corrupt, and refusing it keeps the buffer a corrupt entry can ask for
+// in proportion to the file.
+const maxDeflateRatio = 1032
 
 // Meta returns the stored run description.
 func (d *reader) Meta() measure.DatasetMeta { return d.meta }

@@ -105,6 +105,11 @@ func ParseKind(name string) (Kind, bool) {
 // Freeze time.
 const numKinds = int(ClientMachineOff) + 1
 
+// Freeze records each entity's kinds as a uint16 bit mask. This constant
+// overflows, and the package fails to build, once there are more than
+// 16 kinds.
+const _ uint16 = 1 << (numKinds - 1)
+
 // Entity names the thing an episode applies to.
 type Entity string
 
@@ -145,21 +150,24 @@ func (e Episode) Contains(t simnet.Time) bool { return t >= e.Start && t < e.End
 // Timeline stores episodes indexed by entity, supporting fast
 // point-in-time queries. Build with Add calls, then call Freeze once
 // before querying (Add after Freeze panics). Freeze also interns every
-// entity into a dense EntityID and builds a per-(entity, kind) episode
-// index, so steady-state queries through Lookup + ActiveID cost two array
-// indexings and a binary search — no string hashing, no kind-filter scan.
+// entity into a dense EntityID and builds a per-entity kind mask and a
+// per-(entity, kind) episode index, so a query through Lookup + ActiveID
+// for a kind the entity never has costs one inlined load, and any other
+// a binary search — no string hashing, no kind-filter scan.
 type Timeline struct {
 	byEntity map[Entity][]Episode
 	maxDur   map[Entity]time.Duration
 	frozen   bool
 
 	// Interned index, built by Freeze. entities doubles as the cached
-	// result of Entities(). kindEps/kindMax are flattened
+	// result of Entities(). kinds[id] has bit k set when the entity has
+	// an episode of kind k. kindEps/kindMax are flattened
 	// [entity x kind] tables indexed by int(id)*numKinds + int(kind);
 	// eps/epsMax are the per-entity all-kind views used by
 	// ActiveAnyIntoID.
 	ids      map[Entity]EntityID
 	entities []Entity
+	kinds    []uint16
 	eps      [][]Episode
 	epsMax   []time.Duration
 	kindEps  [][]Episode
@@ -207,6 +215,7 @@ func (t *Timeline) Freeze() {
 	}
 	sort.Slice(t.entities, func(i, j int) bool { return t.entities[i] < t.entities[j] })
 	t.ids = make(map[Entity]EntityID, len(t.entities))
+	t.kinds = make([]uint16, len(t.entities))
 	t.eps = make([][]Episode, len(t.entities))
 	t.epsMax = make([]time.Duration, len(t.entities))
 	t.kindEps = make([][]Episode, len(t.entities)*numKinds)
@@ -217,6 +226,7 @@ func (t *Timeline) Freeze() {
 		t.eps[id] = eps
 		t.epsMax[id] = t.maxDur[e]
 		for _, ep := range eps {
+			t.kinds[id] |= 1 << ep.Kind
 			idx := id*numKinds + int(ep.Kind)
 			t.kindEps[idx] = append(t.kindEps[idx], ep)
 			if ep.Duration > t.kindMax[idx] {
@@ -241,32 +251,37 @@ func (t *Timeline) Lookup(e Entity) EntityID {
 }
 
 // ActiveID returns the most severe episode of the given kind covering
-// instant at for the entity, and whether one exists: two array
-// indexings plus a binary search, no string hashing, no allocation.
-// Querying NoEntity reports no episode.
-func (t *Timeline) ActiveID(id EntityID, kind Kind, at simnet.Time) (Episode, bool) {
-	if !t.frozen {
-		panic("faults: query before Freeze")
+// instant at for the entity, or nil when none does; severity ties go to
+// the earliest in start-sorted insertion order. The result points into
+// the frozen index: read it, never write through it.
+//
+// Most queries find nothing, and this front answers them without a
+// search: NoEntity, and an entity with no episode of the kind (an
+// out-of-range kind shifts out of the mask), cost one load. The front is
+// small enough for the compiler to inline; scripts/verify.sh fails if it
+// stops being so. Querying a real handle before Freeze panics, as the
+// mask it reads does not exist yet.
+func (t *Timeline) ActiveID(id EntityID, kind Kind, at simnet.Time) *Episode {
+	if id < 0 || t.kinds[id]&(1<<kind) == 0 {
+		return nil
 	}
-	if id < 0 || int(kind) >= numKinds {
-		return Episode{}, false
-	}
+	return t.search(id, kind, at)
+}
+
+// search is ActiveID's out-of-line half: a binary search of the
+// (entity, kind) index for the episodes that can contain at, then the
+// most severe of those that do.
+func (t *Timeline) search(id EntityID, kind Kind, at simnet.Time) *Episode {
 	idx := int(id)*numKinds + int(kind)
 	eps := t.kindEps[idx]
-	if len(eps) == 0 {
-		return Episode{}, false
-	}
+	var best *Episode
 	// Episodes with Start in (at-maxDur, at] can contain at.
-	i := searchAfter(eps, at.Add(-t.kindMax[idx])-1)
-	var best Episode
-	found := false
-	for ; i < len(eps) && eps[i].Start <= at; i++ {
-		if eps[i].Contains(at) && (!found || eps[i].Severity > best.Severity) {
-			best = eps[i]
-			found = true
+	for i := searchAfter(eps, at.Add(-t.kindMax[idx])-1); i < len(eps) && eps[i].Start <= at; i++ {
+		if eps[i].Contains(at) && (best == nil || eps[i].Severity > best.Severity) {
+			best = &eps[i]
 		}
 	}
-	return best, found
+	return best
 }
 
 // ActiveAnyIntoID appends every episode (any kind) covering instant at

@@ -20,19 +20,19 @@ func TestTimelineBasic(t *testing.T) {
 	tl.Freeze()
 
 	a := tl.Lookup("client:a")
-	if ep, ok := tl.ActiveID(a, ClientConnectivity, hour(5).Add(time.Minute)); !ok || ep.Severity != 1 {
-		t.Errorf("ActiveID = %+v, %v", ep, ok)
+	if ep := tl.ActiveID(a, ClientConnectivity, hour(5).Add(time.Minute)); ep == nil || ep.Severity != 1 {
+		t.Errorf("ActiveID = %+v", ep)
 	}
-	if _, ok := tl.ActiveID(a, ClientConnectivity, hour(4)); ok {
+	if tl.ActiveID(a, ClientConnectivity, hour(4)) != nil {
 		t.Error("active before start")
 	}
-	if _, ok := tl.ActiveID(a, ClientConnectivity, hour(7)); ok {
+	if tl.ActiveID(a, ClientConnectivity, hour(7)) != nil {
 		t.Error("active after end (end-exclusive)")
 	}
-	if _, ok := tl.ActiveID(a, ServerOutage, hour(5)); ok {
+	if tl.ActiveID(a, ServerOutage, hour(5)) != nil {
 		t.Error("wrong kind matched")
 	}
-	if _, ok := tl.ActiveID(tl.Lookup("client:b"), ClientConnectivity, hour(5)); ok {
+	if tl.ActiveID(tl.Lookup("client:b"), ClientConnectivity, hour(5)) != nil {
 		t.Error("wrong entity matched")
 	}
 	if got := tl.ActiveAnyIntoID(a, hour(6).Add(time.Minute), nil); len(got) != 2 {
@@ -52,13 +52,11 @@ func TestTimelineMostSevereWins(t *testing.T) {
 	tl.Add(Episode{Entity: "www:x", Kind: ServerOutage, Start: hour(2), Duration: time.Hour, Severity: 0.9})
 	tl.Freeze()
 	x := tl.Lookup("www:x")
-	ep, ok := tl.ActiveID(x, ServerOutage, hour(2).Add(30*time.Minute))
-	if !ok || ep.Severity != 0.9 {
+	if ep := tl.ActiveID(x, ServerOutage, hour(2).Add(30*time.Minute)); ep == nil || ep.Severity != 0.9 {
 		t.Errorf("got %+v", ep)
 	}
 	// After the short severe episode, the long mild one still applies.
-	ep, ok = tl.ActiveID(x, ServerOutage, hour(4))
-	if !ok || ep.Severity != 0.3 {
+	if ep := tl.ActiveID(x, ServerOutage, hour(4)); ep == nil || ep.Severity != 0.3 {
 		t.Errorf("got %+v", ep)
 	}
 }
@@ -72,7 +70,7 @@ func TestTimelineOverlapScanBound(t *testing.T) {
 		tl.Add(Episode{Entity: "e", Kind: ServerOutage, Start: hour(i), Duration: time.Minute, Severity: 1})
 	}
 	tl.Freeze()
-	if _, ok := tl.ActiveID(tl.Lookup("e"), PathOutage, hour(99)); !ok {
+	if tl.ActiveID(tl.Lookup("e"), PathOutage, hour(99)) == nil {
 		t.Error("long episode missed by scan")
 	}
 }
@@ -205,7 +203,7 @@ func TestLookupUnknownEntity(t *testing.T) {
 	if id := tl.Lookup("absent"); id != NoEntity {
 		t.Errorf("Lookup(absent) = %d, want NoEntity", id)
 	}
-	if _, ok := tl.ActiveID(NoEntity, PathOutage, hour(1)); ok {
+	if tl.ActiveID(NoEntity, PathOutage, hour(1)) != nil {
 		t.Error("ActiveID(NoEntity) reported an episode")
 	}
 	if got := tl.ActiveAnyIntoID(NoEntity, hour(1), nil); got != nil {
@@ -213,7 +211,7 @@ func TestLookupUnknownEntity(t *testing.T) {
 	}
 	// Out-of-range kinds are rejected, not indexed.
 	id := tl.Lookup("known")
-	if _, ok := tl.ActiveID(id, Kind(200), hour(1)); ok {
+	if tl.ActiveID(id, Kind(200), hour(1)) != nil {
 		t.Error("ActiveID with out-of-range kind reported an episode")
 	}
 }
@@ -253,27 +251,39 @@ func TestEntityIDStability(t *testing.T) {
 }
 
 func TestActiveIDMatchesActive(t *testing.T) {
-	// Property: over randomized timelines, the interned path returns
-	// exactly what a linear scan over every episode returns — the most
-	// severe covering episode of that kind, ties going to the earliest
-	// in start-sorted insertion order — for every entity, kind, and
-	// query instant.
-	entities := []Entity{"a", "b", "c"}
+	// Property: over randomized timelines, the interned query is nil
+	// exactly when a linear scan over every episode finds no covering
+	// episode of that kind, and otherwise points at the episode the scan
+	// picks — the most severe, ties going to the earliest in start-sorted
+	// insertion order — inside the frozen index. Entity "d" has episodes
+	// of kinds a, b and c never have, so every query about it, and about
+	// them for d's kinds, is answered by the kind mask; NoEntity, an
+	// entity with no episodes and out-of-range kinds are queried too.
+	entities := []Entity{"a", "b", "c", "d"}
 	kinds := []Kind{ClientConnectivity, PathOutage, ServerOutage, BGPInstability}
+	dKinds := []Kind{LDNSOutage, ServerHTTPError}
 	f := func(seed int64, queries []uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tl := NewTimeline()
 		n := 5 + rng.Intn(40)
 		var all []Episode
 		for i := 0; i < n; i++ {
+			e := entities[rng.Intn(len(entities))]
+			k := kinds[rng.Intn(len(kinds))]
+			if e == "d" {
+				k = dKinds[rng.Intn(len(dKinds))]
+			}
 			ep := Episode{
-				Entity:   entities[rng.Intn(len(entities))],
-				Kind:     kinds[rng.Intn(len(kinds))],
+				Entity:   e,
+				Kind:     k,
 				Start:    simnet.Time(rng.Intn(5000)) * simnet.Time(time.Minute),
 				Duration: time.Duration(1+rng.Intn(600)) * time.Minute,
 				// Few distinct severities, so ties occur and the
 				// tie-break is checked too.
 				Severity: float64(1+rng.Intn(4)) / 4,
+				// A distinct Mode per episode, so comparing values
+				// tells tied episodes apart.
+				Mode: uint8(i),
 			}
 			all = append(all, ep)
 			tl.Add(ep)
@@ -282,20 +292,39 @@ func TestActiveIDMatchesActive(t *testing.T) {
 		sort.SliceStable(all, func(i, j int) bool { return all[i].Start < all[j].Start })
 		for _, q := range queries {
 			at := simnet.Time(q) * simnet.Time(time.Minute)
-			for _, e := range entities {
+			for _, e := range append(entities, "absent") {
 				id := tl.Lookup(e)
-				for _, k := range kinds {
-					var wantEp Episode
-					wantOK := false
-					for _, ep := range all {
-						if ep.Entity == e && ep.Kind == k && ep.Contains(at) && (!wantOK || ep.Severity > wantEp.Severity) {
-							wantEp, wantOK = ep, true
+				for k := Kind(0); int(k) <= numKinds; k++ {
+					var want *Episode
+					for i, ep := range all {
+						if ep.Entity == e && ep.Kind == k && ep.Contains(at) && (want == nil || ep.Severity > want.Severity) {
+							want = &all[i]
 						}
 					}
-					gotEp, gotOK := tl.ActiveID(id, k, at)
-					if wantOK != gotOK || wantEp != gotEp {
+					got := tl.ActiveID(id, k, at)
+					if (got == nil) != (want == nil) {
+						t.Logf("entity %q kind %v at %v: got %+v, want %+v", e, k, at, got, want)
 						return false
 					}
+					if got == nil {
+						continue
+					}
+					if *got != *want || !inIndex(tl, id, k, got) {
+						t.Logf("entity %q kind %v at %v: got %+v (in index: %v), want %+v", e, k, at, *got, inIndex(tl, id, k, got), *want)
+						return false
+					}
+				}
+			}
+			for _, k := range []Kind{ClientConnectivity, Kind(200)} {
+				if got := tl.ActiveID(NoEntity, k, at); got != nil {
+					t.Logf("NoEntity kind %v at %v: got %+v", k, at, *got)
+					return false
+				}
+			}
+			for _, e := range entities {
+				if id := tl.Lookup(e); id != NoEntity && tl.ActiveID(id, Kind(200), at) != nil {
+					t.Logf("entity %q: out-of-range kind reported an episode", e)
+					return false
 				}
 			}
 		}
@@ -304,6 +333,18 @@ func TestActiveIDMatchesActive(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
+}
+
+// inIndex reports whether ep points at an element of the frozen
+// (id, kind) index, rather than at a copy.
+func inIndex(tl *Timeline, id EntityID, kind Kind, ep *Episode) bool {
+	eps := tl.kindEps[int(id)*numKinds+int(kind)]
+	for i := range eps {
+		if &eps[i] == ep {
+			return true
+		}
+	}
+	return false
 }
 
 func TestActiveAnyIntoEquivalence(t *testing.T) {
@@ -335,7 +376,10 @@ func TestActiveAnyIntoEquivalence(t *testing.T) {
 }
 
 func TestActivePropertyConsistency(t *testing.T) {
-	// ActiveID(e,k,t) agrees with a brute-force scan over all episodes.
+	// ActiveID(e,k,t) is nil exactly when a brute-force scan over all
+	// episodes finds none covering t, and otherwise covers t. "e" also
+	// has episodes of another kind, which the PathOutage query skips;
+	// the kind the entity lacks and NoEntity must both answer nil.
 	f := func(starts []uint16, durs []uint8, query uint16) bool {
 		tl := NewTimeline()
 		var eps []Episode
@@ -354,17 +398,26 @@ func TestActivePropertyConsistency(t *testing.T) {
 			}
 			eps = append(eps, ep)
 			tl.Add(ep)
+			if i%2 == 1 {
+				ep.Kind = ServerOutage
+				ep.Start += simnet.Time(time.Hour)
+				tl.Add(ep)
+			}
 		}
 		tl.Freeze()
 		at := simnet.Time(query) * simnet.Time(time.Minute)
-		_, got := tl.ActiveID(tl.Lookup("e"), PathOutage, at)
+		id := tl.Lookup("e")
+		got := tl.ActiveID(id, PathOutage, at)
 		want := false
 		for _, ep := range eps {
 			if ep.Contains(at) {
 				want = true
 			}
 		}
-		return got == want
+		if got != nil && (got.Kind != PathOutage || !got.Contains(at)) {
+			return false
+		}
+		return (got != nil) == want && tl.ActiveID(id, LDNSOutage, at) == nil && tl.ActiveID(NoEntity, PathOutage, at) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

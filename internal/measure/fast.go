@@ -43,11 +43,18 @@ type evaluator struct {
 	// (the weak loss/failure correlation of Section 4.1.3).
 	quality []float64
 
+	// Base RTT by region pair, so sampleRTT compares no region strings:
+	// rtt[cliRow[ci-lo]+wwwRegion[si]] is regionRTT of client ci's and
+	// website si's regions. cliRow holds each shard client's region
+	// index times the region count.
+	rtt       []time.Duration
+	cliRow    []int32
+	wwwRegion []int32
+
 	// Per-evaluator scratch, reused across transactions (the evaluator
 	// is single-goroutine; RunParallel builds one per shard).
-	addrBuf []netip.Addr      // rotated replica list
-	pfxBuf  []faults.EntityID // prefix entities touched by one transaction
-	epBuf   []faults.Episode  // ActiveAnyIntoID target
+	pfxBuf []faults.EntityID // prefix entities touched by one transaction
+	epBuf  []faults.Episode  // ActiveAnyIntoID target
 	// repDownGen is the generation-counted "replica down" set replacing
 	// a per-transaction map: position k (in rotated address order) is
 	// down iff repDownGen[k] == gen for the current transaction.
@@ -98,26 +105,60 @@ func newEvaluator(cfg Config, sh *shard) *evaluator {
 		}
 		ev.quality[i-sh.lo] = q
 	}
+	ev.buildRTT(sh.lo, sh.hi)
 	maxRep := 1
 	for j := range topo.Websites {
 		maxRep = max(maxRep, len(topo.Websites[j].ReplicaAddrs))
 	}
-	ev.addrBuf = make([]netip.Addr, 0, maxRep)
 	ev.pfxBuf = make([]faults.EntityID, 0, maxRep+1)
 	ev.epBuf = make([]faults.Episode, 0, 8)
 	ev.repDownGen = make([]uint64, maxRep)
 	return ev
 }
 
-// hit draws whether an active episode's severity fires.
-func hit(rng *rand.Rand, ep faults.Episode, ok bool) bool {
-	if !ok {
-		return false
+// buildRTT fills the region-pair RTT table for the shard's clients
+// [lo, hi) and every website, numbering regions as they first appear.
+func (ev *evaluator) buildRTT(lo, hi int) {
+	region := map[string]int32{}
+	index := func(r string) int32 {
+		i, ok := region[r]
+		if !ok {
+			i = int32(len(region))
+			region[r] = i
+		}
+		return i
 	}
-	if ep.Severity >= 1 {
-		return true
+	ev.wwwRegion = make([]int32, len(ev.topo.Websites))
+	for j := range ev.wwwRegion {
+		ev.wwwRegion[j] = index(ev.topo.Websites[j].Region)
 	}
-	return rng.Float64() < ep.Severity
+	ev.cliRow = make([]int32, hi-lo)
+	for i := range ev.cliRow {
+		ev.cliRow[i] = index(ev.topo.Clients[lo+i].Region)
+	}
+	n := int32(len(region))
+	for i := range ev.cliRow {
+		ev.cliRow[i] *= n
+	}
+	ev.rtt = make([]time.Duration, n*n)
+	for ra, a := range region {
+		for rb, b := range region {
+			ev.rtt[a*n+b] = regionRTT(ra, rb)
+		}
+	}
+}
+
+// hit draws whether an active episode's severity fires; nil (no
+// episode) never does. hit inlines, so the nil answer most queries get
+// costs no call; scripts/verify.sh fails if it stops inlining.
+func hit(rng *rand.Rand, ep *faults.Episode) bool {
+	return ep != nil && fires(rng, ep)
+}
+
+// fires draws whether an episode fails the operation: always at
+// severity 1, otherwise with probability Severity on one draw.
+func fires(rng *rand.Rand, ep *faults.Episode) bool {
+	return ep.Severity >= 1 || rng.Float64() < ep.Severity
 }
 
 // pathImpact maps a BGP instability episode to the probability that a
@@ -125,7 +166,7 @@ func hit(rng *rand.Rand, ep faults.Episode, ok bool) bool {
 // withdrawals leave almost no working path; the special high-impact mode
 // reproduces the Figure 7 case (2 withdrawing neighbors carrying most
 // paths, observed 56% failure); small local events barely matter.
-func pathImpact(ep faults.Episode) float64 {
+func pathImpact(ep *faults.Episode) float64 {
 	if ep.Mode == workload.BGPHighImpact {
 		return 0.56
 	}
@@ -163,7 +204,7 @@ func (ev *evaluator) evaluateTx(tx *workload.Transaction, rec *Record) bool {
 	tl := ev.tl
 	at := tx.At
 
-	if _, off := tl.ActiveID(ev.ids.Client[ci], faults.ClientMachineOff, at); off {
+	if tl.ActiveID(ev.ids.Client[ci], faults.ClientMachineOff, at) != nil {
 		return false
 	}
 
@@ -182,12 +223,12 @@ func (ev *evaluator) evaluateTx(tx *workload.Transaction, rec *Record) bool {
 	}
 
 	// --- Client-side connectivity state (used by both DNS and TCP). ---
-	siteConn, siteConnOK := tl.ActiveID(ev.ids.Site[ci], faults.ClientConnectivity, at)
-	cliConn, cliConnOK := tl.ActiveID(ev.ids.Client[ci], faults.ClientConnectivity, at)
+	siteConn := tl.ActiveID(ev.ids.Site[ci], faults.ClientConnectivity, at)
+	cliConn := tl.ActiveID(ev.ids.Client[ci], faults.ClientConnectivity, at)
 	// Drawing siteHit first preserves the original short-circuit RNG
 	// sequence while exposing which end caused the loss.
-	siteHit := hit(rng, siteConn, siteConnOK)
-	connectivityDown := siteHit || hit(rng, cliConn, cliConnOK)
+	siteHit := hit(rng, siteConn)
+	connectivityDown := siteHit || hit(rng, cliConn)
 	if ev.tr != nil && connectivityDown {
 		if siteHit {
 			ev.trConnCause = traceCause{ent: ev.ids.Site[ci], kind: faults.ClientConnectivity}
@@ -213,16 +254,16 @@ func (ev *evaluator) evaluateTx(tx *workload.Transaction, rec *Record) bool {
 			rec.StatusCode = 502
 			rec.Conns = 1 // the client did connect to the proxy
 			rec.ReplicaIP = c.Proxy
-			rec.Elapsed = ev.sampleRTT(rng, c, w) + 11*time.Second
+			rec.Elapsed = ev.sampleRTT(rng, ci, si, c) + 11*time.Second
 			return true
 		}
 	}
 
 	// --- Replica selection. ---
-	addrs, off := ev.replicaAddrs(rng, w)
+	addrs, off, n := ev.replicaAddrs(rng, w)
 
 	// --- TCP/HTTP phase. ---
-	ev.download(rng, rec, c, w, addrs, off, at, connectivityDown)
+	ev.download(rng, rec, c, w, addrs, off, n, at, connectivityDown)
 	return true
 }
 
@@ -240,14 +281,14 @@ func (ev *evaluator) resolveDNS(rng *rand.Rand, ci, si int, at simnet.Time, conn
 		return DNSLDNSTimeout, stubTimeoutTotal
 	}
 	// LDNS server trouble (site-scoped: co-located clients share it).
-	if ep, ok := tl.ActiveID(ev.ids.Site[ci], faults.LDNSOutage, at); hit(rng, ep, ok) {
+	if hit(rng, tl.ActiveID(ev.ids.Site[ci], faults.LDNSOutage, at)) {
 		if ev.tr != nil {
 			ev.trDNSCause = traceCause{ent: ev.ids.Site[ci], kind: faults.LDNSOutage}
 		}
 		return DNSLDNSTimeout, stubTimeoutTotal
 	}
 	// Authoritative DNS misconfiguration: definitive error response.
-	if ep, ok := tl.ActiveID(ev.ids.Website[si], faults.AuthDNSMisconfig, at); hit(rng, ep, ok) {
+	if hit(rng, tl.ActiveID(ev.ids.Website[si], faults.AuthDNSMisconfig, at)) {
 		if ev.tr != nil {
 			ev.trDNSCause = traceCause{ent: ev.ids.Website[si], kind: faults.AuthDNSMisconfig}
 		}
@@ -255,7 +296,7 @@ func (ev *evaluator) resolveDNS(rng *rand.Rand, ci, si int, at simnet.Time, conn
 	}
 	// Authoritative DNS unreachable: the LDNS keeps retrying past the
 	// stub's patience — a non-LDNS timeout.
-	if ep, ok := tl.ActiveID(ev.ids.Website[si], faults.AuthDNSOutage, at); hit(rng, ep, ok) {
+	if hit(rng, tl.ActiveID(ev.ids.Website[si], faults.AuthDNSOutage, at)) {
 		if ev.tr != nil {
 			ev.trDNSCause = traceCause{ent: ev.ids.Website[si], kind: faults.AuthDNSOutage}
 		}
@@ -284,13 +325,13 @@ func (ev *evaluator) proxyDNSFails(rng *rand.Rand, si int, at simnet.Time) bool 
 	tl := ev.tl
 	// Only a hard authoritative outage that outlives the proxy cache
 	// TTL is visible; model as a strongly discounted probability.
-	if ep, ok := tl.ActiveID(ev.ids.Website[si], faults.AuthDNSOutage, at); ok {
+	if ep := tl.ActiveID(ev.ids.Website[si], faults.AuthDNSOutage, at); ep != nil {
 		if ev.tr != nil {
 			ev.trDNSCause = traceCause{ent: ev.ids.Website[si], kind: faults.AuthDNSOutage}
 		}
 		return rng.Float64() < ep.Severity*0.15
 	}
-	if ep, ok := tl.ActiveID(ev.ids.Website[si], faults.AuthDNSMisconfig, at); ok {
+	if ep := tl.ActiveID(ev.ids.Website[si], faults.AuthDNSMisconfig, at); ep != nil {
 		if ev.tr != nil {
 			ev.trDNSCause = traceCause{ent: ev.ids.Website[si], kind: faults.AuthDNSMisconfig}
 		}
@@ -299,53 +340,51 @@ func (ev *evaluator) proxyDNSFails(rng *rand.Rand, si int, at simnet.Time) bool 
 	return false
 }
 
-// replicaAddrs resolves the address list a client's wget would try, in
-// order, reusing the evaluator's rotation scratch buffer. Authoritative
-// servers rotate multi-A answers round-robin (the standard BIND
-// behaviour), so the starting replica varies per lookup and every replica
-// carries a fair connection share — the premise of the Section 4.5 replica
-// census. CDN sites return one rotating pool address.
-//
-// The second result is the rotation offset: position k of the returned
-// list is w.ReplicaAddrs[(off+k) % len(w.ReplicaAddrs)], which is how the
-// download loop maps addresses back to the precomputed per-replica
-// handles. A CDN address has no replica identity and returns off = -1.
-func (ev *evaluator) replicaAddrs(rng *rand.Rand, w *workload.WebsiteNode) ([]netip.Addr, int) {
-	if len(w.ReplicaAddrs) == 0 {
-		ev.addrBuf = append(ev.addrBuf[:0], ev.topo.CDNPool[rng.Intn(len(ev.topo.CDNPool))])
-		return ev.addrBuf, -1
+// replicaAddrs picks the addresses a client's wget would try, in order,
+// as a rotation of a shared list: the k-th address tried is
+// list[(off+k)%len(list)], for k < n. Authoritative servers rotate
+// multi-A answers round-robin (the standard BIND behaviour), so the
+// starting replica varies per lookup and every replica carries a fair
+// connection share — the premise of the Section 4.5 replica census; the
+// list is the website's replica list, whose positions are also those of
+// its precomputed per-replica handles. A CDN site gives one address
+// drawn from the CDN pool, which has no replica identity.
+func (ev *evaluator) replicaAddrs(rng *rand.Rand, w *workload.WebsiteNode) (list []netip.Addr, off, n int) {
+	n = len(w.ReplicaAddrs)
+	switch n {
+	case 0:
+		pool := ev.topo.CDNPool
+		return pool, rng.Intn(len(pool)), 1
+	case 1:
+		return w.ReplicaAddrs, 0, 1
 	}
-	n := len(w.ReplicaAddrs)
-	if n == 1 {
-		return w.ReplicaAddrs, 0
-	}
-	off := rng.Intn(n)
-	out := append(ev.addrBuf[:0], w.ReplicaAddrs[off:]...)
-	out = append(out, w.ReplicaAddrs[:off]...)
-	ev.addrBuf = out
-	return out, off
+	return w.ReplicaAddrs, rng.Intn(n), n
 }
 
 // download evaluates the TCP/HTTP phase, mirroring httpsim.Client's
-// semantics: try each address in order, then retry the whole list (wget
-// tries=2); the proxy tries only the first address and never fails over.
+// semantics: try each of the n addresses replicaAddrs picked in order,
+// then retry the whole list (wget tries=2); the proxy tries only the
+// first address and never fails over.
 //
 // Fault states are drawn ONCE per transaction, not per attempt: fault
 // episodes persist far longer than the seconds a transaction's retries
 // span, so a flaky component that fails the first attempt fails the
 // retries too. (Per-attempt independence would make multi-replica sites
 // artificially immune to fractional-severity faults.)
-func (ev *evaluator) download(rng *rand.Rand, rec *Record, c *workload.ClientNode, w *workload.WebsiteNode, addrs []netip.Addr, off int, at simnet.Time, connectivityDown bool) {
+func (ev *evaluator) download(rng *rand.Rand, rec *Record, c *workload.ClientNode, w *workload.WebsiteNode, addrs []netip.Addr, off, n int, at simnet.Time, connectivityDown bool) {
 	tl := ev.tl
 	p := &ev.cfg.Scenario.Params
 	const tries = 2
 	si := rec.SiteIdx
-	rtt := ev.sampleRTT(rng, c, w)
+	rtt := ev.sampleRTT(rng, int(rec.ClientIdx), int(si), c)
 	const synFailTime = 21 * time.Second
 
 	if c.Proxied {
-		addrs = addrs[:1]
+		n = 1
 	}
+	// Only a replica list maps positions to per-replica handles; a CDN
+	// pool address has none.
+	replicas := len(w.ReplicaAddrs) > 0
 
 	// --- Per-transaction fault state. ---
 	var (
@@ -369,7 +408,7 @@ func (ev *evaluator) download(rng *rand.Rand, rec *Record, c *workload.ClientNod
 	causeTransient := traceCause{ent: faults.NoEntity, transient: true}
 
 	pairID := ev.ids.Pair(int(rec.ClientIdx), int(si))
-	if ep, ok := tl.ActiveID(pairID, faults.PermanentBlock, at); hit(rng, ep, ok) {
+	if ep := tl.ActiveID(pairID, faults.PermanentBlock, at); hit(rng, ep) {
 		blocked = true
 		blockMode = ep.Mode
 		causeBlocked = traceCause{ent: pairID, kind: faults.PermanentBlock}
@@ -380,10 +419,9 @@ func (ev *evaluator) download(rng *rand.Rand, rec *Record, c *workload.ClientNod
 	// independently, as a multi-homed path would) builds in a reused
 	// scratch buffer.
 	pfxIDs := append(ev.pfxBuf[:0], ev.ids.ClientPrefix[rec.ClientIdx])
-	if off >= 0 {
-		n := len(repPfx)
-		for k := range addrs {
-			if id := repPfx[(off+k)%n]; id != faults.NoEntity {
+	if replicas {
+		for k := range n {
+			if id := repPfx[(off+k)%len(repPfx)]; id != faults.NoEntity {
 				pfxIDs = append(pfxIDs, id)
 			}
 		}
@@ -393,32 +431,31 @@ func (ev *evaluator) download(rng *rand.Rand, rec *Record, c *workload.ClientNod
 		// One all-kind scan per prefix feeds both checks.
 		ev.epBuf = tl.ActiveAnyIntoID(id, at, ev.epBuf[:0])
 		ev.episodes += int64(len(ev.epBuf))
-		if ep, active := mostSevere(ev.epBuf, faults.BGPInstability); active && rng.Float64() < pathImpact(ep) {
+		if ep := mostSevere(ev.epBuf, faults.BGPInstability); ep != nil && rng.Float64() < pathImpact(ep) {
 			if !pathDown {
 				causePath = traceCause{ent: id, kind: faults.BGPInstability}
 			}
 			pathDown = true
 		}
-		if ep, active := mostSevere(ev.epBuf, faults.PathOutage); hit(rng, ep, active) {
+		if hit(rng, mostSevere(ev.epBuf, faults.PathOutage)) {
 			if !pathDown {
 				causePath = traceCause{ent: id, kind: faults.PathOutage}
 			}
 			pathDown = true
 		}
 	}
-	if ep, ok := tl.ActiveID(ev.ids.Website[si], faults.ServerOutage, at); hit(rng, ep, ok) {
+	if hit(rng, tl.ActiveID(ev.ids.Website[si], faults.ServerOutage, at)) {
 		wwwDown = true
 		causeWWW = traceCause{ent: ev.ids.Website[si], kind: faults.ServerOutage}
 	}
-	if off >= 0 {
-		n := len(repID)
-		for k := range addrs {
-			if ep, active := tl.ActiveID(repID[(off+k)%n], faults.ServerOutage, at); hit(rng, ep, active) {
+	if replicas {
+		for k := range n {
+			if hit(rng, tl.ActiveID(repID[(off+k)%len(repID)], faults.ServerOutage, at)) {
 				ev.repDownGen[k] = ev.gen
 			}
 		}
 	}
-	if ep, ok := tl.ActiveID(ev.ids.Website[si], faults.ServerOverload, at); hit(rng, ep, ok) {
+	if ep := tl.ActiveID(ev.ids.Website[si], faults.ServerOverload, at); hit(rng, ep) {
 		overload = true
 		overloadMode = ep.Mode
 		causeOverload = traceCause{ent: ev.ids.Website[si], kind: faults.ServerOverload}
@@ -443,7 +480,8 @@ func (ev *evaluator) download(rng *rand.Rand, rec *Record, c *workload.ClientNod
 
 	var elapsed time.Duration
 	for try := 0; try < tries; try++ {
-		for k, addr := range addrs {
+		for k := range n {
+			addr := addrs[(off+k)%len(addrs)]
 			rec.Conns++
 			rec.ReplicaIP = addr
 			before := elapsed
@@ -459,7 +497,7 @@ func (ev *evaluator) download(rng *rand.Rand, rec *Record, c *workload.ClientNod
 					ev.tr.attempt(addr, before, elapsed, "partial-response", causeBlocked)
 				}
 				continue
-			case blocked, pathDown, wwwDown, off >= 0 && ev.repDownGen[k] == ev.gen:
+			case blocked, pathDown, wwwDown, replicas && ev.repDownGen[k] == ev.gen:
 				rec.FailKind = httpsim.NoConnection
 				elapsed += synFailTime
 				if tracing {
@@ -555,7 +593,7 @@ func (ev *evaluator) download(rng *rand.Rand, rec *Record, c *workload.ClientNod
 // httpPhase decides the HTTP outcome of a completed transfer.
 func (ev *evaluator) httpPhase(rng *rand.Rand, rec *Record, w *workload.WebsiteNode, at simnet.Time) {
 	p := &ev.cfg.Scenario.Params
-	if ep, ok := ev.tl.ActiveID(ev.ids.Website[rec.SiteIdx], faults.ServerHTTPError, at); hit(rng, ep, ok) {
+	if hit(rng, ev.tl.ActiveID(ev.ids.Website[rec.SiteIdx], faults.ServerHTTPError, at)) {
 		rec.Stage = httpsim.StageHTTP
 		rec.StatusCode = 503
 		if ev.tr != nil {
@@ -602,20 +640,18 @@ func transientKindFor(rng *rand.Rand, cat workload.Category) httpsim.ConnFailKin
 	}
 }
 
-// mostSevere picks the most severe episode of the given kind from an
-// ActiveAnyIntoID result, resolving severity ties in favour of the
-// earliest-listed episode — the same winner Timeline.ActiveID picks, since
-// both visit episodes in start-sorted insertion-stable order.
-func mostSevere(eps []faults.Episode, kind faults.Kind) (faults.Episode, bool) {
-	var best faults.Episode
-	found := false
+// mostSevere points at the most severe episode of the given kind in an
+// ActiveAnyIntoID result, or is nil when there is none; severity ties go
+// to the earliest-listed episode — the same winner Timeline.ActiveID
+// picks, since both visit episodes in start-sorted insertion-stable order.
+func mostSevere(eps []faults.Episode, kind faults.Kind) *faults.Episode {
+	var best *faults.Episode
 	for i := range eps {
-		if eps[i].Kind == kind && (!found || eps[i].Severity > best.Severity) {
-			best = eps[i]
-			found = true
+		if eps[i].Kind == kind && (best == nil || eps[i].Severity > best.Severity) {
+			best = &eps[i]
 		}
 	}
-	return best, found
+	return best
 }
 
 // sampleDNSTime draws a successful lookup latency: tens of milliseconds,
@@ -628,9 +664,10 @@ func (ev *evaluator) sampleDNSTime(rng *rand.Rand) time.Duration {
 	return time.Duration(base * float64(time.Millisecond))
 }
 
-// sampleRTT draws the client↔server round-trip time from the region pair.
-func (ev *evaluator) sampleRTT(rng *rand.Rand, c *workload.ClientNode, w *workload.WebsiteNode) time.Duration {
-	base := regionRTT(c.Region, w.Region)
+// sampleRTT draws the round-trip time between client ci (c) and website
+// si from their region pair's base RTT.
+func (ev *evaluator) sampleRTT(rng *rand.Rand, ci, si int, c *workload.ClientNode) time.Duration {
+	base := ev.rtt[ev.cliRow[ci-ev.lo]+ev.wwwRegion[si]]
 	jitter := time.Duration(rng.Int63n(int64(base/4) + 1))
 	extra := time.Duration(0)
 	if c.Category == workload.DU {
@@ -639,7 +676,8 @@ func (ev *evaluator) sampleRTT(rng *rand.Rand, c *workload.ClientNode, w *worklo
 	return base + jitter + extra
 }
 
-// regionRTT is the baseline RTT between coarse regions.
+// regionRTT is the baseline RTT between coarse regions, the entries of
+// the evaluator's region-pair table.
 func regionRTT(a, b string) time.Duration {
 	if a == b {
 		return 25 * time.Millisecond

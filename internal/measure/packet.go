@@ -478,13 +478,13 @@ func (w *world) ctxRNG() *rand.Rand {
 func (w *world) authStatus(id faults.EntityID) dnssim.StatusFunc {
 	return func(now simnet.Time) dnssim.Status {
 		rng := w.ctxRNG()
-		if ep, ok := w.tl.ActiveID(id, faults.AuthDNSMisconfig, now); hit(rng, ep, ok) {
+		if ep := w.tl.ActiveID(id, faults.AuthDNSMisconfig, now); hit(rng, ep) {
 			if ep.Mode == workload.MisconfigNXDomain {
 				return dnssim.StatusNXDomain
 			}
 			return dnssim.StatusServFail
 		}
-		if ep, ok := w.tl.ActiveID(id, faults.AuthDNSOutage, now); hit(rng, ep, ok) {
+		if hit(rng, w.tl.ActiveID(id, faults.AuthDNSOutage, now)) {
 			return dnssim.StatusDown
 		}
 		return dnssim.StatusUp
@@ -493,7 +493,7 @@ func (w *world) authStatus(id faults.EntityID) dnssim.StatusFunc {
 
 func (w *world) ldnsStatus(id faults.EntityID) dnssim.StatusFunc {
 	return func(now simnet.Time) dnssim.Status {
-		if ep, ok := w.tl.ActiveID(id, faults.LDNSOutage, now); hit(w.ctxRNG(), ep, ok) {
+		if ep := w.tl.ActiveID(id, faults.LDNSOutage, now); hit(w.ctxRNG(), ep) {
 			return dnssim.StatusDown
 		}
 		return dnssim.StatusUp
@@ -503,10 +503,10 @@ func (w *world) ldnsStatus(id faults.EntityID) dnssim.StatusFunc {
 func (w *world) serverStatus(wwwID, repID faults.EntityID) tcpsim.StatusFunc {
 	return func(now simnet.Time) tcpsim.HostStatus {
 		rng := w.ctxRNG()
-		if ep, ok := w.tl.ActiveID(wwwID, faults.ServerOutage, now); hit(rng, ep, ok) {
+		if hit(rng, w.tl.ActiveID(wwwID, faults.ServerOutage, now)) {
 			return tcpsim.HostDown
 		}
-		if ep, ok := w.tl.ActiveID(repID, faults.ServerOutage, now); hit(rng, ep, ok) {
+		if hit(rng, w.tl.ActiveID(repID, faults.ServerOutage, now)) {
 			return tcpsim.HostDown
 		}
 		return tcpsim.HostUp
@@ -516,7 +516,7 @@ func (w *world) serverStatus(wwwID, repID faults.EntityID) tcpsim.StatusFunc {
 func (w *world) appStatus(id faults.EntityID) httpsim.AppStatusFunc {
 	return func(now simnet.Time) httpsim.AppStatus {
 		rng := w.ctxRNG()
-		if ep, ok := w.tl.ActiveID(id, faults.ServerOverload, now); hit(rng, ep, ok) {
+		if ep := w.tl.ActiveID(id, faults.ServerOverload, now); hit(rng, ep) {
 			switch ep.Mode {
 			case workload.OverloadStall:
 				return httpsim.AppStatus{Mode: httpsim.AppStall}
@@ -526,7 +526,7 @@ func (w *world) appStatus(id faults.EntityID) httpsim.AppStatusFunc {
 				return httpsim.AppStatus{Mode: httpsim.AppHung}
 			}
 		}
-		if ep, ok := w.tl.ActiveID(id, faults.ServerHTTPError, now); hit(rng, ep, ok) {
+		if hit(rng, w.tl.ActiveID(id, faults.ServerHTTPError, now)) {
 			return httpsim.AppStatus{Mode: httpsim.AppError, Code: 503}
 		}
 		return httpsim.AppStatus{Mode: httpsim.AppOK}
@@ -576,10 +576,10 @@ func (w *world) pathState(src, dst *simnet.Host, now simnet.Time) simnet.PathSta
 			// the fault is the site's own last mile — the paper's
 			// LDNS timeouts come precisely from the client-LDNS
 			// path, so the site fault applies to everything.
-			if ep, ok := w.tl.ActiveID(inf.siteEnt, faults.ClientConnectivity, now); ok {
+			if ep := w.tl.ActiveID(inf.siteEnt, faults.ClientConnectivity, now); ep != nil {
 				apply(ep.Severity)
 			}
-			if ep, ok := w.tl.ActiveID(inf.siteEnt, faults.PathOutage, now); ok {
+			if ep := w.tl.ActiveID(inf.siteEnt, faults.PathOutage, now); ep != nil {
 				apply(ep.Severity)
 			}
 		}
@@ -587,10 +587,10 @@ func (w *world) pathState(src, dst *simnet.Host, now simnet.Time) simnet.PathSta
 			continue
 		}
 		if inf.pfxEnt != faults.NoEntity {
-			if ep, ok := w.tl.ActiveID(inf.pfxEnt, faults.BGPInstability, now); ok {
+			if ep := w.tl.ActiveID(inf.pfxEnt, faults.BGPInstability, now); ep != nil {
 				apply(pathImpact(ep))
 			}
-			if ep, ok := w.tl.ActiveID(inf.pfxEnt, faults.PathOutage, now); ok {
+			if ep := w.tl.ActiveID(inf.pfxEnt, faults.PathOutage, now); ep != nil {
 				apply(ep.Severity)
 			}
 		}
@@ -605,7 +605,7 @@ func (w *world) pathState(src, dst *simnet.Host, now simnet.Time) simnet.PathSta
 		if id == faults.NoEntity {
 			return
 		}
-		if ep, ok := w.tl.ActiveID(id, faults.PermanentBlock, now); ok {
+		if ep := w.tl.ActiveID(id, faults.PermanentBlock, now); ep != nil {
 			if ep.Mode == workload.BlockPartial {
 				// The mp3.com checksum case: the handshake
 				// works but the transfer dies — heavy loss.
@@ -655,7 +655,7 @@ func (w *world) runTransaction(tx *workload.Transaction) bool {
 	node := ch.node
 
 	// Machine off: no access at all.
-	if _, off := w.tl.ActiveID(w.ids.Client[tx.ClientIdx], faults.ClientMachineOff, tx.At); off {
+	if w.tl.ActiveID(w.ids.Client[tx.ClientIdx], faults.ClientMachineOff, tx.At) != nil {
 		return false
 	}
 

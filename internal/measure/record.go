@@ -4,8 +4,10 @@
 // schema:
 //
 //   - fast mode (Run): per-transaction outcome evaluation directly against
-//     the fault timelines, ~1 µs/transaction, used for the month-scale
-//     reproduction;
+//     the fault timelines, used for the month-scale reproduction, whose
+//     22.2 M transactions take 5.2 s of wall time at two shards on a
+//     2-vCPU Xeon VM, 233 ns per transaction (EXPERIMENTS.md, "Fast mode
+//     without per-query copies");
 //   - packet mode (RunPacket): full protocol simulation — DNS messages
 //     over UDP, TCP handshakes and transfers, HTTP over the byte stream —
 //     used at smaller scale to validate that the protocol stack produces
